@@ -22,7 +22,8 @@ import numpy as np
 
 from .approx import TIE_RULE, threshold_e
 from .core import BlockPartition, L0Problem, l0_norm, support_of
-from .objectives import LeastSquaresObjective, LogisticL2Objective, _sigmoid
+from .objectives import LeastSquaresObjective
+from .solvers import support_bitmask
 
 # Boundary tolerance for class membership tests; restricted solves are
 # accurate to 1e-10, so this absorbs accumulation without blurring classes.
@@ -30,9 +31,6 @@ CLASSIFY_TOL = 1e-8
 
 # 2^n supports are solved; past this the table stops being a desk computation.
 ENUMERATION_LIMIT = 24
-
-# Rank cutoff (relative to the largest singular value) for least-norm solves.
-_RANK_TOL = 1e-10
 
 BASIC_LABEL = "basic"
 
@@ -96,12 +94,7 @@ class MinimaCatalog:
         return min(self.entries, key=lambda e: (e.F_value, e.bitmask))
 
     def entry_for_support(self, support) -> CatalogEntry | None:
-        if isinstance(support, frozenset):
-            mask = 0
-            for j in support:
-                mask |= 1 << j
-        else:
-            mask = int(support)
+        mask = support_bitmask(support) if isinstance(support, frozenset) else int(support)
         for e in self.entries:
             if e.bitmask == mask:
                 return e
@@ -111,57 +104,21 @@ class MinimaCatalog:
 def restricted_minimize(problem: L0Problem, I) -> np.ndarray:
     """Minimizer of f over the subspace of vectors supported on I.
 
-    Least squares uses the least-norm solution of the restricted system
-    (pseudoinverse with relative rank cutoff 1e-10), so rank-deficient
-    supports get a canonical representative. The logistic objective uses
-    Newton iterations to gradient norm 1e-10 * (1 + ||grad f(0)||).
+    Delegates to the oracle's optional ``restricted_minimize``; raises
+    TypeError for an oracle without it.
     """
     n = problem.n
     idx = sorted(int(j) for j in I)
     if any(j < 0 or j >= n for j in idx):
         raise ValueError(f"support indices out of range for n={n}")
-    z = np.zeros(n)
     if not idx:
-        return z
-    oracle = problem.smooth
-
-    if isinstance(oracle, LeastSquaresObjective):
-        sub = oracle.A[:, idx]
-        sol, *_ = np.linalg.lstsq(sub, oracle.b, rcond=_RANK_TOL)
-        z[idx] = sol
-        return z
-
-    if isinstance(oracle, LogisticL2Objective):
-        tol = 1e-10 * (1.0 + float(np.linalg.norm(oracle.full_grad(np.zeros(n)))))
-        sub = oracle.data[:, idx]
-        w = np.zeros(len(idx))
-        val = oracle.eval(z)
-        for _ in range(100):
-            t = sub @ w
-            s = _sigmoid(t)
-            g = sub.T @ (s - oracle.y) / oracle.m + oracle.nu * w
-            if float(np.linalg.norm(g)) <= tol:
-                z[idx] = w
-                return z
-            D = s * (1.0 - s)
-            H = (sub.T * D) @ sub / oracle.m + oracle.nu * np.eye(len(idx))
-            step = np.linalg.solve(H, g)
-            # backtrack if a full Newton step overshoots
-            alpha = 1.0
-            for _ in range(50):
-                w_new = w - alpha * step
-                z[idx] = w_new
-                val_new = oracle.eval(z)
-                if val_new <= val + 1e-12 * (1 + abs(val)):
-                    break
-                alpha *= 0.5
-            w = w_new
-            val = val_new
-        raise RuntimeError(
-            f"restricted Newton did not reach gradient tolerance {tol:.3e} on support {idx}"
+        return np.zeros(n)
+    solve = getattr(problem.smooth, "restricted_minimize", None)
+    if solve is None:
+        raise TypeError(
+            f"restricted minimization not implemented for {type(problem.smooth).__name__}"
         )
-
-    raise TypeError(f"restricted minimization not implemented for {type(oracle).__name__}")
+    return solve(idx)
 
 
 def is_basic_local_min(problem: L0Problem, z: np.ndarray, tol: float = CLASSIFY_TOL) -> bool:
@@ -274,13 +231,10 @@ def enumerate_catalog(
                 flags[req.label] = basic and is_uq_strong(problem, z, req.params, tol)
             else:
                 flags[req.label] = basic and is_ue_strong(problem, z, req.params, tol)
-        bitmask = 0
-        for j in I:
-            bitmask |= 1 << j
         entries.append(
             CatalogEntry(
                 support=I,
-                bitmask=bitmask,
+                bitmask=support_bitmask(I),
                 point=z,
                 f_value=f_val,
                 F_value=F_val,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BlockPartition
-from .objectives import LeastSquaresObjective, SmoothOracle
+from .objectives import SmoothOracle
 
 SEPARABLE_QUADRATIC = "separable_quadratic"
 DIAGONAL_QUADRATIC = "diagonal_quadratic"
@@ -263,24 +263,41 @@ def exact_inner_min(
     """Minimize g(h) = f(x + h e_j) + (beta/2) h^2 over the scalar offset h.
 
     Returns (h_star, g(h_star)). ``method`` selects the route: "auto" uses
-    the closed form h* = -A_j^T r / (||A_j||^2 + beta) when the restriction
-    is known to be quadratic (least squares), otherwise safeguarded Newton;
-    "newton" forces the generic route (kept as an independent cross-check).
+    the oracle's closed-form ``coord_prox_step`` when it has one (least
+    squares), otherwise safeguarded Newton; "newton" forces the generic
+    route (kept as an independent cross-check).
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     x = np.asarray(x, dtype=float)
     if cache is None:
         cache = oracle.make_cache(x)
-    if method == "auto" and isinstance(oracle, LeastSquaresObjective):
-        g0 = oracle.coord_grad_shifted(x, j, 0.0, cache)
-        h_star = -g0 / (oracle.coord_curvature_shifted(x, j, 0.0, cache) + beta)
+    prox_step = getattr(oracle, "coord_prox_step", None)
+    if method == "auto" and prox_step is not None:
+        h_star = prox_step(x, j, beta, cache)
     elif method in ("auto", "newton"):
         h_star = _solve_1d(oracle, x, j, beta, cache)
     else:
         raise ValueError(f"unknown method {method!r}")
     value = oracle.value_shifted(x, j, h_star, cache) + 0.5 * beta * h_star * h_star
     return float(h_star), float(value)
+
+
+def _exact_progress(
+    oracle: SmoothOracle,
+    x: np.ndarray,
+    j: int,
+    beta: float,
+    cache: np.ndarray | None,
+    method: str,
+) -> tuple[float, float]:
+    """(h*, Delta) of the exact model at coordinate j; see delta_e."""
+    x = np.asarray(x, dtype=float)
+    if cache is None:
+        cache = oracle.make_cache(x)
+    h_star, keep_value = exact_inner_min(oracle, x, j, beta, cache, method=method)
+    zero_value = oracle.value_shifted(x, j, -x[j], cache) + 0.5 * beta * x[j] * x[j]
+    return h_star, zero_value - keep_value
 
 
 def delta_e(
@@ -296,21 +313,10 @@ def delta_e(
     Delta = [f at x with coordinate j zeroed + (beta/2) x_j^2]
           - [f at the inner minimizer + (beta/2) h*^2].
 
-    Always >= 0 (the inner minimizer is at least as good as zeroing). For
-    least squares an O(1) expansion in s = A_j^T r and c = ||A_j||^2 is used;
-    the generic route evaluates both candidates through the cache.
+    Always >= 0 (the inner minimizer is at least as good as zeroing). Both
+    candidates are evaluated through the cache.
     """
-    x = np.asarray(x, dtype=float)
-    if cache is None:
-        cache = oracle.make_cache(x)
-    if method == "auto" and isinstance(oracle, LeastSquaresObjective):
-        s = oracle.coord_grad_shifted(x, j, 0.0, cache)
-        c = oracle.coord_curvature_shifted(x, j, 0.0, cache)
-        xj = x[j]
-        return float(-xj * s + 0.5 * xj * xj * (c + beta) + 0.5 * s * s / (c + beta))
-    _, keep_value = exact_inner_min(oracle, x, j, beta, cache, method=method)
-    zero_value = oracle.value_shifted(x, j, -x[j], cache) + 0.5 * beta * x[j] * x[j]
-    return float(zero_value - keep_value)
+    return float(_exact_progress(oracle, x, j, beta, cache, method)[1])
 
 
 def threshold_e(
@@ -327,12 +333,7 @@ def threshold_e(
     Returns x_j + h* when Delta > lambda_j, else an exact zero (ties to
     zero). With lambda_j = 0 this is the pure proximal coordinate step.
     """
-    x = np.asarray(x, dtype=float)
-    if cache is None:
-        cache = oracle.make_cache(x)
-    h_star, keep_value = exact_inner_min(oracle, x, j, beta, cache, method=method)
-    zero_value = oracle.value_shifted(x, j, -x[j], cache) + 0.5 * beta * x[j] * x[j]
-    delta = zero_value - keep_value
+    h_star, delta = _exact_progress(oracle, x, j, beta, cache, method)
     if delta > lambda_j:
         return float(x[j] + h_star)
     return 0.0

@@ -51,6 +51,7 @@ from .solvers import (
     make_rng,
     run_ihta,
     run_rcd_iht,
+    trace_rows,
 )
 
 EXIT_OK = 0
@@ -221,9 +222,27 @@ def _parse_config_file(path: str) -> ExperimentConfig:
     cfg.solve_solver = get("solve", "solver", str, cfg.solve_solver).strip()
     cfg.solve_start = get("solve", "start", str, cfg.solve_start).strip()
 
-    if cfg.trials < 1:
-        raise ConfigError("trials must be >= 1")
+    for key, value, ok, rule in (
+        ("[solvers] uq_factor", cfg.uq_factor, cfg.uq_factor > 1.0, "> 1"),
+        ("[solvers] ue_beta", cfg.ue_beta, cfg.ue_beta > 0.0, "> 0"),
+        ("[solvers] ihta_factor", cfg.ihta_factor, cfg.ihta_factor > 1.0, "> 1"),
+        ("[solvers] max_iters", cfg.max_iters, cfg.max_iters >= 0, ">= 0 (0 means auto)"),
+        ("[starts] trials", cfg.trials, cfg.trials >= 1, ">= 1"),
+        ("[starts] density", cfg.start_density, 0.0 <= cfg.start_density <= 1.0, "in [0, 1]"),
+    ):
+        if not ok:
+            raise ConfigError(f"{key} must be {rule}, got {value}")
     return cfg
+
+
+def _load_csv(loader, path: str) -> np.ndarray:
+    try:
+        values = loader(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load {path}: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{path} holds a non-finite entry")
+    return values
 
 
 def build_problem(cfg: ExperimentConfig, lam: float | None = None) -> L0Problem:
@@ -234,11 +253,8 @@ def build_problem(cfg: ExperimentConfig, lam: float | None = None) -> L0Problem:
         if cfg.matrix_csv:
             if not cfg.rhs_csv:
                 raise ConfigError("least squares from CSV needs rhs_csv")
-            try:
-                A = load_matrix_csv(cfg.matrix_csv)
-                b = load_vector_csv(cfg.rhs_csv)
-            except OSError as exc:
-                raise ConfigError(str(exc)) from exc
+            A = _load_csv(load_matrix_csv, cfg.matrix_csv)
+            b = _load_csv(load_vector_csv, cfg.rhs_csv)
             oracle = LeastSquaresObjective(A, b)
         else:
             if cfg.m < 1 or cfg.n < 1:
@@ -251,11 +267,8 @@ def build_problem(cfg: ExperimentConfig, lam: float | None = None) -> L0Problem:
         if cfg.matrix_csv:
             if not cfg.labels_csv:
                 raise ConfigError("logistic from CSV needs labels_csv")
-            try:
-                data = load_matrix_csv(cfg.matrix_csv)
-                y = load_labels_csv(cfg.labels_csv)
-            except OSError as exc:
-                raise ConfigError(str(exc)) from exc
+            data = _load_csv(load_matrix_csv, cfg.matrix_csv)
+            y = _load_csv(load_labels_csv, cfg.labels_csv)
             oracle = LogisticL2Objective(data, y, cfg.nu)
         else:
             if cfg.m < 1 or cfg.n < 1:
@@ -284,8 +297,7 @@ def build_problem(cfg: ExperimentConfig, lam: float | None = None) -> L0Problem:
         )
     except ValueError as exc:
         raise ConfigError(f"invalid problem configuration: {exc}") from exc
-    sigma = oracle.nu if isinstance(oracle, LogisticL2Objective) else None
-    return L0Problem(smooth=oracle, partition=partition, strong_convexity=sigma)
+    return L0Problem(smooth=oracle, partition=partition)
 
 
 def solver_spec(name: str, cfg: ExperimentConfig, problem: L0Problem) -> ApproxSpec | None:
@@ -401,16 +413,7 @@ def cmd_solve(cfg: ExperimentConfig, writer: OutputWriter) -> int:
     writer.write_csv(
         "trace.csv",
         ["k", "i_k", "F", "step_norm", "support_changed"],
-        (
-            [k, b, _fmt(Fv), _fmt(s), c]
-            for k, b, Fv, s, c in zip(
-                range(trace.iterations),
-                trace.blocks,
-                trace.F,
-                trace.step_norms,
-                trace.support_changed.astype(int),
-            )
-        ),
+        ([k, i, _fmt(Fv), _fmt(s), c] for k, i, Fv, s, c in trace_rows(trace)),
     )
     print_table(
         ["solver", "F", "nonzeros", "iterations", "stop"],

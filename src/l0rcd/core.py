@@ -152,15 +152,12 @@ class L0Problem:
 
     smooth: "SmoothOracle"
     partition: BlockPartition
-    strong_convexity: float | None = None
 
     def __post_init__(self) -> None:
         if self.smooth.dim != self.partition.n:
             raise ValueError(
                 f"oracle dimension {self.smooth.dim} != partition dimension {self.partition.n}"
             )
-        if self.strong_convexity is not None and self.strong_convexity < 0:
-            raise ValueError("strong convexity parameter must be nonnegative")
 
     @property
     def n(self) -> int:

@@ -30,6 +30,10 @@ class SmoothOracle(Protocol):
     ``cache`` is objective-specific auxiliary state (e.g. the residual) that
     makes single-block updates O(m * n_i) instead of O(m * n). The cache is
     exclusively owned by one solver run; oracles themselves are immutable.
+
+    Optional methods outside the protocol: ``coord_prox_step`` gives the
+    exact model a closed-form step in place of safeguarded Newton, and
+    ``restricted_minimize`` makes enumeration possible.
     """
 
     dim: int
@@ -55,6 +59,10 @@ class SmoothOracle(Protocol):
     ) -> float: ...
 
     def value_shifted(self, x: np.ndarray, j: int, h: float, cache: np.ndarray) -> float: ...
+
+
+# Rank cutoff (relative to the largest singular value) for least-norm solves.
+_RANK_TOL = 1e-10
 
 
 def _finite(v: float) -> float:
@@ -117,6 +125,22 @@ class LeastSquaresObjective:
     def value_shifted(self, x: np.ndarray, j: int, h: float, cache: np.ndarray) -> float:
         r = cache + self.A[:, j] * h
         return 0.5 * float(r @ r)
+
+    def coord_prox_step(self, x: np.ndarray, j: int, beta: float, cache: np.ndarray) -> float:
+        """Closed-form h* = -A_j^T r / (||A_j||^2 + beta): the 1-D restriction is quadratic."""
+        g0 = self.coord_grad_shifted(x, j, 0.0, cache)
+        return -g0 / (self.coord_curvature_shifted(x, j, 0.0, cache) + beta)
+
+    def restricted_minimize(self, idx: list[int]) -> np.ndarray:
+        """Least-norm minimizer over vectors supported on the sorted index list idx.
+
+        Pseudoinverse with relative rank cutoff 1e-10, so rank-deficient
+        supports get a canonical representative.
+        """
+        z = np.zeros(self.dim)
+        sol, *_ = np.linalg.lstsq(self.A[:, idx], self.b, rcond=_RANK_TOL)
+        z[idx] = sol
+        return z
 
     # Constants for partition construction.
 
@@ -237,6 +261,42 @@ class LogisticL2Objective:
         loss = float(np.sum(_log1pexp(t) - self.y * t)) / self.m
         sq = float(x @ x) - x[j] ** 2 + (x[j] + h) ** 2
         return loss + 0.5 * self.nu * sq
+
+    def restricted_minimize(self, idx: list[int]) -> np.ndarray:
+        """Minimizer over vectors supported on the sorted index list idx.
+
+        Newton iterations with backtracking, to gradient norm
+        1e-10 * (1 + ||grad f(0)||).
+        """
+        z = np.zeros(self.dim)
+        tol = 1e-10 * (1.0 + float(np.linalg.norm(self.full_grad(z))))
+        sub = self.data[:, idx]
+        w = np.zeros(len(idx))
+        val = self.eval(z)
+        for _ in range(100):
+            t = sub @ w
+            s = _sigmoid(t)
+            g = sub.T @ (s - self.y) / self.m + self.nu * w
+            if float(np.linalg.norm(g)) <= tol:
+                z[idx] = w
+                return z
+            D = s * (1.0 - s)
+            H = (sub.T * D) @ sub / self.m + self.nu * np.eye(len(idx))
+            step = np.linalg.solve(H, g)
+            # backtrack if a full Newton step overshoots
+            alpha = 1.0
+            for _ in range(50):
+                w_new = w - alpha * step
+                z[idx] = w_new
+                val_new = self.eval(z)
+                if val_new <= val + 1e-12 * (1 + abs(val)):
+                    break
+                alpha *= 0.5
+            w = w_new
+            val = val_new
+        raise RuntimeError(
+            f"restricted Newton did not reach gradient tolerance {tol:.3e} on support {idx}"
+        )
 
     def column_lipschitz(self) -> np.ndarray:
         """Per-coordinate bound (1/(4m)) sum_k a_{k,j}^2 + nu."""

@@ -14,12 +14,14 @@ fixed-support phase.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .approx import ApproxSpec, apply_threshold, TIE_RULE
-from .core import IterateState, L0Problem, l0_norm, support_of
+# l0_norm stays importable from this module.
+from .core import IterateState, L0Problem, l0_norm, support_of  # noqa: F401
 
 # Counter-based generator pinned for cross-run reproducibility; the
 # identifier travels in trace metadata and CSV headers.
@@ -50,7 +52,7 @@ def draw_block(rng: np.random.Generator, num_blocks: int) -> int:
 def support_bitmask(support: frozenset[int]) -> int:
     mask = 0
     for j in support:
-        mask |= 1 << j
+        mask |= 1 << int(j)
     return mask
 
 
@@ -63,7 +65,6 @@ class SolverConfig:
     seed: int = 0
     record_trace: bool = True
     support_patience: int | None = None  # default 3N, see stopping rule
-    step_tol: float = _STEP_TOL
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
@@ -110,6 +111,38 @@ class SolverTrace:
         return int(changes[-1]) + 1 if len(changes) else 0
 
 
+def _update_block(problem: L0Problem, state: IterateState, i: int, spec: ApproxSpec) -> float:
+    """Replace block i by its thresholding map; returns the step norm.
+
+    Keeps the state's point, cache, support and f value mutually consistent.
+    """
+    partition = problem.partition
+    sl = partition.block_slice(i)
+    old_block = state.x[sl].copy()
+    new_block = apply_threshold(problem.smooth, partition, state.x, i, spec, state.cache)
+    state.x[sl] = new_block
+    problem.smooth.update_cache(state.cache, sl, old_block, new_block)
+    state.f_value = problem.smooth.value_from_cache(state.x, state.cache)
+    if partition.lam[i] > 0.0:
+        coords = set(range(sl.start, sl.stop))
+        kept = {sl.start + k for k in np.flatnonzero(new_block).tolist()}
+        state.support = frozenset((state.support - coords) | kept)
+    return float(np.linalg.norm(new_block - old_block))
+
+
+def _check_descent(F_old: float, F_new: float, mu: float, step_norm: float, i: int) -> None:
+    """Raise InvariantViolation unless F_new <= F_old - (mu/2) step^2 + slack."""
+    step_sq = step_norm**2
+    bound = F_old - 0.5 * mu * step_sq + _DESCENT_SLACK * (1.0 + abs(F_old))
+    if F_new > bound:
+        where = f"block {i}" if i >= 0 else "the full-gradient step"
+        raise InvariantViolation(
+            f"descent inequality violated at {where}: F {F_old:.12g} -> {F_new:.12g}, "
+            f"required <= {bound:.12g} (mu={mu:.3g}, step^2={step_sq:.3g}); "
+            "check the Lipschitz constants"
+        )
+
+
 def rcd_iht_step(
     problem: L0Problem,
     state: IterateState,
@@ -123,32 +156,73 @@ def rcd_iht_step(
     Raises InvariantViolation if the step fails the guaranteed descent
     inequality beyond roundoff slack.
     """
-    partition = problem.partition
-    sl = partition.block_slice(i)
-    old_block = state.x[sl].copy()
-    F_old = state.objective(problem)
-
-    new_block = apply_threshold(problem.smooth, partition, state.x, i, spec, state.cache)
-    state.x[sl] = new_block
-    problem.smooth.update_cache(state.cache, sl, old_block, new_block)
-    state.f_value = problem.smooth.value_from_cache(state.x, state.cache)
-    if partition.lam[i] > 0.0:
-        coords = set(range(sl.start, sl.stop))
-        kept = {sl.start + k for k in np.flatnonzero(new_block)}
-        state.support = frozenset((state.support - coords) | kept)
-
     if mu_i is None:
-        mu_i = float(spec.mu(partition)[i])
-    step_sq = float(np.sum((new_block - old_block) ** 2))
-    F_new = state.objective(problem)
-    bound = F_old - 0.5 * mu_i * step_sq + _DESCENT_SLACK * (1.0 + abs(F_old))
-    if F_new > bound:
-        raise InvariantViolation(
-            f"descent inequality violated at block {i}: F {F_old:.12g} -> {F_new:.12g}, "
-            f"required <= {bound:.12g} (mu={mu_i:.3g}, step^2={step_sq:.3g}); "
-            "check the block Lipschitz constants"
-        )
+        mu_i = float(spec.mu(problem.partition)[i])
+    F_old = state.objective(problem)
+    step_norm = _update_block(problem, state, i, spec)
+    _check_descent(F_old, state.objective(problem), mu_i, step_norm, i)
     return state
+
+
+def _drive(
+    problem: L0Problem,
+    x0: np.ndarray,
+    step: Callable[[IterateState], tuple[int, float, float]],
+    max_iters: int,
+    window: int,
+    record_trace: bool,
+    delta_bound: float,
+    metadata: dict,
+) -> tuple[IterateState, SolverTrace]:
+    """The iteration loop shared by every route.
+
+    ``step`` moves the state one iteration forward in place and returns the
+    block it drew (-1 for a full-gradient step), the step norm and the
+    descent modulus mu of that step. F is evaluated once per iteration and
+    checked against the descent inequality. Stops at max_iters, or earlier
+    once the support has been stable for ``window`` consecutive iterations
+    and every step over that window moved the point by at most
+    1e-10 * (1 + ||x||).
+    """
+    state = IterateState.from_point(problem, x0)
+    F_cur = state.objective(problem)
+
+    records: list[tuple[int, float, float, bool, int]] = []
+    recent_steps: deque[float] = deque(maxlen=window)
+    stable = 0
+    stop_reason = "max_iters"
+
+    for _ in range(max_iters):
+        support_before = state.support
+        i, step_norm, mu = step(state)
+        F_new = state.objective(problem)
+        _check_descent(F_cur, F_new, mu, step_norm, i)
+
+        changed = state.support != support_before
+        if record_trace:
+            records.append((i, F_cur, step_norm, changed, support_bitmask(support_before)))
+        F_cur = F_new
+
+        recent_steps.append(step_norm)
+        stable = 0 if changed else stable + 1
+        if stable >= window and len(recent_steps) == window:
+            if max(recent_steps) <= _STEP_TOL * (1.0 + float(np.linalg.norm(state.x))):
+                stop_reason = "converged"
+                break
+
+    blocks, F_seq, steps, changed_seq, supports = zip(*records) if records else ((),) * 5
+    trace = SolverTrace(
+        blocks=np.array(blocks, dtype=int),
+        F=np.array(F_seq, dtype=float),
+        step_norms=np.array(steps, dtype=float),
+        support_changed=np.array(changed_seq, dtype=bool),
+        supports=list(supports),
+        final_x=state.x.copy(),
+        final_F=F_cur,
+        delta_bound=delta_bound,
+        metadata={**metadata, "tie_rule": TIE_RULE, "stop": stop_reason},
+    )
+    return state, trace
 
 
 def run_rcd_iht(
@@ -157,77 +231,29 @@ def run_rcd_iht(
     """Run the randomized coordinate thresholding method from x0.
 
     Blocks are drawn i.i.d. uniformly from the seeded counter-based
-    generator. Stops at max_iters, or earlier once the support has been
-    stable for W consecutive iterations and every block update over that
-    window moved the point by at most step_tol * (1 + ||x||), with W
-    defaulting to 3N. Deterministic given (seed, x0, problem, config).
+    generator. The stopping window (see ``_drive``) defaults to 3N
+    iterations. Deterministic given (seed, x0, problem, config).
     """
     partition = problem.partition
     spec = config.approx
     spec.validate_for_solver(partition)
-    mu = spec.mu(partition)
+    mu = spec.mu(partition).tolist()
     N = partition.num_blocks
-    W = config.support_patience if config.support_patience is not None else 3 * N
-
-    state = IterateState.from_point(problem, x0)
-    delta = delta_lower_bound(problem, spec, x0)
     rng = make_rng(config.seed)
 
-    blocks: list[int] = []
-    F_seq: list[float] = []
-    steps: list[float] = []
-    changed_seq: list[bool] = []
-    supports: list[int] = []
+    window = config.support_patience if config.support_patience is not None else 3 * N
+    metadata = {
+        "solver": "rcd-iht", "approx": spec.label(), "rng": RNG_ALGORITHM, "seed": int(config.seed)
+    }
 
-    recent_steps: deque[float] = deque(maxlen=W)
-    stable = 0
-    stop_reason = "max_iters"
-    F_cur = state.objective(problem)
-
-    for _ in range(config.max_iters):
+    def step(state: IterateState) -> tuple[int, float, float]:
         i = draw_block(rng, N)
-        support_before = state.support
-        sl = partition.block_slice(i)
-        old_block = state.x[sl].copy()
+        return i, _update_block(problem, state, i, spec), mu[i]
 
-        rcd_iht_step(problem, state, i, spec, mu_i=float(mu[i]))
-
-        step_norm = float(np.linalg.norm(state.x[sl] - old_block))
-        changed = state.support != support_before
-        if config.record_trace:
-            blocks.append(i)
-            F_seq.append(F_cur)
-            steps.append(step_norm)
-            changed_seq.append(changed)
-            supports.append(support_bitmask(support_before))
-        F_cur = state.objective(problem)
-
-        recent_steps.append(step_norm)
-        stable = 0 if changed else stable + 1
-        if stable >= W and len(recent_steps) == W:
-            if max(recent_steps) <= config.step_tol * (1.0 + float(np.linalg.norm(state.x))):
-                stop_reason = "converged"
-                break
-
-    trace = SolverTrace(
-        blocks=np.array(blocks, dtype=int),
-        F=np.array(F_seq, dtype=float),
-        step_norms=np.array(steps, dtype=float),
-        support_changed=np.array(changed_seq, dtype=bool),
-        supports=supports,
-        final_x=state.x.copy(),
-        final_F=F_cur,
-        delta_bound=delta,
-        metadata={
-            "solver": "rcd-iht",
-            "approx": spec.label(),
-            "rng": RNG_ALGORITHM,
-            "seed": int(config.seed),
-            "tie_rule": TIE_RULE,
-            "stop": stop_reason,
-        },
+    return _drive(
+        problem, x0, step, config.max_iters, window, config.record_trace,
+        delta_lower_bound(problem, spec, x0), metadata,
     )
-    return state, trace
 
 
 def run_ihta(
@@ -235,7 +261,6 @@ def run_ihta(
     x0: np.ndarray,
     M_f: float,
     max_iters: int,
-    step_tol: float = _STEP_TOL,
     support_patience: int = 3,
     record_trace: bool = True,
 ) -> tuple[IterateState, SolverTrace]:
@@ -256,72 +281,25 @@ def run_ihta(
         )
     lam_coord = partition.coord_lambda()
     mu_f = M_f - partition.global_lipschitz
+    smooth = problem.smooth
 
-    state = IterateState.from_point(problem, x0)
-    F_cur = state.objective(problem)
-
-    F_seq: list[float] = []
-    steps: list[float] = []
-    changed_seq: list[bool] = []
-    supports: list[int] = []
-    recent_steps: deque[float] = deque(maxlen=support_patience)
-    stable = 0
-    stop_reason = "max_iters"
-
-    for _ in range(max_iters):
-        g = problem.smooth.full_grad(state.x)
+    def step(state: IterateState) -> tuple[int, float, float]:
+        g = smooth.full_grad(state.x)
         t = state.x - g / M_f
-        d = 0.5 * M_f * t * t
-        new_x = np.where(d > lam_coord, t, 0.0)
-
+        new_x = np.where(0.5 * M_f * t * t > lam_coord, t, 0.0)
         step_norm = float(np.linalg.norm(new_x - state.x))
-        support_before = state.support
-        F_old = F_cur
         state.x = new_x
-        state.refresh(problem)
-        F_cur = state.objective(problem)
+        state.cache = smooth.make_cache(new_x)
+        state.f_value = smooth.value_from_cache(new_x, state.cache)
+        state.support = support_of(new_x, partition)
+        return -1, step_norm, mu_f
 
-        bound = F_old - 0.5 * mu_f * step_norm**2 + _DESCENT_SLACK * (1.0 + abs(F_old))
-        if F_cur > bound:
-            raise InvariantViolation(
-                f"full-gradient descent inequality violated: F {F_old:.12g} -> "
-                f"{F_cur:.12g}, required <= {bound:.12g} (mu={mu_f:.3g})"
-            )
-
-        changed = state.support != support_before
-        if record_trace:
-            F_seq.append(F_old)
-            steps.append(step_norm)
-            changed_seq.append(changed)
-            supports.append(support_bitmask(support_before))
-
-        recent_steps.append(step_norm)
-        stable = 0 if changed else stable + 1
-        if stable >= support_patience and len(recent_steps) == support_patience:
-            if max(recent_steps) <= step_tol * (1.0 + float(np.linalg.norm(state.x))):
-                stop_reason = "converged"
-                break
-
-    trace = SolverTrace(
-        blocks=np.full(len(F_seq), -1, dtype=int),
-        F=np.array(F_seq, dtype=float),
-        step_norms=np.array(steps, dtype=float),
-        support_changed=np.array(changed_seq, dtype=bool),
-        supports=supports,
-        final_x=state.x.copy(),
-        final_F=F_cur,
-        delta_bound=float("nan"),
-        metadata={
-            "solver": "ihta",
-            "approx": "uq-global",
-            "rng": "none",
-            "seed": 0,
-            "tie_rule": TIE_RULE,
-            "stop": stop_reason,
-            "M_f": float(M_f),
-        },
+    metadata = {
+        "solver": "ihta", "approx": "uq-global", "rng": "none", "seed": 0, "M_f": float(M_f)
+    }
+    return _drive(
+        problem, x0, step, max_iters, support_patience, record_trace, float("nan"), metadata
     )
-    return state, trace
 
 
 def delta_lower_bound(problem: L0Problem, spec: ApproxSpec, x0: np.ndarray) -> float:

@@ -34,10 +34,7 @@ def random_ls_problem(
     partition = BlockPartition.scalar(
         np.full(n, lam), oracle.column_lipschitz(), oracle.spectral_lipschitz()
     )
-    sigma = None
-    if tall:
-        sigma = float(np.linalg.eigvalsh(A.T @ A)[0])
-    return L0Problem(oracle, partition, strong_convexity=sigma)
+    return L0Problem(oracle, partition)
 
 
 def random_logistic_problem(
@@ -48,7 +45,7 @@ def random_logistic_problem(
     y = (rng.random(m) < 0.5).astype(float)
     oracle = LogisticL2Objective(data, y, nu)
     partition = BlockPartition.scalar(np.full(n, lam), oracle.column_lipschitz())
-    return L0Problem(oracle, partition, strong_convexity=nu)
+    return L0Problem(oracle, partition)
 
 
 @pytest.fixture

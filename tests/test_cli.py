@@ -375,6 +375,29 @@ class TestConfigParsing:
         out = tmp_path / "out"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize(
+        "section,solver",
+        [
+            ("[solvers]\nuq_factor = 0.5\n", "uq"),
+            ("[solvers]\nue_beta = 0\n", "ue"),
+            ("[solvers]\nihta_factor = 0.9\n", "ihta"),
+            ("[solvers]\nmax_iters = -5\n", "uq"),
+            ("[starts]\ndensity = 2\n", "uq"),
+            ("nan-matrix", "uq"),
+        ],
+        ids=["uq_factor", "ue_beta", "ihta_factor", "max_iters", "density", "nan_matrix"],
+    )
+    def test_bad_value_is_a_one_line_error(self, tmp_path, capsys, section, solver):
+        cfg = toy_config(tmp_path, solver=solver, start="random")
+        if section == "nan-matrix":
+            np.savetxt(tmp_path / "A.csv", [[1.0, 0.0], [np.nan, 1.0]], delimiter=",")
+        else:
+            with open(cfg, "a") as fh:
+                fh.write(section)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
             main([])

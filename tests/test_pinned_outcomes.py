@@ -1,0 +1,87 @@
+"""Pinned solver outcomes: a refactor that changes what a run computes fails here.
+
+The values were recorded from the CLI's solver entry point on two fixed
+instances: the 6x12 least squares instance of the acceptance tournament
+(three penalties, all three routes, two random starts each) and a small
+logistic instance with multivariate blocks. Iteration counts, stop reasons
+and final supports must match exactly; final F to 1e-12 relative.
+"""
+import numpy as np
+import pytest
+
+from l0rcd.cli import ExperimentConfig, build_problem, random_start, run_named_solver, seeded_rng
+
+ACCEPTANCE = ExperimentConfig(
+    problem_kind="least_squares", m=6, n=12, instance_seed=13, uq_factor=2.0, max_iters=2400
+)
+BLOCK_LOGISTIC = ExperimentConfig(
+    problem_kind="logistic",
+    m=20,
+    n=12,
+    instance_seed=4,
+    nu=0.1,
+    lam=0.05,
+    block_sizes=(3, 3, 2, 4),
+    max_iters=3000,
+)
+
+# (lambda, solver, start) -> (iterations, stop, final support, final F)
+ACCEPTANCE_OUTCOMES = {
+    (0.07, "ihta", 0): (1180, "converged", [1, 3, 5, 7, 11], 0.35014018320876455),
+    (0.07, "ihta", 1): (1507, "converged", [5, 6, 8, 9, 11], 0.4281721504825442),
+    (0.07, "uq", 0): (2400, "max_iters", [0, 1, 3, 4, 5, 7, 8, 9, 11], 0.6300000019740758),
+    (0.07, "uq", 1): (2391, "converged", [0, 2, 10, 11], 0.29596232780240594),
+    (0.07, "ue", 0): (2400, "max_iters", [0, 1, 3, 4, 6, 7, 8, 9, 11], 0.6300000008155158),
+    (0.07, "ue", 1): (2400, "max_iters", [3, 5, 6, 7, 9], 0.37325597990474313),
+    (0.35, "ihta", 0): (923, "converged", [1, 3, 5, 7], 1.4094803941513896),
+    (0.35, "ihta", 1): (1537, "converged", [5, 6, 8, 9, 11], 1.8281721504825443),
+    (0.35, "uq", 0): (2400, "max_iters", [1, 3, 5, 7], 1.4094803945352652),
+    (0.35, "uq", 1): (1131, "converged", [1, 8, 11], 1.87288720640056),
+    (0.35, "ue", 0): (1141, "converged", [1, 3, 5], 1.2749549136250258),
+    (0.35, "ue", 1): (179, "converged", [0, 3], 1.2331862863301395),
+    (1.2, "ihta", 0): (868, "converged", [1, 3, 5, 7], 4.8094803941513895),
+    (1.2, "ihta", 1): (72, "converged", [3], 3.1037211953923394),
+    (1.2, "uq", 0): (2168, "converged", [1, 5, 11], 4.069920661888583),
+    (1.2, "uq", 1): (67, "converged", [], 3.2666740745718363),
+    (1.2, "ue", 0): (488, "converged", [5, 7, 11], 3.7714737852248876),
+    (1.2, "ue", 1): (124, "converged", [0], 2.632402905798326),
+}
+
+BLOCK_LOGISTIC_OUTCOMES = {
+    ("uq", 0): (66, "converged", [0], 0.6916812781880602),
+    ("uq", 1): (57, "converged", [2], 0.6856609456086835),
+    ("ihta", 0): (124, "converged", [0, 2, 3, 7, 11], 0.7916758856631791),
+    ("ihta", 1): (110, "converged", [2, 3], 0.713147400505675),
+}
+
+SOLVER_INDEX = {"ihta": 0, "uq": 1, "ue": 2}
+
+
+def outcome(problem, cfg, name, entropy, start):
+    x0 = random_start(problem.n, seeded_rng(0, start))
+    state, trace = run_named_solver(name, problem, x0, cfg, entropy)
+    support = np.flatnonzero(state.x).tolist()
+    return trace.iterations, trace.metadata["stop"], support, trace.final_F
+
+
+def assert_outcome(got, expected):
+    iters, stop, support, final_F = got
+    assert (iters, stop, support) == expected[:3]
+    assert final_F == pytest.approx(expected[3], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("lam_index,lam", enumerate((0.07, 0.35, 1.2)))
+def test_acceptance_instance_outcomes(lam_index, lam):
+    problem = build_problem(ACCEPTANCE, lam=lam)
+    for name, si in SOLVER_INDEX.items():
+        for t in range(2):
+            got = outcome(problem, ACCEPTANCE, name, (0, lam_index, si, t), t)
+            assert_outcome(got, ACCEPTANCE_OUTCOMES[(lam, name, t)])
+
+
+def test_block_logistic_outcomes():
+    problem = build_problem(BLOCK_LOGISTIC)
+    for si, name in enumerate(("uq", "ihta")):
+        for t in range(2):
+            got = outcome(problem, BLOCK_LOGISTIC, name, (0, 0, si, t), t)
+            assert_outcome(got, BLOCK_LOGISTIC_OUTCOMES[(name, t)])

@@ -354,6 +354,20 @@ class TestHelpers:
         assert support_bitmask(frozenset()) == 0
         assert support_bitmask(frozenset({0, 3})) == 9
 
+    def test_traced_masks_exact_above_bit_63(self):
+        """The mask recorded before iteration k is the support after k steps,
+        as a Python int, also for coordinates past 63."""
+        prob = random_ls_problem(30, 100, seed=51)
+        spec = separable_from_factor(prob.partition, 1.5)
+        rng = np.random.default_rng(52)
+        x0 = np.where(rng.random(100) < 0.5, rng.uniform(-1, 1, 100), 0.0)
+        _, full = run_rcd_iht(prob, x0, SolverConfig(approx=spec, max_iters=40, seed=3))
+        _, short = run_rcd_iht(prob, x0, SolverConfig(approx=spec, max_iters=39, seed=3))
+        expected = sum(1 << j for j in np.flatnonzero(short.final_x).tolist())
+        assert expected >> 64
+        assert type(full.supports[-1]) is int
+        assert full.supports[-1] == expected
+
     def test_trace_rows_schema(self, toy):
         cfg = SolverConfig(
             approx=separable_lipschitz_mode(toy.partition), max_iters=10, seed=0
