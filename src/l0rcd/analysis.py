@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approx import TIE_RULE, threshold_e
-from .core import BlockPartition, L0Problem, l0_norm, support_of
+from .core import BlockPartition, L0Problem, l0_norm, support_bitmask, support_of
 from .objectives import LeastSquaresObjective
-from .solvers import support_bitmask
 
 # Boundary tolerance for class membership tests; restricted solves are
 # accurate to 1e-10, so this absorbs accumulation without blurring classes.

@@ -166,6 +166,11 @@ class ExperimentConfig:
     raw_text: str = ""
 
 
+def _list_of(cast):
+    """Parser of a comma-separated list; an empty value gives the empty tuple."""
+    return lambda text: tuple(cast(s) for s in text.split(",")) if text else ()
+
+
 def _parse_config_file(path: str) -> ExperimentConfig:
     p = Path(path)
     if not p.is_file():
@@ -199,9 +204,7 @@ def _parse_config_file(path: str) -> ExperimentConfig:
     cfg.rhs_csv = get("problem", "rhs_csv", str, cfg.rhs_csv)
     cfg.labels_csv = get("problem", "labels_csv", str, cfg.labels_csv)
     cfg.lam = get("problem", "lambda", float, cfg.lam)
-    sizes = get("problem", "block_sizes", str, None)
-    if sizes:
-        cfg.block_sizes = tuple(int(s) for s in sizes.split(","))
+    cfg.block_sizes = get("problem", "block_sizes", _list_of(int), cfg.block_sizes)
 
     names = get("solvers", "list", str, ",".join(cfg.solver_names))
     cfg.solver_names = tuple(s.strip() for s in names.split(",") if s.strip())
@@ -215,9 +218,7 @@ def _parse_config_file(path: str) -> ExperimentConfig:
     cfg.value_range = get("starts", "value_range", float, cfg.value_range)
     cfg.master_seed = get("starts", "seed", int, cfg.master_seed)
 
-    sweep = get("sweep", "lambdas", str, None)
-    if sweep:
-        cfg.sweep = tuple(float(s) for s in sweep.split(","))
+    cfg.sweep = get("sweep", "lambdas", _list_of(float), cfg.sweep)
 
     cfg.solve_solver = get("solve", "solver", str, cfg.solve_solver).strip()
     cfg.solve_start = get("solve", "start", str, cfg.solve_start).strip()
@@ -229,6 +230,7 @@ def _parse_config_file(path: str) -> ExperimentConfig:
         ("[solvers] max_iters", cfg.max_iters, cfg.max_iters >= 0, ">= 0 (0 means auto)"),
         ("[starts] trials", cfg.trials, cfg.trials >= 1, ">= 1"),
         ("[starts] density", cfg.start_density, 0.0 <= cfg.start_density <= 1.0, "in [0, 1]"),
+        ("[starts] value_range", cfg.value_range, cfg.value_range >= 0.0, ">= 0"),
     ):
         if not ok:
             raise ConfigError(f"{key} must be {rule}, got {value}")
@@ -245,6 +247,14 @@ def _load_csv(loader, path: str) -> np.ndarray:
     return values
 
 
+def _construct(make, *args, **kwargs):
+    """Call a constructor that validates its input; ValueError becomes ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid problem configuration: {exc}") from exc
+
+
 def build_problem(cfg: ExperimentConfig, lam: float | None = None) -> L0Problem:
     """Instantiate the configured problem, optionally overriding the penalty."""
     lam_val = cfg.lam if lam is None else lam
@@ -255,7 +265,7 @@ def build_problem(cfg: ExperimentConfig, lam: float | None = None) -> L0Problem:
                 raise ConfigError("least squares from CSV needs rhs_csv")
             A = _load_csv(load_matrix_csv, cfg.matrix_csv)
             b = _load_csv(load_vector_csv, cfg.rhs_csv)
-            oracle = LeastSquaresObjective(A, b)
+            oracle = _construct(LeastSquaresObjective, A, b)
         else:
             if cfg.m < 1 or cfg.n < 1:
                 raise ConfigError("generated least squares needs positive m and n")
@@ -269,12 +279,12 @@ def build_problem(cfg: ExperimentConfig, lam: float | None = None) -> L0Problem:
                 raise ConfigError("logistic from CSV needs labels_csv")
             data = _load_csv(load_matrix_csv, cfg.matrix_csv)
             y = _load_csv(load_labels_csv, cfg.labels_csv)
-            oracle = LogisticL2Objective(data, y, cfg.nu)
+            oracle = _construct(LogisticL2Objective, data, y, cfg.nu)
         else:
             if cfg.m < 1 or cfg.n < 1:
                 raise ConfigError("generated logistic needs positive m and n")
-            oracle, _ = generate_logistic(
-                cfg.m, cfg.n, cfg.instance_seed, cfg.nu, cfg.planted_density
+            oracle, _ = _construct(
+                generate_logistic, cfg.m, cfg.n, cfg.instance_seed, cfg.nu, cfg.planted_density
             )
         global_L = 0.0  # defaults to the sum of block constants
     else:
@@ -288,15 +298,13 @@ def build_problem(cfg: ExperimentConfig, lam: float | None = None) -> L0Problem:
     else:
         sizes = (1,) * n
     lipschitz = oracle.block_lipschitz(sizes)
-    try:
-        partition = BlockPartition(
-            block_sizes=sizes,
-            lam=(float(lam_val),) * len(sizes),
-            lipschitz=tuple(float(v) for v in lipschitz),
-            global_lipschitz=float(global_L),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid problem configuration: {exc}") from exc
+    partition = _construct(
+        BlockPartition,
+        block_sizes=sizes,
+        lam=(float(lam_val),) * len(sizes),
+        lipschitz=tuple(float(v) for v in lipschitz),
+        global_lipschitz=float(global_L),
+    )
     return L0Problem(smooth=oracle, partition=partition)
 
 

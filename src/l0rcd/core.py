@@ -116,16 +116,12 @@ def l0_norm(x: np.ndarray, partition: BlockPartition) -> float:
     """Weighted count of nonzero components, sum_i lam_i * ||x_i||_0.
 
     Zero means bit-exact 0.0. Not a norm (fails homogeneity), but
-    scale-invariant: l0_norm(c*x) = l0_norm(x) for c != 0.
+    scale-invariant: l0_norm(c*x) = l0_norm(x) for c != 0. Block terms are
+    added left to right (cumsum, not a pairwise or compensated sum).
     """
     x = _check_dim(x, partition.n)
-    total = 0.0
-    for i, lam_i in enumerate(partition.lam):
-        if lam_i == 0.0:
-            continue
-        blk = x[partition.block_slice(i)]
-        total += lam_i * int(np.count_nonzero(blk))
-    return total
+    counts = np.add.reduceat((x != 0.0).astype(np.int64), partition.offsets[:-1])
+    return float(np.cumsum(np.asarray(partition.lam) * counts)[-1])
 
 
 def support_of(x: np.ndarray, partition: BlockPartition) -> frozenset[int]:
@@ -141,6 +137,14 @@ def support_of(x: np.ndarray, partition: BlockPartition) -> frozenset[int]:
             sl = partition.block_slice(i)
             idx.update(range(sl.start, sl.stop))
     return frozenset(idx)
+
+
+def support_bitmask(support: frozenset[int]) -> int:
+    """The index set as a Python int with bit j set for each member j."""
+    mask = 0
+    for j in support:
+        mask |= 1 << int(j)
+    return mask
 
 
 @dataclass(frozen=True)
@@ -172,34 +176,38 @@ def objective_F(problem: L0Problem, x: np.ndarray) -> float:
 
 @dataclass
 class IterateState:
-    """Mutable per-run solver state: point, support, objective, oracle cache.
+    """Mutable per-run solver state: point, oracle cache, f value, support, penalty.
 
-    Exclusively owned by one solver run. ``support`` and ``f_value`` are kept
-    consistent with ``x`` by the stepping code; ``refresh`` rebuilds them from
-    scratch.
+    Exclusively owned by one solver run. ``support`` is the bitmask
+    ``support_bitmask(support_of(x))`` and ``penalty`` is ``l0_norm(x)``.
+    Both depend on ``x`` only through which entries are zero, so the
+    stepping code keeps ``cache`` and ``f_value`` consistent with ``x`` and
+    calls ``recount`` only when a step changes that zero pattern; ``refresh``
+    rebuilds everything from scratch.
     """
 
     x: np.ndarray
-    support: frozenset[int]
-    f_value: float
-    cache: np.ndarray
+    cache: np.ndarray = field(init=False)
+    f_value: float = field(init=False)
+    support: int = field(init=False)
+    penalty: float = field(init=False)
 
     @classmethod
     def from_point(cls, problem: L0Problem, x: np.ndarray) -> "IterateState":
-        x = _check_dim(x, problem.n).copy()
-        cache = problem.smooth.make_cache(x)
-        return cls(
-            x=x,
-            support=support_of(x, problem.partition),
-            f_value=problem.smooth.eval(x),
-            cache=cache,
-        )
+        state = cls(_check_dim(x, problem.n).copy())
+        state.refresh(problem)
+        return state
 
     def objective(self, problem: L0Problem) -> float:
-        return self.f_value + l0_norm(self.x, problem.partition)
+        return self.f_value + self.penalty
+
+    def recount(self, problem: L0Problem) -> None:
+        """Recompute support and penalty from the zero pattern of the point."""
+        self.support = support_bitmask(support_of(self.x, problem.partition))
+        self.penalty = l0_norm(self.x, problem.partition)
 
     def refresh(self, problem: L0Problem) -> None:
-        """Recompute support, f value, and cache from the current point."""
-        self.support = support_of(self.x, problem.partition)
+        """Recompute cache, f value, support and penalty from the current point."""
         self.cache = problem.smooth.make_cache(self.x)
-        self.f_value = problem.smooth.eval(self.x)
+        self.f_value = problem.smooth.value_from_cache(self.x, self.cache)
+        self.recount(problem)

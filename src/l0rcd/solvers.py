@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approx import ApproxSpec, apply_threshold, TIE_RULE
-# l0_norm stays importable from this module.
-from .core import IterateState, L0Problem, l0_norm, support_of  # noqa: F401
+# l0_norm and support_bitmask stay importable from this module.
+from .core import IterateState, L0Problem, l0_norm, support_bitmask  # noqa: F401
 
 # Counter-based generator pinned for cross-run reproducibility; the
 # identifier travels in trace metadata and CSV headers.
@@ -47,13 +47,6 @@ def make_rng(seed: int) -> np.random.Generator:
 def draw_block(rng: np.random.Generator, num_blocks: int) -> int:
     # Rejection-free uniform mapping from the 53-bit double; no modulo bias.
     return int(num_blocks * rng.random())
-
-
-def support_bitmask(support: frozenset[int]) -> int:
-    mask = 0
-    for j in support:
-        mask |= 1 << int(j)
-    return mask
 
 
 @dataclass
@@ -114,7 +107,8 @@ class SolverTrace:
 def _update_block(problem: L0Problem, state: IterateState, i: int, spec: ApproxSpec) -> float:
     """Replace block i by its thresholding map; returns the step norm.
 
-    Keeps the state's point, cache, support and f value mutually consistent.
+    Keeps the state's point, cache and f value consistent; support and
+    penalty are recounted only when the step changes the block's zero pattern.
     """
     partition = problem.partition
     sl = partition.block_slice(i)
@@ -123,10 +117,8 @@ def _update_block(problem: L0Problem, state: IterateState, i: int, spec: ApproxS
     state.x[sl] = new_block
     problem.smooth.update_cache(state.cache, sl, old_block, new_block)
     state.f_value = problem.smooth.value_from_cache(state.x, state.cache)
-    if partition.lam[i] > 0.0:
-        coords = set(range(sl.start, sl.stop))
-        kept = {sl.start + k for k in np.flatnonzero(new_block).tolist()}
-        state.support = frozenset((state.support - coords) | kept)
+    if np.any((old_block != 0.0) != (new_block != 0.0)):
+        state.recount(problem)
     return float(np.linalg.norm(new_block - old_block))
 
 
@@ -200,7 +192,7 @@ def _drive(
 
         changed = state.support != support_before
         if record_trace:
-            records.append((i, F_cur, step_norm, changed, support_bitmask(support_before)))
+            records.append((i, F_cur, step_norm, changed, support_before))
         F_cur = F_new
 
         recent_steps.append(step_norm)
@@ -284,14 +276,13 @@ def run_ihta(
     smooth = problem.smooth
 
     def step(state: IterateState) -> tuple[int, float, float]:
-        g = smooth.full_grad(state.x)
+        # The cache holds the residual (or predictors) at state.x already.
+        g = smooth.block_grad(state.x, slice(None), state.cache)
         t = state.x - g / M_f
         new_x = np.where(0.5 * M_f * t * t > lam_coord, t, 0.0)
         step_norm = float(np.linalg.norm(new_x - state.x))
         state.x = new_x
-        state.cache = smooth.make_cache(new_x)
-        state.f_value = smooth.value_from_cache(new_x, state.cache)
-        state.support = support_of(new_x, partition)
+        state.refresh(problem)
         return -1, step_norm, mu_f
 
     metadata = {

@@ -384,13 +384,29 @@ class TestConfigParsing:
             ("[solvers]\nmax_iters = -5\n", "uq"),
             ("[starts]\ndensity = 2\n", "uq"),
             ("nan-matrix", "uq"),
+            ("short-rhs", "uq"),
+            ("logistic-nu", "uq"),
+            ("[sweep]\nlambdas = 0.1,abc\n", "uq"),
+            ("[problem]\nblock_sizes = 1,one\n", "uq"),
+            ("[starts]\nvalue_range = -1\n", "uq"),
         ],
-        ids=["uq_factor", "ue_beta", "ihta_factor", "max_iters", "density", "nan_matrix"],
+        ids=[
+            "uq_factor", "ue_beta", "ihta_factor", "max_iters", "density", "nan_matrix",
+            "short_rhs", "logistic_nu", "lambdas_item", "block_sizes_item", "value_range",
+        ],
     )
     def test_bad_value_is_a_one_line_error(self, tmp_path, capsys, section, solver):
         cfg = toy_config(tmp_path, solver=solver, start="random")
         if section == "nan-matrix":
             np.savetxt(tmp_path / "A.csv", [[1.0, 0.0], [np.nan, 1.0]], delimiter=",")
+        elif section == "short-rhs":
+            np.savetxt(tmp_path / "b.csv", [2.0, 0.5, 1.0], delimiter=",")
+        elif section == "logistic-nu":
+            cfg = write_config(tmp_path, "[problem]\nkind = logistic\nm = 4\nn = 3\nnu = 0\n")
+        elif section.startswith("[problem]\n"):
+            # a second [problem] header would be a parse error, so add the key to the first
+            text = Path(cfg).read_text()
+            Path(cfg).write_text(text.replace("[problem]\n", section, 1))
         else:
             with open(cfg, "a") as fh:
                 fh.write(section)

@@ -10,6 +10,7 @@ from l0rcd import (
     objective_F,
     support_of,
 )
+from l0rcd.core import support_bitmask
 
 from conftest import toy_problem
 
@@ -140,7 +141,7 @@ class TestIterateState:
     def test_from_point_consistency(self, toy):
         x = np.array([2.0, 0.5])
         st = IterateState.from_point(toy, x)
-        assert st.support == support_of(x, toy.partition)
+        assert st.support == support_bitmask(support_of(x, toy.partition))
         assert st.f_value == pytest.approx(toy.smooth.eval(x))
         assert st.objective(toy) == pytest.approx(1.0)
 
@@ -148,7 +149,7 @@ class TestIterateState:
         st = IterateState.from_point(toy, np.array([2.0, 0.5]))
         st.x[1] = 0.0
         st.refresh(toy)
-        assert st.support == frozenset({0})
+        assert st.support == 0b01
         assert st.objective(toy) == pytest.approx(0.625)
 
     def test_copy_is_taken(self, toy):

@@ -14,6 +14,7 @@ from l0rcd import (
     delta_lower_bound,
     estimate_linear_rate,
     exact_uniform,
+    l0_norm,
     objective_F,
     rcd_iht_step,
     run_ihta,
@@ -37,7 +38,7 @@ class TestStep:
         st = toy_state(toy, [2.0, 0.5])
         rcd_iht_step(toy, st, 1, separable_lipschitz_mode(toy.partition))
         np.testing.assert_array_equal(st.x, [2.0, 0.0])
-        assert st.support == frozenset({0})
+        assert st.support == 0b01
         assert st.objective(toy) == pytest.approx(0.625)
 
     def test_toy_block_kept(self, toy):
@@ -53,15 +54,27 @@ class TestStep:
             rcd_iht_step(toy, st, i, spec)
             np.testing.assert_array_equal(st.x, [2.0, 0.0])
 
-    def test_state_stays_consistent(self):
+    @pytest.mark.parametrize("sizes", [None, (2, 3)], ids=["scalar", "blocks_2_3"])
+    def test_state_stays_consistent(self, sizes):
         prob = random_ls_problem(8, 5, seed=40)
-        spec = separable_from_factor(prob.partition, 1.5)
+        if sizes is not None:
+            # the first block carries no penalty: its coordinates are always in I(x)
+            partition = BlockPartition(
+                block_sizes=sizes,
+                lam=(0.0, 0.3),
+                lipschitz=tuple(prob.smooth.block_lipschitz(sizes)),
+                global_lipschitz=prob.partition.global_lipschitz,
+            )
+            prob = L0Problem(prob.smooth, partition)
+        p = prob.partition
+        spec = separable_from_factor(p, 1.5)
         rng = np.random.default_rng(41)
         st = toy_state(prob, rng.standard_normal(5))
         for _ in range(30):
-            i = int(rng.integers(5))
+            i = int(rng.integers(p.num_blocks))
             rcd_iht_step(prob, st, i, spec)
-            assert st.support == support_of(st.x, prob.partition)
+            assert st.support == support_bitmask(support_of(st.x, p))
+            assert st.penalty == l0_norm(st.x, p)
             assert st.f_value == pytest.approx(prob.smooth.eval(st.x), rel=1e-9)
 
     def test_understated_lipschitz_detected(self):
@@ -75,6 +88,26 @@ class TestStep:
 
 
 class TestRunRcdIht:
+    def test_penalty_recounted_only_on_support_changes(self, monkeypatch):
+        """l0_norm runs once for the start and once per support change."""
+        from l0rcd import core
+
+        calls = []
+        counted = core.l0_norm
+
+        def counting(x, partition):
+            calls.append(1)
+            return counted(x, partition)
+
+        monkeypatch.setattr(core, "l0_norm", counting)
+        prob = random_ls_problem(12, 20, seed=44)
+        assert all(lam > 0.0 for lam in prob.partition.lam)
+        spec = separable_from_factor(prob.partition, 1.5)
+        x0 = np.random.default_rng(45).standard_normal(20)
+        _, trace = run_rcd_iht(prob, x0, SolverConfig(approx=spec, max_iters=600, seed=2))
+        assert trace.kappa > 0
+        assert len(calls) == trace.kappa + 1
+
     def test_toy_converges(self, toy):
         spec = separable_lipschitz_mode(toy.partition)
         for seed in (0, 7, 123):
