@@ -120,14 +120,50 @@ def restricted_minimize(problem: L0Problem, I) -> np.ndarray:
     return solve(idx)
 
 
+def _classify(
+    problem: L0Problem, z: np.ndarray, requests: list[ClassRequest], tol: float
+) -> dict[str, bool]:
+    """The basic flag and one flag per request, from one cache and one gradient.
+
+    Each request's flag is its bare condition; callers that need it conjoin
+    the basic flag themselves.
+    """
+    partition = problem.partition
+    for req in requests:
+        if req.kind == "ue" and any(s != 1 for s in partition.block_sizes):
+            raise ValueError("exact-model classification requires scalar blocks")
+        if len(req.params) != partition.num_blocks:
+            name = "M" if req.kind == "uq" else "beta"
+            raise ValueError(f"{name} must have one entry per block")
+    z = np.asarray(z, dtype=float)
+    smooth = problem.smooth
+    cache = smooth.make_cache(z)
+    g = smooth.block_grad(z, slice(None), cache)
+    I = sorted(support_of(z, partition))
+    flags = {BASIC_LABEL: not I or float(np.linalg.norm(g[I])) <= tol}
+    # only the quadratic-model test reads per-coordinate penalties
+    lam = partition.coord_lambda() if any(req.kind == "uq" for req in requests) else None
+    for req in requests:
+        if req.kind == "uq":
+            M = np.repeat(np.asarray(req.params), partition.block_sizes)
+            zero_bound = np.sqrt(2.0 * lam * M) + tol
+            keep_bound = np.sqrt(2.0 * lam / M) - tol
+            fails = np.where(z == 0.0, np.abs(g) > zero_bound, np.abs(z) < keep_bound)
+            flags[req.label] = not np.any(fails & (lam != 0.0))  # lam = 0 always passes
+        else:
+            # scalar blocks, so block j is coordinate j; stop at the first that moves
+            flags[req.label] = True
+            for j, beta in enumerate(req.params):
+                out = threshold_e(smooth, z, j, beta, partition.lam[j], cache)
+                if (out == 0.0) != (z[j] == 0.0) or abs(out - z[j]) > tol:
+                    flags[req.label] = False
+                    break
+    return flags
+
+
 def is_basic_local_min(problem: L0Problem, z: np.ndarray, tol: float = CLASSIFY_TOL) -> bool:
     """True iff the gradient of f vanishes on I(z) (within tol)."""
-    z = np.asarray(z, dtype=float)
-    I = support_of(z, problem.partition)
-    if not I:
-        return True
-    g = problem.smooth.full_grad(z)
-    return float(np.linalg.norm(g[sorted(I)])) <= tol
+    return _classify(problem, z, [], tol)[BASIC_LABEL]
 
 
 def is_uq_strong(
@@ -141,28 +177,8 @@ def is_uq_strong(
     (classification at the boundary is well defined); solvers require
     strict inequality but classification does not.
     """
-    z = np.asarray(z, dtype=float)
-    partition = problem.partition
-    M = np.asarray(M, dtype=float)
-    if M.shape != (partition.num_blocks,):
-        raise ValueError("M must have one entry per block")
-    if not is_basic_local_min(problem, z, tol):
-        return False
-    g = problem.smooth.full_grad(z)
-    for i in range(partition.num_blocks):
-        lam_i = partition.lam[i]
-        if lam_i == 0.0:
-            continue
-        sl = partition.block_slice(i)
-        zero_bound = np.sqrt(2.0 * lam_i * M[i]) + tol
-        keep_bound = np.sqrt(2.0 * lam_i / M[i]) - tol
-        for j in range(sl.start, sl.stop):
-            if z[j] == 0.0:
-                if abs(g[j]) > zero_bound:
-                    return False
-            elif abs(z[j]) < keep_bound:
-                return False
-    return True
+    flags = _classify(problem, z, [ClassRequest.quadratic("uq", M)], tol)
+    return flags[BASIC_LABEL] and flags["uq"]
 
 
 def is_ue_strong(
@@ -175,22 +191,7 @@ def is_ue_strong(
     bit-exact, so zeroing a tiny coordinate is a support change, not a
     fixed point) and may drift from kept values by at most tol.
     """
-    z = np.asarray(z, dtype=float)
-    partition = problem.partition
-    if any(s != 1 for s in partition.block_sizes):
-        raise ValueError("exact-model classification requires scalar blocks")
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (partition.num_blocks,):
-        raise ValueError("beta must have one entry per block")
-    cache = problem.smooth.make_cache(z)
-    for i in range(partition.num_blocks):
-        j = partition.block_slice(i).start
-        out = threshold_e(problem.smooth, z, j, float(beta[i]), partition.lam[i], cache)
-        if (out == 0.0) != (z[j] == 0.0):
-            return False
-        if abs(out - z[j]) > tol:
-            return False
-    return True
+    return _classify(problem, z, [ClassRequest.exact("ue", beta)], tol)["ue"]
 
 
 def enumerate_catalog(
@@ -223,13 +224,8 @@ def enumerate_catalog(
         z = restricted_minimize(problem, I)
         f_val = problem.smooth.eval(z)
         F_val = f_val + l0_norm(z, partition)
-        basic = is_basic_local_min(problem, z, tol)
-        flags = {BASIC_LABEL: basic}
-        for req in requests:
-            if req.kind == "uq":
-                flags[req.label] = basic and is_uq_strong(problem, z, req.params, tol)
-            else:
-                flags[req.label] = basic and is_ue_strong(problem, z, req.params, tol)
+        flags = _classify(problem, z, requests, tol)
+        basic = flags[BASIC_LABEL]
         entries.append(
             CatalogEntry(
                 support=I,
@@ -237,7 +233,7 @@ def enumerate_catalog(
                 point=z,
                 f_value=f_val,
                 F_value=F_val,
-                flags=flags,
+                flags={label: basic and flag for label, flag in flags.items()},
             )
         )
 
@@ -289,29 +285,15 @@ EXAMPLE_Q = 25.0
 EXAMPLE_LAMBDA = 1.0
 EXAMPLE_BETA = 1e-4
 
-POWERS_ZERO = "powers-0"
-POWERS_ONE = "powers-1"
 
-
-def build_example_instance(exponent_convention: str = POWERS_ZERO) -> L0Problem:
+def build_example_instance() -> L0Problem:
     """The bundled 4x7 least squares instance with scalar blocks.
 
-    Row r of the matrix holds powers of alpha_r (exponents 0..6 under
-    "powers-0", 1..7 under "powers-1"), with 3.3 added on the first four
-    diagonal entries; the target is 25 * ones(4); every coordinate carries
-    penalty 1. The two exponent conventions exist because a geometric row of
-    length 7 can start at either power; "powers-0" (leading-1 column) is the
-    default used by the CLI and the tests.
+    Row r of the matrix holds the powers 0..6 of alpha_r, with 3.3 added on
+    the first four diagonal entries; the target is 25 * ones(4); every
+    coordinate carries penalty 1.
     """
-    if exponent_convention == POWERS_ZERO:
-        start = 0
-    elif exponent_convention == POWERS_ONE:
-        start = 1
-    else:
-        raise ValueError(f"unknown exponent convention {exponent_convention!r}")
-    A = np.array(
-        [[a ** (start + c) for c in range(EXAMPLE_N)] for a in EXAMPLE_ALPHA], dtype=float
-    )
+    A = np.array([[a**c for c in range(EXAMPLE_N)] for a in EXAMPLE_ALPHA], dtype=float)
     for r in range(4):
         A[r, r] += EXAMPLE_P
     b = EXAMPLE_Q * np.ones(4)

@@ -179,12 +179,7 @@ def threshold_diag_q(
     H = np.asarray(H_diag_i, dtype=float)
     if np.any(H <= 0):
         raise ValueError("H diagonal entries must be positive")
-    x_i = np.asarray(x_i, dtype=float)
-    t = x_i - np.asarray(grad_i, dtype=float) / H
-    if lambda_i == 0.0:
-        return t
-    d = 0.5 * H * t * t
-    return np.where(d > lambda_i, t, 0.0)
+    return threshold_q(x_i, grad_i, H, lambda_i)
 
 
 def _solve_1d(

@@ -163,12 +163,19 @@ class ExperimentConfig:
     solve_start: str = "zeros"
 
     config_hash: str = "builtin"
-    raw_text: str = ""
 
 
 def _list_of(cast):
     """Parser of a comma-separated list; an empty value gives the empty tuple."""
     return lambda text: tuple(cast(s) for s in text.split(",")) if text else ()
+
+
+def _finite_float(text: str) -> float:
+    """float() that also rejects inf and nan, so the error names the config key."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not a finite number")
+    return value
 
 
 def _parse_config_file(path: str) -> ExperimentConfig:
@@ -183,7 +190,6 @@ def _parse_config_file(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
 
     cfg = ExperimentConfig()
-    cfg.raw_text = raw.decode("utf-8")
     cfg.config_hash = hashlib.sha256(raw).hexdigest()[:16]
 
     def get(section: str, key: str, cast, default):
@@ -198,32 +204,34 @@ def _parse_config_file(path: str) -> ExperimentConfig:
     cfg.m = get("problem", "m", int, cfg.m)
     cfg.n = get("problem", "n", int, cfg.n)
     cfg.instance_seed = get("problem", "seed", int, cfg.instance_seed)
-    cfg.nu = get("problem", "nu", float, cfg.nu)
-    cfg.planted_density = get("problem", "planted_density", float, cfg.planted_density)
+    cfg.nu = get("problem", "nu", _finite_float, cfg.nu)
+    cfg.planted_density = get("problem", "planted_density", _finite_float, cfg.planted_density)
     cfg.matrix_csv = get("problem", "matrix_csv", str, cfg.matrix_csv)
     cfg.rhs_csv = get("problem", "rhs_csv", str, cfg.rhs_csv)
     cfg.labels_csv = get("problem", "labels_csv", str, cfg.labels_csv)
-    cfg.lam = get("problem", "lambda", float, cfg.lam)
+    cfg.lam = get("problem", "lambda", _finite_float, cfg.lam)
     cfg.block_sizes = get("problem", "block_sizes", _list_of(int), cfg.block_sizes)
 
     names = get("solvers", "list", str, ",".join(cfg.solver_names))
     cfg.solver_names = tuple(s.strip() for s in names.split(",") if s.strip())
-    cfg.uq_factor = get("solvers", "uq_factor", float, cfg.uq_factor)
-    cfg.ue_beta = get("solvers", "ue_beta", float, cfg.ue_beta)
-    cfg.ihta_factor = get("solvers", "ihta_factor", float, cfg.ihta_factor)
+    cfg.uq_factor = get("solvers", "uq_factor", _finite_float, cfg.uq_factor)
+    cfg.ue_beta = get("solvers", "ue_beta", _finite_float, cfg.ue_beta)
+    cfg.ihta_factor = get("solvers", "ihta_factor", _finite_float, cfg.ihta_factor)
     cfg.max_iters = get("solvers", "max_iters", int, cfg.max_iters)
 
     cfg.trials = get("starts", "trials", int, cfg.trials)
-    cfg.start_density = get("starts", "density", float, cfg.start_density)
-    cfg.value_range = get("starts", "value_range", float, cfg.value_range)
+    cfg.start_density = get("starts", "density", _finite_float, cfg.start_density)
+    cfg.value_range = get("starts", "value_range", _finite_float, cfg.value_range)
     cfg.master_seed = get("starts", "seed", int, cfg.master_seed)
 
-    cfg.sweep = get("sweep", "lambdas", _list_of(float), cfg.sweep)
+    cfg.sweep = get("sweep", "lambdas", _list_of(_finite_float), cfg.sweep)
 
     cfg.solve_solver = get("solve", "solver", str, cfg.solve_solver).strip()
     cfg.solve_start = get("solve", "start", str, cfg.solve_start).strip()
 
     for key, value, ok, rule in (
+        ("[problem] planted_density", cfg.planted_density, 0.0 <= cfg.planted_density <= 1.0,
+         "in [0, 1]"),
         ("[solvers] uq_factor", cfg.uq_factor, cfg.uq_factor > 1.0, "> 1"),
         ("[solvers] ue_beta", cfg.ue_beta, cfg.ue_beta > 0.0, "> 0"),
         ("[solvers] ihta_factor", cfg.ihta_factor, cfg.ihta_factor > 1.0, "> 1"),
@@ -312,12 +320,15 @@ def solver_spec(name: str, cfg: ExperimentConfig, problem: L0Problem) -> ApproxS
     """ApproxSpec for a named coordinate solver; None marks the full-gradient one."""
     partition = problem.partition
     if name == "uq":
-        return separable_from_factor(partition, cfg.uq_factor)
-    if name == "ue":
-        return exact_uniform(partition, cfg.ue_beta)
-    if name == "ihta":
+        spec = separable_from_factor(partition, cfg.uq_factor)
+    elif name == "ue":
+        spec = exact_uniform(partition, cfg.ue_beta)
+    elif name == "ihta":
         return None
-    raise ConfigError(f"unknown solver name {name!r} (expected uq, ue, or ihta)")
+    else:
+        raise ConfigError(f"unknown solver name {name!r} (expected uq, ue, or ihta)")
+    _construct(spec.validate_for_solver, partition)
+    return spec
 
 
 def _coordinate_max_iters(cfg: ExperimentConfig, n: int) -> int:

@@ -198,7 +198,7 @@ class IterateState:
         state.refresh(problem)
         return state
 
-    def objective(self, problem: L0Problem) -> float:
+    def objective(self) -> float:
         return self.f_value + self.penalty
 
     def recount(self, problem: L0Problem) -> None:

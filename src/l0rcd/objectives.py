@@ -65,6 +65,19 @@ class SmoothOracle(Protocol):
 _RANK_TOL = 1e-10
 
 
+def _block_spectral_sq(matrix: np.ndarray, col_sq: np.ndarray, block_sizes) -> np.ndarray:
+    """Squared spectral norm of each column block; col_sq[j] for a single column j."""
+    out = []
+    start = 0
+    for s in block_sizes:
+        if s == 1:
+            out.append(float(col_sq[start]))
+        else:
+            out.append(float(np.linalg.norm(matrix[:, start : start + s], 2) ** 2))
+        start += s
+    return np.array(out)
+
+
 def _finite(v: float) -> float:
     if not np.isfinite(v):
         raise ValueError(f"objective evaluated to a non-finite value: {v}")
@@ -150,16 +163,7 @@ class LeastSquaresObjective:
 
     def block_lipschitz(self, block_sizes) -> np.ndarray:
         """Per-block constants ||A_S||_2^2 (squared spectral norm of the column slice)."""
-        out = []
-        start = 0
-        for s in block_sizes:
-            sub = self.A[:, start : start + s]
-            if s == 1:
-                out.append(float(self._col_sq[start]))
-            else:
-                out.append(float(np.linalg.norm(sub, 2) ** 2))
-            start += s
-        return np.array(out)
+        return _block_spectral_sq(self.A, self._col_sq, block_sizes)
 
     def spectral_lipschitz(self) -> float:
         """The tight global constant lambda_max(A^T A)."""
@@ -304,17 +308,7 @@ class LogisticL2Objective:
 
     def block_lipschitz(self, block_sizes) -> np.ndarray:
         """Per-block bound (1/(4m)) ||A_S||_2^2 + nu."""
-        out = []
-        start = 0
-        for s in block_sizes:
-            sub = self.data[:, start : start + s]
-            if s == 1:
-                sq = float(self._col_sq[start])
-            else:
-                sq = float(np.linalg.norm(sub, 2) ** 2)
-            out.append(sq / (4.0 * self.m) + self.nu)
-            start += s
-        return np.array(out)
+        return _block_spectral_sq(self.data, self._col_sq, block_sizes) / (4.0 * self.m) + self.nu
 
 
 def load_matrix_csv(path) -> np.ndarray:

@@ -56,12 +56,13 @@ class SolverConfig:
     approx: ApproxSpec
     max_iters: int
     seed: int = 0
-    record_trace: bool = True
     support_patience: int | None = None  # default 3N, see stopping rule
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if self.support_patience is not None and self.support_patience < 1:
+            raise ValueError("support_patience must be at least 1")
 
 
 @dataclass
@@ -71,7 +72,7 @@ class SolverTrace:
     ``F`` holds the objective before each iteration; ``final_F`` closes the
     sequence. ``blocks`` holds the chosen block index (-1 for full-gradient
     iterations). ``supports`` are bitmask snapshots of I(x^k) before each
-    iteration when tracing is enabled.
+    iteration.
     """
 
     blocks: np.ndarray
@@ -150,9 +151,9 @@ def rcd_iht_step(
     """
     if mu_i is None:
         mu_i = float(spec.mu(problem.partition)[i])
-    F_old = state.objective(problem)
+    F_old = state.objective()
     step_norm = _update_block(problem, state, i, spec)
-    _check_descent(F_old, state.objective(problem), mu_i, step_norm, i)
+    _check_descent(F_old, state.objective(), mu_i, step_norm, i)
     return state
 
 
@@ -162,7 +163,6 @@ def _drive(
     step: Callable[[IterateState], tuple[int, float, float]],
     max_iters: int,
     window: int,
-    record_trace: bool,
     delta_bound: float,
     metadata: dict,
 ) -> tuple[IterateState, SolverTrace]:
@@ -177,28 +177,33 @@ def _drive(
     1e-10 * (1 + ||x||).
     """
     state = IterateState.from_point(problem, x0)
-    F_cur = state.objective(problem)
+    F_cur = state.objective()
 
     records: list[tuple[int, float, float, bool, int]] = []
-    recent_steps: deque[float] = deque(maxlen=window)
+    # (k, step norm) with norms falling from front to back: the front is
+    # the largest step of the last ``window`` iterations, at O(1) amortized.
+    peaks: deque[tuple[int, float]] = deque()
     stable = 0
     stop_reason = "max_iters"
 
-    for _ in range(max_iters):
+    for k in range(max_iters):
         support_before = state.support
         i, step_norm, mu = step(state)
-        F_new = state.objective(problem)
+        F_new = state.objective()
         _check_descent(F_cur, F_new, mu, step_norm, i)
 
         changed = state.support != support_before
-        if record_trace:
-            records.append((i, F_cur, step_norm, changed, support_before))
+        records.append((i, F_cur, step_norm, changed, support_before))
         F_cur = F_new
 
-        recent_steps.append(step_norm)
+        while peaks and peaks[-1][1] <= step_norm:
+            peaks.pop()
+        peaks.append((k, step_norm))
+        if peaks[0][0] <= k - window:
+            peaks.popleft()
         stable = 0 if changed else stable + 1
-        if stable >= window and len(recent_steps) == window:
-            if max(recent_steps) <= _STEP_TOL * (1.0 + float(np.linalg.norm(state.x))):
+        if stable >= window:
+            if peaks[0][1] <= _STEP_TOL * (1.0 + float(np.linalg.norm(state.x))):
                 stop_reason = "converged"
                 break
 
@@ -243,8 +248,7 @@ def run_rcd_iht(
         return i, _update_block(problem, state, i, spec), mu[i]
 
     return _drive(
-        problem, x0, step, config.max_iters, window, config.record_trace,
-        delta_lower_bound(problem, spec, x0), metadata,
+        problem, x0, step, config.max_iters, window, delta_lower_bound(problem, spec, x0), metadata
     )
 
 
@@ -254,7 +258,6 @@ def run_ihta(
     M_f: float,
     max_iters: int,
     support_patience: int = 3,
-    record_trace: bool = True,
 ) -> tuple[IterateState, SolverTrace]:
     """Full-gradient hard-thresholding baseline with global constant M_f.
 
@@ -265,6 +268,8 @@ def run_ihta(
     trace block index is -1. The stability window is 3 full iterations
     (each one touches every block).
     """
+    if support_patience < 1:
+        raise ValueError("support_patience must be at least 1")
     partition = problem.partition
     if M_f <= partition.global_lipschitz:
         raise ValueError(
@@ -288,9 +293,7 @@ def run_ihta(
     metadata = {
         "solver": "ihta", "approx": "uq-global", "rng": "none", "seed": 0, "M_f": float(M_f)
     }
-    return _drive(
-        problem, x0, step, max_iters, support_patience, record_trace, float("nan"), metadata
-    )
+    return _drive(problem, x0, step, max_iters, support_patience, float("nan"), metadata)
 
 
 def delta_lower_bound(problem: L0Problem, spec: ApproxSpec, x0: np.ndarray) -> float:

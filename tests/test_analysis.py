@@ -19,7 +19,8 @@ from l0rcd import (
     separable_lipschitz_mode,
     verify_inclusions,
 )
-from l0rcd.analysis import POWERS_ONE, POWERS_ZERO
+
+from l0rcd.cli import ExperimentConfig, build_problem, generate_least_squares
 
 from conftest import random_logistic_problem, toy_problem
 
@@ -192,6 +193,62 @@ class TestEnumerateCatalog:
         assert catalog.entry_for_support(frozenset({9})) is None
 
 
+class TestOneClassification:
+    def test_one_cache_and_gradient_per_support(self, monkeypatch):
+        calls = {"make_cache": 0, "block_grad": 0, "full_grad": 0}
+        for name in calls:
+            original = getattr(LeastSquaresObjective, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(LeastSquaresObjective, name, counted)
+        prob = build_example_instance()
+        enumerate_catalog(prob, example_class_requests(prob))
+        assert calls == {"make_cache": 128, "block_grad": 128, "full_grad": 0}
+
+    @staticmethod
+    def requests(partition, exact):
+        N = partition.num_blocks
+        reqs = [ClassRequest.exact("ue", np.full(N, 1e-4))] if exact else []
+        return reqs + [
+            ClassRequest.quadratic("uq[M=Li]", partition.lipschitz),
+            ClassRequest.quadratic("uq[M=Lf]", np.full(N, partition.global_lipschitz)),
+        ]
+
+    def test_pinned_counts_on_blocks(self):
+        cfg = ExperimentConfig(
+            m=5, n=12, instance_seed=4, lam=0.2, block_sizes=(3, 3, 2, 4)
+        )
+        prob = build_problem(cfg)
+        catalog = enumerate_catalog(prob, self.requests(prob.partition, exact=False))
+        assert catalog.counts() == {"uq[M=Li]": 74, "uq[M=Lf]": 151, "basic": 4096}
+        assert verify_inclusions(catalog) == []
+
+    def test_pinned_counts_with_zero_penalties(self):
+        oracle, _ = generate_least_squares(5, 8, 5)
+        lam = np.full(8, 0.2)
+        lam[[2, 5]] = 0.0
+        partition = BlockPartition.scalar(
+            lam, oracle.column_lipschitz(), oracle.spectral_lipschitz()
+        )
+        prob = L0Problem(oracle, partition)
+        catalog = enumerate_catalog(prob, self.requests(partition, exact=True))
+        assert catalog.counts() == {"ue": 17, "uq[M=Li]": 17, "uq[M=Lf]": 23, "basic": 64}
+        assert verify_inclusions(catalog) == []
+
+    def test_predicates_agree_with_catalog_flags(self):
+        prob = build_example_instance()
+        requests = example_class_requests(prob)
+        ue, uq_li, _ = requests
+        for e in enumerate_catalog(prob, requests).entries:
+            assert is_basic_local_min(prob, e.point) == e.flags["basic"]
+            assert is_uq_strong(prob, e.point, uq_li.params) == e.flags[uq_li.label]
+            basic_and_ue = e.flags["basic"] and is_ue_strong(prob, e.point, ue.params)
+            assert basic_and_ue == e.flags[ue.label]
+
+
 class TestVerifyInclusions:
     def test_toy_chain(self, toy):
         catalog = enumerate_catalog(
@@ -236,13 +293,6 @@ class TestExampleInstance:
         assert A[3, 6] == pytest.approx(1.3**6)
         np.testing.assert_allclose(prob.smooth.b, 25.0)
 
-    def test_powers_one_convention(self):
-        prob = build_example_instance(POWERS_ONE)
-        A = prob.smooth.A
-        assert A[0, 0] == pytest.approx(4.3)
-        assert A[1, 1] == pytest.approx(1.1**2 + 3.3)
-        assert A[3, 6] == pytest.approx(1.3**7)
-
     def test_partition_constants(self):
         prob = build_example_instance()
         oracle = prob.smooth
@@ -251,10 +301,6 @@ class TestExampleInstance:
             oracle.spectral_lipschitz()
         )
         assert prob.partition.lam == (1.0,) * 7
-
-    def test_unknown_convention(self):
-        with pytest.raises(ValueError):
-            build_example_instance("powers-2")
 
     def test_class_requests_order(self):
         prob = build_example_instance()

@@ -389,14 +389,26 @@ class TestConfigParsing:
             ("[sweep]\nlambdas = 0.1,abc\n", "uq"),
             ("[problem]\nblock_sizes = 1,one\n", "uq"),
             ("[starts]\nvalue_range = -1\n", "uq"),
+            ("[problem]\nblock_sizes = 2\n", "ue"),
+            ("[problem]\nplanted_density = 3\n", "uq"),
+            ("[problem]\nplanted_density = nan\n", "uq"),
+            ("[problem]\nnu = inf\n", "uq"),
+            ("[problem]\nnu = nan\n", "uq"),
+            ("[solvers]\nue_beta = inf\n", "ue"),
+            ("[starts]\nvalue_range = inf\n", "uq"),
+            ("lambda-inf", "uq"),
+            ("[sweep]\nlambdas = 0.1,inf\n", "uq"),
         ],
         ids=[
             "uq_factor", "ue_beta", "ihta_factor", "max_iters", "density", "nan_matrix",
             "short_rhs", "logistic_nu", "lambdas_item", "block_sizes_item", "value_range",
+            "ue_on_blocks", "planted_density", "planted_density_nan", "nu_inf", "nu_nan",
+            "ue_beta_inf", "value_range_inf", "lambda_inf", "lambdas_item_inf",
         ],
     )
     def test_bad_value_is_a_one_line_error(self, tmp_path, capsys, section, solver):
-        cfg = toy_config(tmp_path, solver=solver, start="random")
+        lam = "inf" if section == "lambda-inf" else 0.5
+        cfg = toy_config(tmp_path, lam=lam, solver=solver, start="random")
         if section == "nan-matrix":
             np.savetxt(tmp_path / "A.csv", [[1.0, 0.0], [np.nan, 1.0]], delimiter=",")
         elif section == "short-rhs":
@@ -407,7 +419,7 @@ class TestConfigParsing:
             # a second [problem] header would be a parse error, so add the key to the first
             text = Path(cfg).read_text()
             Path(cfg).write_text(text.replace("[problem]\n", section, 1))
-        else:
+        elif section != "lambda-inf":
             with open(cfg, "a") as fh:
                 fh.write(section)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -143,14 +143,14 @@ class TestIterateState:
         st = IterateState.from_point(toy, x)
         assert st.support == support_bitmask(support_of(x, toy.partition))
         assert st.f_value == pytest.approx(toy.smooth.eval(x))
-        assert st.objective(toy) == pytest.approx(1.0)
+        assert st.objective() == pytest.approx(1.0)
 
     def test_refresh_after_manual_edit(self, toy):
         st = IterateState.from_point(toy, np.array([2.0, 0.5]))
         st.x[1] = 0.0
         st.refresh(toy)
         assert st.support == 0b01
-        assert st.objective(toy) == pytest.approx(0.625)
+        assert st.objective() == pytest.approx(0.625)
 
     def test_copy_is_taken(self, toy):
         x = np.array([1.0, 1.0])

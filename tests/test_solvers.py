@@ -39,7 +39,7 @@ class TestStep:
         rcd_iht_step(toy, st, 1, separable_lipschitz_mode(toy.partition))
         np.testing.assert_array_equal(st.x, [2.0, 0.0])
         assert st.support == 0b01
-        assert st.objective(toy) == pytest.approx(0.625)
+        assert st.objective() == pytest.approx(0.625)
 
     def test_toy_block_kept(self, toy):
         # first coordinate's progress is about 2 > 0.5: keep it
@@ -215,18 +215,6 @@ class TestRunRcdIht:
             delta_lower_bound(prob, cfg.approx, np.ones(6))
         )
 
-    def test_trace_disabled(self, toy):
-        cfg = SolverConfig(
-            approx=separable_lipschitz_mode(toy.partition),
-            max_iters=100,
-            seed=1,
-            record_trace=False,
-        )
-        st, trace = run_rcd_iht(toy, np.array([2.0, 0.5]), cfg)
-        assert trace.iterations == 0
-        np.testing.assert_array_equal(st.x, [2.0, 0.0])
-        assert trace.final_F == pytest.approx(0.625)
-
     def test_max_iters_cap(self, toy):
         cfg = SolverConfig(
             approx=separable_lipschitz_mode(toy.partition), max_iters=3, seed=1
@@ -236,8 +224,14 @@ class TestRunRcdIht:
         assert trace.metadata["stop"] == "max_iters"
 
     def test_config_validation(self, toy):
+        spec = separable_lipschitz_mode(toy.partition)
         with pytest.raises(ValueError):
-            SolverConfig(approx=separable_lipschitz_mode(toy.partition), max_iters=0)
+            SolverConfig(approx=spec, max_iters=0)
+        for patience in (0, -1):
+            with pytest.raises(ValueError, match="support_patience"):
+                SolverConfig(approx=spec, max_iters=10, support_patience=patience)
+            with pytest.raises(ValueError, match="support_patience"):
+                run_ihta(toy, np.zeros(2), M_f=3.0, max_iters=10, support_patience=patience)
 
 
 class TestRunIhta:
