@@ -187,7 +187,8 @@ def _parse_config_file(path: str) -> ExperimentConfig:
     try:
         parser.read_string(raw.decode("utf-8"))
     except (UnicodeDecodeError, configparser.Error) as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+        # configparser messages span lines; keep the error on one line
+        raise ConfigError(f"cannot parse config {path}: {' '.join(str(exc).split())}") from exc
 
     cfg = ExperimentConfig()
     cfg.config_hash = hashlib.sha256(raw).hexdigest()[:16]
@@ -230,6 +231,7 @@ def _parse_config_file(path: str) -> ExperimentConfig:
     cfg.solve_start = get("solve", "start", str, cfg.solve_start).strip()
 
     for key, value, ok, rule in (
+        ("[problem] seed", cfg.instance_seed, cfg.instance_seed >= 0, ">= 0"),
         ("[problem] planted_density", cfg.planted_density, 0.0 <= cfg.planted_density <= 1.0,
          "in [0, 1]"),
         ("[solvers] uq_factor", cfg.uq_factor, cfg.uq_factor > 1.0, "> 1"),
@@ -238,7 +240,9 @@ def _parse_config_file(path: str) -> ExperimentConfig:
         ("[solvers] max_iters", cfg.max_iters, cfg.max_iters >= 0, ">= 0 (0 means auto)"),
         ("[starts] trials", cfg.trials, cfg.trials >= 1, ">= 1"),
         ("[starts] density", cfg.start_density, 0.0 <= cfg.start_density <= 1.0, "in [0, 1]"),
-        ("[starts] value_range", cfg.value_range, cfg.value_range >= 0.0, ">= 0"),
+        ("[starts] value_range", cfg.value_range, 0.0 <= 2.0 * cfg.value_range < np.inf,
+         ">= 0 with 2 * value_range finite"),
+        ("[starts] seed", cfg.master_seed, cfg.master_seed >= 0, ">= 0"),
     ):
         if not ok:
             raise ConfigError(f"{key} must be {rule}, got {value}")
@@ -616,10 +620,9 @@ def cmd_gradcheck(cfg: ExperimentConfig, writer: OutputWriter) -> int:
     for _ in range(1000):
         i = int(partition.num_blocks * rng.random())
         sl = partition.block_slice(i)
-        old = x[sl].copy()
         new = rng.uniform(-1.0, 1.0, size=sl.stop - sl.start)
+        oracle.update_cache(cache, sl, new - x[sl])
         x[sl] = new
-        oracle.update_cache(cache, sl, old, new)
     fresh = oracle.make_cache(x)
     denom = 1.0 + float(np.linalg.norm(fresh))
     cache_err = float(np.linalg.norm(cache - fresh)) / denom
@@ -701,6 +704,8 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 raise ConfigError("--config is required for this command")
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be >= 0, got {args.seed}")
             cfg.master_seed = args.seed
         writer = OutputWriter(args.out, cfg.config_hash, args.no_timestamp)
 

@@ -8,6 +8,7 @@ restrictions used by the exact thresholding map.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -30,6 +31,7 @@ class SmoothOracle(Protocol):
     ``cache`` is objective-specific auxiliary state (e.g. the residual) that
     makes single-block updates O(m * n_i) instead of O(m * n). The cache is
     exclusively owned by one solver run; oracles themselves are immutable.
+    ``update_cache(cache, sl, delta)`` adds block ``sl``'s change ``delta`` in place.
 
     Optional methods outside the protocol: ``coord_prox_step`` gives the
     exact model a closed-form step in place of safeguarded Newton, and
@@ -48,9 +50,7 @@ class SmoothOracle(Protocol):
 
     def block_grad(self, x: np.ndarray, sl: slice, cache: np.ndarray) -> np.ndarray: ...
 
-    def update_cache(
-        self, cache: np.ndarray, sl: slice, old_block: np.ndarray, new_block: np.ndarray
-    ) -> np.ndarray: ...
+    def update_cache(self, cache: np.ndarray, sl: slice, delta: np.ndarray) -> np.ndarray: ...
 
     def coord_grad_shifted(self, x: np.ndarray, j: int, h: float, cache: np.ndarray) -> float: ...
 
@@ -119,12 +119,8 @@ class LeastSquaresObjective:
     def block_grad(self, x: np.ndarray, sl: slice, cache: np.ndarray) -> np.ndarray:
         return self.A[:, sl].T @ cache
 
-    def update_cache(
-        self, cache: np.ndarray, sl: slice, old_block: np.ndarray, new_block: np.ndarray
-    ) -> np.ndarray:
-        diff = new_block - old_block
-        if np.any(diff != 0.0):
-            cache += self.A[:, sl] @ diff
+    def update_cache(self, cache: np.ndarray, sl: slice, delta: np.ndarray) -> np.ndarray:
+        cache += self.A[:, sl] @ delta
         return cache
 
     def coord_grad_shifted(self, x: np.ndarray, j: int, h: float, cache: np.ndarray) -> float:
@@ -240,12 +236,8 @@ class LogisticL2Objective:
     def block_grad(self, x: np.ndarray, sl: slice, cache: np.ndarray) -> np.ndarray:
         return self.data[:, sl].T @ (_sigmoid(cache) - self.y) / self.m + self.nu * x[sl]
 
-    def update_cache(
-        self, cache: np.ndarray, sl: slice, old_block: np.ndarray, new_block: np.ndarray
-    ) -> np.ndarray:
-        diff = new_block - old_block
-        if np.any(diff != 0.0):
-            cache += self.data[:, sl] @ diff
+    def update_cache(self, cache: np.ndarray, sl: slice, delta: np.ndarray) -> np.ndarray:
+        cache += self.data[:, sl] @ delta
         return cache
 
     def coord_grad_shifted(self, x: np.ndarray, j: int, h: float, cache: np.ndarray) -> float:
@@ -266,6 +258,11 @@ class LogisticL2Objective:
         sq = float(x @ x) - x[j] ** 2 + (x[j] + h) ** 2
         return loss + 0.5 * self.nu * sq
 
+    @cached_property
+    def _restricted_tol(self) -> float:
+        # computed on first use: only enumeration needs it
+        return 1e-10 * (1.0 + float(np.linalg.norm(self.full_grad(np.zeros(self.dim)))))
+
     def restricted_minimize(self, idx: list[int]) -> np.ndarray:
         """Minimizer over vectors supported on the sorted index list idx.
 
@@ -273,7 +270,7 @@ class LogisticL2Objective:
         1e-10 * (1 + ||grad f(0)||).
         """
         z = np.zeros(self.dim)
-        tol = 1e-10 * (1.0 + float(np.linalg.norm(self.full_grad(z))))
+        tol = self._restricted_tol
         sub = self.data[:, idx]
         w = np.zeros(len(idx))
         val = self.eval(z)

@@ -108,19 +108,21 @@ class SolverTrace:
 def _update_block(problem: L0Problem, state: IterateState, i: int, spec: ApproxSpec) -> float:
     """Replace block i by its thresholding map; returns the step norm.
 
-    Keeps the state's point, cache and f value consistent; support and
-    penalty are recounted only when the step changes the block's zero pattern.
+    A null step touches nothing. Otherwise point, cache and f value move
+    together; support and penalty are recounted only on a zero-pattern change.
     """
-    partition = problem.partition
-    sl = partition.block_slice(i)
-    old_block = state.x[sl].copy()
-    new_block = apply_threshold(problem.smooth, partition, state.x, i, spec, state.cache)
+    sl = problem.partition.block_slice(i)
+    new_block = apply_threshold(problem.smooth, problem.partition, state.x, i, spec, state.cache)
+    delta = new_block - state.x[sl]
+    if not delta.any():
+        return 0.0
+    pattern_changed = np.any((state.x[sl] != 0.0) != (new_block != 0.0))
     state.x[sl] = new_block
-    problem.smooth.update_cache(state.cache, sl, old_block, new_block)
+    problem.smooth.update_cache(state.cache, sl, delta)
     state.f_value = problem.smooth.value_from_cache(state.x, state.cache)
-    if np.any((old_block != 0.0) != (new_block != 0.0)):
+    if pattern_changed:
         state.recount(problem)
-    return float(np.linalg.norm(new_block - old_block))
+    return float(np.linalg.norm(delta))
 
 
 def _check_descent(F_old: float, F_new: float, mu: float, step_norm: float, i: int) -> None:

@@ -6,6 +6,7 @@ from l0rcd import (
     ClassRequest,
     L0Problem,
     LeastSquaresObjective,
+    LogisticL2Objective,
     SolverConfig,
     build_example_instance,
     enumerate_catalog,
@@ -20,7 +21,7 @@ from l0rcd import (
     verify_inclusions,
 )
 
-from l0rcd.cli import ExperimentConfig, build_problem, generate_least_squares
+from l0rcd.cli import ExperimentConfig, _enumerate_requests, build_problem, generate_least_squares
 
 from conftest import random_logistic_problem, toy_problem
 
@@ -207,6 +208,26 @@ class TestOneClassification:
         prob = build_example_instance()
         enumerate_catalog(prob, example_class_requests(prob))
         assert calls == {"make_cache": 128, "block_grad": 128, "full_grad": 0}
+
+    def test_logistic_restricted_tolerance_computed_once(self, monkeypatch):
+        """Logistic restricted solves compute their tolerance from full_grad(0) once."""
+        cfg = ExperimentConfig(
+            problem_kind="logistic", m=12, n=8, instance_seed=2, nu=0.3, lam=0.05
+        )
+        prob = build_problem(cfg)
+        calls = []
+        original = LogisticL2Objective.full_grad
+
+        def counted(self, x):
+            calls.append(1)
+            return original(self, x)
+
+        monkeypatch.setattr(LogisticL2Objective, "full_grad", counted)
+        catalog = enumerate_catalog(prob, _enumerate_requests(prob, cfg))
+        assert len(calls) == 1
+        assert catalog.counts() == {
+            "ue[beta=0.0001]": 1, "uq[M=Li]": 1, "uq[M=Lf]": 16, "basic": 256
+        }
 
     @staticmethod
     def requests(partition, exact):

@@ -398,12 +398,17 @@ class TestConfigParsing:
             ("[starts]\nvalue_range = inf\n", "uq"),
             ("lambda-inf", "uq"),
             ("[sweep]\nlambdas = 0.1,inf\n", "uq"),
+            ("[problem]\noops\n", "uq"),
+            ("[problem]\nseed = -3\n", "uq"),
+            ("[starts]\nseed = -2\n", "uq"),
+            ("[starts]\nvalue_range = 1e308\n", "uq"),
         ],
         ids=[
             "uq_factor", "ue_beta", "ihta_factor", "max_iters", "density", "nan_matrix",
             "short_rhs", "logistic_nu", "lambdas_item", "block_sizes_item", "value_range",
             "ue_on_blocks", "planted_density", "planted_density_nan", "nu_inf", "nu_nan",
             "ue_beta_inf", "value_range_inf", "lambda_inf", "lambdas_item_inf",
+            "unparsable_line", "problem_seed", "starts_seed", "value_range_overflow",
         ],
     )
     def test_bad_value_is_a_one_line_error(self, tmp_path, capsys, section, solver):
@@ -423,6 +428,12 @@ class TestConfigParsing:
             with open(cfg, "a") as fh:
                 fh.write(section)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_negative_seed_flag_is_a_one_line_error(self, tmp_path, capsys):
+        cfg = toy_config(tmp_path, start="random")
+        assert main(["solve", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 

@@ -175,9 +175,9 @@ class TestOracleContract:
         for _ in range(1000):
             start = int(rng.integers(oracle.dim))
             sl = slice(start, min(start + 2, oracle.dim))
-            old = x[sl].copy()
-            x[sl] = rng.standard_normal(sl.stop - sl.start) * (rng.random() < 0.7)
-            cache = oracle.update_cache(cache, sl, old, x[sl])
+            new = rng.standard_normal(sl.stop - sl.start) * (rng.random() < 0.7)
+            cache = oracle.update_cache(cache, sl, new - x[sl])
+            x[sl] = new
         fresh = oracle.make_cache(x)
         drift = np.max(np.abs(cache - fresh)) / (1.0 + np.max(np.abs(fresh)))
         assert drift <= 1e-8
@@ -187,7 +187,7 @@ class TestOracleContract:
         x = np.ones(oracle.dim)
         cache = oracle.make_cache(x)
         before = cache.copy()
-        oracle.update_cache(cache, slice(0, 2), x[0:2].copy(), x[0:2].copy())
+        oracle.update_cache(cache, slice(0, 2), np.zeros(2))
         np.testing.assert_array_equal(cache, before)
 
     def test_blockwise_lipschitz_bound(self, make):

@@ -77,6 +77,15 @@ class TestStep:
             assert st.penalty == l0_norm(st.x, p)
             assert st.f_value == pytest.approx(prob.smooth.eval(st.x), rel=1e-9)
 
+    def test_null_step_leaves_state_bit_identical(self, toy):
+        """At the strong point (2, 0) the map returns each block unchanged."""
+        spec = separable_lipschitz_mode(toy.partition)
+        for i in range(2):
+            st = toy_state(toy, [2.0, 0.0])
+            before = (st.x.tobytes(), st.cache.tobytes(), st.f_value, st.support, st.penalty)
+            rcd_iht_step(toy, st, i, spec)
+            assert (st.x.tobytes(), st.cache.tobytes(), st.f_value, st.support, st.penalty) == before
+
     def test_understated_lipschitz_detected(self):
         """A wrong (too small) block constant breaks guaranteed descent."""
         oracle = LeastSquaresObjective(np.array([[1.0]]), np.array([2.0]))
@@ -107,6 +116,32 @@ class TestRunRcdIht:
         _, trace = run_rcd_iht(prob, x0, SolverConfig(approx=spec, max_iters=600, seed=2))
         assert trace.kappa > 0
         assert len(calls) == trace.kappa + 1
+
+    @pytest.mark.parametrize("route", ["uq_least_squares", "ue_logistic"])
+    def test_cache_work_only_on_moving_steps(self, monkeypatch, route):
+        """A step that leaves its block unchanged updates no cache and evaluates no f."""
+        if route == "uq_least_squares":
+            prob = random_ls_problem(12, 20, seed=44)
+            spec = separable_from_factor(prob.partition, 1.5)
+        else:
+            prob = random_logistic_problem(15, 10, seed=46)
+            spec = exact_uniform(prob.partition, 1e-4)
+        calls = {"update_cache": 0, "value_from_cache": 0}
+        oracle_class = type(prob.smooth)
+        for name in calls:
+            original = getattr(oracle_class, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(oracle_class, name, counted)
+        x0 = np.random.default_rng(45).standard_normal(prob.n)
+        _, trace = run_rcd_iht(prob, x0, SolverConfig(approx=spec, max_iters=600, seed=2))
+        moved = int(np.count_nonzero(trace.step_norms))
+        assert 0 < moved < trace.iterations
+        # one f evaluation for the start, then one per moving step
+        assert calls == {"update_cache": moved, "value_from_cache": moved + 1}
 
     def test_toy_converges(self, toy):
         spec = separable_lipschitz_mode(toy.partition)
