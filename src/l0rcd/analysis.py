@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approx import TIE_RULE, threshold_e
-from .core import BlockPartition, L0Problem, l0_norm, support_bitmask, support_of
+from .core import BlockPartition, L0Problem, l0_norm, support_bitmask
 from .objectives import LeastSquaresObjective
 
 # Boundary tolerance for class membership tests; restricted solves are
@@ -63,12 +63,15 @@ class ClassRequest:
 
 @dataclass
 class CatalogEntry:
-    support: frozenset[int]
     bitmask: int
     point: np.ndarray
     f_value: float
     F_value: float
     flags: dict[str, bool]
+
+    @property
+    def support(self) -> frozenset[int]:
+        return frozenset(j for j in range(self.bitmask.bit_length()) if self.bitmask >> j & 1)
 
 
 @dataclass
@@ -139,10 +142,9 @@ def _classify(
     smooth = problem.smooth
     cache = smooth.make_cache(z)
     g = smooth.block_grad(z, slice(None), cache)
-    I = sorted(support_of(z, partition))
-    flags = {BASIC_LABEL: not I or float(np.linalg.norm(g[I])) <= tol}
-    # only the quadratic-model test reads per-coordinate penalties
-    lam = partition.coord_lambda() if any(req.kind == "uq" for req in requests) else None
+    on = (z != 0.0) | partition.zero_penalty_mask  # I(z)
+    flags = {BASIC_LABEL: not on.any() or float(np.linalg.norm(g[on])) <= tol}
+    lam = partition.coord_lambda()
     for req in requests:
         if req.kind == "uq":
             M = np.repeat(np.asarray(req.params), partition.block_sizes)
@@ -213,23 +215,20 @@ def enumerate_catalog(
             f"enumeration over 2^{n} supports refused (limit n <= {ENUMERATION_LIMIT})"
         )
     partition = problem.partition
-    lam_coord = partition.coord_lambda()
-    free = [j for j in range(n) if lam_coord[j] > 0.0]
-    mandatory = frozenset(j for j in range(n) if lam_coord[j] == 0.0)
+    mandatory = partition.zero_penalty_bits
+    free = [1 << j for j in range(n) if not mandatory >> j & 1]
 
     entries: list[CatalogEntry] = []
-    for mask_bits in range(1 << len(free)):
-        chosen = {free[t] for t in range(len(free)) if mask_bits >> t & 1}
-        I = frozenset(chosen) | mandatory
-        z = restricted_minimize(problem, I)
+    for choice in range(1 << len(free)):
+        bitmask = mandatory | sum(bit for t, bit in enumerate(free) if choice >> t & 1)
+        z = restricted_minimize(problem, [j for j in range(n) if bitmask >> j & 1])
         f_val = problem.smooth.eval(z)
         F_val = f_val + l0_norm(z, partition)
         flags = _classify(problem, z, requests, tol)
         basic = flags[BASIC_LABEL]
         entries.append(
             CatalogEntry(
-                support=I,
-                bitmask=support_bitmask(I),
+                bitmask=bitmask,
                 point=z,
                 f_value=f_val,
                 F_value=F_val,

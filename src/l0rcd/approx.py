@@ -85,10 +85,7 @@ class ApproxSpec:
         if self.kind == SEPARABLE_QUADRATIC:
             return np.asarray(self.M, dtype=float) - L
         if self.kind == DIAGONAL_QUADRATIC:
-            mins = np.array(
-                [min(self.H_diag[partition.block_slice(i)]) for i in range(partition.num_blocks)]
-            )
-            return mins - L
+            return np.minimum.reduceat(np.array(self.H_diag), partition.block_starts) - L
         return np.asarray(self.beta, dtype=float)
 
     def curvature_bound(self, partition: BlockPartition) -> np.ndarray:
@@ -100,9 +97,7 @@ class ApproxSpec:
         if self.kind == SEPARABLE_QUADRATIC:
             return np.asarray(self.M, dtype=float)
         if self.kind == DIAGONAL_QUADRATIC:
-            return np.array(
-                [max(self.H_diag[partition.block_slice(i)]) for i in range(partition.num_blocks)]
-            )
+            return np.maximum.reduceat(np.array(self.H_diag), partition.block_starts)
         return np.asarray(partition.lipschitz, dtype=float) + np.asarray(self.beta, dtype=float)
 
     def validate_for_solver(self, partition: BlockPartition) -> None:

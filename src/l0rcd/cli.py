@@ -36,7 +36,8 @@ from .approx import (
     exact_uniform,
     separable_from_factor,
 )
-from .core import BlockPartition, L0Problem, l0_norm
+# l0_norm stays importable from this module.
+from .core import BlockPartition, L0Problem, l0_norm  # noqa: F401
 from .objectives import (
     LeastSquaresObjective,
     LogisticL2Objective,
@@ -234,6 +235,7 @@ def _parse_config_file(path: str) -> ExperimentConfig:
         ("[problem] seed", cfg.instance_seed, cfg.instance_seed >= 0, ">= 0"),
         ("[problem] planted_density", cfg.planted_density, 0.0 <= cfg.planted_density <= 1.0,
          "in [0, 1]"),
+        ("[solvers] list", repr(names), bool(cfg.solver_names), "nonempty"),
         ("[solvers] uq_factor", cfg.uq_factor, cfg.uq_factor > 1.0, "> 1"),
         ("[solvers] ue_beta", cfg.ue_beta, cfg.ue_beta > 0.0, "> 0"),
         ("[solvers] ihta_factor", cfg.ihta_factor, cfg.ihta_factor > 1.0, "> 1"),

@@ -11,6 +11,8 @@ thresholding operations write literal zeros, so support tracking is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -29,7 +31,8 @@ class BlockPartition:
     Each block i carries a nonnegative penalty weight ``lam[i]`` and a
     positive Lipschitz constant ``lipschitz[i]`` for the block gradient of
     the smooth term. ``global_lipschitz`` bounds the full gradient; it
-    defaults to the (always valid) sum of the per-block constants.
+    defaults to the (always valid) sum of the per-block constants. Arrays
+    derived from the layout are built on first use and shared read-only.
     """
 
     block_sizes: tuple[int, ...]
@@ -61,10 +64,7 @@ class BlockPartition:
                 f"global Lipschitz constant {self.global_lipschitz} exceeds the "
                 f"sum of block constants {sum_L}"
             )
-        offs = [0]
-        for s in self.block_sizes:
-            offs.append(offs[-1] + int(s))
-        object.__setattr__(self, "offsets", tuple(offs))
+        object.__setattr__(self, "offsets", (0, *accumulate(map(int, self.block_sizes))))
 
     @property
     def n(self) -> int:
@@ -84,13 +84,37 @@ class BlockPartition:
             raise IndexError(f"coordinate {j} out of range for n={self.n}")
         return int(np.searchsorted(self.offsets, j, side="right")) - 1
 
+    @cached_property
+    def block_starts(self) -> np.ndarray:
+        return _read_only(np.array(self.offsets[:-1], dtype=np.intp))
+
+    @cached_property
+    def lam_array(self) -> np.ndarray:
+        return _read_only(np.array(self.lam, dtype=float))
+
+    @cached_property
+    def _coord_lam(self) -> np.ndarray:
+        return _read_only(np.repeat(self.lam_array, self.block_sizes))
+
+    @cached_property
+    def _coord_lip(self) -> np.ndarray:
+        return _read_only(np.repeat(np.array(self.lipschitz, float), self.block_sizes))
+
+    @cached_property
+    def zero_penalty_mask(self) -> np.ndarray:
+        return _read_only(self._coord_lam == 0.0)
+
+    @cached_property
+    def zero_penalty_bits(self) -> int:
+        return _bitmask_of(self.zero_penalty_mask)
+
     def coord_lambda(self) -> np.ndarray:
         """Per-coordinate penalty weight (each coordinate inherits its block's)."""
-        return np.repeat(np.asarray(self.lam, dtype=float), self.block_sizes)
+        return self._coord_lam
 
     def coord_lipschitz(self) -> np.ndarray:
         """Per-coordinate Lipschitz constant (inherited from the block)."""
-        return np.repeat(np.asarray(self.lipschitz, dtype=float), self.block_sizes)
+        return self._coord_lip
 
     @staticmethod
     def scalar(lam, lipschitz, global_lipschitz: float = 0.0) -> "BlockPartition":
@@ -103,6 +127,15 @@ class BlockPartition:
             lipschitz=lip,
             global_lipschitz=global_lipschitz,
         )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _bitmask_of(mask: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 def _check_dim(x: np.ndarray, n: int) -> np.ndarray:
@@ -120,8 +153,8 @@ def l0_norm(x: np.ndarray, partition: BlockPartition) -> float:
     added left to right (cumsum, not a pairwise or compensated sum).
     """
     x = _check_dim(x, partition.n)
-    counts = np.add.reduceat((x != 0.0).astype(np.int64), partition.offsets[:-1])
-    return float(np.cumsum(np.asarray(partition.lam) * counts)[-1])
+    counts = np.add.reduceat((x != 0.0).astype(np.int64), partition.block_starts)
+    return float(np.cumsum(partition.lam_array * counts)[-1])
 
 
 def support_of(x: np.ndarray, partition: BlockPartition) -> frozenset[int]:
@@ -131,20 +164,12 @@ def support_of(x: np.ndarray, partition: BlockPartition) -> frozenset[int]:
     the penalty never constrains them.
     """
     x = _check_dim(x, partition.n)
-    idx = set(np.flatnonzero(x).tolist())
-    for i, lam_i in enumerate(partition.lam):
-        if lam_i == 0.0:
-            sl = partition.block_slice(i)
-            idx.update(range(sl.start, sl.stop))
-    return frozenset(idx)
+    return frozenset(np.flatnonzero((x != 0.0) | partition.zero_penalty_mask).tolist())
 
 
 def support_bitmask(support: frozenset[int]) -> int:
     """The index set as a Python int with bit j set for each member j."""
-    mask = 0
-    for j in support:
-        mask |= 1 << int(j)
-    return mask
+    return sum(1 << j for j in {int(j) for j in support})
 
 
 @dataclass(frozen=True)
@@ -178,8 +203,8 @@ def objective_F(problem: L0Problem, x: np.ndarray) -> float:
 class IterateState:
     """Mutable per-run solver state: point, oracle cache, f value, support, penalty.
 
-    Exclusively owned by one solver run. ``support`` is the bitmask
-    ``support_bitmask(support_of(x))`` and ``penalty`` is ``l0_norm(x)``.
+    Exclusively owned by one solver run. ``support`` is the bitmask of
+    ``support_of(x)`` and ``penalty`` is ``l0_norm(x)``.
     Both depend on ``x`` only through which entries are zero, so the
     stepping code keeps ``cache`` and ``f_value`` consistent with ``x`` and
     calls ``recount`` only when a step changes that zero pattern; ``refresh``
@@ -203,7 +228,7 @@ class IterateState:
 
     def recount(self, problem: L0Problem) -> None:
         """Recompute support and penalty from the zero pattern of the point."""
-        self.support = support_bitmask(support_of(self.x, problem.partition))
+        self.support = _bitmask_of(self.x != 0.0) | problem.partition.zero_penalty_bits
         self.penalty = l0_norm(self.x, problem.partition)
 
     def refresh(self, problem: L0Problem) -> None:

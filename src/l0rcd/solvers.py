@@ -310,22 +310,11 @@ def delta_lower_bound(problem: L0Problem, spec: ApproxSpec, x0: np.ndarray) -> f
     partition = problem.partition
     x0 = np.asarray(x0, dtype=float)
     mu = spec.mu(partition)
-    M = spec.curvature_bound(partition)
-    N = partition.num_blocks
-
-    terms = [
-        mu[i] * partition.lam[i] / M[i]
-        for i in range(N)
-        if partition.lam[i] > 0.0
-    ]
-    best = min(terms)
-    for i in range(N):
-        sl = partition.block_slice(i)
-        blk = x0[sl]
-        nz = blk[blk != 0.0]
-        if nz.size:
-            best = min(best, 0.5 * mu[i] * float(np.min(nz**2)))
-    return float(best / N)
+    lam = partition.lam_array
+    best = np.min((mu * lam / spec.curvature_bound(partition))[lam > 0.0])
+    # smallest x0_j^2 over each block's nonzeros; inf (no term) where there are none
+    sq = np.minimum.reduceat(np.where(x0 != 0.0, x0**2, np.inf), partition.block_starts)
+    return float(min(best, np.min(0.5 * mu * sq)) / partition.num_blocks)
 
 
 def estimate_linear_rate(trace: SolverTrace, F_star: float) -> tuple[float, float]:

@@ -336,6 +336,16 @@ class TestApproxSpec:
         np.testing.assert_allclose(spec.mu(p), [1.0])
         np.testing.assert_allclose(spec.curvature_bound(p), [6.0])
 
+    def test_diag_mu_and_curvature_are_per_block_min_and_max(self):
+        sizes = (3, 3, 2, 4)
+        L = (1.0, 0.5, 2.0, 0.25)
+        p = BlockPartition(block_sizes=sizes, lam=(1.0,) * 4, lipschitz=L)
+        H = np.random.default_rng(8).uniform(3.0, 9.0, size=12)
+        spec = ApproxSpec.diagonal_quadratic(H)
+        blocks = [H[p.block_slice(i)] for i in range(4)]
+        np.testing.assert_array_equal(spec.mu(p), [min(b) - l for b, l in zip(blocks, L)])
+        np.testing.assert_array_equal(spec.curvature_bound(p), [max(b) for b in blocks])
+
     def test_validate_for_solver(self):
         p = BlockPartition.scalar([1.0, 1.0], [2.0, 3.0])
         with pytest.raises(ValueError):

@@ -376,8 +376,8 @@ class TestConfigParsing:
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
 
     @pytest.mark.parametrize(
-        "section,solver",
-        [
+        "section,solver,command",
+        [(section, solver, "solve") for section, solver in [
             ("[solvers]\nuq_factor = 0.5\n", "uq"),
             ("[solvers]\nue_beta = 0\n", "ue"),
             ("[solvers]\nihta_factor = 0.9\n", "ihta"),
@@ -402,6 +402,9 @@ class TestConfigParsing:
             ("[problem]\nseed = -3\n", "uq"),
             ("[starts]\nseed = -2\n", "uq"),
             ("[starts]\nvalue_range = 1e308\n", "uq"),
+        ]] + [
+            ("[solvers]\nlist =\n", "uq", "benchmark"),
+            ("[solvers]\nlist = ,\n[sweep]\nlambdas = 0.5\n", "uq", "tournament"),
         ],
         ids=[
             "uq_factor", "ue_beta", "ihta_factor", "max_iters", "density", "nan_matrix",
@@ -409,9 +412,10 @@ class TestConfigParsing:
             "ue_on_blocks", "planted_density", "planted_density_nan", "nu_inf", "nu_nan",
             "ue_beta_inf", "value_range_inf", "lambda_inf", "lambdas_item_inf",
             "unparsable_line", "problem_seed", "starts_seed", "value_range_overflow",
+            "empty_list_benchmark", "empty_list_tournament",
         ],
     )
-    def test_bad_value_is_a_one_line_error(self, tmp_path, capsys, section, solver):
+    def test_bad_value_is_a_one_line_error(self, tmp_path, capsys, section, solver, command):
         lam = "inf" if section == "lambda-inf" else 0.5
         cfg = toy_config(tmp_path, lam=lam, solver=solver, start="random")
         if section == "nan-matrix":
@@ -427,7 +431,7 @@ class TestConfigParsing:
         elif section != "lambda-inf":
             with open(cfg, "a") as fh:
                 fh.write(section)
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 

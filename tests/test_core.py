@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from l0rcd import (
     BlockPartition,
@@ -107,6 +108,14 @@ class TestBlockPartition:
         np.testing.assert_allclose(p.coord_lambda(), [1.0, 1.0, 0.25])
         np.testing.assert_allclose(p.coord_lipschitz(), [4.0, 4.0, 9.0])
 
+    def test_coord_arrays_are_shared_and_read_only(self):
+        p = BlockPartition(block_sizes=(2, 1), lam=(1.0, 0.0), lipschitz=(4.0, 9.0))
+        for get in (p.coord_lambda, p.coord_lipschitz):
+            assert get() is get()
+            with pytest.raises(ValueError):
+                get()[0] = 5.0
+        np.testing.assert_array_equal(p.coord_lambda(), [1.0, 1.0, 0.0])
+
     def test_default_global_lipschitz_is_sum(self):
         p = scalar_partition([1.0, 1.0], [2.0, 3.0])
         assert p.global_lipschitz == pytest.approx(5.0)
@@ -157,3 +166,37 @@ class TestIterateState:
         st = IterateState.from_point(toy, x)
         x[0] = 99.0
         assert st.x[0] == 1.0
+
+
+# Values whose zero test is easy to get wrong: signed zeros and denormals.
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1.0, -3.0]
+
+
+@strategies.composite
+def _partitioned_points(draw):
+    """A partition with n >= 70, block sizes 1-4 and one zero-penalty block, and a point."""
+    ints, floats, lists = strategies.integers, strategies.floats, strategies.lists
+    sizes = draw(lists(ints(1, 4), min_size=70, max_size=90))
+    N, n = len(sizes), sum(sizes)
+    lam = draw(lists(floats(0.01, 10.0), min_size=N, max_size=N))
+    lam[draw(ints(0, N - 1))] = 0.0
+    values = strategies.one_of(strategies.sampled_from(_EDGE_VALUES), floats(-10.0, 10.0))
+    x = draw(lists(values, min_size=n, max_size=n))
+    return tuple(sizes), tuple(lam), np.array(x)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_partitioned_points())
+def test_state_support_and_penalty_from_the_zero_pattern(case):
+    sizes, lam, x = case
+    p = BlockPartition(block_sizes=sizes, lam=lam, lipschitz=(1.0,) * len(sizes))
+    prob = L0Problem(LeastSquaresObjective(np.ones((2, p.n)), np.ones(2)), p)
+    expected, j = 0, 0
+    for size, lam_i in zip(sizes, lam):
+        for _ in range(size):
+            if x[j] != 0.0 or lam_i == 0.0:
+                expected |= 1 << j
+            j += 1
+    state = IterateState.from_point(prob, x)
+    assert state.support == expected
+    assert state.penalty.hex() == l0_norm(x, p).hex()

@@ -54,14 +54,16 @@ class TestStep:
             rcd_iht_step(toy, st, i, spec)
             np.testing.assert_array_equal(st.x, [2.0, 0.0])
 
-    @pytest.mark.parametrize("sizes", [None, (2, 3)], ids=["scalar", "blocks_2_3"])
+    @pytest.mark.parametrize(
+        "sizes", [None, (2, 3), (3, 1, 4, 2) * 8], ids=["scalar", "blocks_2_3", "blocks_n80"]
+    )
     def test_state_stays_consistent(self, sizes):
-        prob = random_ls_problem(8, 5, seed=40)
+        prob = random_ls_problem(8, sum(sizes) if sizes else 5, seed=40)
         if sizes is not None:
             # the first block carries no penalty: its coordinates are always in I(x)
             partition = BlockPartition(
                 block_sizes=sizes,
-                lam=(0.0, 0.3),
+                lam=(0.0,) + (0.3,) * (len(sizes) - 1),
                 lipschitz=tuple(prob.smooth.block_lipschitz(sizes)),
                 global_lipschitz=prob.partition.global_lipschitz,
             )
@@ -69,8 +71,8 @@ class TestStep:
         p = prob.partition
         spec = separable_from_factor(p, 1.5)
         rng = np.random.default_rng(41)
-        st = toy_state(prob, rng.standard_normal(5))
-        for _ in range(30):
+        st = toy_state(prob, rng.standard_normal(p.n))
+        for _ in range(300):
             i = int(rng.integers(p.num_blocks))
             rcd_iht_step(prob, st, i, spec)
             assert st.support == support_bitmask(support_of(st.x, p))
@@ -346,6 +348,32 @@ class TestDeltaLowerBound:
         spec = ApproxSpec.separable_quadratic([2.0, 2.0])
         # only the penalized block contributes: (1/2) * (1*1/2)
         assert delta_lower_bound(prob, spec, np.zeros(2)) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("kind", ["separable", "diagonal"])
+    def test_matches_the_per_block_loop_bit_for_bit(self, kind):
+        sizes = (1, 3, 2, 4, 1, 2, 3)
+        prob = random_ls_problem(6, sum(sizes), seed=52)
+        p = BlockPartition(
+            block_sizes=sizes,
+            lam=(0.3, 0.0, 0.7, 0.2, 1.1, 0.4, 0.9),
+            lipschitz=tuple(prob.smooth.block_lipschitz(sizes)),
+            global_lipschitz=prob.partition.global_lipschitz,
+        )
+        prob = L0Problem(prob.smooth, p)
+        rng = np.random.default_rng(53)
+        if kind == "separable":
+            spec = separable_from_factor(p, 1.7)
+        else:
+            spec = ApproxSpec.diagonal_quadratic(p.coord_lipschitz() * rng.uniform(1.2, 3.0, p.n))
+        x0 = rng.standard_normal(p.n) * (rng.random(p.n) < 0.5)
+        mu, M = spec.mu(p), spec.curvature_bound(p)
+        best = min(mu[i] * p.lam[i] / M[i] for i in range(p.num_blocks) if p.lam[i] > 0.0)
+        for i in range(p.num_blocks):
+            blk = x0[p.block_slice(i)]
+            nz = blk[blk != 0.0]
+            if nz.size:
+                best = min(best, 0.5 * mu[i] * float(np.min(nz**2)))
+        assert delta_lower_bound(prob, spec, x0) == float(best / p.num_blocks)
 
 
 def synthetic_trace(F_values, final_F, changed=None):
