@@ -337,7 +337,10 @@ def apply_threshold(
     spec: ApproxSpec,
     cache: np.ndarray,
 ) -> np.ndarray:
-    """New value of block i after one thresholding step under ``spec``."""
+    """New value of block i after one thresholding step under ``spec``.
+
+    The exact model takes a scalar block only; a larger block raises ValueError.
+    """
     sl = partition.block_slice(i)
     lam_i = partition.lam[i]
     if spec.kind == SEPARABLE_QUADRATIC:
@@ -346,5 +349,6 @@ def apply_threshold(
     if spec.kind == DIAGONAL_QUADRATIC:
         grad = oracle.block_grad(x, sl, cache)
         return threshold_diag_q(x[sl], grad, np.asarray(spec.H_diag[sl]), lam_i)
-    j = sl.start
-    return np.array([threshold_e(oracle, x, j, spec.beta[i], lam_i, cache)])
+    if sl.stop - sl.start != 1:
+        raise ValueError("exact approximation requires scalar blocks")
+    return np.array([threshold_e(oracle, x, sl.start, spec.beta[i], lam_i, cache)])

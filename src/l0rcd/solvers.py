@@ -13,13 +13,14 @@ fixed-support phase.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import ApproxSpec, apply_threshold, TIE_RULE
+from .approx import EXACT, SEPARABLE_QUADRATIC, ApproxSpec, apply_threshold, threshold_e, TIE_RULE
 # l0_norm and support_bitmask stay importable from this module.
 from .core import IterateState, L0Problem, l0_norm, support_bitmask  # noqa: F401
 
@@ -125,6 +126,62 @@ def _update_block(problem: L0Problem, state: IterateState, i: int, spec: ApproxS
     return float(np.linalg.norm(delta))
 
 
+def _scalar_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateState, int], float]:
+    """``_update_block`` for a partition of scalar blocks, on Python floats.
+
+    Block j is coordinate j. The threshold, the null-step test, the
+    zero-pattern test and the step norm are float operations, with the same
+    roundings as the block arithmetic, so both steps move a state bit for bit
+    alike. The gradient, the cache update, the f value and a recount still
+    go through the oracle and numpy.
+    """
+    smooth = problem.smooth
+    lam = problem.partition.lam
+    if spec.kind == EXACT:
+        beta = spec.beta
+
+        def threshold(x: np.ndarray, j: int, x_j: float, cache: np.ndarray) -> float:
+            return threshold_e(smooth, x, j, beta[j], lam[j], cache)
+
+    else:
+        curvature = spec.M if spec.kind == SEPARABLE_QUADRATIC else spec.H_diag
+
+        def threshold(x: np.ndarray, j: int, x_j: float, cache: np.ndarray) -> float:
+            # threshold_q on floats: the gradient step, kept where its
+            # progress value beats lambda_j, and always when lambda_j is 0
+            M = curvature[j]
+            t = x_j - float(smooth.coord_grad_shifted(x, j, 0.0, cache)) / M
+            return t if lam[j] == 0.0 or 0.5 * M * t * t > lam[j] else 0.0
+
+    def step(state: IterateState, j: int) -> float:
+        x = state.x
+        old = float(x[j])
+        new = threshold(x, j, old, state.cache)
+        d = new - old
+        if d == 0.0:
+            return 0.0
+        x[j] = new
+        smooth.update_cache(state.cache, slice(j, j + 1), np.array([d]))
+        state.f_value = smooth.value_from_cache(x, state.cache)
+        if (old != 0.0) != (new != 0.0):
+            state.recount(problem)
+        # bit for bit np.linalg.norm of the one-entry delta, also on underflow
+        return math.sqrt(d * d)
+
+    return step
+
+
+def _block_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateState, int], float]:
+    """The coordinate step of ``spec``: replaces block i of a state, returns the step norm.
+
+    Scalar partitions step on Python floats; any other partition steps
+    through ``_update_block``.
+    """
+    if problem.partition.n == problem.partition.num_blocks:
+        return _scalar_step(problem, spec)
+    return lambda state, i: _update_block(problem, state, i, spec)
+
+
 def _check_descent(F_old: float, F_new: float, mu: float, step_norm: float, i: int) -> None:
     """Raise InvariantViolation unless F_new <= F_old - (mu/2) step^2 + slack."""
     step_sq = step_norm**2
@@ -149,12 +206,13 @@ def rcd_iht_step(
 
     The state's point, cache, support, and f value stay mutually consistent.
     Raises InvariantViolation if the step fails the guaranteed descent
-    inequality beyond roundoff slack.
+    inequality beyond roundoff slack, and ValueError, before any write, if
+    the exact model meets a block of more than one coordinate.
     """
     if mu_i is None:
         mu_i = float(spec.mu(problem.partition)[i])
     F_old = state.objective()
-    step_norm = _update_block(problem, state, i, spec)
+    step_norm = _block_step(problem, spec)(state, i)
     _check_descent(F_old, state.objective(), mu_i, step_norm, i)
     return state
 
@@ -176,7 +234,7 @@ def _drive(
     checked against the descent inequality. Stops at max_iters, or earlier
     once the support has been stable for ``window`` consecutive iterations
     and every step over that window moved the point by at most
-    1e-10 * (1 + ||x||).
+    1e-10 * (1 + ||x||). ||x|| is recomputed only after a step moved x.
     """
     state = IterateState.from_point(problem, x0)
     F_cur = state.objective()
@@ -186,6 +244,7 @@ def _drive(
     # the largest step of the last ``window`` iterations, at O(1) amortized.
     peaks: deque[tuple[int, float]] = deque()
     stable = 0
+    x_norm: float | None = None  # ||x||, None once a step moved x
     stop_reason = "max_iters"
 
     for k in range(max_iters):
@@ -204,8 +263,14 @@ def _drive(
         if peaks[0][0] <= k - window:
             peaks.popleft()
         stable = 0 if changed else stable + 1
+        # A nonzero move whose norm underflows to 0.0 changes ||x|| far below
+        # what 1 + ||x|| resolves.
+        if step_norm != 0.0:
+            x_norm = None
         if stable >= window:
-            if peaks[0][1] <= _STEP_TOL * (1.0 + float(np.linalg.norm(state.x))):
+            if x_norm is None:
+                x_norm = float(np.linalg.norm(state.x))
+            if peaks[0][1] <= _STEP_TOL * (1.0 + x_norm):
                 stop_reason = "converged"
                 break
 
@@ -245,9 +310,11 @@ def run_rcd_iht(
         "solver": "rcd-iht", "approx": spec.label(), "rng": RNG_ALGORITHM, "seed": int(config.seed)
     }
 
+    update = _block_step(problem, spec)
+
     def step(state: IterateState) -> tuple[int, float, float]:
         i = draw_block(rng, N)
-        return i, _update_block(problem, state, i, spec), mu[i]
+        return i, update(state, i), mu[i]
 
     return _drive(
         problem, x0, step, config.max_iters, window, delta_lower_bound(problem, spec, x0), metadata
@@ -288,8 +355,12 @@ def run_ihta(
         t = state.x - g / M_f
         new_x = np.where(0.5 * M_f * t * t > lam_coord, t, 0.0)
         step_norm = float(np.linalg.norm(new_x - state.x))
+        pattern_changed = np.any((new_x != 0.0) != (state.x != 0.0))
         state.x = new_x
-        state.refresh(problem)
+        state.cache = smooth.make_cache(new_x)
+        state.f_value = smooth.value_from_cache(new_x, state.cache)
+        if pattern_changed:
+            state.recount(problem)
         return -1, step_norm, mu_f
 
     metadata = {

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies
 
 from l0rcd import (
     ApproxSpec,
@@ -23,7 +24,14 @@ from l0rcd import (
     separable_lipschitz_mode,
     support_of,
 )
-from l0rcd.solvers import draw_block, make_rng, support_bitmask, trace_rows
+from l0rcd.solvers import (
+    _scalar_step,
+    _update_block,
+    draw_block,
+    make_rng,
+    support_bitmask,
+    trace_rows,
+)
 
 from conftest import random_logistic_problem, random_ls_problem, toy_problem
 
@@ -88,6 +96,22 @@ class TestStep:
             rcd_iht_step(toy, st, i, spec)
             assert (st.x.tobytes(), st.cache.tobytes(), st.f_value, st.support, st.penalty) == before
 
+    def test_exact_model_rejects_a_multi_coordinate_block(self):
+        """The exact model has one scalar step; it must not be broadcast over a block."""
+        prob = random_logistic_problem(15, 12, seed=47)
+        sizes = (3, 3, 2, 4)
+        partition = BlockPartition(
+            block_sizes=sizes,
+            lam=(0.2,) * len(sizes),
+            lipschitz=tuple(prob.smooth.block_lipschitz(sizes)),
+        )
+        prob = L0Problem(prob.smooth, partition)
+        st = toy_state(prob, np.random.default_rng(48).standard_normal(12))
+        before = st.x.copy()
+        with pytest.raises(ValueError, match="exact approximation requires scalar blocks"):
+            rcd_iht_step(prob, st, 0, ApproxSpec.exact(np.full(len(sizes), 1e-4)))
+        np.testing.assert_array_equal(st.x, before)
+
     def test_understated_lipschitz_detected(self):
         """A wrong (too small) block constant breaks guaranteed descent."""
         oracle = LeastSquaresObjective(np.array([[1.0]]), np.array([2.0]))
@@ -98,8 +122,63 @@ class TestStep:
             rcd_iht_step(prob, st, 0, separable_lipschitz_mode(partition))
 
 
+# A penalty this large zeroes the coordinate whatever its model value.
+_HUGE_LAMBDA = 1e6
+
+
+def _spec_for(model: str, partition: BlockPartition) -> ApproxSpec:
+    if model == "uq":
+        return separable_from_factor(partition, 1.5)
+    if model == "uQ":
+        return ApproxSpec.diagonal_quadratic(1.5 * partition.coord_lipschitz())
+    return exact_uniform(partition, 1e-3)
+
+
+@pytest.mark.parametrize("model", ["uq", "uQ", "ue"])
+@pytest.mark.parametrize("objective", ["least_squares", "logistic"])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    seed=strategies.integers(0, 2**16),
+    lam_0=strategies.sampled_from([0.0, 0.05, _HUGE_LAMBDA]),
+    x_0_zero=strategies.booleans(),
+    rest=strategies.lists(strategies.integers(0, 5), max_size=5),
+)
+@example(seed=1, lam_0=_HUGE_LAMBDA, x_0_zero=True, rest=[])  # null step
+@example(seed=1, lam_0=_HUGE_LAMBDA, x_0_zero=False, rest=[])  # support change
+@example(seed=1, lam_0=0.0, x_0_zero=True, rest=[0, 0])  # lambda = 0 coordinate
+def test_scalar_step_matches_block_step(objective, model, seed, lam_0, x_0_zero, rest):
+    """The float step and ``_update_block`` move a state bit for bit alike.
+
+    Coordinate 0 carries ``lam_0`` and is stepped first, then the
+    coordinates of ``rest``; both states are compared after every step.
+    """
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(3, 10)), 6
+    make = random_ls_problem if objective == "least_squares" else random_logistic_problem
+    oracle = make(m, n, seed=seed).smooth
+    partition = BlockPartition.scalar([lam_0] + [0.3] * (n - 1), oracle.column_lipschitz())
+    prob = L0Problem(oracle, partition)
+    spec = _spec_for(model, partition)
+    x0 = rng.standard_normal(n) * (rng.random(n) < 0.6)
+    x0[0] = 0.0 if x_0_zero else 0.7
+    scalar_state, block_state = toy_state(prob, x0), toy_state(prob, x0)
+    step = _scalar_step(prob, spec)
+    for j in [0, *rest]:
+        norm = step(scalar_state, j)
+        assert norm == _update_block(prob, block_state, j, spec)
+        assert scalar_state.x.tobytes() == block_state.x.tobytes()
+        assert scalar_state.cache.tobytes() == block_state.cache.tobytes()
+        assert scalar_state.f_value == block_state.f_value
+        assert scalar_state.support == block_state.support
+        assert scalar_state.penalty == block_state.penalty
+    if lam_0 == _HUGE_LAMBDA:
+        # zeroed: a null step from a zero, a support change from a nonzero
+        assert block_state.x[0] == 0.0
+
+
 class TestRunRcdIht:
-    def test_penalty_recounted_only_on_support_changes(self, monkeypatch):
+    @pytest.mark.parametrize("route", ["uq", "ihta"])
+    def test_penalty_recounted_only_on_support_changes(self, monkeypatch, route):
         """l0_norm runs once for the start and once per support change."""
         from l0rcd import core
 
@@ -113,9 +192,12 @@ class TestRunRcdIht:
         monkeypatch.setattr(core, "l0_norm", counting)
         prob = random_ls_problem(12, 20, seed=44)
         assert all(lam > 0.0 for lam in prob.partition.lam)
-        spec = separable_from_factor(prob.partition, 1.5)
         x0 = np.random.default_rng(45).standard_normal(20)
-        _, trace = run_rcd_iht(prob, x0, SolverConfig(approx=spec, max_iters=600, seed=2))
+        if route == "uq":
+            spec = separable_from_factor(prob.partition, 1.5)
+            _, trace = run_rcd_iht(prob, x0, SolverConfig(approx=spec, max_iters=600, seed=2))
+        else:
+            _, trace = run_ihta(prob, x0, 1.5 * prob.partition.global_lipschitz, max_iters=600)
         assert trace.kappa > 0
         assert len(calls) == trace.kappa + 1
 
