@@ -3,9 +3,13 @@
 The values were recorded from the CLI's solver entry point on two fixed
 instances: the 6x12 least squares instance of the acceptance tournament
 (three penalties, all three routes, two random starts each) and a small
-logistic instance with multivariate blocks. Iteration counts, stop reasons
-and final supports must match exactly; final F to 1e-12 relative.
+logistic instance, once with multivariate blocks and once with scalar
+blocks (where `ue` takes the safeguarded Newton step). Iteration counts,
+stop reasons and final supports must match exactly; final F to 1e-12
+relative.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +28,7 @@ BLOCK_LOGISTIC = ExperimentConfig(
     block_sizes=(3, 3, 2, 4),
     max_iters=3000,
 )
+SCALAR_LOGISTIC = dataclasses.replace(BLOCK_LOGISTIC, block_sizes=None)
 
 # (lambda, solver, start) -> (iterations, stop, final support, final F)
 ACCEPTANCE_OUTCOMES = {
@@ -52,6 +57,15 @@ BLOCK_LOGISTIC_OUTCOMES = {
     ("uq", 1): (57, "converged", [2], 0.6856609456086835),
     ("ihta", 0): (124, "converged", [0, 2, 3, 7, 11], 0.7916758856631791),
     ("ihta", 1): (110, "converged", [2, 3], 0.713147400505675),
+}
+
+SCALAR_LOGISTIC_OUTCOMES = {
+    ("uq", 0): (146, "converged", [0, 2], 0.685004177293132),
+    ("uq", 1): (130, "converged", [2], 0.6856609456086835),
+    ("ue", 0): (92, "converged", [0, 2], 0.6850041772931319),
+    ("ue", 1): (149, "converged", [0, 2], 0.685004177293132),
+    ("ihta", 0): (314, "converged", [0, 2, 3, 7, 9, 11], 0.8368735624317596),
+    ("ihta", 1): (279, "converged", [2, 3], 0.7131474005056752),
 }
 
 SOLVER_INDEX = {"ihta": 0, "uq": 1, "ue": 2}
@@ -85,3 +99,11 @@ def test_block_logistic_outcomes():
         for t in range(2):
             got = outcome(problem, BLOCK_LOGISTIC, name, (0, 0, si, t), t)
             assert_outcome(got, BLOCK_LOGISTIC_OUTCOMES[(name, t)])
+
+
+def test_scalar_logistic_outcomes():
+    problem = build_problem(SCALAR_LOGISTIC)
+    for name, si in (("uq", 0), ("ue", 1), ("ihta", 2)):
+        for t in range(2):
+            got = outcome(problem, SCALAR_LOGISTIC, name, (0, 0, si, t), t)
+            assert_outcome(got, SCALAR_LOGISTIC_OUTCOMES[(name, t)])
