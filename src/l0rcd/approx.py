@@ -187,10 +187,13 @@ def _solve_1d(
 ) -> float:
     """Root of g'(h) = d/dh [f(x + h e_j) + (beta/2) h^2], safeguarded Newton.
 
-    g is strictly convex (beta > 0), so g' is increasing with a unique root.
-    A bracket [-B, B] is grown geometrically from B = 1 until g' changes
-    sign, then Newton iterations run with bisection fallback whenever a step
-    leaves the bracket. Converges when |g'(h)| <= 1e-10 * (1 + |g'(0)|).
+    g is strictly convex (beta > 0), so g' is increasing with a unique root,
+    on the side of 0 where g' has the sign opposite to g'(0). The bracket
+    grows on that side only, from B = 1 by doubling, until g'(+-B) changes
+    sign; then Newton iterations start from h = 0 with the known g'(0) and
+    fall back to bisection whenever a step leaves the bracket. g' is
+    evaluated once at every point visited. Converges when
+    |g'(h)| <= 1e-10 * (1 + |g'(0)|).
     """
 
     def gp(h: float) -> float:
@@ -204,22 +207,33 @@ def _solve_1d(
     if abs(g0) <= tol:
         return 0.0
 
+    side = 1.0 if g0 < 0.0 else -1.0
     B = 1.0
     grow = 0
-    while gp(-B) * gp(B) > 0.0:
+    # multiplying by side is exact, so the sign test cannot underflow
+    while side * gp(side * B) < 0.0:
+        if grow == 200:
+            raise RuntimeError(
+                f"could not bracket the 1-D minimizer for coordinate {j}: g'(h) keeps "
+                f"the sign of g'(0) = {g0:.3e} on the whole "
+                f"{'positive' if side > 0.0 else 'negative'} side searched, out to |h| = 2^{grow}"
+            )
         B *= 2.0
         grow += 1
-        if grow > 200 or not np.isfinite(B):
-            raise RuntimeError(
-                f"could not bracket the 1-D minimizer for coordinate {j}: "
-                f"g'(+-{B}) has constant sign"
-            )
-    lo, hi = -B, B
-    if gp(lo) > 0.0:
-        lo, hi = hi, lo  # keep g'(lo) < 0 < g'(hi)
+    # g'(lo) < 0 < g'(hi), with 0 as the end on g'(0)'s side
+    lo, hi = (0.0, B) if g0 < 0.0 else (-B, 0.0)
 
-    h = 0.0
+    h, g = 0.0, g0
     for _ in range(max_iters):
+        curv = gpp(h)
+        h_new = None
+        if curv > 0.0:
+            cand = h - g / curv
+            if lo < cand < hi:
+                h_new = cand
+        if h_new is None:
+            h_new = 0.5 * (lo + hi)
+        h = h_new
         g = gp(h)
         if abs(g) <= tol:
             return h
@@ -227,18 +241,9 @@ def _solve_1d(
             lo = h
         else:
             hi = h
-        curv = gpp(h)
-        h_new = None
-        if curv > 0.0:
-            cand = h - g / curv
-            if min(lo, hi) < cand < max(lo, hi):
-                h_new = cand
-        if h_new is None:
-            h_new = 0.5 * (lo + hi)
-        h = h_new
     raise RuntimeError(
         f"1-D minimization did not converge in {max_iters} iterations "
-        f"(coordinate {j}, residual gradient {gp(h):.3e}, tolerance {tol:.3e})"
+        f"(coordinate {j}, residual gradient {g:.3e}, tolerance {tol:.3e})"
     )
 
 
@@ -282,7 +287,6 @@ def _exact_progress(
     method: str,
 ) -> tuple[float, float]:
     """(h*, Delta) of the exact model at coordinate j; see delta_e."""
-    x = np.asarray(x, dtype=float)
     if cache is None:
         cache = oracle.make_cache(x)
     h_star, keep_value = exact_inner_min(oracle, x, j, beta, cache, method=method)

@@ -173,13 +173,12 @@ def _log1pexp(t: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
+    # One exp for the two overflow-safe branches: with e = exp(-|t|) this is
+    # 1/(1 + exp(-t)) for t >= 0 and exp(t)/(1 + exp(t)) below, bit for bit,
+    # because -|t| is t itself there.
     t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 class LogisticL2Objective:
@@ -219,7 +218,7 @@ class LogisticL2Objective:
 
     def eval(self, x: np.ndarray) -> float:
         t = self.data @ x
-        loss = float(np.sum(_log1pexp(t) - self.y * t)) / self.m
+        loss = float((_log1pexp(t) - self.y * t).sum()) / self.m
         return _finite(loss + 0.5 * self.nu * float(x @ x))
 
     def full_grad(self, x: np.ndarray) -> np.ndarray:
@@ -230,7 +229,7 @@ class LogisticL2Objective:
         return self.data @ x
 
     def value_from_cache(self, x: np.ndarray, cache: np.ndarray) -> float:
-        loss = float(np.sum(_log1pexp(cache) - self.y * cache)) / self.m
+        loss = float((_log1pexp(cache) - self.y * cache).sum()) / self.m
         return _finite(loss + 0.5 * self.nu * float(x @ x))
 
     def block_grad(self, x: np.ndarray, sl: slice, cache: np.ndarray) -> np.ndarray:
@@ -240,21 +239,26 @@ class LogisticL2Objective:
         cache += self.data[:, sl] @ delta
         return cache
 
+    def _shifted(self, j: int, h: float, cache: np.ndarray) -> np.ndarray:
+        # Predictors at x + h e_j. At h == 0 the cache itself: adding
+        # data[:, j] * 0.0 could only flip the sign of a zero predictor, which
+        # the sigmoid and log(1 + e^t) map to the same value.
+        return cache if h == 0.0 else cache + self.data[:, j] * h
+
     def coord_grad_shifted(self, x: np.ndarray, j: int, h: float, cache: np.ndarray) -> float:
-        t = cache + self.data[:, j] * h
+        t = self._shifted(j, h, cache)
         g = float(self.data[:, j] @ (_sigmoid(t) - self.y)) / self.m
         return g + self.nu * (x[j] + h)
 
     def coord_curvature_shifted(
         self, x: np.ndarray, j: int, h: float, cache: np.ndarray
     ) -> float:
-        t = cache + self.data[:, j] * h
-        s = _sigmoid(t)
+        s = _sigmoid(self._shifted(j, h, cache))
         return float((s * (1.0 - s)) @ (self.data[:, j] ** 2)) / self.m + self.nu
 
     def value_shifted(self, x: np.ndarray, j: int, h: float, cache: np.ndarray) -> float:
-        t = cache + self.data[:, j] * h
-        loss = float(np.sum(_log1pexp(t) - self.y * t)) / self.m
+        t = self._shifted(j, h, cache)
+        loss = float((_log1pexp(t) - self.y * t).sum()) / self.m
         sq = float(x @ x) - x[j] ** 2 + (x[j] + h) ** 2
         return loss + 0.5 * self.nu * sq
 

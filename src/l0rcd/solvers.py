@@ -106,6 +106,12 @@ class SolverTrace:
         return int(changes[-1]) + 1 if len(changes) else 0
 
 
+def _norm(v: np.ndarray) -> float:
+    # np.linalg.norm's own formula for a 1-D float array, bit for bit,
+    # without its per-call dispatch
+    return math.sqrt(v.dot(v))
+
+
 def _update_block(problem: L0Problem, state: IterateState, i: int, spec: ApproxSpec) -> float:
     """Replace block i by its thresholding map; returns the step norm.
 
@@ -123,7 +129,7 @@ def _update_block(problem: L0Problem, state: IterateState, i: int, spec: ApproxS
     state.f_value = problem.smooth.value_from_cache(state.x, state.cache)
     if pattern_changed:
         state.recount(problem)
-    return float(np.linalg.norm(delta))
+    return _norm(delta)
 
 
 def _scalar_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateState, int], float]:
@@ -269,7 +275,7 @@ def _drive(
             x_norm = None
         if stable >= window:
             if x_norm is None:
-                x_norm = float(np.linalg.norm(state.x))
+                x_norm = _norm(state.x)
             if peaks[0][1] <= _STEP_TOL * (1.0 + x_norm):
                 stop_reason = "converged"
                 break
@@ -354,7 +360,7 @@ def run_ihta(
         g = smooth.block_grad(state.x, slice(None), state.cache)
         t = state.x - g / M_f
         new_x = np.where(0.5 * M_f * t * t > lam_coord, t, 0.0)
-        step_norm = float(np.linalg.norm(new_x - state.x))
+        step_norm = _norm(new_x - state.x)
         pattern_changed = np.any((new_x != 0.0) != (state.x != 0.0))
         state.x = new_x
         state.cache = smooth.make_cache(new_x)

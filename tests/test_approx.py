@@ -17,6 +17,7 @@ from l0rcd import (
     threshold_e,
     threshold_q,
 )
+from l0rcd.approx import _solve_1d
 from l0rcd.core import BlockPartition
 
 from test_objectives import random_logistic
@@ -129,6 +130,33 @@ def single_column_ls():
     return LeastSquaresObjective(np.array([[1.0]]), np.array([2.0]))
 
 
+class GradCallLog:
+    """Forwards to an oracle and records the h of every ``coord_grad_shifted`` call."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.hs = []
+
+    def __getattr__(self, name):
+        return getattr(self.oracle, name)
+
+    def coord_grad_shifted(self, x, j, h, cache):
+        self.hs.append(h)
+        return self.oracle.coord_grad_shifted(x, j, h, cache)
+
+
+class ConstantSlope:
+    """An oracle whose coordinate derivative is 1 everywhere: no root to bracket."""
+
+    dim = 1
+
+    def coord_grad_shifted(self, x, j, h, cache):
+        return 1.0
+
+    def coord_curvature_shifted(self, x, j, h, cache):
+        return 0.0
+
+
 class TestExactInnerMin:
     def test_closed_form_value(self):
         f = single_column_ls()
@@ -165,6 +193,39 @@ class TestExactInnerMin:
             h, _ = exact_inner_min(oracle, x, j, beta, cache)
             resid = oracle.coord_grad_shifted(x, j, h, cache) + beta * h
             assert abs(resid) <= 1e-8 * (1 + abs(oracle.coord_grad_shifted(x, j, 0.0, cache)))
+
+    def test_newton_evaluates_each_point_once_on_the_root_side(self):
+        """g' is taken once per point, and never where it has the sign of g'(0).
+
+        g' is increasing, so the root lies on the side of 0 opposite to the
+        sign of g'(0); the bracket and the Newton iterates stay there.
+        """
+        oracle = random_logistic(10, 5, seed=6)
+        rng = np.random.default_rng(9)
+        grown = 0
+        for _ in range(40):
+            x = rng.standard_normal(5) * 3
+            j = int(rng.integers(5))
+            beta = float(rng.uniform(1e-4, 1.0))
+            cache = oracle.make_cache(x)
+            log = GradCallLog(oracle)
+            exact_inner_min(log, x, j, beta, cache)
+            g0 = oracle.coord_grad_shifted(x, j, 0.0, cache)
+            assert log.hs[0] == 0.0
+            assert len(set(log.hs)) == len(log.hs)
+            assert all(h * g0 < 0.0 for h in log.hs[1:])
+            grown += any(abs(h) == 2.0 for h in log.hs)
+        assert grown > 0  # some solves had to grow the bracket
+
+    def test_unbracketable_root_raises(self):
+        with pytest.raises(RuntimeError, match="could not bracket.*negative side"):
+            exact_inner_min(ConstantSlope(), np.zeros(1), 0, 1e-300, np.zeros(1))
+
+    def test_newton_iteration_limit_raises(self):
+        oracle = random_logistic(10, 5, seed=6)
+        x = np.array([3.0, -2.0, 1.0, 0.5, -4.0])
+        with pytest.raises(RuntimeError, match="did not converge in 1 iterations"):
+            _solve_1d(oracle, x, 0, 0.01, oracle.make_cache(x), max_iters=1)
 
     def test_logistic_beats_grid(self):
         oracle = random_logistic(8, 3, seed=8)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies
 
 from l0rcd import (
     LeastSquaresObjective,
@@ -9,6 +10,7 @@ from l0rcd import (
     load_matrix_csv,
     load_vector_csv,
 )
+from l0rcd.objectives import _sigmoid
 
 
 def random_ls(m, n, seed):
@@ -104,6 +106,47 @@ class TestLogistic:
     def test_nu_validation(self):
         with pytest.raises(ValueError):
             LogisticL2Objective(np.ones((2, 1)), np.zeros(2), nu=0.0)
+
+
+def two_branch_sigmoid(t):
+    """Overflow-safe sigmoid as two masked branches: the reference for ``_sigmoid``."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    out[~pos] = et / (1.0 + et)
+    return out
+
+
+# zeros of both signs, infinities, nan, subnormals and |t| >= 710, where exp overflows
+_SIGMOID_SPECIALS = [
+    0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+    709.0, 710.0, -710.0, 745.0, -745.0, 746.0, -746.0, 750.0, -750.0, 1e308, -1e308,
+]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    t=strategies.lists(
+        strategies.one_of(
+            strategies.floats(),
+            strategies.floats(-800.0, 800.0),
+            strategies.sampled_from(_SIGMOID_SPECIALS),
+        ),
+        max_size=50,
+    )
+)
+@example(t=[])
+@example(t=[-0.0])
+@example(t=_SIGMOID_SPECIALS + np.geomspace(1e-3, 750.0, 30).tolist())
+def test_sigmoid_matches_two_branch_formula(t):
+    """One exp per entry gives the two-branch bits; a nan stays nan (its sign bit may not)."""
+    got = _sigmoid(t)  # a list: array-likes are accepted
+    want = two_branch_sigmoid(t)
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 @pytest.mark.parametrize("make", [lambda s: random_ls(8, 5, s), lambda s: random_logistic(8, 5, s)])
