@@ -5,9 +5,10 @@ A candidate is the minimizer of the smooth term f restricted to a support
 set I (zeros outside I). Classes, from largest to smallest:
 
 - basic: the gradient vanishes on I(z);
-- quadratic-model strong (per-block curvature M): basic, and every zero
-  coordinate has |grad_j| <= sqrt(2 lambda_i M_i) while every nonzero
-  coordinate has |z_j| >= sqrt(2 lambda_i / M_i);
+- quadratic-model strong (curvature M_j per coordinate, from a separable or
+  diagonal model): basic, and every zero coordinate has
+  |grad_j| <= sqrt(2 lambda_i M_j) while every nonzero coordinate has
+  |z_j| >= sqrt(2 lambda_i / M_j);
 - exact-model strong (per-block beta): every coordinate is a fixed point of
   the exact thresholding map.
 
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import TIE_RULE, threshold_e
-from .core import BlockPartition, L0Problem, l0_norm, support_bitmask
+from .approx import EXACT, TIE_RULE, ApproxSpec, threshold_e
+from .core import BlockPartition, L0Problem, l0_norm
 from .objectives import LeastSquaresObjective
 
 # Boundary tolerance for class membership tests; restricted solves are
@@ -36,29 +37,26 @@ BASIC_LABEL = "basic"
 
 @dataclass(frozen=True)
 class ClassRequest:
-    """One classification column: a label plus the model parameters.
+    """One classification column: a label and the approximation model.
 
-    ``kind`` is "uq" (per-block curvature M in ``params``) or "ue"
-    (per-block beta in ``params``).
+    The class is the set of fixed points of the model's thresholding map.
+    Classification accepts M_i = L_i, which a solver run would refuse.
     """
 
     label: str
-    kind: str
-    params: tuple[float, ...]
+    model: ApproxSpec
 
     def __post_init__(self) -> None:
-        if self.kind not in ("uq", "ue"):
-            raise ValueError(f"unknown class kind {self.kind!r}")
         if self.label == BASIC_LABEL:
             raise ValueError(f"label {BASIC_LABEL!r} is reserved")
 
     @classmethod
     def quadratic(cls, label: str, M) -> "ClassRequest":
-        return cls(label, "uq", tuple(float(v) for v in np.atleast_1d(M)))
+        return cls(label, ApproxSpec.separable_quadratic(M))
 
     @classmethod
     def exact(cls, label: str, beta) -> "ClassRequest":
-        return cls(label, "ue", tuple(float(v) for v in np.atleast_1d(beta)))
+        return cls(label, ApproxSpec.exact(beta))
 
 
 @dataclass
@@ -95,10 +93,10 @@ class MinimaCatalog:
     def global_min(self) -> CatalogEntry:
         return min(self.entries, key=lambda e: (e.F_value, e.bitmask))
 
-    def entry_for_support(self, support) -> CatalogEntry | None:
-        mask = support_bitmask(support) if isinstance(support, frozenset) else int(support)
+    def entry_for_support(self, bitmask: int) -> CatalogEntry | None:
+        """The entry whose support is the int ``bitmask``, as ``IterateState.support`` holds it."""
         for e in self.entries:
-            if e.bitmask == mask:
+            if e.bitmask == bitmask:
                 return e
         return None
 
@@ -133,11 +131,7 @@ def _classify(
     """
     partition = problem.partition
     for req in requests:
-        if req.kind == "ue" and any(s != 1 for s in partition.block_sizes):
-            raise ValueError("exact-model classification requires scalar blocks")
-        if len(req.params) != partition.num_blocks:
-            name = "M" if req.kind == "uq" else "beta"
-            raise ValueError(f"{name} must have one entry per block")
+        req.model.check_partition(partition)
     z = np.asarray(z, dtype=float)
     smooth = problem.smooth
     cache = smooth.make_cache(z)
@@ -146,20 +140,21 @@ def _classify(
     flags = {BASIC_LABEL: not on.any() or float(np.linalg.norm(g[on])) <= tol}
     lam = partition.coord_lambda()
     for req in requests:
-        if req.kind == "uq":
-            M = np.repeat(np.asarray(req.params), partition.block_sizes)
-            zero_bound = np.sqrt(2.0 * lam * M) + tol
-            keep_bound = np.sqrt(2.0 * lam / M) - tol
-            fails = np.where(z == 0.0, np.abs(g) > zero_bound, np.abs(z) < keep_bound)
-            flags[req.label] = not np.any(fails & (lam != 0.0))  # lam = 0 always passes
-        else:
+        model = req.model
+        if model.kind == EXACT:
             # scalar blocks, so block j is coordinate j; stop at the first that moves
             flags[req.label] = True
-            for j, beta in enumerate(req.params):
+            for j, beta in enumerate(model.beta):
                 out = threshold_e(smooth, z, j, beta, partition.lam[j], cache)
                 if (out == 0.0) != (z[j] == 0.0) or abs(out - z[j]) > tol:
                     flags[req.label] = False
                     break
+        else:
+            M = model.coord_curvature(partition)
+            zero_bound = np.sqrt(2.0 * lam * M) + tol
+            keep_bound = np.sqrt(2.0 * lam / M) - tol
+            fails = np.where(z == 0.0, np.abs(g) > zero_bound, np.abs(z) < keep_bound)
+            flags[req.label] = not np.any(fails & (lam != 0.0))  # lam = 0 always passes
     return flags
 
 

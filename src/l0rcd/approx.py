@@ -35,9 +35,10 @@ TIE_RULE = "zero"
 
 @dataclass(frozen=True)
 class ApproxSpec:
-    """Which approximation family a solver uses, with its parameters.
+    """An approximation model: its family and its parameters.
 
-    Exactly one of ``M`` (per block), ``H_diag`` (per coordinate), ``beta``
+    Solvers step with the model's thresholding map; a ``ClassRequest``
+    classifies supports by the map's fixed points. Exactly one of ``M`` (per block), ``H_diag`` (per coordinate), ``beta``
     (per block) is set, matching ``kind``.
     """
 
@@ -79,39 +80,54 @@ class ApproxSpec:
     def exact(cls, beta) -> "ApproxSpec":
         return cls(kind=EXACT, beta=tuple(float(v) for v in np.atleast_1d(beta)))
 
-    def mu(self, partition: BlockPartition) -> np.ndarray:
-        """Per-block descent modulus: M_i - L_i, min diag(H_i) - L_i, or beta_i."""
-        L = np.asarray(partition.lipschitz, dtype=float)
+    def coord_curvature(self, partition: BlockPartition) -> np.ndarray:
+        """Per-coordinate curvature of a quadratic model: M_i repeated over block i, or H_diag.
+
+        The two quadratic kinds differ only here. The exact kind has no
+        fixed curvature and raises ValueError.
+        """
         if self.kind == SEPARABLE_QUADRATIC:
-            return np.asarray(self.M, dtype=float) - L
+            return np.repeat(np.asarray(self.M, dtype=float), partition.block_sizes)
         if self.kind == DIAGONAL_QUADRATIC:
-            return np.minimum.reduceat(np.array(self.H_diag), partition.block_starts) - L
-        return np.asarray(self.beta, dtype=float)
+            return np.asarray(self.H_diag, dtype=float)
+        raise ValueError("the exact model has no fixed curvature")
+
+    def mu(self, partition: BlockPartition) -> np.ndarray:
+        """Per-block descent modulus: min curvature over block i minus L_i, or beta_i."""
+        if self.kind == EXACT:
+            return np.asarray(self.beta, dtype=float)
+        block_min = np.minimum.reduceat(self.coord_curvature(partition), partition.block_starts)
+        return block_min - np.asarray(partition.lipschitz, dtype=float)
 
     def curvature_bound(self, partition: BlockPartition) -> np.ndarray:
         """Per-block curvature constant M_i used in magnitude and progress bounds.
 
-        For the exact kind this is L_i + beta_i, the smallest constant whose
+        For the quadratic kinds this is the largest curvature over the block.
+        For the exact kind it is L_i + beta_i, the smallest constant whose
         quadratic model dominates the exact one.
         """
-        if self.kind == SEPARABLE_QUADRATIC:
-            return np.asarray(self.M, dtype=float)
-        if self.kind == DIAGONAL_QUADRATIC:
-            return np.maximum.reduceat(np.array(self.H_diag), partition.block_starts)
-        return np.asarray(partition.lipschitz, dtype=float) + np.asarray(self.beta, dtype=float)
+        if self.kind == EXACT:
+            return np.asarray(partition.lipschitz, dtype=float) + np.asarray(self.beta, dtype=float)
+        return np.maximum.reduceat(self.coord_curvature(partition), partition.block_starts)
 
-    def validate_for_solver(self, partition: BlockPartition) -> None:
-        """Check the strict-curvature conditions a solver run requires."""
-        sizes = {
-            SEPARABLE_QUADRATIC: len(self.M or ()),
-            DIAGONAL_QUADRATIC: len(self.H_diag or ()),
-            EXACT: len(self.beta or ()),
-        }[self.kind]
+    def check_partition(self, partition: BlockPartition) -> None:
+        """Check that the parameters fit ``partition``.
+
+        One parameter per block (per coordinate for the diagonal kind), and
+        scalar blocks for the exact kind. Classification needs only this;
+        a solver run also needs ``validate_for_solver``'s strict curvature.
+        """
+        params = {SEPARABLE_QUADRATIC: self.M, DIAGONAL_QUADRATIC: self.H_diag, EXACT: self.beta}
+        size = len(params[self.kind])
         expect = partition.n if self.kind == DIAGONAL_QUADRATIC else partition.num_blocks
-        if sizes != expect:
-            raise ValueError(f"{self.kind} parameters have length {sizes}, expected {expect}")
+        if size != expect:
+            raise ValueError(f"{self.kind} parameters have length {size}, expected {expect}")
         if self.kind == EXACT and any(s != 1 for s in partition.block_sizes):
             raise ValueError("exact approximation requires scalar blocks")
+
+    def validate_for_solver(self, partition: BlockPartition) -> None:
+        """Check the parameters fit ``partition`` and the strict-curvature condition mu > 0."""
+        self.check_partition(partition)
         if np.any(self.mu(partition) <= 0):
             raise ValueError(
                 f"{self.kind} curvature must strictly exceed the block Lipschitz constants"
@@ -146,35 +162,22 @@ def delta_q(x_i: np.ndarray, grad_i: np.ndarray, M_i: float) -> np.ndarray:
     return 0.5 * M_i * t * t
 
 
-def threshold_q(
-    x_i: np.ndarray, grad_i: np.ndarray, M_i: float, lambda_i: float
-) -> np.ndarray:
-    """Separable-quadratic thresholding of one block.
+def threshold_q(x_i: np.ndarray, grad_i: np.ndarray, M_i, lambda_i: float) -> np.ndarray:
+    """Quadratic-model thresholding of one block.
 
-    Keeps the gradient-step candidate where Delta_j > lambda_i, writes an
-    exact zero where Delta_j < lambda_i, and resolves ties to zero. With
-    lambda_i = 0 this is the plain block gradient step.
+    ``M_i`` is the curvature: one scalar for the block (separable model) or
+    one entry per coordinate (diagonal model). Keeps the gradient-step
+    candidate where Delta_j > lambda_i, writes an exact zero where
+    Delta_j < lambda_i, and resolves ties to zero. With lambda_i = 0 this is
+    the plain block gradient step.
     """
     x_i = np.asarray(x_i, dtype=float)
+    M_i = np.asarray(M_i, dtype=float)
     t = x_i - np.asarray(grad_i, dtype=float) / M_i
     if lambda_i == 0.0:
         return t
     d = 0.5 * M_i * t * t
     return np.where(d > lambda_i, t, 0.0)
-
-
-def threshold_diag_q(
-    x_i: np.ndarray, grad_i: np.ndarray, H_diag_i: np.ndarray, lambda_i: float
-) -> np.ndarray:
-    """Diagonal-quadratic thresholding: per-coordinate curvatures.
-
-    Only diagonal H is representable here; a full quadratic block model would
-    require solving a small l0-regularized quadratic program.
-    """
-    H = np.asarray(H_diag_i, dtype=float)
-    if np.any(H <= 0):
-        raise ValueError("H diagonal entries must be positive")
-    return threshold_q(x_i, grad_i, H, lambda_i)
 
 
 def _solve_1d(
@@ -248,59 +251,39 @@ def _solve_1d(
 
 
 def exact_inner_min(
-    oracle: SmoothOracle,
-    x: np.ndarray,
-    j: int,
-    beta: float,
-    cache: np.ndarray | None = None,
-    method: str = "auto",
+    oracle: SmoothOracle, x: np.ndarray, j: int, beta: float, cache: np.ndarray
 ) -> tuple[float, float]:
     """Minimize g(h) = f(x + h e_j) + (beta/2) h^2 over the scalar offset h.
 
-    Returns (h_star, g(h_star)). ``method`` selects the route: "auto" uses
-    the oracle's closed-form ``coord_prox_step`` when it has one (least
-    squares), otherwise safeguarded Newton; "newton" forces the generic
-    route (kept as an independent cross-check).
+    Returns (h_star, g(h_star)). Uses the oracle's closed-form
+    ``coord_prox_step`` when it has one (least squares), otherwise
+    safeguarded Newton (``_solve_1d``). ``cache`` is the oracle's cache at x.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     x = np.asarray(x, dtype=float)
-    if cache is None:
-        cache = oracle.make_cache(x)
     prox_step = getattr(oracle, "coord_prox_step", None)
-    if method == "auto" and prox_step is not None:
+    if prox_step is not None:
         h_star = prox_step(x, j, beta, cache)
-    elif method in ("auto", "newton"):
-        h_star = _solve_1d(oracle, x, j, beta, cache)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        h_star = _solve_1d(oracle, x, j, beta, cache)
     value = oracle.value_shifted(x, j, h_star, cache) + 0.5 * beta * h_star * h_star
     return float(h_star), float(value)
 
 
 def _exact_progress(
-    oracle: SmoothOracle,
-    x: np.ndarray,
-    j: int,
-    beta: float,
-    cache: np.ndarray | None,
-    method: str,
+    oracle: SmoothOracle, x: np.ndarray, j: int, beta: float, cache: np.ndarray | None
 ) -> tuple[float, float]:
     """(h*, Delta) of the exact model at coordinate j; see delta_e."""
     if cache is None:
         cache = oracle.make_cache(x)
-    h_star, keep_value = exact_inner_min(oracle, x, j, beta, cache, method=method)
+    h_star, keep_value = exact_inner_min(oracle, x, j, beta, cache)
     zero_value = oracle.value_shifted(x, j, -x[j], cache) + 0.5 * beta * x[j] * x[j]
     return h_star, zero_value - keep_value
 
 
 def delta_e(
-    oracle: SmoothOracle,
-    x: np.ndarray,
-    j: int,
-    beta: float,
-    cache: np.ndarray | None = None,
-    method: str = "auto",
+    oracle: SmoothOracle, x: np.ndarray, j: int, beta: float, cache: np.ndarray | None = None
 ) -> float:
     """Progress value for the exact model at coordinate j.
 
@@ -308,9 +291,9 @@ def delta_e(
           - [f at the inner minimizer + (beta/2) h*^2].
 
     Always >= 0 (the inner minimizer is at least as good as zeroing). Both
-    candidates are evaluated through the cache.
+    candidates are evaluated through the cache, built from x when not given.
     """
-    return float(_exact_progress(oracle, x, j, beta, cache, method)[1])
+    return float(_exact_progress(oracle, x, j, beta, cache)[1])
 
 
 def threshold_e(
@@ -320,14 +303,13 @@ def threshold_e(
     beta: float,
     lambda_j: float,
     cache: np.ndarray | None = None,
-    method: str = "auto",
 ) -> float:
     """Exact-model thresholding of scalar coordinate j.
 
     Returns x_j + h* when Delta > lambda_j, else an exact zero (ties to
     zero). With lambda_j = 0 this is the pure proximal coordinate step.
     """
-    h_star, delta = _exact_progress(oracle, x, j, beta, cache, method)
+    h_star, delta = _exact_progress(oracle, x, j, beta, cache)
     if delta > lambda_j:
         return float(x[j] + h_star)
     return 0.0
@@ -347,12 +329,9 @@ def apply_threshold(
     """
     sl = partition.block_slice(i)
     lam_i = partition.lam[i]
-    if spec.kind == SEPARABLE_QUADRATIC:
-        grad = oracle.block_grad(x, sl, cache)
-        return threshold_q(x[sl], grad, spec.M[i], lam_i)
-    if spec.kind == DIAGONAL_QUADRATIC:
-        grad = oracle.block_grad(x, sl, cache)
-        return threshold_diag_q(x[sl], grad, np.asarray(spec.H_diag[sl]), lam_i)
-    if sl.stop - sl.start != 1:
-        raise ValueError("exact approximation requires scalar blocks")
-    return np.array([threshold_e(oracle, x, sl.start, spec.beta[i], lam_i, cache)])
+    if spec.kind == EXACT:
+        if sl.stop - sl.start != 1:
+            raise ValueError("exact approximation requires scalar blocks")
+        return np.array([threshold_e(oracle, x, sl.start, spec.beta[i], lam_i, cache)])
+    curvature = spec.M[i] if spec.kind == SEPARABLE_QUADRATIC else spec.H_diag[sl]
+    return threshold_q(x[sl], oracle.block_grad(x, sl, cache), curvature, lam_i)

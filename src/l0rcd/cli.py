@@ -586,7 +586,7 @@ def cmd_benchmark(cfg: ExperimentConfig, writer: OutputWriter) -> int:
             if best is None or cand[0] < best[0]:
                 best = cand
         F_best, nnz, iters = best
-        full_iters = iters / n if name != "ihta" else float(iters)
+        full_iters = iters / problem.partition.num_blocks if name != "ihta" else float(iters)
         rows.append([name, F_best, nnz, iters, full_iters])
 
     writer.write_csv(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import EXACT, SEPARABLE_QUADRATIC, ApproxSpec, apply_threshold, threshold_e, TIE_RULE
+from .approx import EXACT, ApproxSpec, apply_threshold, threshold_e, TIE_RULE
 # l0_norm and support_bitmask stay importable from this module.
 from .core import IterateState, L0Problem, l0_norm, support_bitmask  # noqa: F401
 
@@ -150,7 +150,7 @@ def _scalar_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateState
             return threshold_e(smooth, x, j, beta[j], lam[j], cache)
 
     else:
-        curvature = spec.M if spec.kind == SEPARABLE_QUADRATIC else spec.H_diag
+        curvature = spec.coord_curvature(problem.partition).tolist()
 
         def threshold(x: np.ndarray, j: int, x_j: float, cache: np.ndarray) -> float:
             # threshold_q on floats: the gradient step, kept where its

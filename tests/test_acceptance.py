@@ -28,7 +28,7 @@ from l0rcd import (
     separable_from_factor,
     verify_inclusions,
 )
-from l0rcd.approx import exact_inner_min, threshold_diag_q, threshold_e, threshold_q
+from l0rcd.approx import _solve_1d, threshold_e, threshold_q
 from l0rcd.cli import ExperimentConfig, build_problem, main, random_start, seeded_rng
 from l0rcd.objectives import LeastSquaresObjective, LogisticL2Objective
 from l0rcd.solvers import draw_block, make_rng
@@ -254,7 +254,7 @@ def test_criterion_04_thresholding_matches_brute_force():
     quadratic maps are compared against full keep/zero pattern enumeration
     (blocks up to 4 wide, exact equality). The exact-model map is compared
     against an independent two-candidate search whose keep candidate comes
-    from the forced-Newton inner solve.
+    from the safeguarded Newton solve ``_solve_1d``.
     """
     rng = np.random.default_rng(2024)
 
@@ -286,7 +286,7 @@ def test_criterion_04_thresholding_matches_brute_force():
         H = rng.uniform(0.3, 4.0, size=n_i)
         lam = float(rng.uniform(0.0, 2.0))
         np.testing.assert_array_equal(
-            threshold_diag_q(x_i, g_i, H, lam), brute_diag(x_i, g_i, H, lam)
+            threshold_q(x_i, g_i, H, lam), brute_diag(x_i, g_i, H, lam)
         )
 
     data = rng.uniform(-1, 1, size=(12, 6))
@@ -302,7 +302,8 @@ def test_criterion_04_thresholding_matches_brute_force():
             lam = float(rng.uniform(0.0, 1.5))
             out = threshold_e(oracle, x, j, beta, lam)
             cache = oracle.make_cache(x)
-            h_star, keep_val = exact_inner_min(oracle, x, j, beta, cache, method="newton")
+            h_star = _solve_1d(oracle, x, j, beta, cache)
+            keep_val = oracle.value_shifted(x, j, h_star, cache) + 0.5 * beta * h_star**2
             zero_val = oracle.value_shifted(x, j, -x[j], cache) + 0.5 * beta * x[j] ** 2
             keep_wins = keep_val + lam < zero_val
             if keep_wins:
@@ -325,32 +326,28 @@ def test_criterion_05_solver_limits_match_flagged_catalog_entries():
         problem = generated_instance(kind, m, n, seed, lam)
         part = problem.partition
         M_f = IHTA_FACTOR * part.global_lipschitz
-        requests = [
-            ClassRequest.quadratic("uq", UQ_FACTOR * part.coord_lipschitz()),
-            ClassRequest.exact("ue", np.full(part.num_blocks, UE_BETA)),
-            ClassRequest.quadratic("ihta", np.full(problem.n, M_f)),
+        uq, ue, ihta = requests = [
+            ClassRequest("uq", separable_from_factor(part, UQ_FACTOR)),
+            ClassRequest("ue", exact_uniform(part, UE_BETA)),
+            ClassRequest.quadratic("ihta", np.full(part.num_blocks, M_f)),
         ]
         catalog = enumerate_catalog(problem, requests)
         for t in range(2):
             x0 = random_start(problem.n, seeded_rng(seed, 1000 + t))
             finals = {}
-            for label, spec, sseed in (
-                ("uq", separable_from_factor(part, UQ_FACTOR), 10 * t + 1),
-                ("ue", exact_uniform(part, UE_BETA), 10 * t + 2),
-            ):
+            for req, sseed in ((uq, 10 * t + 1), (ue, 10 * t + 2)):
                 cfg = SolverConfig(
-                    approx=spec,
+                    approx=req.model,
                     max_iters=4000,
                     seed=sseed,
                     support_patience=10 * problem.n,
                 )
-                finals[label] = run_rcd_iht(problem, x0, cfg)[0]
-            finals["ihta"] = run_ihta(problem, x0, M_f, max_iters=2000)[0]
+                finals[req.label] = run_rcd_iht(problem, x0, cfg)[0]
+            finals[ihta.label] = run_ihta(problem, x0, M_f, max_iters=2000)[0]
             for label, state in finals.items():
-                supp = frozenset(int(j) for j in np.nonzero(state.x)[0])
-                entry = catalog.entry_for_support(supp)
+                entry = catalog.entry_for_support(state.support)
                 assert entry is not None
-                assert entry.flags[label], (kind, seed, t, label, sorted(supp))
+                assert entry.flags[label], (kind, seed, t, label, hex(state.support))
                 assert float(np.max(np.abs(state.x - entry.point))) <= 1e-6
 
 
@@ -390,8 +387,7 @@ def test_criterion_07_fixed_support_tail_converges_linearly():
         cfg = SolverConfig(approx=spec, max_iters=6000, seed=sseed)
         state, trace = run_rcd_iht(problem, x0, cfg)
         catalog = enumerate_catalog(problem, [])
-        supp = frozenset(int(j) for j in np.nonzero(state.x)[0])
-        entry = catalog.entry_for_support(supp)
+        entry = catalog.entry_for_support(state.support)
         slope, r2 = estimate_linear_rate(trace, entry.F_value)
         assert slope < 0.0, (seed, slope)
         assert r2 >= 0.9, (seed, r2)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from l0rcd import (
+    ApproxSpec,
     BlockPartition,
     ClassRequest,
     L0Problem,
@@ -17,6 +18,7 @@ from l0rcd import (
     objective_F,
     restricted_minimize,
     run_rcd_iht,
+    separable_from_factor,
     separable_lipschitz_mode,
     verify_inclusions,
 )
@@ -189,9 +191,9 @@ class TestEnumerateCatalog:
 
     def test_entry_lookup(self, toy):
         catalog = self.toy_catalog(toy)
-        assert catalog.entry_for_support(frozenset({0})).bitmask == 1
-        assert catalog.entry_for_support(3).support == frozenset({0, 1})
-        assert catalog.entry_for_support(frozenset({9})) is None
+        assert catalog.entry_for_support(0b01).support == frozenset({0})
+        assert catalog.entry_for_support(0b11).support == frozenset({0, 1})
+        assert catalog.entry_for_support(1 << 9) is None
 
 
 class TestOneClassification:
@@ -265,8 +267,8 @@ class TestOneClassification:
         ue, uq_li, _ = requests
         for e in enumerate_catalog(prob, requests).entries:
             assert is_basic_local_min(prob, e.point) == e.flags["basic"]
-            assert is_uq_strong(prob, e.point, uq_li.params) == e.flags[uq_li.label]
-            basic_and_ue = e.flags["basic"] and is_ue_strong(prob, e.point, ue.params)
+            assert is_uq_strong(prob, e.point, uq_li.model.M) == e.flags[uq_li.label]
+            basic_and_ue = e.flags["basic"] and is_ue_strong(prob, e.point, ue.model.beta)
             assert basic_and_ue == e.flags[ue.label]
 
 
@@ -327,19 +329,31 @@ class TestExampleInstance:
         prob = build_example_instance()
         reqs = example_class_requests(prob)
         assert [r.label for r in reqs] == ["ue[beta=1e-4]", "uq[M=Li]", "uq[M=Lf]"]
-        assert reqs[0].kind == "ue"
-        np.testing.assert_allclose(reqs[1].params, prob.partition.lipschitz)
-        assert set(reqs[2].params) == {prob.partition.global_lipschitz}
+        assert reqs[0].model == ApproxSpec.exact(np.full(7, 1e-4))
+        np.testing.assert_allclose(reqs[1].model.M, prob.partition.lipschitz)
+        assert set(reqs[2].model.M) == {prob.partition.global_lipschitz}
 
 
 class TestClassRequest:
-    def test_kind_validated(self):
-        with pytest.raises(ValueError):
-            ClassRequest("x", "cubic", (1.0,))
-
     def test_basic_label_reserved(self):
         with pytest.raises(ValueError):
             ClassRequest.quadratic("basic", [1.0])
+
+    def test_nonpositive_parameters_rejected_at_construction(self):
+        with pytest.raises(ValueError):
+            ClassRequest.quadratic("x", [0.0, 1.0])
+        with pytest.raises(ValueError):
+            ClassRequest.exact("y", [-1.0, 1.0])
+
+    def test_diagonal_model_class_matches_separable(self):
+        """A diagonal model whose curvature is M_i over block i gives the same class."""
+        cfg = ExperimentConfig(m=5, n=8, instance_seed=4, lam=0.2, block_sizes=(3, 3, 2))
+        prob = build_problem(cfg)
+        sep = separable_from_factor(prob.partition, 1.5)
+        diag = ApproxSpec.diagonal_quadratic(sep.coord_curvature(prob.partition))
+        catalog = enumerate_catalog(prob, [ClassRequest("sep", sep), ClassRequest("diag", diag)])
+        assert catalog.counts()["sep"] == catalog.counts()["diag"] > 0
+        assert all(e.flags["sep"] == e.flags["diag"] for e in catalog.entries)
 
 
 class TestCatalogSolverAgreement:
@@ -347,11 +361,7 @@ class TestCatalogSolverAgreement:
         spec = separable_lipschitz_mode(toy.partition)
         cfg = SolverConfig(approx=spec, max_iters=500, seed=5)
         st, _ = run_rcd_iht(toy, np.array([2.0, 0.5]), cfg)
-        catalog = enumerate_catalog(
-            toy, [ClassRequest.quadratic("uq", np.asarray(spec.M))]
-        )
-        from l0rcd import support_of
-
-        entry = catalog.entry_for_support(support_of(st.x, toy.partition))
+        catalog = enumerate_catalog(toy, [ClassRequest("uq", spec)])
+        entry = catalog.entry_for_support(st.support)
         assert entry is not None and entry.flags["uq"]
         assert np.linalg.norm(entry.point - st.x) <= 1e-6

@@ -13,7 +13,6 @@ from l0rcd import (
     exact_uniform,
     separable_from_factor,
     separable_lipschitz_mode,
-    threshold_diag_q,
     threshold_e,
     threshold_q,
 )
@@ -105,10 +104,12 @@ class TestThresholdQ:
 
 
 class TestThresholdDiagQ:
+    """threshold_q with one curvature per coordinate (the diagonal model)."""
+
     def test_hand_values(self):
         # curvature 4: candidate 0.75, Delta 1.125
-        np.testing.assert_allclose(threshold_diag_q([0.0], [-3.0], [4.0], 1.0), [0.75])
-        np.testing.assert_allclose(threshold_diag_q([0.0], [-3.0], [4.0], 1.2), [0.0])
+        np.testing.assert_allclose(threshold_q([0.0], [-3.0], [4.0], 1.0), [0.75])
+        np.testing.assert_allclose(threshold_q([0.0], [-3.0], [4.0], 1.2), [0.0])
 
     def test_reduces_to_scalar_curvature(self):
         rng = np.random.default_rng(4)
@@ -117,12 +118,8 @@ class TestThresholdDiagQ:
             M = float(rng.uniform(0.5, 2.0))
             lam = float(rng.uniform(0.0, 1.0))
             np.testing.assert_array_equal(
-                threshold_diag_q(x, g, np.full(3, M), lam), threshold_q(x, g, M, lam)
+                threshold_q(x, g, np.full(3, M), lam), threshold_q(x, g, M, lam)
             )
-
-    def test_positive_curvature_required(self):
-        with pytest.raises(ValueError):
-            threshold_diag_q([0.0], [1.0], [0.0], 1.0)
 
 
 def single_column_ls():
@@ -160,13 +157,14 @@ class ConstantSlope:
 class TestExactInnerMin:
     def test_closed_form_value(self):
         f = single_column_ls()
-        h, v = exact_inner_min(f, np.zeros(1), 0, 1e-4)
+        h, v = exact_inner_min(f, np.zeros(1), 0, 1e-4, f.make_cache(np.zeros(1)))
         assert h == pytest.approx(2.0 / 1.0001, rel=1e-12)
         assert v == pytest.approx(0.5 * (h - 2.0) ** 2 + 0.5e-4 * h * h, rel=1e-12)
 
     def test_stationary_start(self):
         f = single_column_ls()
-        h, _ = exact_inner_min(f, np.array([2.0]), 0, 0.5)
+        x = np.array([2.0])
+        h, _ = exact_inner_min(f, x, 0, 0.5, f.make_cache(x))
         assert h == 0.0
 
     def test_newton_matches_closed_form(self):
@@ -177,8 +175,10 @@ class TestExactInnerMin:
             x = rng.standard_normal(4)
             j = int(rng.integers(4))
             beta = float(rng.uniform(1e-4, 1.0))
-            h_auto, v_auto = exact_inner_min(f, x, j, beta, method="auto")
-            h_newton, v_newton = exact_inner_min(f, x, j, beta, method="newton")
+            cache = f.make_cache(x)
+            h_auto, v_auto = exact_inner_min(f, x, j, beta, cache)
+            h_newton = _solve_1d(f, x, j, beta, cache)
+            v_newton = f.value_shifted(x, j, h_newton, cache) + 0.5 * beta * h_newton**2
             assert h_newton == pytest.approx(h_auto, rel=1e-8, abs=1e-10)
             assert v_newton == pytest.approx(v_auto, rel=1e-10, abs=1e-12)
 
@@ -240,11 +240,7 @@ class TestExactInnerMin:
 
     def test_beta_validation(self):
         with pytest.raises(ValueError):
-            exact_inner_min(single_column_ls(), np.zeros(1), 0, 0.0)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            exact_inner_min(single_column_ls(), np.zeros(1), 0, 0.1, method="grid")
+            exact_inner_min(single_column_ls(), np.zeros(1), 0, 0.0, np.zeros(1))
 
 
 class TestDeltaE:
@@ -261,8 +257,11 @@ class TestDeltaE:
             x = rng.standard_normal(3)
             j = int(rng.integers(3))
             beta = float(rng.uniform(1e-4, 1.0))
-            fast = delta_e(f, x, j, beta, method="auto")
-            slow = delta_e(f, x, j, beta, method="newton")
+            cache = f.make_cache(x)
+            fast = delta_e(f, x, j, beta, cache)
+            h = _solve_1d(f, x, j, beta, cache)
+            keep = f.value_shifted(x, j, h, cache) + 0.5 * beta * h * h
+            slow = f.value_shifted(x, j, -x[j], cache) + 0.5 * beta * x[j] ** 2 - keep
             assert slow == pytest.approx(fast, rel=1e-8, abs=1e-10)
 
     def test_nonnegative(self):
@@ -313,7 +312,7 @@ class TestThresholdE:
     def test_zero_lambda_is_proximal_step(self):
         f = single_column_ls()
         x = np.array([0.5])
-        h, _ = exact_inner_min(f, x, 0, 0.2)
+        h, _ = exact_inner_min(f, x, 0, 0.2, f.make_cache(x))
         assert threshold_e(f, x, 0, 0.2, 0.0) == pytest.approx(0.5 + h)
 
     def test_two_candidate_oracle(self):
@@ -381,6 +380,8 @@ class TestApproxSpec:
             ApproxSpec(kind="mystery")
         with pytest.raises(ValueError):
             ApproxSpec.separable_quadratic([0.0])
+        with pytest.raises(ValueError):
+            ApproxSpec.diagonal_quadratic([1.0, 0.0])
 
     def test_mu_and_curvature(self):
         p = BlockPartition.scalar([1.0, 1.0], [2.0, 3.0])
@@ -475,5 +476,5 @@ class TestApplyThreshold:
         got = apply_threshold(oracle, p, x, 1, spec, cache)
         grad = oracle.block_grad(x, slice(2, 4), cache)
         np.testing.assert_array_equal(
-            got, threshold_diag_q(x[2:4], grad, [2.5, 3.0], 0.2)
+            got, threshold_q(x[2:4], grad, [2.5, 3.0], 0.2)
         )

@@ -247,19 +247,20 @@ lambdas = 0.01,0.07,0.09,0.15,0.35,0.8,1.2,1.8,2
 
 
 class TestBenchmark:
-    def bench_config(self, tmp_path):
+    def bench_config(self, tmp_path, block_sizes="1,1,1,1,1,1", solvers="ihta,uq,ue"):
         return write_config(
             tmp_path,
-            """[problem]
+            f"""[problem]
 kind = logistic
 m = 10
 n = 6
 seed = 9
 nu = 0.5
 lambda = 0.2
+block_sizes = {block_sizes}
 
 [solvers]
-list = ihta,uq,ue
+list = {solvers}
 
 [starts]
 trials = 2
@@ -279,6 +280,12 @@ seed = 4
             iters = int(by_name[name][3])
             assert float(by_name[name][4]) == pytest.approx(iters / 6.0)
         assert float(by_name["ihta"][4]) == float(int(by_name["ihta"][3]))
+
+        # one full iteration is one pass over the blocks, not over the coordinates
+        cfg = self.bench_config(tmp_path, block_sizes="2,4", solvers="uq")
+        assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / "blocks")]) == 0
+        _, _, rows = read_csv(tmp_path / "blocks" / "benchmark.csv")
+        assert float(rows[0][4]) == pytest.approx(int(rows[0][3]) / 2.0)
 
     def test_deterministic_rerun(self, tmp_path):
         cfg = self.bench_config(tmp_path)
