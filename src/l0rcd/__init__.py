@@ -51,8 +51,7 @@ from .analysis import (
     example_class_requests,
     enumerate_catalog,
     is_basic_local_min,
-    is_ue_strong,
-    is_uq_strong,
+    is_strong_local_min,
     restricted_minimize,
     verify_inclusions,
 )
@@ -99,8 +98,7 @@ __all__ = [
     "example_class_requests",
     "enumerate_catalog",
     "is_basic_local_min",
-    "is_ue_strong",
-    "is_uq_strong",
+    "is_strong_local_min",
     "restricted_minimize",
     "verify_inclusions",
 ]

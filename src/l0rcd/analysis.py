@@ -9,11 +9,14 @@ set I (zeros outside I). Classes, from largest to smallest:
   diagonal model): basic, and every zero coordinate has
   |grad_j| <= sqrt(2 lambda_i M_j) while every nonzero coordinate has
   |z_j| >= sqrt(2 lambda_i / M_j);
-- exact-model strong (per-block beta): every coordinate is a fixed point of
-  the exact thresholding map.
+- exact-model strong (per-block beta): basic, and every coordinate is a
+  fixed point of the exact thresholding map.
 
-Smaller parameters give sharper models and smaller classes; the enumeration
-records per-class flags so the inclusion chain can be verified directly.
+Every strong class is the basic class intersected with the fixed points of
+one model's thresholding map, and ``_classify`` is the one place that
+decides membership. Smaller parameters give sharper models and smaller
+classes; the enumeration records per-class flags so the inclusion chain can
+be verified directly.
 """
 from __future__ import annotations
 
@@ -124,10 +127,11 @@ def restricted_minimize(problem: L0Problem, I) -> np.ndarray:
 def _classify(
     problem: L0Problem, z: np.ndarray, requests: list[ClassRequest], tol: float
 ) -> dict[str, bool]:
-    """The basic flag and one flag per request, from one cache and one gradient.
+    """Membership of z in the basic class and in each requested class.
 
-    Each request's flag is its bare condition; callers that need it conjoin
-    the basic flag themselves.
+    A requested class holds the basic points that are fixed points of the
+    request's thresholding map; the map is not tried once the basic flag
+    has failed. One cache and one gradient serve every request.
     """
     partition = problem.partition
     for req in requests:
@@ -137,25 +141,31 @@ def _classify(
     cache = smooth.make_cache(z)
     g = smooth.block_grad(z, slice(None), cache)
     on = (z != 0.0) | partition.zero_penalty_mask  # I(z)
-    flags = {BASIC_LABEL: not on.any() or float(np.linalg.norm(g[on])) <= tol}
-    lam = partition.coord_lambda()
+    basic = not on.any() or float(np.linalg.norm(g[on])) <= tol
+    flags = {BASIC_LABEL: basic}
     for req in requests:
-        model = req.model
-        if model.kind == EXACT:
-            # scalar blocks, so block j is coordinate j; stop at the first that moves
-            flags[req.label] = True
-            for j, beta in enumerate(model.beta):
-                out = threshold_e(smooth, z, j, beta, partition.lam[j], cache)
-                if (out == 0.0) != (z[j] == 0.0) or abs(out - z[j]) > tol:
-                    flags[req.label] = False
-                    break
-        else:
-            M = model.coord_curvature(partition)
-            zero_bound = np.sqrt(2.0 * lam * M) + tol
-            keep_bound = np.sqrt(2.0 * lam / M) - tol
-            fails = np.where(z == 0.0, np.abs(g) > zero_bound, np.abs(z) < keep_bound)
-            flags[req.label] = not np.any(fails & (lam != 0.0))  # lam = 0 always passes
+        flags[req.label] = basic and _is_fixed_point(problem, z, g, cache, req.model, tol)
     return flags
+
+
+def _is_fixed_point(
+    problem: L0Problem, z: np.ndarray, g: np.ndarray, cache, model: ApproxSpec, tol: float
+) -> bool:
+    """True iff the thresholding map of ``model`` leaves z in place, within tol."""
+    partition = problem.partition
+    if model.kind == EXACT:
+        # scalar blocks, so block j is coordinate j; stop at the first that moves
+        for j, beta in enumerate(model.beta):
+            out = threshold_e(problem.smooth, z, j, beta, partition.lam[j], cache)
+            if (out == 0.0) != (z[j] == 0.0) or abs(out - z[j]) > tol:
+                return False
+        return True
+    lam = partition.coord_lambda()
+    M = model.coord_curvature(partition)
+    zero_bound = np.sqrt(2.0 * lam * M) + tol
+    keep_bound = np.sqrt(2.0 * lam / M) - tol
+    fails = np.where(z == 0.0, np.abs(g) > zero_bound, np.abs(z) < keep_bound)
+    return not np.any(fails & (lam != 0.0))  # lam = 0 always passes
 
 
 def is_basic_local_min(problem: L0Problem, z: np.ndarray, tol: float = CLASSIFY_TOL) -> bool:
@@ -163,32 +173,25 @@ def is_basic_local_min(problem: L0Problem, z: np.ndarray, tol: float = CLASSIFY_
     return _classify(problem, z, [], tol)[BASIC_LABEL]
 
 
-def is_uq_strong(
-    problem: L0Problem, z: np.ndarray, M, tol: float = CLASSIFY_TOL
+def is_strong_local_min(
+    problem: L0Problem, z: np.ndarray, model: ApproxSpec, tol: float = CLASSIFY_TOL
 ) -> bool:
-    """Fixed-point test for the separable quadratic model, in explicit form.
+    """True iff z is a basic local minimizer and a fixed point of ``model``'s map.
 
-    Requires the basic condition, plus per coordinate in positive-penalty
-    blocks: |grad_j| <= sqrt(2 lambda_i M_i) where z_j = 0 and
-    |z_j| >= sqrt(2 lambda_i / M_i) where z_j != 0. Valid with M_i = L_i
-    (classification at the boundary is well defined); solvers require
-    strict inequality but classification does not.
+    This is the class that the convergence theorem assigns to runs with
+    ``model``, asked with the same ``ApproxSpec`` a solver run takes, of
+    any kind. For the quadratic kinds, with curvature M_j per coordinate,
+    the fixed-point test reads, per coordinate in positive-penalty blocks:
+    |grad_j| <= sqrt(2 lambda_i M_j) where z_j = 0 and
+    |z_j| >= sqrt(2 lambda_i / M_j) where z_j != 0. For the exact kind,
+    the thresholding output must keep each coordinate's zero/nonzero
+    status exactly (zeroing a tiny coordinate is a support change) and
+    may drift from kept values by at most tol. Unlike a solver run,
+    classification accepts M_i = L_i. Raises ValueError when the model's
+    parameters do not fit the partition.
     """
-    flags = _classify(problem, z, [ClassRequest.quadratic("uq", M)], tol)
-    return flags[BASIC_LABEL] and flags["uq"]
-
-
-def is_ue_strong(
-    problem: L0Problem, z: np.ndarray, beta, tol: float = CLASSIFY_TOL
-) -> bool:
-    """Fixed-point test for the exact model: thresholding returns z itself.
-
-    Scalar blocks only. The thresholding output must preserve each
-    coordinate's zero/nonzero status exactly (support semantics are
-    bit-exact, so zeroing a tiny coordinate is a support change, not a
-    fixed point) and may drift from kept values by at most tol.
-    """
-    return _classify(problem, z, [ClassRequest.exact("ue", beta)], tol)["ue"]
+    label = model.label()
+    return _classify(problem, z, [ClassRequest(label, model)], tol)[label]
 
 
 def enumerate_catalog(
@@ -200,9 +203,9 @@ def enumerate_catalog(
 
     Supports range over all subsets of positive-penalty coordinates, each
     joined with the (always-included) zero-penalty coordinates: 2^(number of
-    penalized coordinates) restricted solves. One entry per support; the
-    "basic" class is always computed, and u-strong flags are conjoined with
-    the basic flag so the inclusion chain holds by construction.
+    penalized coordinates) restricted solves. One entry per support, in
+    increasing bitmask order; the "basic" class is always computed, and
+    every requested class lies inside it by definition.
     """
     n = problem.n
     if n > ENUMERATION_LIMIT:
@@ -211,27 +214,24 @@ def enumerate_catalog(
         )
     partition = problem.partition
     mandatory = partition.zero_penalty_bits
-    free = [1 << j for j in range(n) if not mandatory >> j & 1]
 
     entries: list[CatalogEntry] = []
-    for choice in range(1 << len(free)):
-        bitmask = mandatory | sum(bit for t, bit in enumerate(free) if choice >> t & 1)
+    for bitmask in range(1 << n):
+        if bitmask & mandatory != mandatory:
+            continue
         z = restricted_minimize(problem, [j for j in range(n) if bitmask >> j & 1])
         f_val = problem.smooth.eval(z)
         F_val = f_val + l0_norm(z, partition)
-        flags = _classify(problem, z, requests, tol)
-        basic = flags[BASIC_LABEL]
         entries.append(
             CatalogEntry(
                 bitmask=bitmask,
                 point=z,
                 f_value=f_val,
                 F_value=F_val,
-                flags={label: basic and flag for label, flag in flags.items()},
+                flags=_classify(problem, z, requests, tol),
             )
         )
 
-    entries.sort(key=lambda e: e.bitmask)
     labels = [req.label for req in requests] + [BASIC_LABEL]
     conventions = {
         "tie_rule": TIE_RULE,
@@ -242,17 +242,16 @@ def enumerate_catalog(
     return MinimaCatalog(entries=entries, class_labels=labels, conventions=conventions)
 
 
-def verify_inclusions(catalog: MinimaCatalog, order: list[str] | None = None) -> list[str]:
+def verify_inclusions(catalog: MinimaCatalog) -> list[str]:
     """Check the nesting of classes and global-minimum membership.
 
-    ``order`` lists class labels from sharpest (smallest) to loosest; the
-    default is the catalog's label order, which enumerate_catalog builds as
-    the requested classes followed by "basic". Returns a list of violation
-    descriptions; an empty list means every inclusion holds and the global
-    minimizer is flagged in every class.
+    The catalog's label order runs from sharpest (smallest) to loosest:
+    enumerate_catalog builds it as the requested classes followed by
+    "basic". Returns a list of violation descriptions; an empty list means
+    every inclusion holds and the global minimizer is flagged in every
+    class.
     """
-    if order is None:
-        order = list(catalog.class_labels)
+    order = catalog.class_labels
     violations: list[str] = []
     for a, b in zip(order, order[1:]):
         masks_b = {e.bitmask for e in catalog.members(b)}

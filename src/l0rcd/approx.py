@@ -15,6 +15,7 @@ is recorded in solver/CLI output metadata as ``tie_rule=zero``.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,18 +52,18 @@ class ApproxSpec:
         if self.kind == SEPARABLE_QUADRATIC:
             if self.M is None or self.H_diag is not None or self.beta is not None:
                 raise ValueError("separable quadratic kind takes per-block M only")
-            if any(m <= 0 for m in self.M):
-                raise ValueError("M entries must be positive")
+            if any(not 0.0 < m < math.inf for m in self.M):
+                raise ValueError("M entries must be finite and positive")
         elif self.kind == DIAGONAL_QUADRATIC:
             if self.H_diag is None or self.M is not None or self.beta is not None:
                 raise ValueError("diagonal quadratic kind takes per-coordinate H_diag only")
-            if any(h <= 0 for h in self.H_diag):
-                raise ValueError("H diagonal entries must be positive")
+            if any(not 0.0 < h < math.inf for h in self.H_diag):
+                raise ValueError("H diagonal entries must be finite and positive")
         elif self.kind == EXACT:
             if self.beta is None or self.M is not None or self.H_diag is not None:
                 raise ValueError("exact kind takes per-block beta only")
-            if any(b <= 0 for b in self.beta):
-                raise ValueError("beta entries must be positive")
+            if any(not 0.0 < b < math.inf for b in self.beta):
+                raise ValueError("beta entries must be finite and positive")
         else:
             raise ValueError(f"unknown approximation kind: {self.kind!r}")
 

@@ -10,6 +10,7 @@ thresholding operations write literal zeros, so support tracking is exact.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -48,17 +49,17 @@ class BlockPartition:
             raise ValueError("block sizes must be positive integers")
         if len(self.lam) != len(self.block_sizes) or len(self.lipschitz) != len(self.block_sizes):
             raise ValueError("lam and lipschitz must have one entry per block")
-        if any(l < 0 for l in self.lam):
-            raise ValueError("penalty weights must be nonnegative")
+        if any(not 0.0 <= l < math.inf for l in self.lam):
+            raise ValueError("penalty weights must be finite and nonnegative")
         if not any(l > 0 for l in self.lam):
             raise ValueError("at least one penalty weight must be positive")
-        if any(L <= 0 for L in self.lipschitz):
-            raise ValueError("Lipschitz constants must be positive")
+        if any(not 0.0 < L < math.inf for L in self.lipschitz):
+            raise ValueError("Lipschitz constants must be finite and positive")
         sum_L = float(sum(self.lipschitz))
         if self.global_lipschitz == 0.0:
             object.__setattr__(self, "global_lipschitz", sum_L)
-        if self.global_lipschitz <= 0:
-            raise ValueError("global Lipschitz constant must be positive")
+        if not 0.0 < self.global_lipschitz < math.inf:
+            raise ValueError("global Lipschitz constant must be finite and positive")
         if self.global_lipschitz > sum_L * (1 + _LF_SUM_SLACK):
             raise ValueError(
                 f"global Lipschitz constant {self.global_lipschitz} exceeds the "
@@ -77,12 +78,6 @@ class BlockPartition:
     def block_slice(self, i: int) -> slice:
         """Coordinate range of block i."""
         return slice(self.offsets[i], self.offsets[i + 1])
-
-    def block_of(self, j: int) -> int:
-        """Index of the block containing coordinate j."""
-        if not 0 <= j < self.n:
-            raise IndexError(f"coordinate {j} out of range for n={self.n}")
-        return int(np.searchsorted(self.offsets, j, side="right")) - 1
 
     @cached_property
     def block_starts(self) -> np.ndarray:
@@ -157,19 +152,15 @@ def l0_norm(x: np.ndarray, partition: BlockPartition) -> float:
     return float(np.cumsum(partition.lam_array * counts)[-1])
 
 
-def support_of(x: np.ndarray, partition: BlockPartition) -> frozenset[int]:
-    """The index set I(x): nonzero coordinates plus all zero-penalty coordinates.
+def support_of(x: np.ndarray, partition: BlockPartition) -> int:
+    """The index set I(x) as an int bitmask, bit j set for each member j.
 
-    Coordinates living in blocks with lam_i = 0 are always included because
+    I(x) holds the nonzero coordinates plus all zero-penalty coordinates:
+    coordinates living in blocks with lam_i = 0 are always included because
     the penalty never constrains them.
     """
     x = _check_dim(x, partition.n)
-    return frozenset(np.flatnonzero((x != 0.0) | partition.zero_penalty_mask).tolist())
-
-
-def support_bitmask(support: frozenset[int]) -> int:
-    """The index set as a Python int with bit j set for each member j."""
-    return sum(1 << j for j in {int(j) for j in support})
+    return _bitmask_of(x != 0.0) | partition.zero_penalty_bits
 
 
 @dataclass(frozen=True)
@@ -203,8 +194,8 @@ def objective_F(problem: L0Problem, x: np.ndarray) -> float:
 class IterateState:
     """Mutable per-run solver state: point, oracle cache, f value, support, penalty.
 
-    Exclusively owned by one solver run. ``support`` is the bitmask of
-    ``support_of(x)`` and ``penalty`` is ``l0_norm(x)``.
+    Exclusively owned by one solver run. ``support`` is ``support_of(x)``
+    and ``penalty`` is ``l0_norm(x)``.
     Both depend on ``x`` only through which entries are zero, so the
     stepping code keeps ``cache`` and ``f_value`` consistent with ``x`` and
     calls ``recount`` only when a step changes that zero pattern; ``refresh``

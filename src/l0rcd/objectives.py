@@ -212,10 +212,6 @@ class LogisticL2Objective:
     def dim(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def strong_convexity(self) -> float:
-        return self.nu
-
     def eval(self, x: np.ndarray) -> float:
         t = self.data @ x
         loss = float((_log1pexp(t) - self.y * t).sum()) / self.m

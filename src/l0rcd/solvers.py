@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .approx import EXACT, ApproxSpec, apply_threshold, threshold_e, TIE_RULE
-# l0_norm and support_bitmask stay importable from this module.
-from .core import IterateState, L0Problem, l0_norm, support_bitmask  # noqa: F401
+# l0_norm stays importable from this module.
+from .core import IterateState, L0Problem, l0_norm  # noqa: F401
 
 # Counter-based generator pinned for cross-run reproducibility; the
 # identifier travels in trace metadata and CSV headers.
@@ -343,6 +343,8 @@ def run_ihta(
     trace block index is -1. The stability window is 3 full iterations
     (each one touches every block).
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     if support_patience < 1:
         raise ValueError("support_patience must be at least 1")
     partition = problem.partition

@@ -8,13 +8,13 @@ from l0rcd import (
     L0Problem,
     LeastSquaresObjective,
     LogisticL2Objective,
+    MinimaCatalog,
     SolverConfig,
     build_example_instance,
     enumerate_catalog,
     example_class_requests,
     is_basic_local_min,
-    is_ue_strong,
-    is_uq_strong,
+    is_strong_local_min,
     objective_F,
     restricted_minimize,
     run_rcd_iht,
@@ -71,38 +71,46 @@ class TestIsBasic:
         assert not is_basic_local_min(toy, np.array([1.0, 0.0]))
 
 
+def uq(M):
+    return ApproxSpec.separable_quadratic(M)
+
+
+def ue(beta):
+    return ApproxSpec.exact(beta)
+
+
 class TestIsUqStrong:
     def test_strong_point(self, toy):
-        assert is_uq_strong(toy, np.array([2.0, 0.0]), [1.0, 1.0])
+        assert is_strong_local_min(toy, np.array([2.0, 0.0]), uq([1.0, 1.0]))
 
     def test_small_nonzero_fails(self, toy):
         # |0.5| < sqrt(2 * 0.5 / 1): the nonzero magnitude bound fails
-        assert not is_uq_strong(toy, np.array([2.0, 0.5]), [1.0, 1.0])
+        assert not is_strong_local_min(toy, np.array([2.0, 0.5]), uq([1.0, 1.0]))
 
     def test_large_zero_gradient_fails(self, toy):
         # |grad_0 f(0)| = 2 > sqrt(2 * 0.5 * 1)
-        assert not is_uq_strong(toy, np.zeros(2), [1.0, 1.0])
+        assert not is_strong_local_min(toy, np.zeros(2), uq([1.0, 1.0]))
 
     def test_m_shape_validated(self, toy):
         with pytest.raises(ValueError):
-            is_uq_strong(toy, np.zeros(2), [1.0])
+            is_strong_local_min(toy, np.zeros(2), uq([1.0]))
 
     def test_looser_m_admits_more(self, toy):
         # (2, 0.5) enters the class once sqrt(2 lambda / M) drops below 0.5
-        assert is_uq_strong(toy, np.array([2.0, 0.5]), [4.0, 4.0])
+        assert is_strong_local_min(toy, np.array([2.0, 0.5]), uq([4.0, 4.0]))
 
 
 class TestIsUeStrong:
     def test_strong_point(self, toy):
-        assert is_ue_strong(toy, np.array([2.0, 0.0]), [1e-4, 1e-4])
+        assert is_strong_local_min(toy, np.array([2.0, 0.0]), ue([1e-4, 1e-4]))
 
     def test_origin_escapes(self, toy):
         # zeroed first coordinate forfeits about 2 > 0.5 of decrease
-        assert not is_ue_strong(toy, np.zeros(2), [1e-4, 1e-4])
+        assert not is_strong_local_min(toy, np.zeros(2), ue([1e-4, 1e-4]))
 
     def test_beta_shape_validated(self, toy):
         with pytest.raises(ValueError):
-            is_ue_strong(toy, np.zeros(2), [1e-4])
+            is_strong_local_min(toy, np.zeros(2), ue([1e-4]))
 
     def test_scalar_blocks_required(self):
         oracle = LeastSquaresObjective(np.eye(2), np.ones(2))
@@ -110,7 +118,16 @@ class TestIsUeStrong:
             oracle, BlockPartition(block_sizes=(2,), lam=(1.0,), lipschitz=(1.0,))
         )
         with pytest.raises(ValueError):
-            is_ue_strong(prob, np.zeros(2), [1e-4])
+            is_strong_local_min(prob, np.zeros(2), ue([1e-4]))
+
+    def test_requires_basic(self):
+        """A point the exact map leaves in place is outside the class unless basic."""
+        oracle = LeastSquaresObjective(np.array([[10.0]]), np.array([10.0]))
+        prob = L0Problem(oracle, BlockPartition.scalar([0.01], oracle.column_lipschitz()))
+        z = np.array([1.0 + 5e-9])  # gradient 5e-7, above the tolerance
+        assert not is_basic_local_min(prob, z)
+        assert not is_strong_local_min(prob, z, ue([1e-4]))
+        assert not is_strong_local_min(prob, z, uq([100.0]))
 
 
 class TestEnumerateCatalog:
@@ -264,12 +281,21 @@ class TestOneClassification:
     def test_predicates_agree_with_catalog_flags(self):
         prob = build_example_instance()
         requests = example_class_requests(prob)
-        ue, uq_li, _ = requests
         for e in enumerate_catalog(prob, requests).entries:
             assert is_basic_local_min(prob, e.point) == e.flags["basic"]
-            assert is_uq_strong(prob, e.point, uq_li.model.M) == e.flags[uq_li.label]
-            basic_and_ue = e.flags["basic"] and is_ue_strong(prob, e.point, ue.model.beta)
-            assert basic_and_ue == e.flags[ue.label]
+            for req in requests:
+                assert is_strong_local_min(prob, e.point, req.model) == e.flags[req.label]
+
+    def test_diagonal_predicate_agrees_with_catalog_flag(self):
+        """The uQ class, with curvature varying inside blocks, asked point by point."""
+        cfg = ExperimentConfig(m=5, n=8, instance_seed=4, lam=0.2, block_sizes=(3, 3, 2))
+        prob = build_problem(cfg)
+        H = prob.partition.coord_lipschitz() * np.linspace(1.0, 3.0, 8)
+        diag = ApproxSpec.diagonal_quadratic(H)
+        catalog = enumerate_catalog(prob, [ClassRequest("uQ", diag)])
+        assert 0 < catalog.counts()["uQ"] < len(catalog.entries)
+        for e in catalog.entries:
+            assert is_strong_local_min(prob, e.point, diag) == e.flags["uQ"]
 
 
 class TestVerifyInclusions:
@@ -301,7 +327,8 @@ class TestVerifyInclusions:
             toy, [ClassRequest.quadratic("uq[M=Li]", [1.0, 1.0])]
         )
         # deliberately reversed order must flag basic-only entries
-        report = verify_inclusions(catalog, order=["basic", "uq[M=Li]"])
+        reversed_order = MinimaCatalog(catalog.entries, ["basic", "uq[M=Li]"])
+        report = verify_inclusions(reversed_order)
         assert len(report) == 3
 
 
@@ -365,3 +392,4 @@ class TestCatalogSolverAgreement:
         entry = catalog.entry_for_support(st.support)
         assert entry is not None and entry.flags["uq"]
         assert np.linalg.norm(entry.point - st.x) <= 1e-6
+        assert is_strong_local_min(toy, st.x, spec, tol=1e-6)

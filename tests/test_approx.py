@@ -383,6 +383,16 @@ class TestApproxSpec:
         with pytest.raises(ValueError):
             ApproxSpec.diagonal_quadratic([1.0, 0.0])
 
+    def test_non_finite_parameters_rejected(self):
+        """NaN passes a bare v <= 0 test, and a NaN M made a uq run zero every coordinate."""
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ApproxSpec.separable_quadratic([bad, 1.0])
+            with pytest.raises(ValueError):
+                ApproxSpec.diagonal_quadratic([1.0, bad])
+            with pytest.raises(ValueError):
+                ApproxSpec.exact([bad])
+
     def test_mu_and_curvature(self):
         p = BlockPartition.scalar([1.0, 1.0], [2.0, 3.0])
         uq = ApproxSpec.separable_quadratic([4.0, 5.0])

@@ -11,7 +11,6 @@ from l0rcd import (
     objective_F,
     support_of,
 )
-from l0rcd.core import support_bitmask
 
 from conftest import toy_problem
 
@@ -53,20 +52,26 @@ class TestL0Norm:
 class TestSupportOf:
     def test_zero_penalty_coordinates_always_included(self):
         p = scalar_partition([1.0, 0.0], [1.0, 1.0])
-        assert support_of(np.array([1.0, 0.0]), p) == frozenset({0, 1})
+        assert support_of(np.array([1.0, 0.0]), p) == 0b11
 
     def test_zero_vector_all_penalized(self):
         p = scalar_partition([1.0, 1.0], [1.0, 1.0])
-        assert support_of(np.zeros(2), p) == frozenset()
+        assert support_of(np.zeros(2), p) == 0
 
     def test_nonzero_entries(self):
         p = scalar_partition([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
-        assert support_of(np.array([0.0, 3.0, 0.0]), p) == frozenset({1})
+        assert support_of(np.array([0.0, 3.0, 0.0]), p) == 0b010
 
     def test_exact_zero_semantics(self):
         # tiny but nonzero entries are in the support; no epsilon band
         p = scalar_partition([1.0, 1.0], [1.0, 1.0])
-        assert support_of(np.array([1e-300, 0.0]), p) == frozenset({0})
+        assert support_of(np.array([1e-300, 0.0]), p) == 0b01
+
+    def test_bits_past_63(self):
+        p = scalar_partition(np.ones(70), np.ones(70))
+        x = np.zeros(70)
+        x[[3, 65]] = 1.0
+        assert support_of(x, p) == (1 << 3) | (1 << 65)
 
 
 class TestObjective:
@@ -96,10 +101,6 @@ class TestBlockPartition:
         assert p.block_slice(0) == slice(0, 2)
         assert p.block_slice(1) == slice(2, 5)
         assert p.block_slice(2) == slice(5, 6)
-        for j in range(6):
-            i = p.block_of(j)
-            sl = p.block_slice(i)
-            assert sl.start <= j < sl.stop
 
     def test_coord_lookups(self):
         p = BlockPartition(
@@ -133,6 +134,16 @@ class TestBlockPartition:
         with pytest.raises(ValueError):
             scalar_partition([1.0, -0.5], [1.0, 1.0])
 
+    def test_non_finite_parameters_rejected(self):
+        """NaN passes a bare v < 0 or v <= 0 test."""
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                scalar_partition([bad, 1.0], [1.0, 1.0])
+            with pytest.raises(ValueError):
+                scalar_partition([1.0, 1.0], [1.0, bad])
+            with pytest.raises(ValueError):
+                BlockPartition.scalar([1.0, 1.0], [1.0, 1.0], global_lipschitz=bad)
+
     def test_all_zero_lambda_rejected(self):
         with pytest.raises(ValueError):
             scalar_partition([0.0, 0.0], [1.0, 1.0])
@@ -150,7 +161,7 @@ class TestIterateState:
     def test_from_point_consistency(self, toy):
         x = np.array([2.0, 0.5])
         st = IterateState.from_point(toy, x)
-        assert st.support == support_bitmask(support_of(x, toy.partition))
+        assert st.support == 0b11
         assert st.f_value == pytest.approx(toy.smooth.eval(x))
         assert st.objective() == pytest.approx(1.0)
 

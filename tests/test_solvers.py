@@ -22,14 +22,12 @@ from l0rcd import (
     run_rcd_iht,
     separable_from_factor,
     separable_lipschitz_mode,
-    support_of,
 )
 from l0rcd.solvers import (
     _scalar_step,
     _update_block,
     draw_block,
     make_rng,
-    support_bitmask,
     trace_rows,
 )
 
@@ -83,7 +81,8 @@ class TestStep:
         for _ in range(300):
             i = int(rng.integers(p.num_blocks))
             rcd_iht_step(prob, st, i, spec)
-            assert st.support == support_bitmask(support_of(st.x, p))
+            in_support = (st.x != 0.0) | (p.coord_lambda() == 0.0)
+            assert st.support == sum(1 << j for j in np.flatnonzero(in_support).tolist())
             assert st.penalty == l0_norm(st.x, p)
             assert st.f_value == pytest.approx(prob.smooth.eval(st.x), rel=1e-9)
 
@@ -381,6 +380,11 @@ class TestRunIhta:
         st2, trace2 = run_ihta(prob, st.x, M_f, max_iters=1)
         assert float(np.linalg.norm(st2.x - st.x)) <= 1e-8
 
+    def test_max_iters_must_be_positive(self, toy):
+        for max_iters in (0, -5):
+            with pytest.raises(ValueError, match="max_iters must be at least 1"):
+                run_ihta(toy, np.zeros(2), M_f=2.0 + 1e-6, max_iters=max_iters)
+
     def test_m_f_must_exceed_global_constant(self, toy):
         with pytest.raises(ValueError):
             run_ihta(toy, np.zeros(2), M_f=toy.partition.global_lipschitz, max_iters=10)
@@ -510,7 +514,7 @@ class TestEstimateLinearRate:
         spec = separable_from_factor(prob.partition, 2.0)
         cfg = SolverConfig(approx=spec, max_iters=2000, seed=6)
         st, trace = run_rcd_iht(prob, np.ones(5), cfg)
-        z = restricted_minimize(prob, support_of(st.x, prob.partition))
+        z = restricted_minimize(prob, np.flatnonzero(st.x))
         slope, r2 = estimate_linear_rate(trace, objective_F(prob, z))
         assert slope < 0
         assert r2 >= 0.9
@@ -521,10 +525,6 @@ class TestHelpers:
         rng = make_rng(0)
         draws = {draw_block(rng, 7) for _ in range(300)}
         assert draws == set(range(7))
-
-    def test_support_bitmask(self):
-        assert support_bitmask(frozenset()) == 0
-        assert support_bitmask(frozenset({0, 3})) == 9
 
     def test_traced_masks_exact_above_bit_63(self):
         """The mask recorded before iteration k is the support after k steps,
