@@ -23,12 +23,9 @@ from .objectives import (
 from .approx import (
     ApproxSpec,
     apply_threshold,
-    delta_e,
-    delta_q,
     exact_inner_min,
     exact_uniform,
     separable_from_factor,
-    separable_lipschitz_mode,
     threshold_e,
     threshold_q,
 )
@@ -74,12 +71,9 @@ __all__ = [
     "load_vector_csv",
     "ApproxSpec",
     "apply_threshold",
-    "delta_e",
-    "delta_q",
     "exact_inner_min",
     "exact_uniform",
     "separable_from_factor",
-    "separable_lipschitz_mode",
     "threshold_e",
     "threshold_q",
     "InvariantViolation",

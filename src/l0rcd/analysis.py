@@ -13,18 +13,19 @@ set I (zeros outside I). Classes, from largest to smallest:
   fixed point of the exact thresholding map.
 
 Every strong class is the basic class intersected with the fixed points of
-one model's thresholding map, and ``_classify`` is the one place that
-decides membership. Smaller parameters give sharper models and smaller
-classes; the enumeration records per-class flags so the inclusion chain can
-be verified directly.
+one model's thresholding map: ``_fixed_point_test`` is the one place that
+decides fixed points, and ``_classify`` adds the basic flag. Smaller
+parameters give sharper models and smaller classes; the enumeration records
+per-class flags so the inclusion chain can be verified directly.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import EXACT, TIE_RULE, ApproxSpec, threshold_e
+from .approx import EXACT, TIE_RULE, ApproxSpec, model_curvature, threshold_e, threshold_q
 from .core import BlockPartition, L0Problem, l0_norm
 from .objectives import LeastSquaresObjective
 
@@ -124,18 +125,48 @@ def restricted_minimize(problem: L0Problem, I) -> np.ndarray:
     return solve(idx)
 
 
+def _fixed_point_test(problem: L0Problem, model: ApproxSpec, tol: float) -> Callable:
+    """The test "the thresholding map of ``model`` leaves z in place, within tol".
+
+    The returned function takes z, the gradient at z and the oracle's cache
+    at z. Everything that does not depend on z is built here, once.
+    """
+    partition = problem.partition
+    model.check_partition(partition)
+    lam = partition.coord_lambda()
+    M = model_curvature(model, problem.smooth, partition)
+    if model.kind != EXACT:
+        zero_bound = np.sqrt(2.0 * lam * M) + tol
+        keep_bound = np.sqrt(2.0 * lam / M) - tol
+        penalized = lam != 0.0  # lam = 0 always passes
+        return lambda z, g, cache: not np.any(
+            np.where(z == 0.0, np.abs(g) > zero_bound, np.abs(z) < keep_bound) & penalized
+        )
+
+    def moves(z, out):
+        # the exact map must keep each zero/nonzero status exactly and may
+        # move kept values by at most tol
+        return ((out == 0.0) != (z == 0.0)) | (np.abs(out - z) > tol)
+
+    if M is not None:
+        return lambda z, g, cache: not np.any(moves(z, threshold_q(z, g, M, lam)))
+    # scalar blocks, so block j is coordinate j; stop at the first that moves
+    return lambda z, g, cache: not any(
+        moves(z[j], threshold_e(problem.smooth, z, j, beta, lam[j], cache))
+        for j, beta in enumerate(model.beta)
+    )
+
+
 def _classify(
-    problem: L0Problem, z: np.ndarray, requests: list[ClassRequest], tol: float
+    problem: L0Problem, z: np.ndarray, tests: list[tuple[str, Callable]], tol: float
 ) -> dict[str, bool]:
-    """Membership of z in the basic class and in each requested class.
+    """Membership of z in the basic class and in each (label, test) class of ``tests``.
 
     A requested class holds the basic points that are fixed points of the
     request's thresholding map; the map is not tried once the basic flag
     has failed. One cache and one gradient serve every request.
     """
     partition = problem.partition
-    for req in requests:
-        req.model.check_partition(partition)
     z = np.asarray(z, dtype=float)
     smooth = problem.smooth
     cache = smooth.make_cache(z)
@@ -143,29 +174,9 @@ def _classify(
     on = (z != 0.0) | partition.zero_penalty_mask  # I(z)
     basic = not on.any() or float(np.linalg.norm(g[on])) <= tol
     flags = {BASIC_LABEL: basic}
-    for req in requests:
-        flags[req.label] = basic and _is_fixed_point(problem, z, g, cache, req.model, tol)
+    for label, test in tests:
+        flags[label] = basic and test(z, g, cache)
     return flags
-
-
-def _is_fixed_point(
-    problem: L0Problem, z: np.ndarray, g: np.ndarray, cache, model: ApproxSpec, tol: float
-) -> bool:
-    """True iff the thresholding map of ``model`` leaves z in place, within tol."""
-    partition = problem.partition
-    if model.kind == EXACT:
-        # scalar blocks, so block j is coordinate j; stop at the first that moves
-        for j, beta in enumerate(model.beta):
-            out = threshold_e(problem.smooth, z, j, beta, partition.lam[j], cache)
-            if (out == 0.0) != (z[j] == 0.0) or abs(out - z[j]) > tol:
-                return False
-        return True
-    lam = partition.coord_lambda()
-    M = model.coord_curvature(partition)
-    zero_bound = np.sqrt(2.0 * lam * M) + tol
-    keep_bound = np.sqrt(2.0 * lam / M) - tol
-    fails = np.where(z == 0.0, np.abs(g) > zero_bound, np.abs(z) < keep_bound)
-    return not np.any(fails & (lam != 0.0))  # lam = 0 always passes
 
 
 def is_basic_local_min(problem: L0Problem, z: np.ndarray, tol: float = CLASSIFY_TOL) -> bool:
@@ -191,7 +202,8 @@ def is_strong_local_min(
     parameters do not fit the partition.
     """
     label = model.label()
-    return _classify(problem, z, [ClassRequest(label, model)], tol)[label]
+    tests = [(label, _fixed_point_test(problem, model, tol))]
+    return _classify(problem, z, tests, tol)[label]
 
 
 def enumerate_catalog(
@@ -213,12 +225,15 @@ def enumerate_catalog(
             f"enumeration over 2^{n} supports refused (limit n <= {ENUMERATION_LIMIT})"
         )
     partition = problem.partition
+    tests = [(req.label, _fixed_point_test(problem, req.model, tol)) for req in requests]
     mandatory = partition.zero_penalty_bits
+    free = ((1 << n) - 1) & ~mandatory
 
     entries: list[CatalogEntry] = []
-    for bitmask in range(1 << n):
-        if bitmask & mandatory != mandatory:
-            continue
+    # the submasks s of the penalized bits, in increasing order
+    s = 0
+    while True:
+        bitmask = mandatory | s
         z = restricted_minimize(problem, [j for j in range(n) if bitmask >> j & 1])
         f_val = problem.smooth.eval(z)
         F_val = f_val + l0_norm(z, partition)
@@ -228,9 +243,12 @@ def enumerate_catalog(
                 point=z,
                 f_value=f_val,
                 F_value=F_val,
-                flags=_classify(problem, z, requests, tol),
+                flags=_classify(problem, z, tests, tol),
             )
         )
+        s = (s - free) & free
+        if s == 0:
+            break
 
     labels = [req.label for req in requests] + [BASIC_LABEL]
     conventions = {

@@ -6,7 +6,9 @@ each agreeing with f and its block gradient at the current point x:
 - separable quadratic: gradient step model with scalar curvature M_i > L_i,
 - diagonal quadratic: per-coordinate curvatures (the diagonal of H_i),
 - exact: the true one-dimensional restriction of f plus a proximal term
-  (beta_i/2) |y - x_i|^2, scalar blocks only.
+  (beta_i/2) |y - x_i|^2, scalar blocks only. Where f is quadratic along
+  each coordinate (least squares) this is the diagonal model with
+  curvature ||A_j||^2 + beta_j; ``model_curvature`` says which case holds.
 
 The thresholding map minimizes model + lambda_i * ||.||_0 over the block by
 comparing a "keep" candidate against zeroing, coordinate by coordinate for
@@ -143,42 +145,47 @@ def separable_from_factor(partition: BlockPartition, factor: float) -> ApproxSpe
     return ApproxSpec.separable_quadratic(np.asarray(partition.lipschitz) * float(factor))
 
 
-def separable_lipschitz_mode(partition: BlockPartition) -> ApproxSpec:
-    """The "M equal to L_i" solver mode, minimally perturbed to keep M_i > L_i."""
-    return separable_from_factor(partition, M_EQ_LIPSCHITZ_FACTOR)
-
-
 def exact_uniform(partition: BlockPartition, beta: float) -> ApproxSpec:
     """Exact-model spec with the same beta for every (scalar) block."""
     return ApproxSpec.exact(np.full(partition.num_blocks, float(beta)))
 
 
-def delta_q(x_i: np.ndarray, grad_i: np.ndarray, M_i: float) -> np.ndarray:
-    """Componentwise progress values (M_i/2) |x_j - grad_j / M_i|^2.
+def model_curvature(
+    spec: ApproxSpec, oracle: SmoothOracle, partition: BlockPartition
+) -> np.ndarray | None:
+    """Per-coordinate curvature of ``spec``'s model on ``oracle``, or None.
 
-    Delta_j is the model decrease forfeited by zeroing coordinate j instead
-    of taking the gradient step; the thresholding map compares it to lambda_i.
+    A quadratic kind has its own curvature. The exact kind has one when f
+    is quadratic along each coordinate, with the oracle's optional
+    ``coord_curvature()`` c_j: then minimizing f plus (beta_j/2) h^2 along
+    coordinate j is the diagonal quadratic model with curvature c_j + beta_j,
+    and ``threshold_q`` is its thresholding map. None otherwise.
     """
-    t = np.asarray(x_i, dtype=float) - np.asarray(grad_i, dtype=float) / M_i
-    return 0.5 * M_i * t * t
+    if spec.kind != EXACT:
+        return spec.coord_curvature(partition)
+    coord_curvature = getattr(oracle, "coord_curvature", None)
+    if coord_curvature is None:
+        return None
+    return coord_curvature() + np.asarray(spec.beta, dtype=float)
 
 
-def threshold_q(x_i: np.ndarray, grad_i: np.ndarray, M_i, lambda_i: float) -> np.ndarray:
+def threshold_q(x_i: np.ndarray, grad_i: np.ndarray, M_i, lambda_i) -> np.ndarray:
     """Quadratic-model thresholding of one block.
 
-    ``M_i`` is the curvature: one scalar for the block (separable model) or
-    one entry per coordinate (diagonal model). Keeps the gradient-step
-    candidate where Delta_j > lambda_i, writes an exact zero where
-    Delta_j < lambda_i, and resolves ties to zero. With lambda_i = 0 this is
-    the plain block gradient step.
+    ``M_i`` is the curvature and ``lambda_i`` the penalty, each one scalar
+    for the block or one entry per coordinate. The progress value
+    Delta_j = (M_j/2) t_j^2 of the gradient-step candidate
+    t_j = x_j - grad_j / M_j is the model decrease forfeited by zeroing
+    coordinate j. Keeps t_j where Delta_j > lambda_j, writes an exact zero
+    where Delta_j < lambda_j, and resolves ties to zero. Where lambda_j = 0
+    this is the plain gradient step.
     """
-    x_i = np.asarray(x_i, dtype=float)
-    M_i = np.asarray(M_i, dtype=float)
-    t = x_i - np.asarray(grad_i, dtype=float) / M_i
-    if lambda_i == 0.0:
-        return t
-    d = 0.5 * M_i * t * t
-    return np.where(d > lambda_i, t, 0.0)
+    if not isinstance(M_i, float):  # a Python float keeps numpy's faster scalar arithmetic
+        M_i = np.asarray(M_i, dtype=float)
+    t = np.asarray(x_i, dtype=float) - np.asarray(grad_i, dtype=float) / M_i
+    keep = 0.5 * M_i * t * t > lambda_i
+    keep |= np.equal(lambda_i, 0.0)  # also where Delta_j = 0
+    return np.where(keep, t, 0.0)
 
 
 def _solve_1d(
@@ -256,45 +263,15 @@ def exact_inner_min(
 ) -> tuple[float, float]:
     """Minimize g(h) = f(x + h e_j) + (beta/2) h^2 over the scalar offset h.
 
-    Returns (h_star, g(h_star)). Uses the oracle's closed-form
-    ``coord_prox_step`` when it has one (least squares), otherwise
-    safeguarded Newton (``_solve_1d``). ``cache`` is the oracle's cache at x.
+    Returns (h_star, g(h_star)), with h_star from safeguarded Newton
+    (``_solve_1d``). ``cache`` is the oracle's cache at x.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     x = np.asarray(x, dtype=float)
-    prox_step = getattr(oracle, "coord_prox_step", None)
-    if prox_step is not None:
-        h_star = prox_step(x, j, beta, cache)
-    else:
-        h_star = _solve_1d(oracle, x, j, beta, cache)
+    h_star = _solve_1d(oracle, x, j, beta, cache)
     value = oracle.value_shifted(x, j, h_star, cache) + 0.5 * beta * h_star * h_star
     return float(h_star), float(value)
-
-
-def _exact_progress(
-    oracle: SmoothOracle, x: np.ndarray, j: int, beta: float, cache: np.ndarray | None
-) -> tuple[float, float]:
-    """(h*, Delta) of the exact model at coordinate j; see delta_e."""
-    if cache is None:
-        cache = oracle.make_cache(x)
-    h_star, keep_value = exact_inner_min(oracle, x, j, beta, cache)
-    zero_value = oracle.value_shifted(x, j, -x[j], cache) + 0.5 * beta * x[j] * x[j]
-    return h_star, zero_value - keep_value
-
-
-def delta_e(
-    oracle: SmoothOracle, x: np.ndarray, j: int, beta: float, cache: np.ndarray | None = None
-) -> float:
-    """Progress value for the exact model at coordinate j.
-
-    Delta = [f at x with coordinate j zeroed + (beta/2) x_j^2]
-          - [f at the inner minimizer + (beta/2) h*^2].
-
-    Always >= 0 (the inner minimizer is at least as good as zeroing). Both
-    candidates are evaluated through the cache, built from x when not given.
-    """
-    return float(_exact_progress(oracle, x, j, beta, cache)[1])
 
 
 def threshold_e(
@@ -307,11 +284,17 @@ def threshold_e(
 ) -> float:
     """Exact-model thresholding of scalar coordinate j.
 
-    Returns x_j + h* when Delta > lambda_j, else an exact zero (ties to
-    zero). With lambda_j = 0 this is the pure proximal coordinate step.
+    The progress value is
+    Delta = [f at x with coordinate j zeroed + (beta/2) x_j^2]
+          - [f at the inner minimizer + (beta/2) h*^2],
+    both evaluated through the cache, built from x when not given. Returns
+    x_j + h* when Delta > lambda_j, else an exact zero (ties to zero).
     """
-    h_star, delta = _exact_progress(oracle, x, j, beta, cache)
-    if delta > lambda_j:
+    if cache is None:
+        cache = oracle.make_cache(x)
+    h_star, keep_value = exact_inner_min(oracle, x, j, beta, cache)
+    zero_value = oracle.value_shifted(x, j, -x[j], cache) + 0.5 * beta * x[j] * x[j]
+    if zero_value - keep_value > lambda_j:
         return float(x[j] + h_star)
     return 0.0
 
@@ -326,13 +309,20 @@ def apply_threshold(
 ) -> np.ndarray:
     """New value of block i after one thresholding step under ``spec``.
 
-    The exact model takes a scalar block only; a larger block raises ValueError.
+    The exact model takes a scalar block only; a larger block raises
+    ValueError. It steps by ``threshold_q`` where ``model_curvature`` has a
+    curvature for it, and by ``threshold_e`` otherwise.
     """
     sl = partition.block_slice(i)
     lam_i = partition.lam[i]
     if spec.kind == EXACT:
         if sl.stop - sl.start != 1:
             raise ValueError("exact approximation requires scalar blocks")
-        return np.array([threshold_e(oracle, x, sl.start, spec.beta[i], lam_i, cache)])
-    curvature = spec.M[i] if spec.kind == SEPARABLE_QUADRATIC else spec.H_diag[sl]
+        curvature = model_curvature(spec, oracle, partition)
+        if curvature is None:
+            return np.array([threshold_e(oracle, x, sl.start, spec.beta[i], lam_i, cache)])
+        curvature = curvature[sl]
+    else:
+        # the block's own entries, without building the whole vector
+        curvature = spec.M[i] if spec.kind == SEPARABLE_QUADRATIC else spec.H_diag[sl]
     return threshold_q(x[sl], oracle.block_grad(x, sl, cache), curvature, lam_i)

@@ -33,8 +33,9 @@ class SmoothOracle(Protocol):
     exclusively owned by one solver run; oracles themselves are immutable.
     ``update_cache(cache, sl, delta)`` adds block ``sl``'s change ``delta`` in place.
 
-    Optional methods outside the protocol: ``coord_prox_step`` gives the
-    exact model a closed-form step in place of safeguarded Newton, and
+    Optional methods outside the protocol: ``coord_curvature()`` says that f
+    is quadratic along every coordinate and gives that curvature, so the
+    exact model steps in closed form instead of by safeguarded Newton, and
     ``restricted_minimize`` makes enumeration possible.
     """
 
@@ -135,10 +136,9 @@ class LeastSquaresObjective:
         r = cache + self.A[:, j] * h
         return 0.5 * float(r @ r)
 
-    def coord_prox_step(self, x: np.ndarray, j: int, beta: float, cache: np.ndarray) -> float:
-        """Closed-form h* = -A_j^T r / (||A_j||^2 + beta): the 1-D restriction is quadratic."""
-        g0 = self.coord_grad_shifted(x, j, 0.0, cache)
-        return -g0 / (self.coord_curvature_shifted(x, j, 0.0, cache) + beta)
+    def coord_curvature(self) -> np.ndarray:
+        """Curvature ||A_j||^2 of f along each coordinate: f is quadratic there."""
+        return self._col_sq.copy()
 
     def restricted_minimize(self, idx: list[int]) -> np.ndarray:
         """Least-norm minimizer over vectors supported on the sorted index list idx.

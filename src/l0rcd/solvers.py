@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import EXACT, ApproxSpec, apply_threshold, threshold_e, TIE_RULE
+from .approx import (
+    TIE_RULE, ApproxSpec, apply_threshold, model_curvature, threshold_e, threshold_q
+)
 # l0_norm stays importable from this module.
 from .core import IterateState, L0Problem, l0_norm  # noqa: F401
 
@@ -143,14 +145,15 @@ def _scalar_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateState
     """
     smooth = problem.smooth
     lam = problem.partition.lam
-    if spec.kind == EXACT:
+    curvature = model_curvature(spec, smooth, problem.partition)
+    if curvature is None:
         beta = spec.beta
 
         def threshold(x: np.ndarray, j: int, x_j: float, cache: np.ndarray) -> float:
             return threshold_e(smooth, x, j, beta[j], lam[j], cache)
 
     else:
-        curvature = spec.coord_curvature(problem.partition).tolist()
+        curvature = curvature.tolist()
 
         def threshold(x: np.ndarray, j: int, x_j: float, cache: np.ndarray) -> float:
             # threshold_q on floats: the gradient step, kept where its
@@ -175,17 +178,6 @@ def _scalar_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateState
         return math.sqrt(d * d)
 
     return step
-
-
-def _block_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateState, int], float]:
-    """The coordinate step of ``spec``: replaces block i of a state, returns the step norm.
-
-    Scalar partitions step on Python floats; any other partition steps
-    through ``_update_block``.
-    """
-    if problem.partition.n == problem.partition.num_blocks:
-        return _scalar_step(problem, spec)
-    return lambda state, i: _update_block(problem, state, i, spec)
 
 
 def _check_descent(F_old: float, F_new: float, mu: float, step_norm: float, i: int) -> None:
@@ -218,7 +210,7 @@ def rcd_iht_step(
     if mu_i is None:
         mu_i = float(spec.mu(problem.partition)[i])
     F_old = state.objective()
-    step_norm = _block_step(problem, spec)(state, i)
+    step_norm = _update_block(problem, state, i, spec)
     _check_descent(F_old, state.objective(), mu_i, step_norm, i)
     return state
 
@@ -316,7 +308,11 @@ def run_rcd_iht(
         "solver": "rcd-iht", "approx": spec.label(), "rng": RNG_ALGORITHM, "seed": int(config.seed)
     }
 
-    update = _block_step(problem, spec)
+    # scalar partitions step on Python floats
+    if partition.n == N:
+        update = _scalar_step(problem, spec)
+    else:
+        update = lambda state, i: _update_block(problem, state, i, spec)
 
     def step(state: IterateState) -> tuple[int, float, float]:
         i = draw_block(rng, N)
@@ -337,9 +333,10 @@ def run_ihta(
     """Full-gradient hard-thresholding baseline with global constant M_f.
 
     Every iteration thresholds all coordinates of the gradient step
-    x - grad f(x) / M_f at once, zeroing coordinate j unless
-    (M_f/2) |x_j - grad_j/M_f|^2 exceeds its block's penalty (ties to
-    zero, as in the coordinate method). Requires M_f > L_f. Deterministic;
+    x - grad f(x) / M_f at once with ``threshold_q``, zeroing coordinate j
+    unless (M_f/2) |x_j - grad_j/M_f|^2 exceeds its block's penalty (ties
+    to zero, as in the coordinate method) or that penalty is 0. Requires a
+    finite M_f > L_f. Deterministic;
     trace block index is -1. The stability window is 3 full iterations
     (each one touches every block).
     """
@@ -348,10 +345,10 @@ def run_ihta(
     if support_patience < 1:
         raise ValueError("support_patience must be at least 1")
     partition = problem.partition
-    if M_f <= partition.global_lipschitz:
+    if not partition.global_lipschitz < M_f < math.inf:
         raise ValueError(
-            f"M_f={M_f} must strictly exceed the global Lipschitz constant "
-            f"{partition.global_lipschitz}"
+            f"M_f={M_f} must be finite and strictly exceed the global Lipschitz "
+            f"constant {partition.global_lipschitz}"
         )
     lam_coord = partition.coord_lambda()
     mu_f = M_f - partition.global_lipschitz
@@ -360,8 +357,7 @@ def run_ihta(
     def step(state: IterateState) -> tuple[int, float, float]:
         # The cache holds the residual (or predictors) at state.x already.
         g = smooth.block_grad(state.x, slice(None), state.cache)
-        t = state.x - g / M_f
-        new_x = np.where(0.5 * M_f * t * t > lam_coord, t, 0.0)
+        new_x = threshold_q(state.x, g, M_f, lam_coord)
         step_norm = _norm(new_x - state.x)
         pattern_changed = np.any((new_x != 0.0) != (state.x != 0.0))
         state.x = new_x

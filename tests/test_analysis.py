@@ -19,9 +19,9 @@ from l0rcd import (
     restricted_minimize,
     run_rcd_iht,
     separable_from_factor,
-    separable_lipschitz_mode,
     verify_inclusions,
 )
+from l0rcd.approx import M_EQ_LIPSCHITZ_FACTOR
 
 from l0rcd.cli import ExperimentConfig, _enumerate_requests, build_problem, generate_least_squares
 
@@ -184,6 +184,48 @@ class TestEnumerateCatalog:
         for e in catalog.entries:
             assert 2 in e.support
             assert e.point[2] == pytest.approx(3.0)
+
+    def test_zero_penalty_blocks_keep_order_and_flags(self):
+        """With lambda = 0 blocks, the entries are the supports that contain
+        every unpenalized coordinate, in increasing bitmask order, and each
+        entry's flags are those of the point asked on its own."""
+        cfg = ExperimentConfig(m=5, n=9, instance_seed=6, lam=0.2, block_sizes=(2, 3, 1, 3))
+        built = build_problem(cfg)
+        p = built.partition
+        partition = BlockPartition(
+            block_sizes=p.block_sizes,
+            lam=(0.2, 0.0, 0.3, 0.0),
+            lipschitz=p.lipschitz,
+            global_lipschitz=p.global_lipschitz,
+        )
+        prob = L0Problem(built.smooth, partition)
+        uq = separable_from_factor(partition, 1.5)
+        uQ = ApproxSpec.diagonal_quadratic(1.2 * partition.coord_lipschitz())
+        catalog = enumerate_catalog(prob, [ClassRequest("uq", uq), ClassRequest("uQ", uQ)])
+        mandatory = sum(1 << j for j in (2, 3, 4, 6, 7, 8))  # blocks 1 and 3
+        assert partition.zero_penalty_bits == mandatory
+        expect = [b for b in range(1 << 9) if b & mandatory == mandatory]
+        assert [e.bitmask for e in catalog.entries] == expect == sorted(expect)
+        assert len(expect) == 8
+        for e in catalog.entries:
+            assert e.flags["basic"] == is_basic_local_min(prob, e.point)
+            assert e.flags["uq"] == is_strong_local_min(prob, e.point, uq)
+            assert e.flags["uQ"] == is_strong_local_min(prob, e.point, uQ)
+        assert catalog.counts()["uq"] > 0
+
+    def test_request_curvature_built_once_per_call(self, monkeypatch):
+        calls = []
+        original = ApproxSpec.coord_curvature
+
+        def counted(self, partition):
+            calls.append(self.kind)
+            return original(self, partition)
+
+        monkeypatch.setattr(ApproxSpec, "coord_curvature", counted)
+        prob = build_example_instance()
+        catalog = enumerate_catalog(prob, example_class_requests(prob))
+        assert len(catalog.entries) == 128
+        assert sorted(calls) == ["separable_quadratic"] * 2
 
     def test_enumeration_limit(self):
         n = 30
@@ -385,7 +427,7 @@ class TestClassRequest:
 
 class TestCatalogSolverAgreement:
     def test_toy_final_point_is_flagged(self, toy):
-        spec = separable_lipschitz_mode(toy.partition)
+        spec = separable_from_factor(toy.partition, M_EQ_LIPSCHITZ_FACTOR)
         cfg = SolverConfig(approx=spec, max_iters=500, seed=5)
         st, _ = run_rcd_iht(toy, np.array([2.0, 0.5]), cfg)
         catalog = enumerate_catalog(toy, [ClassRequest("uq", spec)])

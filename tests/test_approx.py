@@ -7,16 +7,13 @@ from l0rcd import (
     ApproxSpec,
     LeastSquaresObjective,
     apply_threshold,
-    delta_e,
-    delta_q,
     exact_inner_min,
     exact_uniform,
     separable_from_factor,
-    separable_lipschitz_mode,
     threshold_e,
     threshold_q,
 )
-from l0rcd.approx import _solve_1d
+from l0rcd.approx import M_EQ_LIPSCHITZ_FACTOR, _solve_1d, model_curvature
 from l0rcd.core import BlockPartition
 
 from test_objectives import random_logistic
@@ -46,19 +43,24 @@ def brute_force_threshold_q(x_i, grad_i, M_i, lambda_i):
 
 
 class TestDeltaQ:
+    """The quadratic progress value Delta = (M/2) t^2, read off threshold_q's decision."""
+
     def test_hand_value(self):
         # f = 1/2 (x-3)^2 at x=0: grad -3, M=2 -> candidate 1.5, Delta 2.25
-        np.testing.assert_allclose(delta_q(np.zeros(1), [-3.0], 2.0), [2.25])
+        below = np.nextafter(2.25, 0.0)
+        np.testing.assert_array_equal(threshold_q(np.zeros(1), [-3.0], 2.0, below), [1.5])
+        np.testing.assert_array_equal(threshold_q(np.zeros(1), [-3.0], 2.0, 2.25), [0.0])
 
     def test_zero_candidate(self):
         # candidate lands exactly at zero -> no forfeited progress
-        np.testing.assert_allclose(delta_q([1.0], [2.0], 2.0), [0.0])
+        np.testing.assert_array_equal(threshold_q([1.0], [2.0], 2.0, 5e-324), [0.0])
 
     def test_nonnegative(self):
+        # Delta >= 0: a penalty below zero keeps every candidate
         rng = np.random.default_rng(0)
         for _ in range(100):
-            d = delta_q(rng.standard_normal(3), rng.standard_normal(3), 1.7)
-            assert np.all(d >= 0)
+            x, g = rng.standard_normal(3), rng.standard_normal(3)
+            np.testing.assert_array_equal(threshold_q(x, g, 1.7, -1e-300), x - g / 1.7)
 
 
 class TestThresholdQ:
@@ -91,6 +93,21 @@ class TestThresholdQ:
     def test_zeros_are_exact(self):
         out = threshold_q([0.2], [0.1], 1.0, 5.0)
         assert out[0] == 0.0
+
+    def test_per_coordinate_lambda(self):
+        """A penalty per coordinate acts as one scalar call per coordinate."""
+        rng = np.random.default_rng(20)
+        for _ in range(100):
+            x, g = rng.standard_normal(4), rng.standard_normal(4)
+            M = rng.uniform(0.5, 3.0, 4)
+            lam = rng.uniform(0.0, 1.5, 4) * (rng.random(4) < 0.7)
+            expect = [threshold_q(x[j : j + 1], g[j : j + 1], M[j], lam[j])[0] for j in range(4)]
+            np.testing.assert_array_equal(threshold_q(x, g, M, lam), expect)
+
+    def test_zero_lambda_keeps_zero_step_sign(self):
+        # Delta = 0 there, yet a lambda = 0 coordinate takes the plain step
+        out = threshold_q([-0.0, -0.0], [0.0, 0.0], 1.0, [0.0, 1.0])
+        assert np.signbit(out[0]) and out[1] == 0.0 and not np.signbit(out[1])
 
     def test_magnitude_bound(self):
         """Survivors satisfy |t_j|^2 >= 2 lambda / M."""
@@ -171,16 +188,18 @@ class TestExactInnerMin:
         rng = np.random.default_rng(5)
         A = rng.uniform(-1, 1, (6, 4))
         f = LeastSquaresObjective(A, rng.uniform(-1, 1, 6))
+        col_sq = f.coord_curvature()
         for _ in range(50):
             x = rng.standard_normal(4)
             j = int(rng.integers(4))
             beta = float(rng.uniform(1e-4, 1.0))
             cache = f.make_cache(x)
-            h_auto, v_auto = exact_inner_min(f, x, j, beta, cache)
-            h_newton = _solve_1d(f, x, j, beta, cache)
-            v_newton = f.value_shifted(x, j, h_newton, cache) + 0.5 * beta * h_newton**2
-            assert h_newton == pytest.approx(h_auto, rel=1e-8, abs=1e-10)
-            assert v_newton == pytest.approx(v_auto, rel=1e-10, abs=1e-12)
+            h_newton, v_newton = exact_inner_min(f, x, j, beta, cache)
+            # the restriction is quadratic: h* = -A_j^T r / (||A_j||^2 + beta)
+            h_closed = -float(A[:, j] @ cache) / (col_sq[j] + beta)
+            v_closed = f.value_shifted(x, j, h_closed, cache) + 0.5 * beta * h_closed**2
+            assert h_newton == pytest.approx(h_closed, rel=1e-8, abs=1e-10)
+            assert v_newton == pytest.approx(v_closed, rel=1e-10, abs=1e-12)
 
     def test_logistic_first_order_optimality(self):
         oracle = random_logistic(10, 5, seed=6)
@@ -243,34 +262,59 @@ class TestExactInnerMin:
             exact_inner_min(single_column_ls(), np.zeros(1), 0, 0.0, np.zeros(1))
 
 
+def exact_progress(oracle, x, j, beta, cache):
+    """(h*, Delta) of the exact model at coordinate j, as threshold_e defines them."""
+    h, keep = exact_inner_min(oracle, x, j, beta, cache)
+    zero = oracle.value_shifted(x, j, -x[j], cache) + 0.5 * beta * x[j] ** 2
+    return h, zero - keep
+
+
 class TestDeltaE:
+    """The exact progress value, read off threshold_e's decision."""
+
     def test_hand_value(self):
         # zeroing forfeits 2/(1+beta) of model decrease at x=0
         f = single_column_ls()
-        assert delta_e(f, np.zeros(1), 0, 1e-4) == pytest.approx(2.0 / 1.0001, rel=1e-12)
+        delta = 2.0 / 1.0001
+        assert threshold_e(f, np.zeros(1), 0, 1e-4, delta * (1 - 1e-9)) != 0.0
+        assert threshold_e(f, np.zeros(1), 0, 1e-4, delta * (1 + 1e-9)) == 0.0
 
     def test_generic_route_matches_fast_path(self):
+        """On least squares, threshold_e (Newton, Delta as a difference of
+        two f values) and the exact spec's closed-form step through
+        apply_threshold agree bit for bit away from the boundary Delta = lambda."""
         rng = np.random.default_rng(9)
         A = rng.uniform(-1, 1, (5, 3))
         f = LeastSquaresObjective(A, rng.uniform(-1, 1, 5))
-        for _ in range(50):
-            x = rng.standard_normal(3)
-            j = int(rng.integers(3))
-            beta = float(rng.uniform(1e-4, 1.0))
+        compared = 0
+        for _ in range(200):
+            x = rng.standard_normal(3) * (rng.random(3) < 0.7)
+            beta = rng.uniform(1e-4, 1.0, 3)
+            lam = rng.uniform(0.0, 1.0, 3) * (rng.random(3) < 0.8)
+            lam[rng.integers(3)] = rng.uniform(0.05, 1.0)  # a partition needs one
+            p = BlockPartition.scalar(lam, f.column_lipschitz())
+            spec = ApproxSpec.exact(beta)
             cache = f.make_cache(x)
-            fast = delta_e(f, x, j, beta, cache)
-            h = _solve_1d(f, x, j, beta, cache)
-            keep = f.value_shifted(x, j, h, cache) + 0.5 * beta * h * h
-            slow = f.value_shifted(x, j, -x[j], cache) + 0.5 * beta * x[j] ** 2 - keep
-            assert slow == pytest.approx(fast, rel=1e-8, abs=1e-10)
+            for j in range(3):
+                _, delta = exact_progress(f, x, j, beta[j], cache)
+                if abs(delta - lam[j]) <= 1e-9:
+                    continue
+                compared += 1
+                assert (
+                    apply_threshold(f, p, x, j, spec, cache).tobytes()
+                    == np.array([threshold_e(f, x, j, beta[j], lam[j], cache)]).tobytes()
+                )
+        assert compared > 500
 
     def test_nonnegative(self):
+        # Delta >= -1e-12: a penalty of -1e-12 keeps the inner minimizer
         oracle = random_logistic(8, 4, seed=10)
         rng = np.random.default_rng(11)
         for _ in range(50):
             x = rng.standard_normal(4) * (rng.random(4) < 0.6)
             j = int(rng.integers(4))
-            assert delta_e(oracle, x, j, 0.05) >= -1e-12
+            h, _ = exact_inner_min(oracle, x, j, 0.05, oracle.make_cache(x))
+            assert threshold_e(oracle, x, j, 0.05, -1e-12) == x[j] + h
 
     def test_least_squares_coincides_with_quadratic_model(self):
         """For least squares the 1-D restriction is exactly quadratic with
@@ -288,9 +332,9 @@ class TestDeltaE:
             cache = f.make_cache(x)
             grad_j = f.coord_grad_shifted(x, j, 0.0, cache)
             M = col_sq[j] + beta
-            assert delta_e(f, x, j, beta, cache) == pytest.approx(
-                float(delta_q(x[j : j + 1], [grad_j], M)[0]), rel=1e-10, abs=1e-12
-            )
+            t = x[j] - grad_j / M
+            _, delta = exact_progress(f, x, j, beta, cache)
+            assert delta == pytest.approx(0.5 * M * t * t, rel=1e-10, abs=1e-12)
             assert threshold_e(f, x, j, beta, lam, cache) == pytest.approx(
                 float(threshold_q(x[j : j + 1], [grad_j], M, lam)[0]),
                 rel=1e-10,
@@ -431,7 +475,7 @@ class TestApproxSpec:
 
     def test_lipschitz_mode_is_strict(self):
         p = BlockPartition.scalar([1.0], [2.0])
-        spec = separable_lipschitz_mode(p)
+        spec = separable_from_factor(p, M_EQ_LIPSCHITZ_FACTOR)
         spec.validate_for_solver(p)
         assert spec.M[0] > 2.0
         assert spec.M[0] == pytest.approx(2.0, rel=1e-5)
@@ -475,6 +519,16 @@ class TestApplyThreshold:
                 np.array([threshold_e(oracle, x, i, 0.01, p.lam[i], cache)]),
             )
 
+    def test_dispatch_on_logistic_exact_is_newton(self):
+        oracle = random_logistic(9, 4, seed=21)
+        p = BlockPartition.scalar(np.full(4, 0.05), oracle.column_lipschitz())
+        x = np.random.default_rng(22).standard_normal(4)
+        cache = oracle.make_cache(x)
+        for i in range(4):
+            assert apply_threshold(oracle, p, x, i, exact_uniform(p, 0.01), cache).tobytes() == (
+                np.array([threshold_e(oracle, x, i, 0.01, p.lam[i], cache)]).tobytes()
+            )
+
     def test_block_dispatch_diag(self):
         oracle = LeastSquaresObjective(np.eye(4), np.ones(4))
         p = BlockPartition(
@@ -488,3 +542,25 @@ class TestApplyThreshold:
         np.testing.assert_array_equal(
             got, threshold_q(x[2:4], grad, [2.5, 3.0], 0.2)
         )
+
+
+class TestModelCurvature:
+    def test_quadratic_kinds_use_their_own(self):
+        p = BlockPartition(block_sizes=(2, 1), lam=(0.1, 0.1), lipschitz=(1.0, 1.0))
+        oracle = LeastSquaresObjective(np.eye(3), np.ones(3))
+        uq = ApproxSpec.separable_quadratic([2.0, 3.0])
+        np.testing.assert_array_equal(model_curvature(uq, oracle, p), [2.0, 2.0, 3.0])
+        uQ = ApproxSpec.diagonal_quadratic([2.0, 4.0, 3.0])
+        np.testing.assert_array_equal(model_curvature(uQ, oracle, p), [2.0, 4.0, 3.0])
+
+    def test_exact_on_least_squares_is_column_norm_plus_beta(self):
+        A = np.array([[1.0, 2.0], [3.0, 0.5]])
+        oracle = LeastSquaresObjective(A, np.ones(2))
+        p = BlockPartition.scalar([0.1, 0.1], oracle.column_lipschitz())
+        spec = ApproxSpec.exact([0.25, 0.5])
+        np.testing.assert_array_equal(model_curvature(spec, oracle, p), [10.25, 4.75])
+
+    def test_exact_without_fixed_curvature_is_none(self):
+        oracle = random_logistic(6, 2, seed=23)
+        p = BlockPartition.scalar([0.1, 0.1], oracle.column_lipschitz())
+        assert model_curvature(ApproxSpec.exact([0.1, 0.1]), oracle, p) is None

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies
 
+import l0rcd
 from l0rcd import (
     BlockPartition,
     IterateState,
@@ -211,3 +212,9 @@ def test_state_support_and_penalty_from_the_zero_pattern(case):
     state = IterateState.from_point(prob, x)
     assert state.support == expected
     assert state.penalty.hex() == l0_norm(x, p).hex()
+
+
+def test_every_exported_name_resolves():
+    assert len(set(l0rcd.__all__)) == len(l0rcd.__all__)
+    missing = [name for name in l0rcd.__all__ if not hasattr(l0rcd, name)]
+    assert missing == []

@@ -21,8 +21,8 @@ from l0rcd import (
     run_ihta,
     run_rcd_iht,
     separable_from_factor,
-    separable_lipschitz_mode,
 )
+from l0rcd.approx import M_EQ_LIPSCHITZ_FACTOR
 from l0rcd.solvers import (
     _scalar_step,
     _update_block,
@@ -34,6 +34,11 @@ from l0rcd.solvers import (
 from conftest import random_logistic_problem, random_ls_problem, toy_problem
 
 
+def lipschitz_mode(partition):
+    """The "M equal to L_i" solver mode, nudged up to keep M_i > L_i."""
+    return separable_from_factor(partition, M_EQ_LIPSCHITZ_FACTOR)
+
+
 def toy_state(problem, x):
     return IterateState.from_point(problem, np.asarray(x, dtype=float))
 
@@ -42,7 +47,7 @@ class TestStep:
     def test_toy_block_zeroed(self, toy):
         """At (2, 0.5) the second coordinate's progress 0.125 < 0.5: zero it."""
         st = toy_state(toy, [2.0, 0.5])
-        rcd_iht_step(toy, st, 1, separable_lipschitz_mode(toy.partition))
+        rcd_iht_step(toy, st, 1, lipschitz_mode(toy.partition))
         np.testing.assert_array_equal(st.x, [2.0, 0.0])
         assert st.support == 0b01
         assert st.objective() == pytest.approx(0.625)
@@ -50,11 +55,11 @@ class TestStep:
     def test_toy_block_kept(self, toy):
         # first coordinate's progress is about 2 > 0.5: keep it
         st = toy_state(toy, [2.0, 0.5])
-        rcd_iht_step(toy, st, 0, separable_lipschitz_mode(toy.partition))
+        rcd_iht_step(toy, st, 0, lipschitz_mode(toy.partition))
         np.testing.assert_allclose(st.x, [2.0, 0.5])
 
     def test_strong_point_is_fixed(self, toy):
-        spec = separable_lipschitz_mode(toy.partition)
+        spec = lipschitz_mode(toy.partition)
         for i in range(2):
             st = toy_state(toy, [2.0, 0.0])
             rcd_iht_step(toy, st, i, spec)
@@ -88,7 +93,7 @@ class TestStep:
 
     def test_null_step_leaves_state_bit_identical(self, toy):
         """At the strong point (2, 0) the map returns each block unchanged."""
-        spec = separable_lipschitz_mode(toy.partition)
+        spec = lipschitz_mode(toy.partition)
         for i in range(2):
             st = toy_state(toy, [2.0, 0.0])
             before = (st.x.tobytes(), st.cache.tobytes(), st.f_value, st.support, st.penalty)
@@ -118,7 +123,7 @@ class TestStep:
         prob = L0Problem(oracle, partition)
         st = toy_state(prob, [0.0])
         with pytest.raises(InvariantViolation):
-            rcd_iht_step(prob, st, 0, separable_lipschitz_mode(partition))
+            rcd_iht_step(prob, st, 0, lipschitz_mode(partition))
 
 
 # A penalty this large zeroes the coordinate whatever its model value.
@@ -227,7 +232,7 @@ class TestRunRcdIht:
         assert calls == {"update_cache": moved, "value_from_cache": moved + 1}
 
     def test_toy_converges(self, toy):
-        spec = separable_lipschitz_mode(toy.partition)
+        spec = lipschitz_mode(toy.partition)
         for seed in (0, 7, 123):
             cfg = SolverConfig(approx=spec, max_iters=500, seed=seed)
             st, trace = run_rcd_iht(toy, np.array([2.0, 0.5]), cfg)
@@ -238,7 +243,7 @@ class TestRunRcdIht:
 
     def test_start_at_strong_point(self, toy):
         cfg = SolverConfig(
-            approx=separable_lipschitz_mode(toy.partition), max_iters=500, seed=5
+            approx=lipschitz_mode(toy.partition), max_iters=500, seed=5
         )
         st, trace = run_rcd_iht(toy, np.array([2.0, 0.0]), cfg)
         np.testing.assert_array_equal(st.x, [2.0, 0.0])
@@ -309,18 +314,22 @@ class TestRunRcdIht:
             assert np.linalg.norm(new_block - st.x[sl]) <= 1e-8
 
     def test_exact_matches_shifted_quadratic_on_least_squares(self):
-        """On least squares the exact model with beta reproduces the separable
-        quadratic run at M = L + beta: same decisions, same trajectory."""
+        """On least squares the exact model with beta is the diagonal quadratic
+        model with H_j = ||A_j||^2 + beta: the two runs are the same, bit for bit."""
         prob = random_ls_problem(8, 5, seed=46)
         beta = 0.3
         ue = exact_uniform(prob.partition, beta)
-        uq = ApproxSpec.separable_quadratic(np.asarray(prob.partition.lipschitz) + beta)
+        uQ = ApproxSpec.diagonal_quadratic(prob.smooth.coord_curvature() + beta)
         x0 = np.linspace(-0.5, 0.5, 5)
         st_e, tr_e = run_rcd_iht(prob, x0, SolverConfig(approx=ue, max_iters=600, seed=3))
-        st_q, tr_q = run_rcd_iht(prob, x0, SolverConfig(approx=uq, max_iters=600, seed=3))
-        np.testing.assert_array_equal(tr_e.blocks[:50], tr_q.blocks[:50])
-        np.testing.assert_allclose(st_e.x, st_q.x, rtol=1e-8, atol=1e-10)
-        assert tr_e.final_F == pytest.approx(tr_q.final_F, rel=1e-10)
+        st_q, tr_q = run_rcd_iht(prob, x0, SolverConfig(approx=uQ, max_iters=600, seed=3))
+        for field in ("blocks", "F", "step_norms", "support_changed", "final_x"):
+            assert getattr(tr_e, field).tobytes() == getattr(tr_q, field).tobytes(), field
+        assert tr_e.supports == tr_q.supports
+        assert tr_e.final_F == tr_q.final_F
+        assert tr_e.metadata["stop"] == tr_q.metadata["stop"]
+        assert st_e.x.tobytes() == st_q.x.tobytes()
+        assert tr_e.kappa > 0
 
     def test_kappa_matches_change_list(self):
         prob = random_ls_problem(10, 6, seed=47)
@@ -335,14 +344,14 @@ class TestRunRcdIht:
 
     def test_max_iters_cap(self, toy):
         cfg = SolverConfig(
-            approx=separable_lipschitz_mode(toy.partition), max_iters=3, seed=1
+            approx=lipschitz_mode(toy.partition), max_iters=3, seed=1
         )
         _, trace = run_rcd_iht(toy, np.array([5.0, 5.0]), cfg)
         assert trace.iterations == 3
         assert trace.metadata["stop"] == "max_iters"
 
     def test_config_validation(self, toy):
-        spec = separable_lipschitz_mode(toy.partition)
+        spec = lipschitz_mode(toy.partition)
         with pytest.raises(ValueError):
             SolverConfig(approx=spec, max_iters=0)
         for patience in (0, -1):
@@ -388,6 +397,13 @@ class TestRunIhta:
     def test_m_f_must_exceed_global_constant(self, toy):
         with pytest.raises(ValueError):
             run_ihta(toy, np.zeros(2), M_f=toy.partition.global_lipschitz, max_iters=10)
+
+    @pytest.mark.parametrize("M_f", [np.nan, np.inf, -np.inf])
+    def test_m_f_must_be_finite(self, toy, M_f):
+        """Unchecked, a NaN M_f zeroed x here, raised F from 1.625 to 2.125
+        and still reported converged."""
+        with pytest.raises(ValueError, match="finite"):
+            run_ihta(toy, np.array([1.0, 1.0]), M_f=M_f, max_iters=10)
 
     def test_descent_monotone(self):
         prob = random_logistic_problem(12, 6, seed=49)
@@ -542,7 +558,7 @@ class TestHelpers:
 
     def test_trace_rows_schema(self, toy):
         cfg = SolverConfig(
-            approx=separable_lipschitz_mode(toy.partition), max_iters=10, seed=0
+            approx=lipschitz_mode(toy.partition), max_iters=10, seed=0
         )
         _, trace = run_rcd_iht(toy, np.array([2.0, 0.5]), cfg)
         rows = list(trace_rows(trace))
