@@ -22,11 +22,11 @@ from .objectives import (
 )
 from .approx import (
     ApproxSpec,
-    apply_threshold,
     exact_inner_min,
     exact_uniform,
     separable_from_factor,
     threshold_e,
+    threshold_map,
     threshold_q,
 )
 from .solvers import (
@@ -36,7 +36,6 @@ from .solvers import (
     SolverTrace,
     delta_lower_bound,
     estimate_linear_rate,
-    rcd_iht_step,
     run_ihta,
     run_rcd_iht,
 )
@@ -70,11 +69,11 @@ __all__ = [
     "load_matrix_csv",
     "load_vector_csv",
     "ApproxSpec",
-    "apply_threshold",
     "exact_inner_min",
     "exact_uniform",
     "separable_from_factor",
     "threshold_e",
+    "threshold_map",
     "threshold_q",
     "InvariantViolation",
     "RNG_ALGORITHM",
@@ -82,7 +81,6 @@ __all__ = [
     "SolverTrace",
     "delta_lower_bound",
     "estimate_linear_rate",
-    "rcd_iht_step",
     "run_ihta",
     "run_rcd_iht",
     "CatalogEntry",

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import EXACT, TIE_RULE, ApproxSpec, model_curvature, threshold_e, threshold_q
+from .approx import EXACT, TIE_RULE, ApproxSpec, threshold_map
 from .core import BlockPartition, L0Problem, l0_norm
 from .objectives import LeastSquaresObjective
 
@@ -132,28 +132,24 @@ def _fixed_point_test(problem: L0Problem, model: ApproxSpec, tol: float) -> Call
     at z. Everything that does not depend on z is built here, once.
     """
     partition = problem.partition
+    if model.kind == EXACT:
+        tmap = threshold_map(model, problem.smooth, partition)
+        whole = slice(0, partition.n)
+
+        def moves(z, out):
+            # the exact map must keep each zero/nonzero status exactly and may
+            # move kept values by at most tol
+            return ((out == 0.0) != (z == 0.0)) | (np.abs(out - z) > tol)
+
+        return lambda z, g, cache: not np.any(moves(z, tmap(z, whole, g, cache)))
     model.check_partition(partition)
     lam = partition.coord_lambda()
-    M = model_curvature(model, problem.smooth, partition)
-    if model.kind != EXACT:
-        zero_bound = np.sqrt(2.0 * lam * M) + tol
-        keep_bound = np.sqrt(2.0 * lam / M) - tol
-        penalized = lam != 0.0  # lam = 0 always passes
-        return lambda z, g, cache: not np.any(
-            np.where(z == 0.0, np.abs(g) > zero_bound, np.abs(z) < keep_bound) & penalized
-        )
-
-    def moves(z, out):
-        # the exact map must keep each zero/nonzero status exactly and may
-        # move kept values by at most tol
-        return ((out == 0.0) != (z == 0.0)) | (np.abs(out - z) > tol)
-
-    if M is not None:
-        return lambda z, g, cache: not np.any(moves(z, threshold_q(z, g, M, lam)))
-    # scalar blocks, so block j is coordinate j; stop at the first that moves
-    return lambda z, g, cache: not any(
-        moves(z[j], threshold_e(problem.smooth, z, j, beta, lam[j], cache))
-        for j, beta in enumerate(model.beta)
+    M = model.coord_curvature(partition)
+    zero_bound = np.sqrt(2.0 * lam * M) + tol
+    keep_bound = np.sqrt(2.0 * lam / M) - tol
+    penalized = lam != 0.0  # lam = 0 always passes
+    return lambda z, g, cache: not np.any(
+        np.where(z == 0.0, np.abs(g) > zero_bound, np.abs(z) < keep_bound) & penalized
     )
 
 

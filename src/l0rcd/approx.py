@@ -18,6 +18,7 @@ is recorded in solver/CLI output metadata as ``tie_rule=zero``.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,7 +143,8 @@ class ApproxSpec:
 
 def separable_from_factor(partition: BlockPartition, factor: float) -> ApproxSpec:
     """Separable quadratic spec with M_i = factor * L_i (factor > 1)."""
-    return ApproxSpec.separable_quadratic(np.asarray(partition.lipschitz) * float(factor))
+    # Python floats: a product that overflows is an inf the spec rejects, with no numpy warning
+    return ApproxSpec.separable_quadratic([L * float(factor) for L in partition.lipschitz])
 
 
 def exact_uniform(partition: BlockPartition, beta: float) -> ApproxSpec:
@@ -180,8 +182,7 @@ def threshold_q(x_i: np.ndarray, grad_i: np.ndarray, M_i, lambda_i) -> np.ndarra
     where Delta_j < lambda_j, and resolves ties to zero. Where lambda_j = 0
     this is the plain gradient step.
     """
-    if not isinstance(M_i, float):  # a Python float keeps numpy's faster scalar arithmetic
-        M_i = np.asarray(M_i, dtype=float)
+    M_i = np.asarray(M_i, dtype=float)
     t = np.asarray(x_i, dtype=float) - np.asarray(grad_i, dtype=float) / M_i
     keep = 0.5 * M_i * t * t > lambda_i
     keep |= np.equal(lambda_i, 0.0)  # also where Delta_j = 0
@@ -299,30 +300,24 @@ def threshold_e(
     return 0.0
 
 
-def apply_threshold(
-    oracle: SmoothOracle,
-    partition: BlockPartition,
-    x: np.ndarray,
-    i: int,
-    spec: ApproxSpec,
-    cache: np.ndarray,
-) -> np.ndarray:
-    """New value of block i after one thresholding step under ``spec``.
+def threshold_map(spec: ApproxSpec, oracle: SmoothOracle, partition: BlockPartition) -> Callable:
+    """The thresholding map of ``spec`` on ``oracle``: ``tmap(x, sl, g, cache)``.
 
-    The exact model takes a scalar block only; a larger block raises
-    ValueError. It steps by ``threshold_q`` where ``model_curvature`` has a
-    curvature for it, and by ``threshold_e`` otherwise.
+    ``tmap`` returns the new values of the coordinates ``sl`` (a block, or
+    ``slice(0, n)``) from x, the gradient ``g`` over ``sl`` and the cache at
+    x, and writes nothing. It is ``threshold_q`` where ``model_curvature``
+    has a curvature and ``threshold_e``, coordinate by coordinate, where it
+    has none. The fit to ``partition`` is checked here, once (ValueError).
     """
-    sl = partition.block_slice(i)
-    lam_i = partition.lam[i]
-    if spec.kind == EXACT:
-        if sl.stop - sl.start != 1:
-            raise ValueError("exact approximation requires scalar blocks")
-        curvature = model_curvature(spec, oracle, partition)
-        if curvature is None:
-            return np.array([threshold_e(oracle, x, sl.start, spec.beta[i], lam_i, cache)])
-        curvature = curvature[sl]
-    else:
-        # the block's own entries, without building the whole vector
-        curvature = spec.M[i] if spec.kind == SEPARABLE_QUADRATIC else spec.H_diag[sl]
-    return threshold_q(x[sl], oracle.block_grad(x, sl, cache), curvature, lam_i)
+    spec.check_partition(partition)
+    lam = partition.coord_lambda()
+    curvature = model_curvature(spec, oracle, partition)
+
+    def tmap(x: np.ndarray, sl: slice, g: np.ndarray, cache: np.ndarray) -> np.ndarray:
+        if curvature is not None:
+            return threshold_q(x[sl], g, curvature[sl], lam[sl])
+        # scalar blocks, so block j is coordinate j
+        js = range(sl.start, sl.stop)
+        return np.array([threshold_e(oracle, x, j, spec.beta[j], lam[j], cache) for j in js])
+
+    return tmap

@@ -15,6 +15,7 @@ import configparser
 import csv
 import hashlib
 import sys
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -125,6 +126,26 @@ def random_start(
     mask = rng.random(n) < density
     vals = rng.uniform(-value_range, value_range, size=n)
     return np.where(mask, vals, 0.0)
+
+
+def _random_starts(cfg: ExperimentConfig, problem: L0Problem, count: int) -> list[np.ndarray]:
+    """Random starts t = 0 .. count-1, each from ``seeded_rng(master_seed, t)``.
+
+    A start at which f is not finite is a ConfigError."""
+    starts = []
+    for t in range(count):
+        rng = seeded_rng(cfg.master_seed, t)
+        x0 = random_start(problem.n, rng, cfg.start_density, cfg.value_range)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                problem.smooth.eval(x0)
+        except ValueError as exc:
+            raise ConfigError(
+                f"[starts] value_range = {cfg.value_range} is too large for this instance: "
+                f"at random start {t}, {exc}"
+            ) from exc
+        starts.append(x0)
+    return starts
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +274,14 @@ def _parse_config_file(path: str) -> ExperimentConfig:
 
 def _load_csv(loader, path: str) -> np.ndarray:
     try:
-        values = loader(path)
+        with warnings.catch_warnings():
+            # reported below as a one-line error
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            values = loader(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load {path}: {exc}") from exc
+    if values.size == 0:
+        raise ConfigError(f"{path} holds no data")
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"{path} holds a non-finite entry")
     return values
@@ -326,9 +352,9 @@ def solver_spec(name: str, cfg: ExperimentConfig, problem: L0Problem) -> ApproxS
     """ApproxSpec for a named coordinate solver; None marks the full-gradient one."""
     partition = problem.partition
     if name == "uq":
-        spec = separable_from_factor(partition, cfg.uq_factor)
+        spec = _construct(separable_from_factor, partition, cfg.uq_factor)
     elif name == "ue":
-        spec = exact_uniform(partition, cfg.ue_beta)
+        spec = _construct(exact_uniform, partition, cfg.ue_beta)
     elif name == "ihta":
         return None
     else:
@@ -356,6 +382,8 @@ def run_named_solver(
     spec = solver_spec(name, cfg, problem)
     if spec is None:
         M_f = problem.partition.global_lipschitz * cfg.ihta_factor
+        if not np.isfinite(M_f):
+            raise ConfigError(f"[solvers] ihta_factor = {cfg.ihta_factor} makes M_f overflow")
         return run_ihta(problem, x0, M_f, max_iters=_full_grad_max_iters(cfg))
     seed = int(np.random.SeedSequence(seed_entropy).generate_state(1)[0])
     config = SolverConfig(
@@ -418,11 +446,10 @@ def _fmt(v: float) -> str:
 
 def cmd_solve(cfg: ExperimentConfig, writer: OutputWriter) -> int:
     problem = build_problem(cfg)
-    n = problem.n
     if cfg.solve_start == "zeros":
-        x0 = np.zeros(n)
+        x0 = np.zeros(problem.n)
     elif cfg.solve_start == "random":
-        x0 = random_start(n, seeded_rng(cfg.master_seed, 0), cfg.start_density, cfg.value_range)
+        x0 = _random_starts(cfg, problem, 1)[0]
     else:
         raise ConfigError(f"unknown start kind {cfg.solve_start!r}")
 
@@ -532,12 +559,7 @@ def cmd_tournament(cfg: ExperimentConfig, writer: OutputWriter) -> int:
             f"exceeds the limit {ENUMERATION_LIMIT}"
         )
     f_table = _global_f_table(base_problem)
-    n = base_problem.n
-
-    starts = [
-        random_start(n, seeded_rng(cfg.master_seed, t), cfg.start_density, cfg.value_range)
-        for t in range(cfg.trials)
-    ]
+    starts = _random_starts(cfg, base_problem, cfg.trials)
 
     rows = []
     for li, lam in enumerate(cfg.sweep):
@@ -570,11 +592,7 @@ def cmd_tournament(cfg: ExperimentConfig, writer: OutputWriter) -> int:
 
 def cmd_benchmark(cfg: ExperimentConfig, writer: OutputWriter) -> int:
     problem = build_problem(cfg)
-    n = problem.n
-    starts = [
-        random_start(n, seeded_rng(cfg.master_seed, t), cfg.start_density, cfg.value_range)
-        for t in range(cfg.trials)
-    ]
+    starts = _random_starts(cfg, problem, cfg.trials)
     rows = []
     for si, name in enumerate(cfg.solver_names):
         best = None

@@ -20,9 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import (
-    TIE_RULE, ApproxSpec, apply_threshold, model_curvature, threshold_e, threshold_q
-)
+from .approx import TIE_RULE, ApproxSpec, model_curvature, threshold_e, threshold_map
 # l0_norm stays importable from this module.
 from .core import IterateState, L0Problem, l0_norm  # noqa: F401
 
@@ -114,28 +112,37 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _update_block(problem: L0Problem, state: IterateState, i: int, spec: ApproxSpec) -> float:
-    """Replace block i by its thresholding map; returns the step norm.
+def _block_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateState, int], float]:
+    """The step that replaces block i by its thresholding map; it returns the step norm.
 
-    A null step touches nothing. Otherwise point, cache and f value move
-    together; support and penalty are recounted only on a zero-pattern change.
+    The map is built here, so a spec that does not fit raises ValueError
+    before any step. A null step touches nothing. Otherwise point, cache and
+    f value move together; support and penalty are recounted only on a
+    zero-pattern change.
     """
-    sl = problem.partition.block_slice(i)
-    new_block = apply_threshold(problem.smooth, problem.partition, state.x, i, spec, state.cache)
-    delta = new_block - state.x[sl]
-    if not delta.any():
-        return 0.0
-    pattern_changed = np.any((state.x[sl] != 0.0) != (new_block != 0.0))
-    state.x[sl] = new_block
-    problem.smooth.update_cache(state.cache, sl, delta)
-    state.f_value = problem.smooth.value_from_cache(state.x, state.cache)
-    if pattern_changed:
-        state.recount(problem)
-    return _norm(delta)
+    smooth = problem.smooth
+    partition = problem.partition
+    tmap = threshold_map(spec, smooth, partition)
+
+    def step(state: IterateState, i: int) -> float:
+        sl = partition.block_slice(i)
+        new_block = tmap(state.x, sl, smooth.block_grad(state.x, sl, state.cache), state.cache)
+        delta = new_block - state.x[sl]
+        if not delta.any():
+            return 0.0
+        pattern_changed = np.any((state.x[sl] != 0.0) != (new_block != 0.0))
+        state.x[sl] = new_block
+        smooth.update_cache(state.cache, sl, delta)
+        state.f_value = smooth.value_from_cache(state.x, state.cache)
+        if pattern_changed:
+            state.recount(problem)
+        return _norm(delta)
+
+    return step
 
 
 def _scalar_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateState, int], float]:
-    """``_update_block`` for a partition of scalar blocks, on Python floats.
+    """``_block_step`` for a partition of scalar blocks, on Python floats.
 
     Block j is coordinate j. The threshold, the null-step test, the
     zero-pattern test and the step norm are float operations, with the same
@@ -180,6 +187,14 @@ def _scalar_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateState
     return step
 
 
+def _coordinate_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateState, int], float]:
+    """The step a coordinate run takes: on Python floats when every block is
+    one coordinate (``_scalar_step``), on arrays otherwise (``_block_step``)."""
+    if problem.partition.n == problem.partition.num_blocks:
+        return _scalar_step(problem, spec)
+    return _block_step(problem, spec)
+
+
 def _check_descent(F_old: float, F_new: float, mu: float, step_norm: float, i: int) -> None:
     """Raise InvariantViolation unless F_new <= F_old - (mu/2) step^2 + slack."""
     step_sq = step_norm**2
@@ -191,28 +206,6 @@ def _check_descent(F_old: float, F_new: float, mu: float, step_norm: float, i: i
             f"required <= {bound:.12g} (mu={mu:.3g}, step^2={step_sq:.3g}); "
             "check the Lipschitz constants"
         )
-
-
-def rcd_iht_step(
-    problem: L0Problem,
-    state: IterateState,
-    i: int,
-    spec: ApproxSpec,
-    mu_i: float | None = None,
-) -> IterateState:
-    """Apply the thresholding map to block i of ``state`` in place.
-
-    The state's point, cache, support, and f value stay mutually consistent.
-    Raises InvariantViolation if the step fails the guaranteed descent
-    inequality beyond roundoff slack, and ValueError, before any write, if
-    the exact model meets a block of more than one coordinate.
-    """
-    if mu_i is None:
-        mu_i = float(spec.mu(problem.partition)[i])
-    F_old = state.objective()
-    step_norm = _update_block(problem, state, i, spec)
-    _check_descent(F_old, state.objective(), mu_i, step_norm, i)
-    return state
 
 
 def _drive(
@@ -308,11 +301,7 @@ def run_rcd_iht(
         "solver": "rcd-iht", "approx": spec.label(), "rng": RNG_ALGORITHM, "seed": int(config.seed)
     }
 
-    # scalar partitions step on Python floats
-    if partition.n == N:
-        update = _scalar_step(problem, spec)
-    else:
-        update = lambda state, i: _update_block(problem, state, i, spec)
+    update = _coordinate_step(problem, spec)
 
     def step(state: IterateState) -> tuple[int, float, float]:
         i = draw_block(rng, N)
@@ -332,13 +321,13 @@ def run_ihta(
 ) -> tuple[IterateState, SolverTrace]:
     """Full-gradient hard-thresholding baseline with global constant M_f.
 
-    Every iteration thresholds all coordinates of the gradient step
-    x - grad f(x) / M_f at once with ``threshold_q``, zeroing coordinate j
-    unless (M_f/2) |x_j - grad_j/M_f|^2 exceeds its block's penalty (ties
-    to zero, as in the coordinate method) or that penalty is 0. Requires a
-    finite M_f > L_f. Deterministic;
-    trace block index is -1. The stability window is 3 full iterations
-    (each one touches every block).
+    Every iteration applies the thresholding map of the separable quadratic
+    model with M_i = M_f to every block at once: the gradient step
+    x - grad f(x) / M_f, with coordinate j zeroed unless
+    (M_f/2) |x_j - grad_j/M_f|^2 exceeds its block's penalty (ties to zero,
+    as in the coordinate method) or that penalty is 0. Requires a finite
+    M_f > L_f. Deterministic; trace block index is -1. The stability window
+    is 3 full iterations (each one touches every block).
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -350,14 +339,17 @@ def run_ihta(
             f"M_f={M_f} must be finite and strictly exceed the global Lipschitz "
             f"constant {partition.global_lipschitz}"
         )
-    lam_coord = partition.coord_lambda()
     mu_f = M_f - partition.global_lipschitz
     smooth = problem.smooth
+    tmap = threshold_map(
+        ApproxSpec.separable_quadratic(np.full(partition.num_blocks, M_f)), smooth, partition
+    )
+    whole = slice(0, partition.n)
 
     def step(state: IterateState) -> tuple[int, float, float]:
         # The cache holds the residual (or predictors) at state.x already.
-        g = smooth.block_grad(state.x, slice(None), state.cache)
-        new_x = threshold_q(state.x, g, M_f, lam_coord)
+        g = smooth.block_grad(state.x, whole, state.cache)
+        new_x = tmap(state.x, whole, g, state.cache)
         step_norm = _norm(new_x - state.x)
         pattern_changed = np.any((new_x != 0.0) != (state.x != 0.0))
         state.x = new_x

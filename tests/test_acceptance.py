@@ -22,7 +22,6 @@ from l0rcd import (
     exact_uniform,
     example_class_requests,
     objective_F,
-    rcd_iht_step,
     run_ihta,
     run_rcd_iht,
     separable_from_factor,
@@ -31,7 +30,7 @@ from l0rcd import (
 from l0rcd.approx import _solve_1d, threshold_e, threshold_q
 from l0rcd.cli import ExperimentConfig, build_problem, main, random_start, seeded_rng
 from l0rcd.objectives import LeastSquaresObjective, LogisticL2Objective
-from l0rcd.solvers import draw_block, make_rng
+from l0rcd.solvers import _check_descent, _coordinate_step, draw_block, make_rng
 
 from conftest import random_logistic_problem, random_ls_problem
 from test_approx import brute_force_threshold_q
@@ -222,8 +221,8 @@ def test_criterion_02_per_iteration_descent_inequality():
 def test_criterion_03_kept_magnitudes_clear_the_threshold():
     """Quadratic-model steps never keep a coordinate below its threshold.
 
-    Replays the quadratic-model runs of gate 2 step by step and checks that
-    after each touch every surviving coordinate of the touched block
+    Replays the quadratic-model runs of gate 2 step by step, with the step
+    and the descent check that a run uses, and checks that after each touch every surviving coordinate of the touched block
     satisfies x_j^2 >= 2 lambda_i / M_i - 1e-12.
     """
     violations = 0
@@ -235,9 +234,12 @@ def test_criterion_03_kept_magnitudes_clear_the_threshold():
         state = IterateState.from_point(problem, x0)
         rng = make_rng(3 * index + 1)
         mu = spec.mu(part)
+        step = _coordinate_step(problem, spec)
         for _ in range(DESCENT_ITERS):
             i = draw_block(rng, part.num_blocks)
-            rcd_iht_step(problem, state, i, spec, mu[i])
+            F_old = state.objective()
+            step_norm = step(state, i)
+            _check_descent(F_old, state.objective(), mu[i], step_norm, i)
             sl = part.block_slice(i)
             block = state.x[sl]
             nz = block[block != 0.0]

@@ -6,11 +6,11 @@ import pytest
 from l0rcd import (
     ApproxSpec,
     LeastSquaresObjective,
-    apply_threshold,
     exact_inner_min,
     exact_uniform,
     separable_from_factor,
     threshold_e,
+    threshold_map,
     threshold_q,
 )
 from l0rcd.approx import M_EQ_LIPSCHITZ_FACTOR, _solve_1d, model_curvature
@@ -282,7 +282,7 @@ class TestDeltaE:
     def test_generic_route_matches_fast_path(self):
         """On least squares, threshold_e (Newton, Delta as a difference of
         two f values) and the exact spec's closed-form step through
-        apply_threshold agree bit for bit away from the boundary Delta = lambda."""
+        threshold_map agree bit for bit away from the boundary Delta = lambda."""
         rng = np.random.default_rng(9)
         A = rng.uniform(-1, 1, (5, 3))
         f = LeastSquaresObjective(A, rng.uniform(-1, 1, 5))
@@ -293,15 +293,16 @@ class TestDeltaE:
             lam = rng.uniform(0.0, 1.0, 3) * (rng.random(3) < 0.8)
             lam[rng.integers(3)] = rng.uniform(0.05, 1.0)  # a partition needs one
             p = BlockPartition.scalar(lam, f.column_lipschitz())
-            spec = ApproxSpec.exact(beta)
+            tmap = threshold_map(ApproxSpec.exact(beta), f, p)
             cache = f.make_cache(x)
             for j in range(3):
                 _, delta = exact_progress(f, x, j, beta[j], cache)
                 if abs(delta - lam[j]) <= 1e-9:
                     continue
                 compared += 1
+                sl = slice(j, j + 1)
                 assert (
-                    apply_threshold(f, p, x, j, spec, cache).tobytes()
+                    tmap(x, sl, f.block_grad(x, sl, cache), cache).tobytes()
                     == np.array([threshold_e(f, x, j, beta[j], lam[j], cache)]).tobytes()
                 )
         assert compared > 500
@@ -494,7 +495,7 @@ class TestApproxSpec:
         assert ApproxSpec.exact([1.0]).label() == "ue"
 
 
-class TestApplyThreshold:
+class TestThresholdMap:
     def test_dispatch_matches_direct_calls(self):
         rng = np.random.default_rng(19)
         A = rng.uniform(-1, 1, (6, 4))
@@ -505,17 +506,18 @@ class TestApplyThreshold:
         x = rng.standard_normal(4)
         cache = oracle.make_cache(x)
         uq = separable_from_factor(p, 1.5)
+        tmap = threshold_map(uq, oracle, p)
         for i in range(4):
             sl = p.block_slice(i)
             grad = oracle.block_grad(x, sl, cache)
             np.testing.assert_array_equal(
-                apply_threshold(oracle, p, x, i, uq, cache),
-                threshold_q(x[sl], grad, uq.M[i], p.lam[i]),
+                tmap(x, sl, grad, cache), threshold_q(x[sl], grad, uq.M[i], p.lam[i])
             )
-        ue = exact_uniform(p, 0.01)
+        tmap = threshold_map(exact_uniform(p, 0.01), oracle, p)
         for i in range(4):
+            sl = p.block_slice(i)
             np.testing.assert_array_equal(
-                apply_threshold(oracle, p, x, i, ue, cache),
+                tmap(x, sl, oracle.block_grad(x, sl, cache), cache),
                 np.array([threshold_e(oracle, x, i, 0.01, p.lam[i], cache)]),
             )
 
@@ -524,8 +526,10 @@ class TestApplyThreshold:
         p = BlockPartition.scalar(np.full(4, 0.05), oracle.column_lipschitz())
         x = np.random.default_rng(22).standard_normal(4)
         cache = oracle.make_cache(x)
+        tmap = threshold_map(exact_uniform(p, 0.01), oracle, p)
         for i in range(4):
-            assert apply_threshold(oracle, p, x, i, exact_uniform(p, 0.01), cache).tobytes() == (
+            sl = p.block_slice(i)
+            assert tmap(x, sl, oracle.block_grad(x, sl, cache), cache).tobytes() == (
                 np.array([threshold_e(oracle, x, i, 0.01, p.lam[i], cache)]).tobytes()
             )
 
@@ -537,11 +541,57 @@ class TestApplyThreshold:
         spec = ApproxSpec.diagonal_quadratic([1.5, 2.0, 2.5, 3.0])
         x = np.array([0.5, -0.5, 0.25, 0.0])
         cache = oracle.make_cache(x)
-        got = apply_threshold(oracle, p, x, 1, spec, cache)
         grad = oracle.block_grad(x, slice(2, 4), cache)
+        got = threshold_map(spec, oracle, p)(x, slice(2, 4), grad, cache)
         np.testing.assert_array_equal(
             got, threshold_q(x[2:4], grad, [2.5, 3.0], 0.2)
         )
+
+    @pytest.mark.parametrize("objective", ["least_squares", "logistic"])
+    @pytest.mark.parametrize("sizes", [(1,) * 12, (3, 3, 2, 4)], ids=["scalar", "blocks_3_3_2_4"])
+    def test_whole_point_matches_block_by_block(self, objective, sizes):
+        """The map of the whole point is the map of each block, bit for bit.
+
+        Both are given the same gradient: a block gradient and the slice of
+        the whole gradient may round differently.
+        """
+        rng = np.random.default_rng(24)
+        n = sum(sizes)
+        if objective == "least_squares":
+            oracle = LeastSquaresObjective(rng.uniform(-1, 1, (8, n)), rng.uniform(-1, 1, 8))
+        else:
+            oracle = random_logistic(10, n, seed=25)
+        lam = rng.uniform(0.05, 0.5, len(sizes))
+        lam[1] = 0.0  # a penalty-free block takes the plain gradient step
+        L = np.asarray(oracle.block_lipschitz(sizes))
+        p = BlockPartition(block_sizes=sizes, lam=tuple(lam), lipschitz=tuple(L))
+        specs = [
+            separable_from_factor(p, 1.5),
+            ApproxSpec.diagonal_quadratic(p.coord_lipschitz() * rng.uniform(1.2, 3.0, n)),
+        ]
+        if len(sizes) == n:
+            specs.append(exact_uniform(p, 1e-3))
+        whole = slice(0, n)
+        for spec in specs:
+            tmap = threshold_map(spec, oracle, p)
+            for _ in range(20):
+                x = rng.standard_normal(n) * (rng.random(n) < 0.6)
+                cache = oracle.make_cache(x)
+                g = oracle.block_grad(x, whole, cache)
+                out = tmap(x, whole, g, cache)
+                for i in range(p.num_blocks):
+                    sl = p.block_slice(i)
+                    assert out[sl].tobytes() == tmap(x, sl, g[sl], cache).tobytes(), spec.label()
+
+    def test_writes_nothing(self):
+        oracle = random_logistic(9, 4, seed=26)
+        p = BlockPartition.scalar(np.full(4, 0.05), oracle.column_lipschitz())
+        x = np.random.default_rng(27).standard_normal(4)
+        cache = oracle.make_cache(x)
+        before = (x.tobytes(), cache.tobytes())
+        for spec in (separable_from_factor(p, 1.5), exact_uniform(p, 0.01)):
+            threshold_map(spec, oracle, p)(x, slice(0, 4), oracle.full_grad(x), cache)
+        assert (x.tobytes(), cache.tobytes()) == before
 
 
 class TestModelCurvature:

@@ -1,9 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import l0rcd
 from l0rcd.cli import main
 
 
@@ -441,6 +445,59 @@ class TestConfigParsing:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command,problem,extra",
+        [
+            ("solve", "ls", "[solvers]\nuq_factor = 1e308\n"),
+            ("tournament", "ls", "[solvers]\nuq_factor = 1e308\n"),
+            ("benchmark", "ls", "[solvers]\nuq_factor = 1e308\n"),
+            ("solve", "ls", "[solvers]\nihta_factor = 1e308\n[solve]\nsolver = ihta\n"),
+            ("tournament", "ls", "[solvers]\nlist = ihta\nihta_factor = 1e308\n"),
+            ("benchmark", "ls", "[solvers]\nlist = ihta\nihta_factor = 1e308\n"),
+            ("solve", "ls", "[starts]\nvalue_range = 1e160\n[solve]\nstart = random\n"),
+            ("tournament", "ls", "[starts]\nvalue_range = 1e160\n"),
+            ("benchmark", "ls", "[starts]\nvalue_range = 1e160\n"),
+            ("benchmark", "logistic", "[starts]\nvalue_range = 1e200\n"),
+            ("solve", "empty_matrix", ""),
+            ("solve", "empty_rhs", ""),
+        ],
+        ids=[
+            "uq_factor_solve", "uq_factor_tournament", "uq_factor_benchmark",
+            "ihta_factor_solve", "ihta_factor_tournament", "ihta_factor_benchmark",
+            "value_range_solve", "value_range_tournament", "value_range_benchmark",
+            "value_range_logistic", "empty_matrix_csv", "empty_rhs_csv",
+        ],
+    )
+    def test_overflow_and_empty_data_are_one_line_errors(self, tmp_path, command, problem, extra):
+        """A factor whose M overflows, a start whose f overflows and an empty CSV
+        each end in one error line and exit 2, not a traceback or a warning.
+
+        Run in a child process: numpy's warnings reach stderr only outside
+        pytest's warning capture.
+        """
+        if problem.startswith("empty"):
+            A, b = write_toy_csvs(tmp_path)
+            empty = tmp_path / "empty.csv"
+            empty.write_text("")
+            A, b = (empty, b) if problem == "empty_matrix" else (A, empty)
+            text = f"[problem]\nkind = ls\nmatrix_csv = {A}\nrhs_csv = {b}\nlambda = 0.5\n"
+        else:
+            # on this instance the largest L_i is 2.42, so 1e308 * L_i overflows
+            kind = "least_squares" if problem == "ls" else "logistic"
+            text = f"[problem]\nkind = {kind}\nm = 3\nn = 4\nseed = 3\nlambda = 0.5\n"
+        cfg = write_config(tmp_path, text + "[sweep]\nlambdas = 0.5\n" + extra)
+        env = dict(os.environ)
+        src = str(Path(l0rcd.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "l0rcd", command, "--config", cfg, "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+        if problem.startswith("empty"):
+            assert "holds no data" in proc.stderr
 
     def test_negative_seed_flag_is_a_one_line_error(self, tmp_path, capsys):
         cfg = toy_config(tmp_path, start="random")

@@ -11,21 +11,23 @@ from l0rcd import (
     LeastSquaresObjective,
     SolverConfig,
     SolverTrace,
-    apply_threshold,
     delta_lower_bound,
     estimate_linear_rate,
     exact_uniform,
     l0_norm,
     objective_F,
-    rcd_iht_step,
     run_ihta,
     run_rcd_iht,
     separable_from_factor,
+    threshold_map,
+    threshold_q,
 )
 from l0rcd.approx import M_EQ_LIPSCHITZ_FACTOR
 from l0rcd.solvers import (
+    _block_step,
+    _check_descent,
+    _coordinate_step,
     _scalar_step,
-    _update_block,
     draw_block,
     make_rng,
     trace_rows,
@@ -43,11 +45,24 @@ def toy_state(problem, x):
     return IterateState.from_point(problem, np.asarray(x, dtype=float))
 
 
+def checked_step(problem, spec):
+    """The step a run takes, ``step(state, i)``, followed by the run's descent check."""
+    step = _coordinate_step(problem, spec)
+    mu = spec.mu(problem.partition)
+
+    def checked(state, i):
+        F_old = state.objective()
+        norm = step(state, i)
+        _check_descent(F_old, state.objective(), mu[i], norm, i)
+
+    return checked
+
+
 class TestStep:
     def test_toy_block_zeroed(self, toy):
         """At (2, 0.5) the second coordinate's progress 0.125 < 0.5: zero it."""
         st = toy_state(toy, [2.0, 0.5])
-        rcd_iht_step(toy, st, 1, lipschitz_mode(toy.partition))
+        checked_step(toy, lipschitz_mode(toy.partition))(st, 1)
         np.testing.assert_array_equal(st.x, [2.0, 0.0])
         assert st.support == 0b01
         assert st.objective() == pytest.approx(0.625)
@@ -55,14 +70,14 @@ class TestStep:
     def test_toy_block_kept(self, toy):
         # first coordinate's progress is about 2 > 0.5: keep it
         st = toy_state(toy, [2.0, 0.5])
-        rcd_iht_step(toy, st, 0, lipschitz_mode(toy.partition))
+        checked_step(toy, lipschitz_mode(toy.partition))(st, 0)
         np.testing.assert_allclose(st.x, [2.0, 0.5])
 
     def test_strong_point_is_fixed(self, toy):
-        spec = lipschitz_mode(toy.partition)
+        step = checked_step(toy, lipschitz_mode(toy.partition))
         for i in range(2):
             st = toy_state(toy, [2.0, 0.0])
-            rcd_iht_step(toy, st, i, spec)
+            step(st, i)
             np.testing.assert_array_equal(st.x, [2.0, 0.0])
 
     @pytest.mark.parametrize(
@@ -80,12 +95,12 @@ class TestStep:
             )
             prob = L0Problem(prob.smooth, partition)
         p = prob.partition
-        spec = separable_from_factor(p, 1.5)
+        step = checked_step(prob, separable_from_factor(p, 1.5))
         rng = np.random.default_rng(41)
         st = toy_state(prob, rng.standard_normal(p.n))
         for _ in range(300):
             i = int(rng.integers(p.num_blocks))
-            rcd_iht_step(prob, st, i, spec)
+            step(st, i)
             in_support = (st.x != 0.0) | (p.coord_lambda() == 0.0)
             assert st.support == sum(1 << j for j in np.flatnonzero(in_support).tolist())
             assert st.penalty == l0_norm(st.x, p)
@@ -93,15 +108,16 @@ class TestStep:
 
     def test_null_step_leaves_state_bit_identical(self, toy):
         """At the strong point (2, 0) the map returns each block unchanged."""
-        spec = lipschitz_mode(toy.partition)
+        step = checked_step(toy, lipschitz_mode(toy.partition))
         for i in range(2):
             st = toy_state(toy, [2.0, 0.0])
             before = (st.x.tobytes(), st.cache.tobytes(), st.f_value, st.support, st.penalty)
-            rcd_iht_step(toy, st, i, spec)
+            step(st, i)
             assert (st.x.tobytes(), st.cache.tobytes(), st.f_value, st.support, st.penalty) == before
 
     def test_exact_model_rejects_a_multi_coordinate_block(self):
-        """The exact model has one scalar step; it must not be broadcast over a block."""
+        """The exact model has one scalar step; it must not be broadcast over a
+        block. The step refuses to be built, so no state is ever written."""
         prob = random_logistic_problem(15, 12, seed=47)
         sizes = (3, 3, 2, 4)
         partition = BlockPartition(
@@ -110,11 +126,8 @@ class TestStep:
             lipschitz=tuple(prob.smooth.block_lipschitz(sizes)),
         )
         prob = L0Problem(prob.smooth, partition)
-        st = toy_state(prob, np.random.default_rng(48).standard_normal(12))
-        before = st.x.copy()
         with pytest.raises(ValueError, match="exact approximation requires scalar blocks"):
-            rcd_iht_step(prob, st, 0, ApproxSpec.exact(np.full(len(sizes), 1e-4)))
-        np.testing.assert_array_equal(st.x, before)
+            _coordinate_step(prob, ApproxSpec.exact(np.full(len(sizes), 1e-4)))
 
     def test_understated_lipschitz_detected(self):
         """A wrong (too small) block constant breaks guaranteed descent."""
@@ -123,7 +136,7 @@ class TestStep:
         prob = L0Problem(oracle, partition)
         st = toy_state(prob, [0.0])
         with pytest.raises(InvariantViolation):
-            rcd_iht_step(prob, st, 0, lipschitz_mode(partition))
+            checked_step(prob, lipschitz_mode(partition))(st, 0)
 
 
 # A penalty this large zeroes the coordinate whatever its model value.
@@ -151,7 +164,7 @@ def _spec_for(model: str, partition: BlockPartition) -> ApproxSpec:
 @example(seed=1, lam_0=_HUGE_LAMBDA, x_0_zero=False, rest=[])  # support change
 @example(seed=1, lam_0=0.0, x_0_zero=True, rest=[0, 0])  # lambda = 0 coordinate
 def test_scalar_step_matches_block_step(objective, model, seed, lam_0, x_0_zero, rest):
-    """The float step and ``_update_block`` move a state bit for bit alike.
+    """The float step and ``_block_step`` move a state bit for bit alike.
 
     Coordinate 0 carries ``lam_0`` and is stepped first, then the
     coordinates of ``rest``; both states are compared after every step.
@@ -166,10 +179,10 @@ def test_scalar_step_matches_block_step(objective, model, seed, lam_0, x_0_zero,
     x0 = rng.standard_normal(n) * (rng.random(n) < 0.6)
     x0[0] = 0.0 if x_0_zero else 0.7
     scalar_state, block_state = toy_state(prob, x0), toy_state(prob, x0)
-    step = _scalar_step(prob, spec)
+    step, block_step = _scalar_step(prob, spec), _block_step(prob, spec)
     for j in [0, *rest]:
         norm = step(scalar_state, j)
-        assert norm == _update_block(prob, block_state, j, spec)
+        assert norm == block_step(block_state, j)
         assert scalar_state.x.tobytes() == block_state.x.tobytes()
         assert scalar_state.cache.tobytes() == block_state.cache.tobytes()
         assert scalar_state.f_value == block_state.f_value
@@ -307,10 +320,11 @@ class TestRunRcdIht:
         spec = separable_from_factor(prob.partition, 1.5)
         cfg = SolverConfig(approx=spec, max_iters=4000, seed=11)
         st, _ = run_rcd_iht(prob, np.ones(5) * 0.3, cfg)
+        tmap = threshold_map(spec, prob.smooth, prob.partition)
         cache = prob.smooth.make_cache(st.x)
         for i in range(prob.partition.num_blocks):
             sl = prob.partition.block_slice(i)
-            new_block = apply_threshold(prob.smooth, prob.partition, st.x, i, spec, cache)
+            new_block = tmap(st.x, sl, prob.smooth.block_grad(st.x, sl, cache), cache)
             assert np.linalg.norm(new_block - st.x[sl]) <= 1e-8
 
     def test_exact_matches_shifted_quadratic_on_least_squares(self):
@@ -404,6 +418,27 @@ class TestRunIhta:
         and still reported converged."""
         with pytest.raises(ValueError, match="finite"):
             run_ihta(toy, np.array([1.0, 1.0]), M_f=M_f, max_iters=10)
+
+    @pytest.mark.parametrize("objective", ["least_squares", "logistic"])
+    @pytest.mark.parametrize("sizes", [None, (3, 1, 2, 2)], ids=["scalar", "blocks_3_1_2_2"])
+    def test_step_is_threshold_q_at_m_f(self, objective, sizes):
+        """One iteration gives the bytes of threshold_q(x, grad f(x), M_f, lambda)."""
+        make = random_ls_problem if objective == "least_squares" else random_logistic_problem
+        prob = make(9, 8, seed=55)
+        sizes = sizes or (1,) * 8
+        lam = np.random.default_rng(56).uniform(0.05, 0.5, len(sizes))
+        lam[1] = 0.0
+        p = BlockPartition(
+            block_sizes=sizes, lam=tuple(lam), lipschitz=tuple(prob.smooth.block_lipschitz(sizes))
+        )
+        prob = L0Problem(prob.smooth, p)
+        M_f = 1.3 * p.global_lipschitz
+        rng = np.random.default_rng(57)
+        for _ in range(10):
+            x0 = rng.standard_normal(8) * (rng.random(8) < 0.6)
+            st, _ = run_ihta(prob, x0, M_f, max_iters=1)
+            g = prob.smooth.block_grad(x0, slice(0, 8), prob.smooth.make_cache(x0))
+            assert st.x.tobytes() == threshold_q(x0, g, M_f, p.coord_lambda()).tobytes()
 
     def test_descent_monotone(self):
         prob = random_logistic_problem(12, 6, seed=49)
