@@ -20,14 +20,15 @@ per-class flags so the inclusion chain can be verified directly.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .approx import EXACT, TIE_RULE, ApproxSpec, threshold_map
-from .core import BlockPartition, L0Problem, l0_norm
-from .objectives import LeastSquaresObjective
+from .approx import EXACT, TIE_RULE, ApproxSpec, model_curvature, threshold_map
+from .core import BlockPartition, L0Problem
+from .objectives import LeastSquaresObjective, _rowdot
 
 # Boundary tolerance for class membership tests; restricted solves are
 # accurate to 1e-10, so this absorbs accumulation without blurring classes.
@@ -37,6 +38,9 @@ CLASSIFY_TOL = 1e-8
 ENUMERATION_LIMIT = 24
 
 BASIC_LABEL = "basic"
+
+# Supports classified together by enumerate_catalog.
+_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -128,56 +132,80 @@ def restricted_minimize(problem: L0Problem, I) -> np.ndarray:
 def _fixed_point_test(problem: L0Problem, model: ApproxSpec, tol: float) -> Callable:
     """The test "the thresholding map of ``model`` leaves z in place, within tol".
 
-    The returned function takes z, the gradient at z and the oracle's cache
-    at z. Everything that does not depend on z is built here, once.
+    The returned function takes a stack Z of points, one per row, and the
+    gradients G at them, and returns one bool per row. Everything that does
+    not depend on the points is built here, once.
     """
     partition = problem.partition
+    smooth = problem.smooth
     if model.kind == EXACT:
-        tmap = threshold_map(model, problem.smooth, partition)
-        whole = slice(0, partition.n)
+        tmap = threshold_map(model, smooth, partition)
 
         def moves(z, out):
             # the exact map must keep each zero/nonzero status exactly and may
             # move kept values by at most tol
             return ((out == 0.0) != (z == 0.0)) | (np.abs(out - z) > tol)
 
-        return lambda z, g, cache: not np.any(moves(z, tmap(z, whole, g, cache)))
+        if model_curvature(model, smooth, partition) is not None:
+            # threshold_q, elementwise over the whole stack
+            whole = slice(0, partition.n)
+            return lambda Z, G: ~np.any(moves(Z, tmap(Z, whole, G, None)), axis=-1)
+
+        coords = [slice(j, j + 1) for j in range(partition.n)]
+
+        def rows_fixed(Z, G):
+            # one cache per row, and a row fails at the first coordinate that moves
+            out = np.ones(len(Z), dtype=bool)
+            for k, (z, g) in enumerate(zip(Z, G)):
+                cache = smooth.make_cache(z)
+                out[k] = not any(moves(z[sl], tmap(z, sl, g[sl], cache)) for sl in coords)
+            return out
+
+        return rows_fixed
     model.check_partition(partition)
     lam = partition.coord_lambda()
     M = model.coord_curvature(partition)
     zero_bound = np.sqrt(2.0 * lam * M) + tol
     keep_bound = np.sqrt(2.0 * lam / M) - tol
     penalized = lam != 0.0  # lam = 0 always passes
-    return lambda z, g, cache: not np.any(
-        np.where(z == 0.0, np.abs(g) > zero_bound, np.abs(z) < keep_bound) & penalized
+    return lambda Z, G: ~np.any(
+        np.where(Z == 0.0, np.abs(G) > zero_bound, np.abs(Z) < keep_bound) & penalized, axis=-1
     )
 
 
 def _classify(
-    problem: L0Problem, z: np.ndarray, tests: list[tuple[str, Callable]], tol: float
-) -> dict[str, bool]:
-    """Membership of z in the basic class and in each (label, test) class of ``tests``.
+    problem: L0Problem, Z: np.ndarray, tests: list[tuple[str, Callable]], tol: float
+) -> dict[str, np.ndarray]:
+    """Membership of each row of Z in the basic class and in each (label, test) class.
 
-    A requested class holds the basic points that are fixed points of the
-    request's thresholding map; the map is not tried once the basic flag
-    has failed. One cache and one gradient serve every request.
+    Returns one bool array per class, "basic" first. A requested class holds
+    the basic points that are fixed points of the request's thresholding
+    map; the maps see only the basic rows. One stacked gradient serves every
+    class.
     """
-    partition = problem.partition
-    z = np.asarray(z, dtype=float)
-    smooth = problem.smooth
-    cache = smooth.make_cache(z)
-    g = smooth.block_grad(z, slice(None), cache)
-    on = (z != 0.0) | partition.zero_penalty_mask  # I(z)
-    basic = not on.any() or float(np.linalg.norm(g[on])) <= tol
+    G = problem.smooth.full_grad(Z)
+    on = (Z != 0.0) | problem.partition.zero_penalty_mask  # I(z), row by row
+    sizes = on.sum(axis=1)
+    basic = sizes == 0
+    # np.linalg.norm of g on I(z) is sqrt(dot(g_on, g_on)); the rows with the
+    # same |I(z)| share one stacked dot of exactly that length, since padding
+    # with zeros could regroup the dot's sum
+    for size in set(sizes.tolist()) - {0}:
+        rows = np.flatnonzero(sizes == size)
+        g_on = G[rows][on[rows]].reshape(len(rows), size)
+        basic[rows] = np.sqrt(_rowdot(g_on, g_on)) <= tol
     flags = {BASIC_LABEL: basic}
+    basic_rows = np.flatnonzero(basic)
     for label, test in tests:
-        flags[label] = basic and test(z, g, cache)
+        member = np.zeros(len(Z), dtype=bool)
+        member[basic_rows] = test(Z[basic_rows], G[basic_rows])
+        flags[label] = member
     return flags
 
 
 def is_basic_local_min(problem: L0Problem, z: np.ndarray, tol: float = CLASSIFY_TOL) -> bool:
     """True iff the gradient of f vanishes on I(z) (within tol)."""
-    return _classify(problem, z, [], tol)[BASIC_LABEL]
+    return bool(_classify(problem, _one_row(z), [], tol)[BASIC_LABEL][0])
 
 
 def is_strong_local_min(
@@ -199,7 +227,27 @@ def is_strong_local_min(
     """
     label = model.label()
     tests = [(label, _fixed_point_test(problem, model, tol))]
-    return _classify(problem, z, tests, tol)[label]
+    return bool(_classify(problem, _one_row(z), tests, tol)[label][0])
+
+
+def _one_row(z: np.ndarray) -> np.ndarray:
+    return np.asarray(z, dtype=float)[None]
+
+
+def _l0_rows(Z: np.ndarray, partition: BlockPartition) -> np.ndarray:
+    # l0_norm of each row: the same reduceat and left-to-right cumsum
+    counts = np.add.reduceat((Z != 0.0).astype(np.int64), partition.block_starts, axis=1)
+    return np.cumsum(partition.lam_array * counts, axis=1)[:, -1]
+
+
+def _submasks(free: int) -> Iterator[int]:
+    """The submasks of ``free``, in increasing order, 0 first."""
+    s = 0
+    while True:
+        yield s
+        s = (s - free) & free
+        if s == 0:
+            return
 
 
 def enumerate_catalog(
@@ -213,7 +261,10 @@ def enumerate_catalog(
     joined with the (always-included) zero-penalty coordinates: 2^(number of
     penalized coordinates) restricted solves. One entry per support, in
     increasing bitmask order; the "basic" class is always computed, and
-    every requested class lies inside it by definition.
+    every requested class lies inside it by definition. The supports go in
+    chunks of ``_CHUNK``: one restricted solve each, then f, F and every
+    class flag for the whole chunk at once, from its points stacked as the
+    rows of a read-only array that the entries' points are views of.
     """
     n = problem.n
     if n > ENUMERATION_LIMIT:
@@ -223,28 +274,27 @@ def enumerate_catalog(
     partition = problem.partition
     tests = [(req.label, _fixed_point_test(problem, req.model, tol)) for req in requests]
     mandatory = partition.zero_penalty_bits
-    free = ((1 << n) - 1) & ~mandatory
+    supports = (mandatory | s for s in _submasks(((1 << n) - 1) & ~mandatory))
 
     entries: list[CatalogEntry] = []
-    # the submasks s of the penalized bits, in increasing order
-    s = 0
-    while True:
-        bitmask = mandatory | s
-        z = restricted_minimize(problem, [j for j in range(n) if bitmask >> j & 1])
-        f_val = problem.smooth.eval(z)
-        F_val = f_val + l0_norm(z, partition)
-        entries.append(
-            CatalogEntry(
-                bitmask=bitmask,
-                point=z,
-                f_value=f_val,
-                F_value=F_val,
-                flags=_classify(problem, z, tests, tol),
-            )
+    while chunk := list(islice(supports, _CHUNK)):
+        Z = np.array(
+            [restricted_minimize(problem, [j for j in range(n) if b >> j & 1]) for b in chunk]
         )
-        s = (s - free) & free
-        if s == 0:
-            break
+        Z.flags.writeable = False
+        f = problem.smooth.eval(Z)
+        F = (f + _l0_rows(Z, partition)).tolist()
+        flags = [(label, v.tolist()) for label, v in _classify(problem, Z, tests, tol).items()]
+        for k, (bitmask, f_val) in enumerate(zip(chunk, f.tolist())):
+            entries.append(
+                CatalogEntry(
+                    bitmask=bitmask,
+                    point=Z[k],
+                    f_value=f_val,
+                    F_value=F[k],
+                    flags={label: member[k] for label, member in flags},
+                )
+            )
 
     labels = [req.label for req in requests] + [BASIC_LABEL]
     conventions = {

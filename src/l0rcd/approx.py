@@ -202,7 +202,8 @@ def _solve_1d(
     g is strictly convex (beta > 0), so g' is increasing with a unique root,
     on the side of 0 where g' has the sign opposite to g'(0). The bracket
     grows on that side only, from B = 1 by doubling, until g'(+-B) changes
-    sign; then Newton iterations start from h = 0 with the known g'(0) and
+    sign (RuntimeError if it has not by B = 2^1023, the last finite
+    doubling); then Newton iterations start from h = 0 with the known g'(0) and
     fall back to bisection whenever a step leaves the bracket. g' is
     evaluated once at every point visited. Converges when
     |g'(h)| <= 1e-10 * (1 + |g'(0)|).
@@ -224,7 +225,7 @@ def _solve_1d(
     grow = 0
     # multiplying by side is exact, so the sign test cannot underflow
     while side * gp(side * B) < 0.0:
-        if grow == 200:
+        if grow == 1023:  # 2^1024 overflows
             raise RuntimeError(
                 f"could not bracket the 1-D minimizer for coordinate {j}: g'(h) keeps "
                 f"the sign of g'(0) = {g0:.3e} on the whole "
@@ -306,8 +307,10 @@ def threshold_map(spec: ApproxSpec, oracle: SmoothOracle, partition: BlockPartit
     ``tmap`` returns the new values of the coordinates ``sl`` (a block, or
     ``slice(0, n)``) from x, the gradient ``g`` over ``sl`` and the cache at
     x, and writes nothing. It is ``threshold_q`` where ``model_curvature``
-    has a curvature and ``threshold_e``, coordinate by coordinate, where it
-    has none. The fit to ``partition`` is checked here, once (ValueError).
+    has a curvature, and then x and g may also be stacks of points as rows
+    (the cache is not read); it is ``threshold_e``, coordinate by
+    coordinate, where there is none. The fit to ``partition`` is checked
+    here, once (ValueError).
     """
     spec.check_partition(partition)
     lam = partition.coord_lambda()
@@ -315,7 +318,7 @@ def threshold_map(spec: ApproxSpec, oracle: SmoothOracle, partition: BlockPartit
 
     def tmap(x: np.ndarray, sl: slice, g: np.ndarray, cache: np.ndarray) -> np.ndarray:
         if curvature is not None:
-            return threshold_q(x[sl], g, curvature[sl], lam[sl])
+            return threshold_q(x[..., sl], g, curvature[sl], lam[sl])
         # scalar blocks, so block j is coordinate j
         js = range(sl.start, sl.stop)
         return np.array([threshold_e(oracle, x, j, spec.beta[j], lam[j], cache) for j in js])

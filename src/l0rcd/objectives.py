@@ -32,6 +32,9 @@ class SmoothOracle(Protocol):
     makes single-block updates O(m * n_i) instead of O(m * n). The cache is
     exclusively owned by one solver run; oracles themselves are immutable.
     ``update_cache(cache, sl, delta)`` adds block ``sl``'s change ``delta`` in place.
+    ``eval`` and ``full_grad`` take one point or a stack of points as the rows
+    of a 2-D array; a stack gets one value (or gradient row) per row, with the
+    bits of the one-point call on that row.
 
     Optional methods outside the protocol: ``coord_curvature()`` says that f
     is quadratic along every coordinate and gives that curvature, so the
@@ -41,7 +44,7 @@ class SmoothOracle(Protocol):
 
     dim: int
 
-    def eval(self, x: np.ndarray) -> float: ...
+    def eval(self, x: np.ndarray) -> float | np.ndarray: ...
 
     def full_grad(self, x: np.ndarray) -> np.ndarray: ...
 
@@ -85,6 +88,31 @@ def _finite(v: float) -> float:
     return float(v)
 
 
+def _finite_each(v: np.ndarray) -> float | np.ndarray:
+    # _finite for one value; for a stack, the array back once every entry is finite
+    if v.ndim == 0:
+        return _finite(v)
+    bad = ~np.isfinite(v)
+    if bad.any():
+        raise ValueError(f"objective evaluated to a non-finite value: {v[bad][0]}")
+    return v
+
+
+def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M @ x for one vector x or for each row of a stack.
+
+    Stacked matmul makes the same gemv call per row as the 1-D product, so
+    each row gets the bits of the one-point call; ``Z @ M.T`` and einsum
+    regroup the sums.
+    """
+    return (M @ np.asarray(x, dtype=float)[..., None])[..., 0]
+
+
+def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u @ v for one pair of vectors or for each pair of rows, with the same dot call."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 class LeastSquaresObjective:
     """f(x) = 1/2 ||Ax - b||^2 with cached residual r = Ax - b."""
 
@@ -104,12 +132,12 @@ class LeastSquaresObjective:
     def dim(self) -> int:
         return self.A.shape[1]
 
-    def eval(self, x: np.ndarray) -> float:
-        r = self.A @ x - self.b
-        return _finite(0.5 * float(r @ r))
+    def eval(self, x: np.ndarray) -> float | np.ndarray:
+        r = _matvec(self.A, x) - self.b
+        return _finite_each(0.5 * _rowdot(r, r))
 
     def full_grad(self, x: np.ndarray) -> np.ndarray:
-        return self.A.T @ (self.A @ x - self.b)
+        return _matvec(self.A.T, _matvec(self.A, x) - self.b)
 
     def make_cache(self, x: np.ndarray) -> np.ndarray:
         return self.A @ x - self.b
@@ -212,14 +240,14 @@ class LogisticL2Objective:
     def dim(self) -> int:
         return self.data.shape[1]
 
-    def eval(self, x: np.ndarray) -> float:
-        t = self.data @ x
-        loss = float((_log1pexp(t) - self.y * t).sum()) / self.m
-        return _finite(loss + 0.5 * self.nu * float(x @ x))
+    def eval(self, x: np.ndarray) -> float | np.ndarray:
+        t = _matvec(self.data, x)
+        loss = (_log1pexp(t) - self.y * t).sum(axis=-1) / self.m
+        return _finite_each(loss + 0.5 * self.nu * _rowdot(x, x))
 
     def full_grad(self, x: np.ndarray) -> np.ndarray:
-        t = self.data @ x
-        return self.data.T @ (_sigmoid(t) - self.y) / self.m + self.nu * x
+        t = _matvec(self.data, x)
+        return _matvec(self.data.T, _sigmoid(t) - self.y) / self.m + self.nu * x
 
     def make_cache(self, x: np.ndarray) -> np.ndarray:
         return self.data @ x

@@ -31,6 +31,8 @@ RNG_ALGORITHM = "philox4x64"
 # Slack terms for the runtime descent check and the stopping rule.
 _DESCENT_SLACK = 1e-12
 _STEP_TOL = 1e-10
+# Relative gap between the tracked f and f from a fresh cache that a stop repairs.
+_DRIFT_TOL = 1e-9
 
 
 class InvariantViolation(RuntimeError):
@@ -208,6 +210,21 @@ def _check_descent(F_old: float, F_new: float, mu: float, step_norm: float, i: i
         )
 
 
+def _refreshed(problem: L0Problem, state: IterateState) -> bool:
+    """Rebuild the state from its point if the tracked f has drifted; say whether it did.
+
+    Incremental cache updates can cancel large entries (a run from a start
+    with huge coordinates), and the tracked f then drifts from f(x). A
+    drift above _DRIFT_TOL * (1 + |f|) triggers ``state.refresh``.
+    """
+    smooth = problem.smooth
+    fresh = smooth.value_from_cache(state.x, smooth.make_cache(state.x))
+    if abs(fresh - state.f_value) <= _DRIFT_TOL * (1.0 + abs(state.f_value)):
+        return False
+    state.refresh(problem)
+    return True
+
+
 def _drive(
     problem: L0Problem,
     x0: np.ndarray,
@@ -226,6 +243,9 @@ def _drive(
     once the support has been stable for ``window`` consecutive iterations
     and every step over that window moved the point by at most
     1e-10 * (1 + ||x||). ||x|| is recomputed only after a step moved x.
+    At either stop the tracked f is checked against a fresh cache
+    (``_refreshed``); after a refresh a ``converged`` stop is taken back,
+    and the run goes on with the stability window restarted.
     """
     state = IterateState.from_point(problem, x0)
     F_cur = state.objective()
@@ -262,8 +282,15 @@ def _drive(
             if x_norm is None:
                 x_norm = _norm(state.x)
             if peaks[0][1] <= _STEP_TOL * (1.0 + x_norm):
+                if _refreshed(problem, state):
+                    # the run stood on a drifted f; it goes on from the fresh one
+                    F_cur = state.objective()
+                    stable = 0
+                    continue
                 stop_reason = "converged"
                 break
+    if stop_reason == "max_iters" and _refreshed(problem, state):
+        F_cur = state.objective()
 
     blocks, F_seq, steps, changed_seq, supports = zip(*records) if records else ((),) * 5
     trace = SolverTrace(

@@ -15,12 +15,14 @@ from l0rcd import (
     example_class_requests,
     is_basic_local_min,
     is_strong_local_min,
+    l0_norm,
     objective_F,
     restricted_minimize,
     run_rcd_iht,
     separable_from_factor,
     verify_inclusions,
 )
+from l0rcd.analysis import _CHUNK, CLASSIFY_TOL
 from l0rcd.approx import M_EQ_LIPSCHITZ_FACTOR
 
 from l0rcd.cli import ExperimentConfig, _enumerate_requests, build_problem, generate_least_squares
@@ -257,21 +259,26 @@ class TestEnumerateCatalog:
 
 class TestOneClassification:
     def test_one_cache_and_gradient_per_support(self, monkeypatch):
-        calls = {"make_cache": 0, "block_grad": 0, "full_grad": 0}
+        """Each chunk of supports gets one stacked eval and one stacked gradient,
+        and no per-support cache."""
+        calls = {"make_cache": [], "block_grad": [], "full_grad": [], "eval": []}
         for name in calls:
             original = getattr(LeastSquaresObjective, name)
 
-            def counted(self, *args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(self, *args)
+            def counted(self, x, *args, _name=name, _original=original):
+                calls[_name].append(np.shape(x))
+                return _original(self, x, *args)
 
             monkeypatch.setattr(LeastSquaresObjective, name, counted)
-        prob = build_example_instance()
-        enumerate_catalog(prob, example_class_requests(prob))
-        assert calls == {"make_cache": 128, "block_grad": 128, "full_grad": 0}
+        prob, requests = _configured_case(m=8, n=11, instance_seed=3, lam=0.3)
+        catalog = enumerate_catalog(prob, requests)
+        assert len(catalog.entries) == 2 * _CHUNK
+        chunks = [(_CHUNK, 11), (_CHUNK, 11)]
+        assert calls == {"make_cache": [], "block_grad": [], "full_grad": chunks, "eval": chunks}
 
     def test_logistic_restricted_tolerance_computed_once(self, monkeypatch):
-        """Logistic restricted solves compute their tolerance from full_grad(0) once."""
+        """Logistic restricted solves compute their tolerance from full_grad(0) once;
+        every other gradient is a stacked one."""
         cfg = ExperimentConfig(
             problem_kind="logistic", m=12, n=8, instance_seed=2, nu=0.3, lam=0.05
         )
@@ -280,7 +287,8 @@ class TestOneClassification:
         original = LogisticL2Objective.full_grad
 
         def counted(self, x):
-            calls.append(1)
+            if np.ndim(x) == 1:
+                calls.append(1)
             return original(self, x)
 
         monkeypatch.setattr(LogisticL2Objective, "full_grad", counted)
@@ -338,6 +346,80 @@ class TestOneClassification:
         assert 0 < catalog.counts()["uQ"] < len(catalog.entries)
         for e in catalog.entries:
             assert is_strong_local_min(prob, e.point, diag) == e.flags["uQ"]
+
+
+def reference_catalog(prob, requests):
+    """enumerate_catalog support by support: one restricted solve, eval, l0_norm
+    and the single-point predicates, with the basic flag also from np.linalg.norm."""
+    n, partition = prob.n, prob.partition
+    mandatory = partition.zero_penalty_bits
+    rows = []
+    for bitmask in range(1 << n):
+        if bitmask & mandatory != mandatory:
+            continue
+        z = restricted_minimize(prob, [j for j in range(n) if bitmask >> j & 1])
+        f = prob.smooth.eval(z)
+        on = (z != 0.0) | partition.zero_penalty_mask
+        g_on = prob.smooth.full_grad(z)[on]
+        basic = is_basic_local_min(prob, z)
+        assert basic == (not on.any() or float(np.linalg.norm(g_on)) <= CLASSIFY_TOL)
+        flags = {"basic": basic}
+        for req in requests:
+            flags[req.label] = is_strong_local_min(prob, z, req.model)
+        rows.append((bitmask, z.tobytes(), f, f + l0_norm(z, partition), flags))
+    return rows
+
+
+def _zero_penalty_blocks_case():
+    built = build_problem(
+        ExperimentConfig(m=5, n=9, instance_seed=6, lam=0.2, block_sizes=(2, 3, 1, 3))
+    )
+    p = built.partition
+    partition = BlockPartition(
+        block_sizes=p.block_sizes,
+        lam=(0.2, 0.0, 0.3, 0.0),
+        lipschitz=p.lipschitz,
+        global_lipschitz=p.global_lipschitz,
+    )
+    requests = [
+        ClassRequest("uq", separable_from_factor(partition, 1.5)),
+        ClassRequest("uQ", ApproxSpec.diagonal_quadratic(1.2 * partition.coord_lipschitz())),
+        ClassRequest.quadratic("uq[M=Lf]", np.full(4, partition.global_lipschitz)),
+    ]
+    return L0Problem(built.smooth, partition), requests
+
+
+def _configured_case(**kw):
+    cfg = ExperimentConfig(**kw)
+    prob = build_problem(cfg)
+    return prob, _enumerate_requests(prob, cfg)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: _configured_case(m=6, n=7, instance_seed=0, lam=0.02),
+        _zero_penalty_blocks_case,
+        lambda: _configured_case(
+            problem_kind="logistic", m=12, n=8, instance_seed=5, nu=0.3, lam=0.005
+        ),
+        lambda: _configured_case(m=8, n=11, instance_seed=3, lam=0.3),
+    ],
+    ids=["ls-scalar", "ls-blocks-zero-penalty", "logistic-12x8", "ls-two-chunks"],
+)
+def test_catalog_matches_support_by_support_reference(case):
+    """Every entry, in order, has the reference's bitmask, point bytes, f, F and flags."""
+    prob, requests = case()
+    catalog = enumerate_catalog(prob, requests)
+    got = [
+        (e.bitmask, e.point.tobytes(), e.f_value, e.F_value, e.flags) for e in catalog.entries
+    ]
+    assert got == reference_catalog(prob, requests)
+    assert all(type(e.f_value) is float and type(e.F_value) is float for e in catalog.entries)
+    assert all(type(v) is bool for e in catalog.entries for v in e.flags.values())
+    assert list(catalog.entries[0].flags) == ["basic"] + [r.label for r in requests]
+    for e in catalog.entries[:3]:
+        assert not e.point.flags.writeable
 
 
 class TestVerifyInclusions:

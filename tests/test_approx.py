@@ -237,8 +237,20 @@ class TestExactInnerMin:
         assert grown > 0  # some solves had to grow the bracket
 
     def test_unbracketable_root_raises(self):
-        with pytest.raises(RuntimeError, match="could not bracket.*negative side"):
-            exact_inner_min(ConstantSlope(), np.zeros(1), 0, 1e-300, np.zeros(1))
+        # the root of 1 + beta h lies at -1e308, past the last finite doubling 2^1023
+        with pytest.raises(RuntimeError, match="could not bracket.*negative side.*2\\^1023"):
+            exact_inner_min(ConstantSlope(), np.zeros(1), 0, 1e-308, np.zeros(1))
+
+    def test_root_beyond_2_to_the_200_is_bracketed(self):
+        """At x_0 = 1e61 the root lies near h = -1e61, past 2^200 doublings of 1."""
+        oracle = random_logistic(10, 5, seed=6)
+        x = np.array([1e61, 0.0, 1.0, 0.0, -2.0])
+        cache = oracle.make_cache(x)
+        h, _ = exact_inner_min(oracle, x, 0, 1e-4, cache)
+        assert h < -2.0**200
+        g0 = oracle.coord_grad_shifted(x, 0, 0.0, cache)
+        resid = oracle.coord_grad_shifted(x, 0, h, cache) + 1e-4 * h
+        assert abs(resid) <= 1e-10 * (1 + abs(g0))
 
     def test_newton_iteration_limit_raises(self):
         oracle = random_logistic(10, 5, seed=6)

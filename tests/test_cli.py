@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import l0rcd
-from l0rcd.cli import main
+from l0rcd.cli import ExperimentConfig, _random_starts, build_problem, main, run_named_solver
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -299,6 +299,38 @@ seed = 4
         assert (outs[0] / "benchmark.csv").read_bytes() == (
             outs[1] / "benchmark.csv"
         ).read_bytes()
+
+
+class TestHugeStarts:
+    """A 3x4 logistic instance run from starts with coordinates up to value_range."""
+
+    @staticmethod
+    def config(value_range):
+        return ExperimentConfig(
+            problem_kind="logistic", m=3, n=4, instance_seed=3, lam=0.5,
+            solver_names=("uq", "ue"), trials=3, value_range=value_range,
+        )
+
+    @pytest.mark.parametrize("value_range", [1e20, 1e58, 1e61, 1e153])
+    def test_final_F_is_F_of_the_final_point(self, value_range):
+        """Incremental cache updates drift from such starts; the reported F does not."""
+        cfg = self.config(value_range)
+        problem = build_problem(cfg)
+        for si, name in enumerate(cfg.solver_names):
+            for t, x0 in enumerate(_random_starts(cfg, problem, cfg.trials)):
+                state, trace = run_named_solver(name, problem, x0, cfg, (cfg.master_seed, 0, si, t))
+                F = l0rcd.objective_F(problem, trace.final_x)
+                assert trace.final_F == pytest.approx(F, rel=1e-9)
+                assert state.objective() == trace.final_F
+
+    @pytest.mark.parametrize("value_range", ["1e61", "1e100", "1e153"])
+    def test_exact_steps_bracket_huge_coordinates(self, tmp_path, value_range):
+        cfg = write_config(
+            tmp_path,
+            "[problem]\nkind = logistic\nm = 3\nn = 4\nseed = 3\nlambda = 0.5\n"
+            f"[solvers]\nlist = ue\n[starts]\ntrials = 3\nvalue_range = {value_range}\n",
+        )
+        assert main(["benchmark", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 class TestGradcheck:

@@ -10,7 +10,7 @@ from l0rcd import (
     load_matrix_csv,
     load_vector_csv,
 )
-from l0rcd.objectives import _sigmoid
+from l0rcd.objectives import _log1pexp, _sigmoid
 
 
 def random_ls(m, n, seed):
@@ -248,6 +248,44 @@ class TestOracleContract:
             shifted[j] += h
             diff = abs(oracle.full_grad(shifted)[j] - oracle.full_grad(x)[j])
             assert diff <= L[j] * abs(h) * (1 + 1e-9) + 1e-12
+
+
+def _parent_eval_and_grad(oracle, x):
+    """The one-point formulas of eval and full_grad as plain 1-D products."""
+    if isinstance(oracle, LeastSquaresObjective):
+        r = oracle.A @ x - oracle.b
+        return 0.5 * float(r @ r), oracle.A.T @ r
+    t = oracle.data @ x
+    loss = float((_log1pexp(t) - oracle.y * t).sum()) / oracle.m
+    g = oracle.data.T @ (_sigmoid(t) - oracle.y) / oracle.m + oracle.nu * x
+    return loss + 0.5 * oracle.nu * float(x @ x), g
+
+
+@pytest.mark.parametrize("make", [random_ls, random_logistic])
+@pytest.mark.parametrize("m, n", [(8, 16), (5, 12), (50, 40), (200, 9), (3, 1)])
+def test_stacked_rows_match_one_point_calls(make, m, n):
+    """eval and full_grad of a stack give, row by row, the bits of the one-point
+    call, and those are the bits of the plain 1-D products."""
+    oracle = make(m, n, m + n)
+    rng = np.random.default_rng(n)
+    Z = rng.standard_normal((300, n)) * (rng.random((300, n)) < 0.5)
+    Z[0] = 0.0
+    f, G = oracle.eval(Z), oracle.full_grad(Z)
+    assert f.shape == (300,) and G.shape == (300, n)
+    for z, f_row, g_row in zip(Z, f, G):
+        f_one, g_one = oracle.eval(z), oracle.full_grad(z)
+        assert type(f_one) is float
+        assert f_row == f_one
+        assert g_row.tobytes() == g_one.tobytes()
+        f_plain, g_plain = _parent_eval_and_grad(oracle, z)
+        assert f_one == f_plain
+        assert g_one.tobytes() == g_plain.tobytes()
+
+
+def test_stacked_eval_rejects_a_nonfinite_row():
+    f = LeastSquaresObjective(np.eye(2), np.zeros(2))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        f.eval(np.array([[1.0, 0.0], [1e200, 0.0]]))
 
 
 class TestLoaders:
