@@ -26,8 +26,8 @@ from itertools import islice
 
 import numpy as np
 
-from .approx import EXACT, TIE_RULE, ApproxSpec, model_curvature, threshold_map
-from .core import BlockPartition, L0Problem
+from .approx import TIE_RULE, ApproxSpec, model_curvature, threshold_map
+from .core import BlockPartition, L0Problem, _check_dim, _weighted_count
 from .objectives import LeastSquaresObjective, _rowdot
 
 # Boundary tolerance for class membership tests; restricted solves are
@@ -138,7 +138,7 @@ def _fixed_point_test(problem: L0Problem, model: ApproxSpec, tol: float) -> Call
     """
     partition = problem.partition
     smooth = problem.smooth
-    if model.kind == EXACT:
+    if model.kind == "ue":
         tmap = threshold_map(model, smooth, partition)
 
         def moves(z, out):
@@ -205,7 +205,7 @@ def _classify(
 
 def is_basic_local_min(problem: L0Problem, z: np.ndarray, tol: float = CLASSIFY_TOL) -> bool:
     """True iff the gradient of f vanishes on I(z) (within tol)."""
-    return bool(_classify(problem, _one_row(z), [], tol)[BASIC_LABEL][0])
+    return bool(_classify(problem, _check_dim(z, problem.n)[None], [], tol)[BASIC_LABEL][0])
 
 
 def is_strong_local_min(
@@ -225,19 +225,8 @@ def is_strong_local_min(
     classification accepts M_i = L_i. Raises ValueError when the model's
     parameters do not fit the partition.
     """
-    label = model.label()
-    tests = [(label, _fixed_point_test(problem, model, tol))]
-    return bool(_classify(problem, _one_row(z), tests, tol)[label][0])
-
-
-def _one_row(z: np.ndarray) -> np.ndarray:
-    return np.asarray(z, dtype=float)[None]
-
-
-def _l0_rows(Z: np.ndarray, partition: BlockPartition) -> np.ndarray:
-    # l0_norm of each row: the same reduceat and left-to-right cumsum
-    counts = np.add.reduceat((Z != 0.0).astype(np.int64), partition.block_starts, axis=1)
-    return np.cumsum(partition.lam_array * counts, axis=1)[:, -1]
+    tests = [(model.kind, _fixed_point_test(problem, model, tol))]
+    return bool(_classify(problem, _check_dim(z, problem.n)[None], tests, tol)[model.kind][0])
 
 
 def _submasks(free: int) -> Iterator[int]:
@@ -283,7 +272,7 @@ def enumerate_catalog(
         )
         Z.flags.writeable = False
         f = problem.smooth.eval(Z)
-        F = (f + _l0_rows(Z, partition)).tolist()
+        F = (f + _weighted_count(Z != 0.0, partition)).tolist()
         flags = [(label, v.tolist()) for label, v in _classify(problem, Z, tests, tol).items()]
         for k, (bitmask, f_val) in enumerate(zip(chunk, f.tolist())):
             entries.append(

@@ -3,9 +3,9 @@
 Three convex upper models of the smooth term along one block are supported,
 each agreeing with f and its block gradient at the current point x:
 
-- separable quadratic: gradient step model with scalar curvature M_i > L_i,
-- diagonal quadratic: per-coordinate curvatures (the diagonal of H_i),
-- exact: the true one-dimensional restriction of f plus a proximal term
+- ``uq``, separable quadratic: gradient step model with scalar curvature M_i > L_i,
+- ``uQ``, diagonal quadratic: per-coordinate curvatures (the diagonal of H_i),
+- ``ue``, exact: the true one-dimensional restriction of f plus a proximal term
   (beta_i/2) |y - x_i|^2, scalar blocks only. Where f is quadratic along
   each coordinate (least squares) this is the diagonal model with
   curvature ||A_j||^2 + beta_j; ``model_curvature`` says which case holds.
@@ -26,80 +26,66 @@ import numpy as np
 from .core import BlockPartition
 from .objectives import SmoothOracle
 
-SEPARABLE_QUADRATIC = "separable_quadratic"
-DIAGONAL_QUADRATIC = "diagonal_quadratic"
-EXACT = "exact"
-
 # Relative perturbation for "M equal to the Lipschitz constant" solver mode;
 # the solver contract needs strict M_i > L_i.
 M_EQ_LIPSCHITZ_FACTOR = 1.0 + 1e-6
 
 TIE_RULE = "zero"
 
+# The kinds, each with the name of its parameters in error messages.
+_PARAMS_OF = {"uq": "M", "uQ": "H diagonal", "ue": "beta"}
+
 
 @dataclass(frozen=True)
 class ApproxSpec:
-    """An approximation model: its family and its parameters.
+    """An approximation model: its kind and its parameters.
 
     Solvers step with the model's thresholding map; a ``ClassRequest``
-    classifies supports by the map's fixed points. Exactly one of ``M`` (per block), ``H_diag`` (per coordinate), ``beta``
-    (per block) is set, matching ``kind``.
+    classifies supports by the map's fixed points. ``kind`` is the label
+    every output uses: "uq" (separable quadratic, ``params`` holds M_i per
+    block), "uQ" (diagonal quadratic, H_j per coordinate) or "ue" (exact,
+    beta_i per scalar block).
     """
 
     kind: str
-    M: tuple[float, ...] | None = None
-    H_diag: tuple[float, ...] | None = None
-    beta: tuple[float, ...] | None = None
+    params: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.kind == SEPARABLE_QUADRATIC:
-            if self.M is None or self.H_diag is not None or self.beta is not None:
-                raise ValueError("separable quadratic kind takes per-block M only")
-            if any(not 0.0 < m < math.inf for m in self.M):
-                raise ValueError("M entries must be finite and positive")
-        elif self.kind == DIAGONAL_QUADRATIC:
-            if self.H_diag is None or self.M is not None or self.beta is not None:
-                raise ValueError("diagonal quadratic kind takes per-coordinate H_diag only")
-            if any(not 0.0 < h < math.inf for h in self.H_diag):
-                raise ValueError("H diagonal entries must be finite and positive")
-        elif self.kind == EXACT:
-            if self.beta is None or self.M is not None or self.H_diag is not None:
-                raise ValueError("exact kind takes per-block beta only")
-            if any(not 0.0 < b < math.inf for b in self.beta):
-                raise ValueError("beta entries must be finite and positive")
-        else:
+        if self.kind not in _PARAMS_OF:
             raise ValueError(f"unknown approximation kind: {self.kind!r}")
+        params = tuple(float(v) for v in np.atleast_1d(self.params))
+        if any(not 0.0 < v < math.inf for v in params):
+            raise ValueError(f"{_PARAMS_OF[self.kind]} entries must be finite and positive")
+        object.__setattr__(self, "params", params)
 
     @classmethod
     def separable_quadratic(cls, M) -> "ApproxSpec":
-        return cls(kind=SEPARABLE_QUADRATIC, M=tuple(float(v) for v in np.atleast_1d(M)))
+        return cls("uq", M)
 
     @classmethod
     def diagonal_quadratic(cls, H_diag) -> "ApproxSpec":
-        return cls(
-            kind=DIAGONAL_QUADRATIC, H_diag=tuple(float(v) for v in np.atleast_1d(H_diag))
-        )
+        return cls("uQ", H_diag)
 
     @classmethod
     def exact(cls, beta) -> "ApproxSpec":
-        return cls(kind=EXACT, beta=tuple(float(v) for v in np.atleast_1d(beta)))
+        return cls("ue", beta)
 
     def coord_curvature(self, partition: BlockPartition) -> np.ndarray:
-        """Per-coordinate curvature of a quadratic model: M_i repeated over block i, or H_diag.
+        """Per-coordinate curvature of a quadratic model: M_i repeated over block i, or H_j.
 
         The two quadratic kinds differ only here. The exact kind has no
         fixed curvature and raises ValueError.
         """
-        if self.kind == SEPARABLE_QUADRATIC:
-            return np.repeat(np.asarray(self.M, dtype=float), partition.block_sizes)
-        if self.kind == DIAGONAL_QUADRATIC:
-            return np.asarray(self.H_diag, dtype=float)
+        if self.kind == "uq":
+            return np.repeat(np.asarray(self.params, dtype=float), partition.block_sizes)
+        if self.kind == "uQ":
+            return np.asarray(self.params, dtype=float)
         raise ValueError("the exact model has no fixed curvature")
 
     def mu(self, partition: BlockPartition) -> np.ndarray:
         """Per-block descent modulus: min curvature over block i minus L_i, or beta_i."""
-        if self.kind == EXACT:
-            return np.asarray(self.beta, dtype=float)
+        if self.kind == "ue":
+            return np.asarray(self.params, dtype=float)
         block_min = np.minimum.reduceat(self.coord_curvature(partition), partition.block_starts)
         return block_min - np.asarray(partition.lipschitz, dtype=float)
 
@@ -110,8 +96,8 @@ class ApproxSpec:
         For the exact kind it is L_i + beta_i, the smallest constant whose
         quadratic model dominates the exact one.
         """
-        if self.kind == EXACT:
-            return np.asarray(partition.lipschitz, dtype=float) + np.asarray(self.beta, dtype=float)
+        if self.kind == "ue":
+            return np.asarray(partition.lipschitz, dtype=float) + self.params
         return np.maximum.reduceat(self.coord_curvature(partition), partition.block_starts)
 
     def check_partition(self, partition: BlockPartition) -> None:
@@ -121,12 +107,11 @@ class ApproxSpec:
         scalar blocks for the exact kind. Classification needs only this;
         a solver run also needs ``validate_for_solver``'s strict curvature.
         """
-        params = {SEPARABLE_QUADRATIC: self.M, DIAGONAL_QUADRATIC: self.H_diag, EXACT: self.beta}
-        size = len(params[self.kind])
-        expect = partition.n if self.kind == DIAGONAL_QUADRATIC else partition.num_blocks
+        size = len(self.params)
+        expect = partition.n if self.kind == "uQ" else partition.num_blocks
         if size != expect:
             raise ValueError(f"{self.kind} parameters have length {size}, expected {expect}")
-        if self.kind == EXACT and any(s != 1 for s in partition.block_sizes):
+        if self.kind == "ue" and any(s != 1 for s in partition.block_sizes):
             raise ValueError("exact approximation requires scalar blocks")
 
     def validate_for_solver(self, partition: BlockPartition) -> None:
@@ -136,9 +121,6 @@ class ApproxSpec:
             raise ValueError(
                 f"{self.kind} curvature must strictly exceed the block Lipschitz constants"
             )
-
-    def label(self) -> str:
-        return {SEPARABLE_QUADRATIC: "uq", DIAGONAL_QUADRATIC: "uQ", EXACT: "ue"}[self.kind]
 
 
 def separable_from_factor(partition: BlockPartition, factor: float) -> ApproxSpec:
@@ -163,12 +145,12 @@ def model_curvature(
     coordinate j is the diagonal quadratic model with curvature c_j + beta_j,
     and ``threshold_q`` is its thresholding map. None otherwise.
     """
-    if spec.kind != EXACT:
+    if spec.kind != "ue":
         return spec.coord_curvature(partition)
     coord_curvature = getattr(oracle, "coord_curvature", None)
     if coord_curvature is None:
         return None
-    return coord_curvature() + np.asarray(spec.beta, dtype=float)
+    return coord_curvature() + np.asarray(spec.params, dtype=float)
 
 
 def threshold_q(x_i: np.ndarray, grad_i: np.ndarray, M_i, lambda_i) -> np.ndarray:
@@ -282,18 +264,16 @@ def threshold_e(
     j: int,
     beta: float,
     lambda_j: float,
-    cache: np.ndarray | None = None,
+    cache: np.ndarray,
 ) -> float:
     """Exact-model thresholding of scalar coordinate j.
 
     The progress value is
     Delta = [f at x with coordinate j zeroed + (beta/2) x_j^2]
           - [f at the inner minimizer + (beta/2) h*^2],
-    both evaluated through the cache, built from x when not given. Returns
+    both evaluated through ``cache``, the oracle's cache at x. Returns
     x_j + h* when Delta > lambda_j, else an exact zero (ties to zero).
     """
-    if cache is None:
-        cache = oracle.make_cache(x)
     h_star, keep_value = exact_inner_min(oracle, x, j, beta, cache)
     zero_value = oracle.value_shifted(x, j, -x[j], cache) + 0.5 * beta * x[j] * x[j]
     if zero_value - keep_value > lambda_j:
@@ -321,6 +301,6 @@ def threshold_map(spec: ApproxSpec, oracle: SmoothOracle, partition: BlockPartit
             return threshold_q(x[..., sl], g, curvature[sl], lam[sl])
         # scalar blocks, so block j is coordinate j
         js = range(sl.start, sl.stop)
-        return np.array([threshold_e(oracle, x, j, spec.beta[j], lam[j], cache) for j in js])
+        return np.array([threshold_e(oracle, x, j, spec.params[j], lam[j], cache) for j in js])
 
     return tmap

@@ -312,7 +312,7 @@ def build_problem(cfg: ExperimentConfig, lam: float | None = None) -> L0Problem:
             oracle, _ = generate_least_squares(
                 cfg.m, cfg.n, cfg.instance_seed, cfg.planted_density
             )
-        global_L = oracle.spectral_lipschitz()
+        global_L = _construct(oracle.spectral_lipschitz)
     elif kind == "logistic":
         if cfg.matrix_csv:
             if not cfg.labels_csv:
@@ -501,7 +501,7 @@ def cmd_enumerate(cfg: ExperimentConfig, writer: OutputWriter, example2: bool) -
             f"instance dimension {problem.n} exceeds the enumeration limit {ENUMERATION_LIMIT}"
         )
 
-    catalog = enumerate_catalog(problem, requests)
+    catalog = _enumerate(problem, requests)
     violations = verify_inclusions(catalog)
     counts = catalog.counts()
 
@@ -542,10 +542,19 @@ def cmd_enumerate(cfg: ExperimentConfig, writer: OutputWriter, example2: bool) -
     return EXIT_OK
 
 
+def _enumerate(problem: L0Problem, requests: list[ClassRequest]):
+    """``enumerate_catalog``; a singular restricted Newton system (logistic
+    with a tiny ridge weight) becomes a ConfigError."""
+    try:
+        return enumerate_catalog(problem, requests)
+    except np.linalg.LinAlgError as exc:
+        raise ConfigError(f"enumeration failed: {exc}; increase [problem] nu") from exc
+
+
 def _global_f_table(problem: L0Problem) -> list[tuple[float, int]]:
     """Per-support (smooth value, nonzero count) pairs for computing the
     global optimum under any penalty level."""
-    catalog = enumerate_catalog(problem, [])
+    catalog = _enumerate(problem, [])
     return [(e.f_value, int(np.count_nonzero(e.point))) for e in catalog.entries]
 
 

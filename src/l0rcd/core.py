@@ -92,10 +92,6 @@ class BlockPartition:
         return _read_only(np.repeat(self.lam_array, self.block_sizes))
 
     @cached_property
-    def _coord_lip(self) -> np.ndarray:
-        return _read_only(np.repeat(np.array(self.lipschitz, float), self.block_sizes))
-
-    @cached_property
     def zero_penalty_mask(self) -> np.ndarray:
         return _read_only(self._coord_lam == 0.0)
 
@@ -106,10 +102,6 @@ class BlockPartition:
     def coord_lambda(self) -> np.ndarray:
         """Per-coordinate penalty weight (each coordinate inherits its block's)."""
         return self._coord_lam
-
-    def coord_lipschitz(self) -> np.ndarray:
-        """Per-coordinate Lipschitz constant (inherited from the block)."""
-        return self._coord_lip
 
     @staticmethod
     def scalar(lam, lipschitz, global_lipschitz: float = 0.0) -> "BlockPartition":
@@ -147,9 +139,14 @@ def l0_norm(x: np.ndarray, partition: BlockPartition) -> float:
     scale-invariant: l0_norm(c*x) = l0_norm(x) for c != 0. Block terms are
     added left to right (cumsum, not a pairwise or compensated sum).
     """
-    x = _check_dim(x, partition.n)
-    counts = np.add.reduceat((x != 0.0).astype(np.int64), partition.block_starts)
-    return float(np.cumsum(partition.lam_array * counts)[-1])
+    return float(_weighted_count(_check_dim(x, partition.n) != 0.0, partition))
+
+
+def _weighted_count(nonzero: np.ndarray, partition: BlockPartition) -> np.ndarray:
+    """``l0_norm``'s sum, lam_i times the True entries of block i, along the
+    last axis of a mask: one value for one point, one per row for a stack."""
+    counts = np.add.reduceat(nonzero.astype(np.int64), partition.block_starts, axis=-1)
+    return np.cumsum(partition.lam_array * counts, axis=-1)[..., -1]
 
 
 def support_of(x: np.ndarray, partition: BlockPartition) -> int:

@@ -190,7 +190,12 @@ class LeastSquaresObjective:
         return _block_spectral_sq(self.A, self._col_sq, block_sizes)
 
     def spectral_lipschitz(self) -> float:
-        """The tight global constant lambda_max(A^T A)."""
+        """The tight global constant lambda_max(A^T A).
+
+        ValueError when a column constant ||A_j||^2 overflows, and A^T A with it.
+        """
+        if not np.isfinite(self._col_sq).all():
+            raise ValueError("Lipschitz constants must be finite and positive")
         return float(np.linalg.eigvalsh(self.A.T @ self.A)[-1])
 
 
@@ -295,7 +300,8 @@ class LogisticL2Objective:
         """Minimizer over vectors supported on the sorted index list idx.
 
         Newton iterations with backtracking, to gradient norm
-        1e-10 * (1 + ||grad f(0)||).
+        1e-10 * (1 + ||grad f(0)||). LinAlgError, naming the support, when
+        the Hessian is singular to machine precision (nu tiny, |idx| > m).
         """
         z = np.zeros(self.dim)
         tol = self._restricted_tol
@@ -311,7 +317,13 @@ class LogisticL2Objective:
                 return z
             D = s * (1.0 - s)
             H = (sub.T * D) @ sub / self.m + self.nu * np.eye(len(idx))
-            step = np.linalg.solve(H, g)
+            try:
+                step = np.linalg.solve(H, g)
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError(
+                    f"restricted Newton system on support {idx} is singular "
+                    f"at ridge weight nu = {self.nu:g}"
+                ) from exc
             # backtrack if a full Newton step overshoots
             alpha = 1.0
             for _ in range(50):

@@ -156,7 +156,7 @@ def _scalar_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateState
     lam = problem.partition.lam
     curvature = model_curvature(spec, smooth, problem.partition)
     if curvature is None:
-        beta = spec.beta
+        beta = spec.params
 
         def threshold(x: np.ndarray, j: int, x_j: float, cache: np.ndarray) -> float:
             return threshold_e(smooth, x, j, beta[j], lam[j], cache)
@@ -325,7 +325,7 @@ def run_rcd_iht(
 
     window = config.support_patience if config.support_patience is not None else 3 * N
     metadata = {
-        "solver": "rcd-iht", "approx": spec.label(), "rng": RNG_ALGORITHM, "seed": int(config.seed)
+        "solver": "rcd-iht", "approx": spec.kind, "rng": RNG_ALGORITHM, "seed": int(config.seed)
     }
 
     update = _coordinate_step(problem, spec)

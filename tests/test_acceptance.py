@@ -244,7 +244,7 @@ def test_criterion_03_kept_magnitudes_clear_the_threshold():
             block = state.x[sl]
             nz = block[block != 0.0]
             if nz.size and part.lam[i] > 0.0:
-                floor = 2.0 * part.lam[i] / spec.M[i] - 1e-12
+                floor = 2.0 * part.lam[i] / spec.params[i] - 1e-12
                 violations += int(np.count_nonzero(nz**2 < floor))
     assert violations == 0
 
@@ -302,8 +302,8 @@ def test_criterion_04_thresholding_matches_brute_force():
             j = int(rng.integers(0, 6))
             beta = float(rng.uniform(0.05, 2.0))
             lam = float(rng.uniform(0.0, 1.5))
-            out = threshold_e(oracle, x, j, beta, lam)
             cache = oracle.make_cache(x)
+            out = threshold_e(oracle, x, j, beta, lam, cache)
             h_star = _solve_1d(oracle, x, j, beta, cache)
             keep_val = oracle.value_shifted(x, j, h_star, cache) + 0.5 * beta * h_star**2
             zero_val = oracle.value_shifted(x, j, -x[j], cache) + 0.5 * beta * x[j] ** 2

@@ -72,6 +72,18 @@ class TestIsBasic:
     def test_nonstationary_point(self, toy):
         assert not is_basic_local_min(toy, np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("shape", [(2, 2), (3,), (1,)])
+    @pytest.mark.parametrize("model", [None, "uq", "ue"])
+    def test_point_of_wrong_shape_rejected(self, toy, shape, model):
+        """Both predicates take one point of length n, as objective_F does."""
+        z = np.zeros(shape)
+        with pytest.raises(ValueError, match=r"expected vector of length 2, got shape"):
+            if model is None:
+                is_basic_local_min(toy, z)
+            else:
+                spec = uq([1.0, 1.0]) if model == "uq" else ue([1e-4, 1e-4])
+                is_strong_local_min(toy, z, spec)
+
 
 def uq(M):
     return ApproxSpec.separable_quadratic(M)
@@ -202,7 +214,8 @@ class TestEnumerateCatalog:
         )
         prob = L0Problem(built.smooth, partition)
         uq = separable_from_factor(partition, 1.5)
-        uQ = ApproxSpec.diagonal_quadratic(1.2 * partition.coord_lipschitz())
+        L = np.repeat(partition.lipschitz, partition.block_sizes)
+        uQ = ApproxSpec.diagonal_quadratic(1.2 * L)
         catalog = enumerate_catalog(prob, [ClassRequest("uq", uq), ClassRequest("uQ", uQ)])
         mandatory = sum(1 << j for j in (2, 3, 4, 6, 7, 8))  # blocks 1 and 3
         assert partition.zero_penalty_bits == mandatory
@@ -227,7 +240,7 @@ class TestEnumerateCatalog:
         prob = build_example_instance()
         catalog = enumerate_catalog(prob, example_class_requests(prob))
         assert len(catalog.entries) == 128
-        assert sorted(calls) == ["separable_quadratic"] * 2
+        assert sorted(calls) == ["uq"] * 2
 
     def test_enumeration_limit(self):
         n = 30
@@ -340,7 +353,8 @@ class TestOneClassification:
         """The uQ class, with curvature varying inside blocks, asked point by point."""
         cfg = ExperimentConfig(m=5, n=8, instance_seed=4, lam=0.2, block_sizes=(3, 3, 2))
         prob = build_problem(cfg)
-        H = prob.partition.coord_lipschitz() * np.linspace(1.0, 3.0, 8)
+        L = np.repeat(prob.partition.lipschitz, prob.partition.block_sizes)
+        H = L * np.linspace(1.0, 3.0, 8)
         diag = ApproxSpec.diagonal_quadratic(H)
         catalog = enumerate_catalog(prob, [ClassRequest("uQ", diag)])
         assert 0 < catalog.counts()["uQ"] < len(catalog.entries)
@@ -381,9 +395,10 @@ def _zero_penalty_blocks_case():
         lipschitz=p.lipschitz,
         global_lipschitz=p.global_lipschitz,
     )
+    L = np.repeat(partition.lipschitz, partition.block_sizes)
     requests = [
         ClassRequest("uq", separable_from_factor(partition, 1.5)),
-        ClassRequest("uQ", ApproxSpec.diagonal_quadratic(1.2 * partition.coord_lipschitz())),
+        ClassRequest("uQ", ApproxSpec.diagonal_quadratic(1.2 * L)),
         ClassRequest.quadratic("uq[M=Lf]", np.full(4, partition.global_lipschitz)),
     ]
     return L0Problem(built.smooth, partition), requests
@@ -481,8 +496,8 @@ class TestExampleInstance:
         reqs = example_class_requests(prob)
         assert [r.label for r in reqs] == ["ue[beta=1e-4]", "uq[M=Li]", "uq[M=Lf]"]
         assert reqs[0].model == ApproxSpec.exact(np.full(7, 1e-4))
-        np.testing.assert_allclose(reqs[1].model.M, prob.partition.lipschitz)
-        assert set(reqs[2].model.M) == {prob.partition.global_lipschitz}
+        np.testing.assert_allclose(reqs[1].model.params, prob.partition.lipschitz)
+        assert set(reqs[2].model.params) == {prob.partition.global_lipschitz}
 
 
 class TestClassRequest:

@@ -17,6 +17,20 @@ def write_config(tmp_path, text, name="exp.ini"):
     return str(p)
 
 
+def run_child(command, cfg, out):
+    """``python -m l0rcd command --config cfg --out out`` in a child process.
+
+    numpy's warnings reach stderr only outside pytest's warning capture.
+    """
+    env = dict(os.environ)
+    src = str(Path(l0rcd.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "l0rcd", command, "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def write_toy_csvs(tmp_path):
     A = tmp_path / "A.csv"
     b = tmp_path / "b.csv"
@@ -493,20 +507,25 @@ class TestConfigParsing:
             ("benchmark", "logistic", "[starts]\nvalue_range = 1e200\n"),
             ("solve", "empty_matrix", ""),
             ("solve", "empty_rhs", ""),
+            ("solve", "huge_matrix", ""),
+            ("enumerate", "huge_matrix", ""),
+            ("tournament", "huge_matrix", ""),
+            ("benchmark", "huge_matrix", ""),
+            ("gradcheck", "huge_matrix", ""),
         ],
         ids=[
             "uq_factor_solve", "uq_factor_tournament", "uq_factor_benchmark",
             "ihta_factor_solve", "ihta_factor_tournament", "ihta_factor_benchmark",
             "value_range_solve", "value_range_tournament", "value_range_benchmark",
             "value_range_logistic", "empty_matrix_csv", "empty_rhs_csv",
+            "huge_csv_solve", "huge_csv_enumerate", "huge_csv_tournament",
+            "huge_csv_benchmark", "huge_csv_gradcheck",
         ],
     )
     def test_overflow_and_empty_data_are_one_line_errors(self, tmp_path, command, problem, extra):
-        """A factor whose M overflows, a start whose f overflows and an empty CSV
-        each end in one error line and exit 2, not a traceback or a warning.
-
-        Run in a child process: numpy's warnings reach stderr only outside
-        pytest's warning capture.
+        """A factor whose M overflows, a start whose f overflows, an empty CSV and
+        a CSV matrix whose A^T A overflows each end in one error line and exit 2,
+        not a traceback or a warning. Run in a child process (``run_child``).
         """
         if problem.startswith("empty"):
             A, b = write_toy_csvs(tmp_path)
@@ -514,22 +533,39 @@ class TestConfigParsing:
             empty.write_text("")
             A, b = (empty, b) if problem == "empty_matrix" else (A, empty)
             text = f"[problem]\nkind = ls\nmatrix_csv = {A}\nrhs_csv = {b}\nlambda = 0.5\n"
+        elif problem == "huge_matrix":
+            # entries near 1e155, so every ||A_j||^2 overflows
+            A, b = tmp_path / "A.csv", tmp_path / "b.csv"
+            np.savetxt(A, np.arange(1.0, 21.0).reshape(4, 5) * 1e155, delimiter=",")
+            np.savetxt(b, [1.0, 0.0, -1.0, 0.5], delimiter=",")
+            text = f"[problem]\nkind = ls\nmatrix_csv = {A}\nrhs_csv = {b}\nlambda = 0.5\n"
         else:
             # on this instance the largest L_i is 2.42, so 1e308 * L_i overflows
             kind = "least_squares" if problem == "ls" else "logistic"
             text = f"[problem]\nkind = {kind}\nm = 3\nn = 4\nseed = 3\nlambda = 0.5\n"
         cfg = write_config(tmp_path, text + "[sweep]\nlambdas = 0.5\n" + extra)
-        env = dict(os.environ)
-        src = str(Path(l0rcd.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "l0rcd", command, "--config", cfg, "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_child(command, cfg, tmp_path / "o")
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
         if problem.startswith("empty"):
             assert "holds no data" in proc.stderr
+        if problem == "huge_matrix":
+            assert "Lipschitz constants must be finite and positive" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["enumerate", "tournament"])
+    def test_singular_restricted_newton_is_a_one_line_error(self, tmp_path, command):
+        """A tiny ridge weight leaves the Hessian of a support larger than m
+        singular to machine precision; that is a one-line error naming the
+        support and [problem] nu, exit 2."""
+        cfg = write_config(
+            tmp_path,
+            "[problem]\nkind = logistic\nm = 4\nn = 8\nseed = 0\nnu = 1e-17\n"
+            "lambda = 0.01\n[sweep]\nlambdas = 0.01\n",
+        )
+        proc = run_child(command, cfg, tmp_path / "o")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "on support [" in proc.stderr and "[problem] nu" in proc.stderr
 
     def test_negative_seed_flag_is_a_one_line_error(self, tmp_path, capsys):
         cfg = toy_config(tmp_path, start="random")

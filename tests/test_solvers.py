@@ -147,7 +147,8 @@ def _spec_for(model: str, partition: BlockPartition) -> ApproxSpec:
     if model == "uq":
         return separable_from_factor(partition, 1.5)
     if model == "uQ":
-        return ApproxSpec.diagonal_quadratic(1.5 * partition.coord_lipschitz())
+        L = np.repeat(partition.lipschitz, partition.block_sizes)
+        return ApproxSpec.diagonal_quadratic(1.5 * L)
     return exact_uniform(partition, 1e-3)
 
 
@@ -502,7 +503,8 @@ class TestDeltaLowerBound:
         if kind == "separable":
             spec = separable_from_factor(p, 1.7)
         else:
-            spec = ApproxSpec.diagonal_quadratic(p.coord_lipschitz() * rng.uniform(1.2, 3.0, p.n))
+            L = np.repeat(p.lipschitz, p.block_sizes)
+            spec = ApproxSpec.diagonal_quadratic(L * rng.uniform(1.2, 3.0, p.n))
         x0 = rng.standard_normal(p.n) * (rng.random(p.n) < 0.5)
         mu, M = spec.mu(p), spec.curvature_bound(p)
         best = min(mu[i] * p.lam[i] / M[i] for i in range(p.num_blocks) if p.lam[i] > 0.0)
