@@ -67,7 +67,7 @@ class ClassRequest:
         return cls(label, ApproxSpec.exact(beta))
 
 
-@dataclass
+@dataclass(slots=True)  # no per-entry __dict__: a catalog holds 2^n of them
 class CatalogEntry:
     bitmask: int
     point: np.ndarray
@@ -109,11 +109,21 @@ class MinimaCatalog:
         return None
 
 
+def _restricted_solver(problem: L0Problem) -> Callable:
+    """The oracle's optional ``restricted_minimize``; TypeError for an oracle without it."""
+    solve = getattr(problem.smooth, "restricted_minimize", None)
+    if solve is None:
+        raise TypeError(
+            f"restricted minimization not implemented for {type(problem.smooth).__name__}"
+        )
+    return solve
+
+
 def restricted_minimize(problem: L0Problem, I) -> np.ndarray:
     """Minimizer of f over the subspace of vectors supported on I.
 
-    Delegates to the oracle's optional ``restricted_minimize``; raises
-    TypeError for an oracle without it.
+    Delegates to the oracle's optional ``restricted_minimize`` with I as
+    one sorted row; raises TypeError for an oracle without it.
     """
     n = problem.n
     idx = sorted(int(j) for j in I)
@@ -121,12 +131,7 @@ def restricted_minimize(problem: L0Problem, I) -> np.ndarray:
         raise ValueError(f"support indices out of range for n={n}")
     if not idx:
         return np.zeros(n)
-    solve = getattr(problem.smooth, "restricted_minimize", None)
-    if solve is None:
-        raise TypeError(
-            f"restricted minimization not implemented for {type(problem.smooth).__name__}"
-        )
-    return solve(idx)
+    return _restricted_solver(problem)(np.array([idx]))[0]
 
 
 def _fixed_point_test(problem: L0Problem, model: ApproxSpec, tol: float) -> Callable:
@@ -251,9 +256,10 @@ def enumerate_catalog(
     penalized coordinates) restricted solves. One entry per support, in
     increasing bitmask order; the "basic" class is always computed, and
     every requested class lies inside it by definition. The supports go in
-    chunks of ``_CHUNK``: one restricted solve each, then f, F and every
-    class flag for the whole chunk at once, from its points stacked as the
-    rows of a read-only array that the entries' points are views of.
+    chunks of ``_CHUNK``: one restricted-solve call per support size in the
+    chunk, with the empty support left at zero, then f, F and every class
+    flag for the whole chunk at once, from its points stacked as the rows of
+    a read-only array that the entries' points are views of.
     """
     n = problem.n
     if n > ENUMERATION_LIMIT:
@@ -261,15 +267,21 @@ def enumerate_catalog(
             f"enumeration over 2^{n} supports refused (limit n <= {ENUMERATION_LIMIT})"
         )
     partition = problem.partition
+    solve = _restricted_solver(problem)
     tests = [(req.label, _fixed_point_test(problem, req.model, tol)) for req in requests]
     mandatory = partition.zero_penalty_bits
     supports = (mandatory | s for s in _submasks(((1 << n) - 1) & ~mandatory))
+    shifts = np.arange(n)
 
     entries: list[CatalogEntry] = []
     while chunk := list(islice(supports, _CHUNK)):
-        Z = np.array(
-            [restricted_minimize(problem, [j for j in range(n) if b >> j & 1]) for b in chunk]
-        )
+        bits = (np.array(chunk)[:, None] >> shifts) & 1 == 1  # row k: the support chunk[k]
+        sizes = bits.sum(axis=1)
+        Z = np.zeros((len(chunk), n))
+        for size in sorted(set(sizes.tolist()) - {0}):
+            rows = np.flatnonzero(sizes == size)
+            # np.nonzero walks row by row, so each row's indices come sorted
+            Z[rows] = solve(np.nonzero(bits[rows])[1].reshape(len(rows), size))
         Z.flags.writeable = False
         f = problem.smooth.eval(Z)
         F = (f + _weighted_count(Z != 0.0, partition)).tolist()

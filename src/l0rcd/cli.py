@@ -636,9 +636,15 @@ def cmd_gradcheck(cfg: ExperimentConfig, writer: OutputWriter) -> int:
 
     worst_fd = 0.0
     worst_fd_coord = -1
-    for _ in range(5):
+    for t in range(5):
         x = rng.uniform(-1.0, 1.0, size=n)
-        err, j = finite_difference_error(oracle, x, h=1e-6)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                err, j = finite_difference_error(oracle, x, h=1e-6)
+        except ValueError as exc:
+            raise ConfigError(
+                f"f overflows on this instance: at gradcheck point {t} in [-1, 1]^{n}, {exc}"
+            ) from exc
         if err > worst_fd:
             worst_fd, worst_fd_coord = err, j
 

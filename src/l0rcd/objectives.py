@@ -12,6 +12,7 @@ from functools import cached_property
 from typing import Protocol, runtime_checkable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "SmoothOracle",
@@ -39,7 +40,10 @@ class SmoothOracle(Protocol):
     Optional methods outside the protocol: ``coord_curvature()`` says that f
     is quadratic along every coordinate and gives that curvature, so the
     exact model steps in closed form instead of by safeguarded Newton, and
-    ``restricted_minimize`` makes enumeration possible.
+    ``restricted_minimize(cols)`` makes enumeration possible: it takes a
+    (k, s) int array of sorted index rows, all of one size s, and returns
+    the (k, n) array of the minimizers of f over the vectors supported on
+    each row.
     """
 
     dim: int
@@ -67,6 +71,15 @@ class SmoothOracle(Protocol):
 
 # Rank cutoff (relative to the largest singular value) for least-norm solves.
 _RANK_TOL = 1e-10
+
+# The gelsd gufunc that np.linalg.lstsq wraps, (m,n),(m,nrhs),()->(n,nrhs),(nrhs),(),(p),
+# bound here so that a numpy without it fails at import and not mid-enumeration.
+_gelsd = _umath_linalg.lstsq
+
+
+def _raise_lstsq_error(err, flag):
+    # np.linalg.lstsq's own message for a failed SVD
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 def _block_spectral_sq(matrix: np.ndarray, col_sq: np.ndarray, block_sizes) -> np.ndarray:
@@ -168,16 +181,24 @@ class LeastSquaresObjective:
         """Curvature ||A_j||^2 of f along each coordinate: f is quadratic there."""
         return self._col_sq.copy()
 
-    def restricted_minimize(self, idx: list[int]) -> np.ndarray:
-        """Least-norm minimizer over vectors supported on the sorted index list idx.
+    def restricted_minimize(self, cols: np.ndarray) -> np.ndarray:
+        """Least-norm minimizers over the supports given as the rows of cols.
 
-        Pseudoinverse with relative rank cutoff 1e-10, so rank-deficient
-        supports get a canonical representative.
+        ``cols`` is a (k, s) int array of sorted index rows; the result holds
+        one point per row, shape (k, n). Pseudoinverse with relative rank
+        cutoff 1e-10, so rank-deficient supports get a canonical
+        representative. One gelsd call solves the stack, under the error
+        state that ``np.linalg.lstsq`` sets, and each row gets the bits of
+        ``np.linalg.lstsq(A[:, row], b, rcond=1e-10)``.
         """
-        z = np.zeros(self.dim)
-        sol, *_ = np.linalg.lstsq(self.A[:, idx], self.b, rcond=_RANK_TOL)
-        z[idx] = sol
-        return z
+        sub = np.moveaxis(self.A[:, cols], 1, 0)  # (k, m, s)
+        with np.errstate(
+            call=_raise_lstsq_error, invalid="call", over="ignore", divide="ignore", under="ignore"
+        ):
+            sol = _gelsd(sub, self.b[:, None], _RANK_TOL, signature="ddd->ddid")[0]
+        Z = np.zeros((len(cols), self.dim))
+        np.put_along_axis(Z, cols, sol[..., 0], axis=1)
+        return Z
 
     # Constants for partition construction.
 
@@ -296,14 +317,21 @@ class LogisticL2Objective:
         # computed on first use: only enumeration needs it
         return 1e-10 * (1.0 + float(np.linalg.norm(self.full_grad(np.zeros(self.dim)))))
 
-    def restricted_minimize(self, idx: list[int]) -> np.ndarray:
-        """Minimizer over vectors supported on the sorted index list idx.
+    def restricted_minimize(self, cols: np.ndarray) -> np.ndarray:
+        """Minimizers over the supports given as the rows of cols, one Newton solve each.
 
-        Newton iterations with backtracking, to gradient norm
+        ``cols`` is a (k, s) int array of sorted index rows; the result is
+        (k, n). Newton iterations with backtracking, to gradient norm
         1e-10 * (1 + ||grad f(0)||). LinAlgError, naming the support, when
-        the Hessian is singular to machine precision (nu tiny, |idx| > m).
+        the Hessian is singular to machine precision (nu tiny, s > m).
         """
-        z = np.zeros(self.dim)
+        Z = np.zeros((len(cols), self.dim))
+        for z, idx in zip(Z, cols.tolist()):
+            self._newton(z, idx)
+        return Z
+
+    def _newton(self, z: np.ndarray, idx: list[int]) -> None:
+        # writes the minimizer over the sorted support idx into the zero vector z
         tol = self._restricted_tol
         sub = self.data[:, idx]
         w = np.zeros(len(idx))
@@ -314,7 +342,7 @@ class LogisticL2Objective:
             g = sub.T @ (s - self.y) / self.m + self.nu * w
             if float(np.linalg.norm(g)) <= tol:
                 z[idx] = w
-                return z
+                return
             D = s * (1.0 - s)
             H = (sub.T * D) @ sub / self.m + self.nu * np.eye(len(idx))
             try:

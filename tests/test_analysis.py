@@ -289,6 +289,29 @@ class TestOneClassification:
         chunks = [(_CHUNK, 11), (_CHUNK, 11)]
         assert calls == {"make_cache": [], "block_grad": [], "full_grad": chunks, "eval": chunks}
 
+    def test_one_restricted_solve_per_support_size(self, monkeypatch):
+        """Each chunk makes one oracle call per nonempty support size, with
+        sorted index rows, and the one-support wrapper is not called."""
+        prob, requests = _configured_case(m=8, n=11, instance_seed=3, lam=0.3)
+        stacks = []
+        original = prob.smooth.restricted_minimize
+
+        def counted(cols):
+            stacks.append(cols.copy())
+            return original(cols)
+
+        monkeypatch.setattr(prob.smooth, "restricted_minimize", counted)
+        monkeypatch.setattr(
+            "l0rcd.analysis.restricted_minimize", lambda *a: pytest.fail("called per support")
+        )
+        catalog = enumerate_catalog(prob, requests)
+        # masks 0-1023 hold sizes 1-10 besides the empty one; 1024-2047 sizes 1-11
+        assert [c.shape[1] for c in stacks] == list(range(1, 11)) + list(range(1, 12))
+        assert sum(len(c) for c in stacks) == 2 * _CHUNK - 1
+        for cols in stacks:
+            assert (np.diff(cols, axis=1) > 0).all()
+        assert catalog.entries[0].point.tobytes() == np.zeros(11).tobytes()
+
     def test_logistic_restricted_tolerance_computed_once(self, monkeypatch):
         """Logistic restricted solves compute their tolerance from full_grad(0) once;
         every other gradient is a stacked one."""

@@ -512,6 +512,7 @@ class TestConfigParsing:
             ("tournament", "huge_matrix", ""),
             ("benchmark", "huge_matrix", ""),
             ("gradcheck", "huge_matrix", ""),
+            ("gradcheck", "overflowing_f", ""),
         ],
         ids=[
             "uq_factor_solve", "uq_factor_tournament", "uq_factor_benchmark",
@@ -519,13 +520,14 @@ class TestConfigParsing:
             "value_range_solve", "value_range_tournament", "value_range_benchmark",
             "value_range_logistic", "empty_matrix_csv", "empty_rhs_csv",
             "huge_csv_solve", "huge_csv_enumerate", "huge_csv_tournament",
-            "huge_csv_benchmark", "huge_csv_gradcheck",
+            "huge_csv_benchmark", "huge_csv_gradcheck", "overflowing_f_csv_gradcheck",
         ],
     )
     def test_overflow_and_empty_data_are_one_line_errors(self, tmp_path, command, problem, extra):
         """A factor whose M overflows, a start whose f overflows, an empty CSV and
-        a CSV matrix whose A^T A overflows each end in one error line and exit 2,
-        not a traceback or a warning. Run in a child process (``run_child``).
+        a CSV matrix whose A^T A overflows, and one whose f overflows at gradcheck's
+        random points of [-1, 1]^n, each end in one error line and exit 2, not a
+        traceback or a warning. Run in a child process (``run_child``).
         """
         if problem.startswith("empty"):
             A, b = write_toy_csvs(tmp_path)
@@ -533,10 +535,12 @@ class TestConfigParsing:
             empty.write_text("")
             A, b = (empty, b) if problem == "empty_matrix" else (A, empty)
             text = f"[problem]\nkind = ls\nmatrix_csv = {A}\nrhs_csv = {b}\nlambda = 0.5\n"
-        elif problem == "huge_matrix":
-            # entries near 1e155, so every ||A_j||^2 overflows
+        elif problem in ("huge_matrix", "overflowing_f"):
+            # entries near 1e155, so every ||A_j||^2 overflows; or up to 4e153,
+            # so ||A_j||^2 is finite but f overflows at most points of [-1, 1]^5
+            scale = 1e155 if problem == "huge_matrix" else 2e152
             A, b = tmp_path / "A.csv", tmp_path / "b.csv"
-            np.savetxt(A, np.arange(1.0, 21.0).reshape(4, 5) * 1e155, delimiter=",")
+            np.savetxt(A, np.arange(1.0, 21.0).reshape(4, 5) * scale, delimiter=",")
             np.savetxt(b, [1.0, 0.0, -1.0, 0.5], delimiter=",")
             text = f"[problem]\nkind = ls\nmatrix_csv = {A}\nrhs_csv = {b}\nlambda = 0.5\n"
         else:
@@ -551,6 +555,8 @@ class TestConfigParsing:
             assert "holds no data" in proc.stderr
         if problem == "huge_matrix":
             assert "Lipschitz constants must be finite and positive" in proc.stderr
+        if problem == "overflowing_f":
+            assert "f overflows on this instance" in proc.stderr
 
     @pytest.mark.parametrize("command", ["enumerate", "tournament"])
     def test_singular_restricted_newton_is_a_one_line_error(self, tmp_path, command):

@@ -1,16 +1,23 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies
 
 from l0rcd import (
+    BlockPartition,
+    L0Problem,
     LeastSquaresObjective,
     LogisticL2Objective,
+    build_example_instance,
     finite_difference_error,
     load_labels_csv,
     load_matrix_csv,
     load_vector_csv,
+    restricted_minimize,
 )
-from l0rcd.objectives import _log1pexp, _sigmoid
+from l0rcd.cli import generate_least_squares
+from l0rcd.objectives import _gelsd, _log1pexp, _sigmoid
 
 
 def random_ls(m, n, seed):
@@ -286,6 +293,83 @@ def test_stacked_eval_rejects_a_nonfinite_row():
     f = LeastSquaresObjective(np.eye(2), np.zeros(2))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
         f.eval(np.array([[1.0, 0.0], [1e200, 0.0]]))
+
+
+def _support_stacks(n):
+    """Every nonempty support of range(n), as one (k, s) stack of sorted rows per size s."""
+    return [np.array(list(combinations(range(n), s))) for s in range(1, n + 1)]
+
+
+def _rank_deficient_5x6():
+    # column 4 repeats column 1 and column 5 is zero; supports reach |I| = 6 > m = 5
+    rng = np.random.default_rng(11)
+    A = rng.uniform(-1.0, 1.0, (5, 6))
+    A[:, 4] = A[:, 1]
+    A[:, 5] = 0.0
+    return LeastSquaresObjective(A, rng.uniform(-1.0, 1.0, 5))
+
+
+class TestRestrictedMinimizeStack:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_example_instance().smooth,
+            lambda: generate_least_squares(8, 11, 3)[0],
+            _rank_deficient_5x6,
+        ],
+        ids=["example_4x7", "generated_8x11", "rank_deficient_5x6"],
+    )
+    def test_least_squares_rows_are_lstsq_bit_for_bit(self, make):
+        """Each row of a stacked solve holds the bits of np.linalg.lstsq on that
+        support, and zeros off it."""
+        oracle = make()
+        n = oracle.dim
+        for cols in _support_stacks(n):
+            Z = oracle.restricted_minimize(cols)
+            assert Z.shape == (len(cols), n)
+            for z, idx in zip(Z, cols.tolist()):
+                sol = np.linalg.lstsq(oracle.A[:, idx], oracle.b, rcond=1e-10)[0]
+                assert z[idx].tobytes() == sol.tobytes()
+                assert not np.delete(z, idx).any()
+
+    def test_logistic_stack_equals_row_by_row(self):
+        oracle = random_logistic(12, 6, 7)
+        for cols in _support_stacks(6):
+            Z = oracle.restricted_minimize(cols)
+            for z, row in zip(Z, cols):
+                assert z.tobytes() == oracle.restricted_minimize(row[None]).tobytes()
+
+    def test_singular_newton_system_in_a_stack_names_its_support(self):
+        # columns 0 and 1 are equal, so with nu below the rounding of H the
+        # Newton system of {0, 1} is exactly singular while {0, 2} and {1, 2} are not
+        rng = np.random.default_rng(0)
+        data = rng.uniform(-1.0, 1.0, (5, 3))
+        data[:, 1] = data[:, 0]
+        oracle = LogisticL2Objective(data, (rng.random(5) < 0.5).astype(float), 1e-300)
+        assert oracle.restricted_minimize(np.array([[0, 2], [1, 2]])).shape == (2, 3)
+        with pytest.raises(np.linalg.LinAlgError, match=r"on support \[0, 1\] is singular"):
+            oracle.restricted_minimize(np.array([[0, 2], [0, 1], [1, 2]]))
+
+    def test_svd_failure_raises_numpy_error(self):
+        """A NaN in the matrix makes gelsd fail; the stacked call raises the
+        LinAlgError that np.linalg.lstsq raises, with its message."""
+        A = np.arange(12.0).reshape(3, 4)
+        A[1, 2] = np.nan
+        oracle = LeastSquaresObjective(A, np.ones(3))
+        message = "SVD did not converge in Linear Least Squares"
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            np.linalg.lstsq(A[:, [1, 2]], oracle.b, rcond=1e-10)
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            oracle.restricted_minimize(np.array([[0, 1], [1, 2]]))
+        prob = L0Problem(oracle, BlockPartition.scalar(np.ones(4), np.ones(4), 4.0))
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            restricted_minimize(prob, {2})
+
+    def test_gelsd_binding_signature(self):
+        """The private gufunc behind np.linalg.lstsq keeps the layout the stacked
+        solve relies on."""
+        assert _gelsd.signature == "(m,n),(m,nrhs),()->(n,nrhs),(nrhs),(),(p)"
+        assert "ddd->ddid" in _gelsd.types
 
 
 class TestLoaders:
