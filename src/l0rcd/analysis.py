@@ -20,9 +20,9 @@ per-class flags so the inclusion chain can be verified directly.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import cached_property
 
 import numpy as np
 
@@ -67,8 +67,10 @@ class ClassRequest:
         return cls(label, ApproxSpec.exact(beta))
 
 
-@dataclass(slots=True)  # no per-entry __dict__: a catalog holds 2^n of them
+@dataclass(slots=True)  # no per-entry __dict__: ``entries`` may hold 2^n of them
 class CatalogEntry:
+    """One row of a MinimaCatalog, built on request; ``point`` is a view of the row."""
+
     bitmask: int
     point: np.ndarray
     f_value: float
@@ -82,30 +84,48 @@ class CatalogEntry:
 
 @dataclass
 class MinimaCatalog:
-    """One entry per enumerated support, with class-membership flags."""
+    """The enumerated supports as columns, one row per support in increasing bitmask order:
+    row k is support ``bitmasks[k]`` (int64), its restricted minimizer ``points[k]`` (one
+    read-only array), ``f[k]``, ``F[k]`` and ``flags[label][k]`` ("basic" the first column)."""
 
-    entries: list[CatalogEntry]
+    bitmasks: np.ndarray
+    points: np.ndarray
+    f: np.ndarray
+    F: np.ndarray
+    flags: dict[str, np.ndarray]
     class_labels: list[str]
     conventions: dict[str, str] = field(default_factory=dict)
 
+    def _entry(self, k: int) -> CatalogEntry:
+        return CatalogEntry(
+            bitmask=int(self.bitmasks[k]),
+            point=self.points[k],
+            f_value=float(self.f[k]),
+            F_value=float(self.F[k]),
+            flags={label: bool(column[k]) for label, column in self.flags.items()},
+        )
+
+    @cached_property
+    def entries(self) -> list[CatalogEntry]:
+        """Every row as a CatalogEntry, built on first access and kept."""
+        return [self._entry(k) for k in range(len(self.bitmasks))]
+
     def counts(self) -> dict[str, int]:
-        return {
-            label: sum(1 for e in self.entries if e.flags[label])
-            for label in self.class_labels
-        }
+        return {label: int(np.count_nonzero(self.flags[label])) for label in self.class_labels}
 
     def members(self, label: str) -> list[CatalogEntry]:
-        return [e for e in self.entries if e.flags[label]]
+        return [self._entry(k) for k in np.flatnonzero(self.flags[label])]
 
     @property
     def global_min(self) -> CatalogEntry:
-        return min(self.entries, key=lambda e: (e.F_value, e.bitmask))
+        # argmin returns the first minimum, the one with the smaller bitmask
+        return self._entry(int(np.argmin(self.F)))
 
     def entry_for_support(self, bitmask: int) -> CatalogEntry | None:
         """The entry whose support is the int ``bitmask``, as ``IterateState.support`` holds it."""
-        for e in self.entries:
-            if e.bitmask == bitmask:
-                return e
+        k = int(np.searchsorted(self.bitmasks, bitmask))
+        if k < len(self.bitmasks) and self.bitmasks[k] == bitmask:
+            return self._entry(k)
         return None
 
 
@@ -234,16 +254,6 @@ def is_strong_local_min(
     return bool(_classify(problem, _check_dim(z, problem.n)[None], tests, tol)[model.kind][0])
 
 
-def _submasks(free: int) -> Iterator[int]:
-    """The submasks of ``free``, in increasing order, 0 first."""
-    s = 0
-    while True:
-        yield s
-        s = (s - free) & free
-        if s == 0:
-            return
-
-
 def enumerate_catalog(
     problem: L0Problem,
     requests: list[ClassRequest],
@@ -253,13 +263,13 @@ def enumerate_catalog(
 
     Supports range over all subsets of positive-penalty coordinates, each
     joined with the (always-included) zero-penalty coordinates: 2^(number of
-    penalized coordinates) restricted solves. One entry per support, in
+    penalized coordinates) restricted solves. One row per support, in
     increasing bitmask order; the "basic" class is always computed, and
-    every requested class lies inside it by definition. The supports go in
-    chunks of ``_CHUNK``: one restricted-solve call per support size in the
-    chunk, with the empty support left at zero, then f, F and every class
-    flag for the whole chunk at once, from its points stacked as the rows of
-    a read-only array that the entries' points are views of.
+    every requested class lies inside it by definition. The columns are
+    filled in chunks of ``_CHUNK`` supports: one restricted-solve call per
+    support size in the chunk, with the empty support left at zero, then f,
+    F and every class flag for the whole chunk at once. Raises ValueError
+    for n above ``ENUMERATION_LIMIT``.
     """
     n = problem.n
     if n > ENUMERATION_LIMIT:
@@ -269,33 +279,33 @@ def enumerate_catalog(
     partition = problem.partition
     solve = _restricted_solver(problem)
     tests = [(req.label, _fixed_point_test(problem, req.model, tol)) for req in requests]
-    mandatory = partition.zero_penalty_bits
-    supports = (mandatory | s for s in _submasks(((1 << n) - 1) & ~mandatory))
-    shifts = np.arange(n)
+    # bit i of s goes to the i-th penalized coordinate, which keeps the order of s
+    penalized = np.flatnonzero(~partition.zero_penalty_mask)
+    s = np.arange(1 << len(penalized), dtype=np.int64)
+    bitmasks = np.full(len(s), partition.zero_penalty_bits, dtype=np.int64)
+    for i, j in enumerate(penalized.tolist()):
+        bitmasks |= (s >> i & 1) << j
 
-    entries: list[CatalogEntry] = []
-    while chunk := list(islice(supports, _CHUNK)):
-        bits = (np.array(chunk)[:, None] >> shifts) & 1 == 1  # row k: the support chunk[k]
+    count = len(bitmasks)
+    points = np.zeros((count, n))
+    f = np.empty(count)
+    F = np.empty(count)
+    flags: dict[str, np.ndarray] = {}
+    shifts = np.arange(n)
+    for lo in range(0, count, _CHUNK):
+        chunk = slice(lo, lo + _CHUNK)
+        bits = (bitmasks[chunk, None] >> shifts) & 1 == 1  # row r: the support bitmasks[lo + r]
         sizes = bits.sum(axis=1)
-        Z = np.zeros((len(chunk), n))
+        Z = points[chunk]
         for size in sorted(set(sizes.tolist()) - {0}):
             rows = np.flatnonzero(sizes == size)
             # np.nonzero walks row by row, so each row's indices come sorted
             Z[rows] = solve(np.nonzero(bits[rows])[1].reshape(len(rows), size))
-        Z.flags.writeable = False
-        f = problem.smooth.eval(Z)
-        F = (f + _weighted_count(Z != 0.0, partition)).tolist()
-        flags = [(label, v.tolist()) for label, v in _classify(problem, Z, tests, tol).items()]
-        for k, (bitmask, f_val) in enumerate(zip(chunk, f.tolist())):
-            entries.append(
-                CatalogEntry(
-                    bitmask=bitmask,
-                    point=Z[k],
-                    f_value=f_val,
-                    F_value=F[k],
-                    flags={label: member[k] for label, member in flags},
-                )
-            )
+        f[chunk] = problem.smooth.eval(Z)
+        F[chunk] = f[chunk] + _weighted_count(Z != 0.0, partition)
+        for label, member in _classify(problem, Z, tests, tol).items():
+            flags.setdefault(label, np.zeros(count, dtype=bool))[chunk] = member
+    points.flags.writeable = False
 
     labels = [req.label for req in requests] + [BASIC_LABEL]
     conventions = {
@@ -304,7 +314,7 @@ def enumerate_catalog(
         "classify_tol": repr(tol),
         "objective": type(problem.smooth).__name__,
     }
-    return MinimaCatalog(entries=entries, class_labels=labels, conventions=conventions)
+    return MinimaCatalog(bitmasks, points, f, F, flags, labels, conventions)
 
 
 def verify_inclusions(catalog: MinimaCatalog) -> list[str]:
@@ -317,14 +327,11 @@ def verify_inclusions(catalog: MinimaCatalog) -> list[str]:
     class.
     """
     order = catalog.class_labels
-    violations: list[str] = []
-    for a, b in zip(order, order[1:]):
-        masks_b = {e.bitmask for e in catalog.members(b)}
-        for e in catalog.members(a):
-            if e.bitmask not in masks_b:
-                violations.append(
-                    f"support {e.bitmask:#x} is in class {a!r} but not in {b!r}"
-                )
+    violations = [
+        f"support {bitmask:#x} is in class {a!r} but not in {b!r}"
+        for a, b in zip(order, order[1:])
+        for bitmask in catalog.bitmasks[catalog.flags[a] & ~catalog.flags[b]].tolist()
+    ]
     gm = catalog.global_min
     for label in order:
         if not gm.flags.get(label, False):

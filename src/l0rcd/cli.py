@@ -24,7 +24,6 @@ import numpy as np
 
 from .analysis import (
     ClassRequest,
-    ENUMERATION_LIMIT,
     build_example_instance,
     enumerate_catalog,
     example_class_requests,
@@ -496,22 +495,21 @@ def cmd_enumerate(cfg: ExperimentConfig, writer: OutputWriter, example2: bool) -
     else:
         problem = build_problem(cfg)
         requests = _enumerate_requests(problem, cfg)
-    if problem.n > ENUMERATION_LIMIT:
-        raise ConfigError(
-            f"instance dimension {problem.n} exceeds the enumeration limit {ENUMERATION_LIMIT}"
-        )
-
     catalog = _enumerate(problem, requests)
     violations = verify_inclusions(catalog)
     counts = catalog.counts()
 
     flag_cols = list(catalog.class_labels)
+    # csv writes a float as str(), which is _fmt's repr; flags go out as 0/1
+    columns = [catalog.bitmasks, catalog.F] + [catalog.flags[c].view(np.uint8) for c in flag_cols]
+    step = 1 << 16  # rows turned into Python values at a time, to bound the memory
     writer.write_csv(
         "catalog.csv",
         ["support_bitmask", "F"] + flag_cols,
         (
-            [e.bitmask, _fmt(e.F_value)] + [int(e.flags[c]) for c in flag_cols]
-            for e in catalog.entries
+            row
+            for lo in range(0, len(catalog.F), step)
+            for row in zip(*(column[lo : lo + step].tolist() for column in columns))
         ),
     )
     writer.write_csv(
@@ -543,37 +541,29 @@ def cmd_enumerate(cfg: ExperimentConfig, writer: OutputWriter, example2: bool) -
 
 
 def _enumerate(problem: L0Problem, requests: list[ClassRequest]):
-    """``enumerate_catalog``; a singular restricted Newton system (logistic
-    with a tiny ridge weight) becomes a ConfigError."""
+    """``enumerate_catalog``; n above its limit or a singular restricted Newton
+    system (logistic with a tiny ridge weight) becomes a ConfigError."""
     try:
         return enumerate_catalog(problem, requests)
-    except np.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # a ValueError, so caught first
         raise ConfigError(f"enumeration failed: {exc}; increase [problem] nu") from exc
-
-
-def _global_f_table(problem: L0Problem) -> list[tuple[float, int]]:
-    """Per-support (smooth value, nonzero count) pairs for computing the
-    global optimum under any penalty level."""
-    catalog = _enumerate(problem, [])
-    return [(e.f_value, int(np.count_nonzero(e.point))) for e in catalog.entries]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_tournament(cfg: ExperimentConfig, writer: OutputWriter) -> int:
     if not cfg.sweep:
         raise ConfigError("tournament needs [sweep] lambdas")
     base_problem = build_problem(cfg, lam=1.0)
-    if base_problem.n > ENUMERATION_LIMIT:
-        raise ConfigError(
-            f"tournament certifies the optimum by enumeration; n={base_problem.n} "
-            f"exceeds the limit {ENUMERATION_LIMIT}"
-        )
-    f_table = _global_f_table(base_problem)
+    # F* = min f + lambda * nnz: a point's nonzeros, which can be fewer than its support
+    catalog = _enumerate(base_problem, [])
+    nnz = np.count_nonzero(catalog.points, axis=1)
     starts = _random_starts(cfg, base_problem, cfg.trials)
 
     rows = []
     for li, lam in enumerate(cfg.sweep):
         problem = build_problem(cfg, lam=lam)
-        F_star = min(f + lam * nnz for f, nnz in f_table)
+        F_star = float(np.min(catalog.f + lam * nnz))
         successes = []
         for si, name in enumerate(cfg.solver_names):
             count = 0

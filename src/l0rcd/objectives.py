@@ -326,16 +326,16 @@ class LogisticL2Objective:
         the Hessian is singular to machine precision (nu tiny, s > m).
         """
         Z = np.zeros((len(cols), self.dim))
+        f0 = self.eval(np.zeros(self.dim))
         for z, idx in zip(Z, cols.tolist()):
-            self._newton(z, idx)
+            self._newton(z, idx, f0)
         return Z
 
-    def _newton(self, z: np.ndarray, idx: list[int]) -> None:
-        # writes the minimizer over the sorted support idx into the zero vector z
+    def _newton(self, z: np.ndarray, idx: list[int], val: float) -> None:
+        # writes the minimizer over the sorted support idx into the zero vector z; val = f(0)
         tol = self._restricted_tol
         sub = self.data[:, idx]
         w = np.zeros(len(idx))
-        val = self.eval(z)
         for _ in range(100):
             t = sub @ w
             s = _sigmoid(t)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from l0rcd import (
     L0Problem,
     LeastSquaresObjective,
     LogisticL2Objective,
-    MinimaCatalog,
     SolverConfig,
     build_example_instance,
     enumerate_catalog,
@@ -460,6 +461,51 @@ def test_catalog_matches_support_by_support_reference(case):
         assert not e.point.flags.writeable
 
 
+def _row(e):
+    return (e.bitmask, e.point.tobytes(), e.f_value, e.F_value, e.flags)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_zero_penalty_blocks_case, lambda: _configured_case(m=8, n=11, instance_seed=3, lam=0.3)],
+    ids=["ls-blocks-zero-penalty", "ls-two-chunks"],
+)
+def test_column_queries_match_a_loop_over_the_entries(case):
+    """counts, members, global_min, entry_for_support and verify_inclusions,
+    each against a brute-force loop over ``catalog.entries``."""
+    prob, requests = case()
+    catalog = enumerate_catalog(prob, requests)
+    entries = catalog.entries
+    assert catalog.entries is entries
+    labels = catalog.class_labels
+    assert catalog.counts() == {c: sum(e.flags[c] for e in entries) for c in labels}
+    for c in labels:
+        assert [_row(e) for e in catalog.members(c)] == [_row(e) for e in entries if e.flags[c]]
+    best = min(entries, key=lambda e: (e.F_value, e.bitmask))
+    assert _row(catalog.global_min) == _row(best)
+    present = {e.bitmask for e in entries}
+    for e in entries:
+        assert _row(catalog.entry_for_support(e.bitmask)) == _row(e)
+    absent = [b for b in range(1 << (prob.n + 1)) if b not in present]
+    assert absent and all(catalog.entry_for_support(b) is None for b in absent)
+
+    reversed_labels = labels[::-1]
+    expect = [
+        f"support {e.bitmask:#x} is in class {a!r} but not in {b!r}"
+        for a, b in zip(reversed_labels, reversed_labels[1:])
+        for e in entries
+        if e.flags[a] and not e.flags[b]
+    ]
+    expect += [
+        f"global minimizer (support {best.bitmask:#x}, F={best.F_value:.6g}) "
+        f"is not flagged in class {c!r}"
+        for c in reversed_labels
+        if not best.flags[c]
+    ]
+    assert expect
+    assert verify_inclusions(dataclasses.replace(catalog, class_labels=reversed_labels)) == expect
+
+
 class TestVerifyInclusions:
     def test_toy_chain(self, toy):
         catalog = enumerate_catalog(
@@ -489,7 +535,7 @@ class TestVerifyInclusions:
             toy, [ClassRequest.quadratic("uq[M=Li]", [1.0, 1.0])]
         )
         # deliberately reversed order must flag basic-only entries
-        reversed_order = MinimaCatalog(catalog.entries, ["basic", "uq[M=Li]"])
+        reversed_order = dataclasses.replace(catalog, class_labels=["basic", "uq[M=Li]"])
         report = verify_inclusions(reversed_order)
         assert len(report) == 3
 

@@ -194,6 +194,33 @@ class TestEnumerate:
         assert main(["enumerate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["enumerate", "tournament"])
+    def test_enumeration_limit_is_one_error_line(self, tmp_path, capsys, command):
+        """Both commands that enumerate refuse n = 25 through enumerate_catalog's limit."""
+        cfg = write_config(
+            tmp_path,
+            "[problem]\nkind = ls\nm = 4\nn = 25\nlambda = 0.5\n[sweep]\nlambdas = 0.5\n",
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+    def test_no_entry_object_per_support(self, tmp_path, monkeypatch):
+        """The command reads the catalog's columns; 2^11 supports build no 2^11 entries."""
+        built = []
+        original = l0rcd.CatalogEntry.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(l0rcd.CatalogEntry, "__init__", counted)
+        cfg = write_config(
+            tmp_path, "[problem]\nkind = ls\nm = 8\nn = 11\nseed = 3\nlambda = 0.3\n"
+        )
+        assert main(["enumerate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(built) <= 4
+
 
 class TestTournament:
     def test_all_starts_at_global(self, tmp_path):
