@@ -41,7 +41,6 @@ from .solvers import (
 )
 from .analysis import (
     CatalogEntry,
-    ClassRequest,
     MinimaCatalog,
     build_example_instance,
     example_class_requests,
@@ -84,7 +83,6 @@ __all__ = [
     "run_ihta",
     "run_rcd_iht",
     "CatalogEntry",
-    "ClassRequest",
     "MinimaCatalog",
     "build_example_instance",
     "example_class_requests",

@@ -20,7 +20,7 @@ per-class flags so the inclusion chain can be verified directly.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,30 +41,6 @@ BASIC_LABEL = "basic"
 
 # Supports classified together by enumerate_catalog.
 _CHUNK = 1024
-
-
-@dataclass(frozen=True)
-class ClassRequest:
-    """One classification column: a label and the approximation model.
-
-    The class is the set of fixed points of the model's thresholding map.
-    Classification accepts M_i = L_i, which a solver run would refuse.
-    """
-
-    label: str
-    model: ApproxSpec
-
-    def __post_init__(self) -> None:
-        if self.label == BASIC_LABEL:
-            raise ValueError(f"label {BASIC_LABEL!r} is reserved")
-
-    @classmethod
-    def quadratic(cls, label: str, M) -> "ClassRequest":
-        return cls(label, ApproxSpec.separable_quadratic(M))
-
-    @classmethod
-    def exact(cls, label: str, beta) -> "ClassRequest":
-        return cls(label, ApproxSpec.exact(beta))
 
 
 @dataclass(slots=True)  # no per-entry __dict__: ``entries`` may hold 2^n of them
@@ -199,12 +175,12 @@ def _fixed_point_test(problem: L0Problem, model: ApproxSpec, tol: float) -> Call
 
 
 def _classify(
-    problem: L0Problem, Z: np.ndarray, tests: list[tuple[str, Callable]], tol: float
+    problem: L0Problem, Z: np.ndarray, tests: dict[str, Callable], tol: float
 ) -> dict[str, np.ndarray]:
-    """Membership of each row of Z in the basic class and in each (label, test) class.
+    """Membership of each row of Z in the basic class and in each labelled test's class.
 
     Returns one bool array per class, "basic" first. A requested class holds
-    the basic points that are fixed points of the request's thresholding
+    the basic points that are fixed points of its model's thresholding
     map; the maps see only the basic rows. One stacked gradient serves every
     class.
     """
@@ -221,7 +197,7 @@ def _classify(
         basic[rows] = np.sqrt(_rowdot(g_on, g_on)) <= tol
     flags = {BASIC_LABEL: basic}
     basic_rows = np.flatnonzero(basic)
-    for label, test in tests:
+    for label, test in tests.items():
         member = np.zeros(len(Z), dtype=bool)
         member[basic_rows] = test(Z[basic_rows], G[basic_rows])
         flags[label] = member
@@ -230,7 +206,7 @@ def _classify(
 
 def is_basic_local_min(problem: L0Problem, z: np.ndarray, tol: float = CLASSIFY_TOL) -> bool:
     """True iff the gradient of f vanishes on I(z) (within tol)."""
-    return bool(_classify(problem, _check_dim(z, problem.n)[None], [], tol)[BASIC_LABEL][0])
+    return bool(_classify(problem, _check_dim(z, problem.n)[None], {}, tol)[BASIC_LABEL][0])
 
 
 def is_strong_local_min(
@@ -250,17 +226,20 @@ def is_strong_local_min(
     classification accepts M_i = L_i. Raises ValueError when the model's
     parameters do not fit the partition.
     """
-    tests = [(model.kind, _fixed_point_test(problem, model, tol))]
+    tests = {model.kind: _fixed_point_test(problem, model, tol)}
     return bool(_classify(problem, _check_dim(z, problem.n)[None], tests, tol)[model.kind][0])
 
 
 def enumerate_catalog(
     problem: L0Problem,
-    requests: list[ClassRequest],
+    requests: Mapping[str, ApproxSpec],
     tol: float = CLASSIFY_TOL,
 ) -> MinimaCatalog:
     """Solve the restricted problem for every support and classify the results.
 
+    ``requests`` maps each class label to its model, sharpest class first;
+    a class is the set of fixed points of the model's thresholding map, and
+    classification accepts M_i = L_i, which a solver run would refuse.
     Supports range over all subsets of positive-penalty coordinates, each
     joined with the (always-included) zero-penalty coordinates: 2^(number of
     penalized coordinates) restricted solves. One row per support, in
@@ -269,16 +248,19 @@ def enumerate_catalog(
     filled in chunks of ``_CHUNK`` supports: one restricted-solve call per
     support size in the chunk, with the empty support left at zero, then f,
     F and every class flag for the whole chunk at once. Raises ValueError
-    for n above ``ENUMERATION_LIMIT``.
+    for n above ``ENUMERATION_LIMIT``, for the reserved label "basic" and
+    for a model whose parameters do not fit the partition.
     """
     n = problem.n
     if n > ENUMERATION_LIMIT:
         raise ValueError(
             f"enumeration over 2^{n} supports refused (limit n <= {ENUMERATION_LIMIT})"
         )
+    if BASIC_LABEL in requests:
+        raise ValueError(f"label {BASIC_LABEL!r} is reserved")
     partition = problem.partition
     solve = _restricted_solver(problem)
-    tests = [(req.label, _fixed_point_test(problem, req.model, tol)) for req in requests]
+    tests = {label: _fixed_point_test(problem, model, tol) for label, model in requests.items()}
     # bit i of s goes to the i-th penalized coordinate, which keeps the order of s
     penalized = np.flatnonzero(~partition.zero_penalty_mask)
     s = np.arange(1 << len(penalized), dtype=np.int64)
@@ -307,7 +289,7 @@ def enumerate_catalog(
             flags.setdefault(label, np.zeros(count, dtype=bool))[chunk] = member
     points.flags.writeable = False
 
-    labels = [req.label for req in requests] + [BASIC_LABEL]
+    labels = [*requests, BASIC_LABEL]
     conventions = {
         "tie_rule": TIE_RULE,
         "representative": "least-norm",
@@ -371,17 +353,16 @@ def build_example_instance() -> L0Problem:
     return L0Problem(smooth=oracle, partition=partition)
 
 
-def example_class_requests(problem: L0Problem) -> list[ClassRequest]:
+def example_class_requests(problem: L0Problem) -> dict[str, ApproxSpec]:
     """The three classification columns used for the bundled instance.
 
     Sharpest first: exact model with beta = 1e-4, quadratic model at the
     per-block constants L_i, quadratic model at the global constant L_f.
     """
     partition = problem.partition
-    L = np.asarray(partition.lipschitz)
-    Lf = partition.global_lipschitz
-    return [
-        ClassRequest.exact("ue[beta=1e-4]", np.full(partition.num_blocks, EXAMPLE_BETA)),
-        ClassRequest.quadratic("uq[M=Li]", L),
-        ClassRequest.quadratic("uq[M=Lf]", np.full(partition.num_blocks, Lf)),
-    ]
+    N = partition.num_blocks
+    return {
+        "ue[beta=1e-4]": ApproxSpec("ue", np.full(N, EXAMPLE_BETA)),
+        "uq[M=Li]": ApproxSpec("uq", partition.lipschitz),
+        "uq[M=Lf]": ApproxSpec("uq", np.full(N, partition.global_lipschitz)),
+    }

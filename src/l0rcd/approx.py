@@ -40,11 +40,11 @@ _PARAMS_OF = {"uq": "M", "uQ": "H diagonal", "ue": "beta"}
 class ApproxSpec:
     """An approximation model: its kind and its parameters.
 
-    Solvers step with the model's thresholding map; a ``ClassRequest``
-    classifies supports by the map's fixed points. ``kind`` is the label
-    every output uses: "uq" (separable quadratic, ``params`` holds M_i per
-    block), "uQ" (diagonal quadratic, H_j per coordinate) or "ue" (exact,
-    beta_i per scalar block).
+    Solvers step with the model's thresholding map; ``is_strong_local_min``
+    and ``enumerate_catalog`` classify points by its fixed points. ``kind``
+    is the label every output uses: "uq" (separable quadratic, ``params``
+    holds M_i per block), "uQ" (diagonal quadratic, H_j per coordinate) or
+    "ue" (exact, beta_i per scalar block).
     """
 
     kind: str

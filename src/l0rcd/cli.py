@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    ClassRequest,
     build_example_instance,
     enumerate_catalog,
     example_class_requests,
@@ -404,7 +403,10 @@ class OutputWriter:
         self.out_dir = Path(out_dir)
         self.config_hash = config_hash
         self.no_timestamp = no_timestamp
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
 
     def meta_lines(self) -> list[list[str]]:
         lines = [
@@ -418,7 +420,11 @@ class OutputWriter:
 
     def write_csv(self, name: str, header: list[str], rows) -> Path:
         path = self.out_dir / name
-        with open(path, "w", newline="") as fh:
+        try:
+            fh = open(path, "w", newline="")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+        with fh:
             writer = csv.writer(fh)
             for line in self.meta_lines():
                 writer.writerow(line)
@@ -473,18 +479,14 @@ def cmd_solve(cfg: ExperimentConfig, writer: OutputWriter) -> int:
     return EXIT_OK
 
 
-def _enumerate_requests(problem: L0Problem, cfg: ExperimentConfig) -> list[ClassRequest]:
+def _enumerate_requests(problem: L0Problem, cfg: ExperimentConfig) -> dict[str, ApproxSpec]:
     partition = problem.partition
-    L = np.asarray(partition.lipschitz)
-    reqs: list[ClassRequest] = []
+    N = partition.num_blocks
+    reqs: dict[str, ApproxSpec] = {}
     if all(s == 1 for s in partition.block_sizes):
-        reqs.append(ClassRequest.exact("ue[beta=%g]" % cfg.ue_beta, np.full(partition.num_blocks, cfg.ue_beta)))
-    reqs.append(ClassRequest.quadratic("uq[M=Li]", L))
-    reqs.append(
-        ClassRequest.quadratic(
-            "uq[M=Lf]", np.full(partition.num_blocks, partition.global_lipschitz)
-        )
-    )
+        reqs["ue[beta=%g]" % cfg.ue_beta] = ApproxSpec("ue", np.full(N, cfg.ue_beta))
+    reqs["uq[M=Li]"] = ApproxSpec("uq", partition.lipschitz)
+    reqs["uq[M=Lf]"] = ApproxSpec("uq", np.full(N, partition.global_lipschitz))
     return reqs
 
 
@@ -540,7 +542,7 @@ def cmd_enumerate(cfg: ExperimentConfig, writer: OutputWriter, example2: bool) -
     return EXIT_OK
 
 
-def _enumerate(problem: L0Problem, requests: list[ClassRequest]):
+def _enumerate(problem: L0Problem, requests: dict[str, ApproxSpec]):
     """``enumerate_catalog``; n above its limit or a singular restricted Newton
     system (logistic with a tiny ridge weight) becomes a ConfigError."""
     try:
@@ -555,14 +557,14 @@ def cmd_tournament(cfg: ExperimentConfig, writer: OutputWriter) -> int:
     if not cfg.sweep:
         raise ConfigError("tournament needs [sweep] lambdas")
     base_problem = build_problem(cfg, lam=1.0)
+    problems = [build_problem(cfg, lam=lam) for lam in cfg.sweep]  # a bad lambda fails here
     # F* = min f + lambda * nnz: a point's nonzeros, which can be fewer than its support
-    catalog = _enumerate(base_problem, [])
+    catalog = _enumerate(base_problem, {})
     nnz = np.count_nonzero(catalog.points, axis=1)
     starts = _random_starts(cfg, base_problem, cfg.trials)
 
     rows = []
-    for li, lam in enumerate(cfg.sweep):
-        problem = build_problem(cfg, lam=lam)
+    for li, (lam, problem) in enumerate(zip(cfg.sweep, problems)):
         F_star = float(np.min(catalog.f + lam * nnz))
         successes = []
         for si, name in enumerate(cfg.solver_names):

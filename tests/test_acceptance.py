@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from l0rcd import (
-    ClassRequest,
+    ApproxSpec,
     IterateState,
     SolverConfig,
     build_example_instance,
@@ -328,24 +328,24 @@ def test_criterion_05_solver_limits_match_flagged_catalog_entries():
         problem = generated_instance(kind, m, n, seed, lam)
         part = problem.partition
         M_f = IHTA_FACTOR * part.global_lipschitz
-        uq, ue, ihta = requests = [
-            ClassRequest("uq", separable_from_factor(part, UQ_FACTOR)),
-            ClassRequest("ue", exact_uniform(part, UE_BETA)),
-            ClassRequest.quadratic("ihta", np.full(part.num_blocks, M_f)),
-        ]
+        requests = {
+            "uq": separable_from_factor(part, UQ_FACTOR),
+            "ue": exact_uniform(part, UE_BETA),
+            "ihta": ApproxSpec("uq", np.full(part.num_blocks, M_f)),
+        }
         catalog = enumerate_catalog(problem, requests)
         for t in range(2):
             x0 = random_start(problem.n, seeded_rng(seed, 1000 + t))
             finals = {}
-            for req, sseed in ((uq, 10 * t + 1), (ue, 10 * t + 2)):
+            for label, sseed in (("uq", 10 * t + 1), ("ue", 10 * t + 2)):
                 cfg = SolverConfig(
-                    approx=req.model,
+                    approx=requests[label],
                     max_iters=4000,
                     seed=sseed,
                     support_patience=10 * problem.n,
                 )
-                finals[req.label] = run_rcd_iht(problem, x0, cfg)[0]
-            finals[ihta.label] = run_ihta(problem, x0, M_f, max_iters=2000)[0]
+                finals[label] = run_rcd_iht(problem, x0, cfg)[0]
+            finals["ihta"] = run_ihta(problem, x0, M_f, max_iters=2000)[0]
             for label, state in finals.items():
                 entry = catalog.entry_for_support(state.support)
                 assert entry is not None
@@ -388,7 +388,7 @@ def test_criterion_07_fixed_support_tail_converges_linearly():
         x0 = random_start(problem.n, seeded_rng(seed, start_entropy))
         cfg = SolverConfig(approx=spec, max_iters=6000, seed=sseed)
         state, trace = run_rcd_iht(problem, x0, cfg)
-        catalog = enumerate_catalog(problem, [])
+        catalog = enumerate_catalog(problem, {})
         entry = catalog.entry_for_support(state.support)
         slope, r2 = estimate_linear_rate(trace, entry.F_value)
         assert slope < 0.0, (seed, slope)

@@ -6,7 +6,6 @@ import pytest
 from l0rcd import (
     ApproxSpec,
     BlockPartition,
-    ClassRequest,
     L0Problem,
     LeastSquaresObjective,
     LogisticL2Objective,
@@ -147,9 +146,7 @@ class TestIsUeStrong:
 
 class TestEnumerateCatalog:
     def toy_catalog(self, toy):
-        return enumerate_catalog(
-            toy, [ClassRequest.quadratic("uq[M=Li]", [1.0, 1.0])]
-        )
+        return enumerate_catalog(toy, {"uq[M=Li]": ApproxSpec("uq", [1.0, 1.0])})
 
     def test_toy_counts(self, toy):
         catalog = self.toy_catalog(toy)
@@ -180,11 +177,7 @@ class TestEnumerateCatalog:
         prob = random_logistic_problem(12, 4, seed=61, lam=0.05)
         L = np.asarray(prob.partition.lipschitz)
         catalog = enumerate_catalog(
-            prob,
-            [
-                ClassRequest.exact("sharp", np.full(4, 1e-3)),
-                ClassRequest.quadratic("loose", L),
-            ],
+            prob, {"sharp": ApproxSpec("ue", np.full(4, 1e-3)), "loose": ApproxSpec("uq", L)}
         )
         assert len(catalog.entries) == 16
         assert all(e.flags["basic"] for e in catalog.entries)
@@ -194,7 +187,7 @@ class TestEnumerateCatalog:
         oracle = LeastSquaresObjective(np.eye(3), np.array([1.0, 2.0, 3.0]))
         partition = BlockPartition.scalar([1.0, 1.0, 0.0], [1.0, 1.0, 1.0], 1.0)
         prob = L0Problem(oracle, partition)
-        catalog = enumerate_catalog(prob, [])
+        catalog = enumerate_catalog(prob, {})
         assert len(catalog.entries) == 4
         for e in catalog.entries:
             assert 2 in e.support
@@ -217,7 +210,7 @@ class TestEnumerateCatalog:
         uq = separable_from_factor(partition, 1.5)
         L = np.repeat(partition.lipschitz, partition.block_sizes)
         uQ = ApproxSpec.diagonal_quadratic(1.2 * L)
-        catalog = enumerate_catalog(prob, [ClassRequest("uq", uq), ClassRequest("uQ", uQ)])
+        catalog = enumerate_catalog(prob, {"uq": uq, "uQ": uQ})
         mandatory = sum(1 << j for j in (2, 3, 4, 6, 7, 8))  # blocks 1 and 3
         assert partition.zero_penalty_bits == mandatory
         expect = [b for b in range(1 << 9) if b & mandatory == mandatory]
@@ -243,12 +236,27 @@ class TestEnumerateCatalog:
         assert len(catalog.entries) == 128
         assert sorted(calls) == ["uq"] * 2
 
+    def test_basic_label_reserved(self, toy, monkeypatch):
+        monkeypatch.setattr(toy.smooth, "restricted_minimize", lambda cols: pytest.fail("solved"))
+        with pytest.raises(ValueError, match="reserved"):
+            enumerate_catalog(toy, {"basic": ApproxSpec("uq", [1.0, 1.0])})
+
+    def test_diagonal_model_class_matches_separable(self):
+        """A diagonal model whose curvature is M_i over block i gives the same class."""
+        cfg = ExperimentConfig(m=5, n=8, instance_seed=4, lam=0.2, block_sizes=(3, 3, 2))
+        prob = build_problem(cfg)
+        sep = separable_from_factor(prob.partition, 1.5)
+        diag = ApproxSpec.diagonal_quadratic(sep.coord_curvature(prob.partition))
+        catalog = enumerate_catalog(prob, {"sep": sep, "diag": diag})
+        assert catalog.counts()["sep"] == catalog.counts()["diag"] > 0
+        assert all(e.flags["sep"] == e.flags["diag"] for e in catalog.entries)
+
     def test_enumeration_limit(self):
         n = 30
         oracle = LeastSquaresObjective(np.eye(n), np.zeros(n))
         prob = L0Problem(oracle, BlockPartition.scalar(np.ones(n), np.ones(n), 1.0))
         with pytest.raises(ValueError):
-            enumerate_catalog(prob, [])
+            enumerate_catalog(prob, {})
 
     def test_conventions_recorded(self, toy):
         conv = self.toy_catalog(toy).conventions
@@ -259,7 +267,7 @@ class TestEnumerateCatalog:
         # all four supports of this instance give F = 1.0 exactly
         oracle = LeastSquaresObjective(np.eye(2), np.ones(2))
         prob = L0Problem(oracle, BlockPartition.scalar([0.5, 0.5], [1.0, 1.0], 1.0))
-        catalog = enumerate_catalog(prob, [])
+        catalog = enumerate_catalog(prob, {})
         Fs = {e.F_value for e in catalog.entries}
         assert Fs == {1.0}
         assert catalog.global_min.bitmask == 0
@@ -338,11 +346,11 @@ class TestOneClassification:
     @staticmethod
     def requests(partition, exact):
         N = partition.num_blocks
-        reqs = [ClassRequest.exact("ue", np.full(N, 1e-4))] if exact else []
-        return reqs + [
-            ClassRequest.quadratic("uq[M=Li]", partition.lipschitz),
-            ClassRequest.quadratic("uq[M=Lf]", np.full(N, partition.global_lipschitz)),
-        ]
+        reqs = {"ue": ApproxSpec("ue", np.full(N, 1e-4))} if exact else {}
+        return reqs | {
+            "uq[M=Li]": ApproxSpec("uq", partition.lipschitz),
+            "uq[M=Lf]": ApproxSpec("uq", np.full(N, partition.global_lipschitz)),
+        }
 
     def test_pinned_counts_on_blocks(self):
         cfg = ExperimentConfig(
@@ -370,8 +378,8 @@ class TestOneClassification:
         requests = example_class_requests(prob)
         for e in enumerate_catalog(prob, requests).entries:
             assert is_basic_local_min(prob, e.point) == e.flags["basic"]
-            for req in requests:
-                assert is_strong_local_min(prob, e.point, req.model) == e.flags[req.label]
+            for label, model in requests.items():
+                assert is_strong_local_min(prob, e.point, model) == e.flags[label]
 
     def test_diagonal_predicate_agrees_with_catalog_flag(self):
         """The uQ class, with curvature varying inside blocks, asked point by point."""
@@ -380,7 +388,7 @@ class TestOneClassification:
         L = np.repeat(prob.partition.lipschitz, prob.partition.block_sizes)
         H = L * np.linspace(1.0, 3.0, 8)
         diag = ApproxSpec.diagonal_quadratic(H)
-        catalog = enumerate_catalog(prob, [ClassRequest("uQ", diag)])
+        catalog = enumerate_catalog(prob, {"uQ": diag})
         assert 0 < catalog.counts()["uQ"] < len(catalog.entries)
         for e in catalog.entries:
             assert is_strong_local_min(prob, e.point, diag) == e.flags["uQ"]
@@ -402,8 +410,8 @@ def reference_catalog(prob, requests):
         basic = is_basic_local_min(prob, z)
         assert basic == (not on.any() or float(np.linalg.norm(g_on)) <= CLASSIFY_TOL)
         flags = {"basic": basic}
-        for req in requests:
-            flags[req.label] = is_strong_local_min(prob, z, req.model)
+        for label, model in requests.items():
+            flags[label] = is_strong_local_min(prob, z, model)
         rows.append((bitmask, z.tobytes(), f, f + l0_norm(z, partition), flags))
     return rows
 
@@ -420,11 +428,11 @@ def _zero_penalty_blocks_case():
         global_lipschitz=p.global_lipschitz,
     )
     L = np.repeat(partition.lipschitz, partition.block_sizes)
-    requests = [
-        ClassRequest("uq", separable_from_factor(partition, 1.5)),
-        ClassRequest("uQ", ApproxSpec.diagonal_quadratic(1.2 * L)),
-        ClassRequest.quadratic("uq[M=Lf]", np.full(4, partition.global_lipschitz)),
-    ]
+    requests = {
+        "uq": separable_from_factor(partition, 1.5),
+        "uQ": ApproxSpec.diagonal_quadratic(1.2 * L),
+        "uq[M=Lf]": ApproxSpec("uq", np.full(4, partition.global_lipschitz)),
+    }
     return L0Problem(built.smooth, partition), requests
 
 
@@ -456,7 +464,7 @@ def test_catalog_matches_support_by_support_reference(case):
     assert got == reference_catalog(prob, requests)
     assert all(type(e.f_value) is float and type(e.F_value) is float for e in catalog.entries)
     assert all(type(v) is bool for e in catalog.entries for v in e.flags.values())
-    assert list(catalog.entries[0].flags) == ["basic"] + [r.label for r in requests]
+    assert list(catalog.entries[0].flags) == ["basic"] + list(requests)
     for e in catalog.entries[:3]:
         assert not e.point.flags.writeable
 
@@ -508,13 +516,11 @@ def test_column_queries_match_a_loop_over_the_entries(case):
 
 class TestVerifyInclusions:
     def test_toy_chain(self, toy):
-        catalog = enumerate_catalog(
-            toy, [ClassRequest.quadratic("uq[M=Li]", [1.0, 1.0])]
-        )
+        catalog = enumerate_catalog(toy, {"uq[M=Li]": ApproxSpec("uq", [1.0, 1.0])})
         assert verify_inclusions(catalog) == []
 
     def test_single_class_vacuous(self, toy):
-        catalog = enumerate_catalog(toy, [])
+        catalog = enumerate_catalog(toy, {})
         assert verify_inclusions(catalog) == []
 
     def test_monotone_in_curvature(self):
@@ -522,18 +528,12 @@ class TestVerifyInclusions:
         prob = random_logistic_problem(10, 5, seed=62, lam=0.02)
         L = np.asarray(prob.partition.lipschitz)
         catalog = enumerate_catalog(
-            prob,
-            [
-                ClassRequest.quadratic("tight", L),
-                ClassRequest.quadratic("loose", 3.0 * L),
-            ],
+            prob, {"tight": ApproxSpec("uq", L), "loose": ApproxSpec("uq", 3.0 * L)}
         )
         assert verify_inclusions(catalog) == []
 
     def test_violation_reported(self, toy):
-        catalog = enumerate_catalog(
-            toy, [ClassRequest.quadratic("uq[M=Li]", [1.0, 1.0])]
-        )
+        catalog = enumerate_catalog(toy, {"uq[M=Li]": ApproxSpec("uq", [1.0, 1.0])})
         # deliberately reversed order must flag basic-only entries
         reversed_order = dataclasses.replace(catalog, class_labels=["basic", "uq[M=Li]"])
         report = verify_inclusions(reversed_order)
@@ -563,32 +563,10 @@ class TestExampleInstance:
     def test_class_requests_order(self):
         prob = build_example_instance()
         reqs = example_class_requests(prob)
-        assert [r.label for r in reqs] == ["ue[beta=1e-4]", "uq[M=Li]", "uq[M=Lf]"]
-        assert reqs[0].model == ApproxSpec.exact(np.full(7, 1e-4))
-        np.testing.assert_allclose(reqs[1].model.params, prob.partition.lipschitz)
-        assert set(reqs[2].model.params) == {prob.partition.global_lipschitz}
-
-
-class TestClassRequest:
-    def test_basic_label_reserved(self):
-        with pytest.raises(ValueError):
-            ClassRequest.quadratic("basic", [1.0])
-
-    def test_nonpositive_parameters_rejected_at_construction(self):
-        with pytest.raises(ValueError):
-            ClassRequest.quadratic("x", [0.0, 1.0])
-        with pytest.raises(ValueError):
-            ClassRequest.exact("y", [-1.0, 1.0])
-
-    def test_diagonal_model_class_matches_separable(self):
-        """A diagonal model whose curvature is M_i over block i gives the same class."""
-        cfg = ExperimentConfig(m=5, n=8, instance_seed=4, lam=0.2, block_sizes=(3, 3, 2))
-        prob = build_problem(cfg)
-        sep = separable_from_factor(prob.partition, 1.5)
-        diag = ApproxSpec.diagonal_quadratic(sep.coord_curvature(prob.partition))
-        catalog = enumerate_catalog(prob, [ClassRequest("sep", sep), ClassRequest("diag", diag)])
-        assert catalog.counts()["sep"] == catalog.counts()["diag"] > 0
-        assert all(e.flags["sep"] == e.flags["diag"] for e in catalog.entries)
+        assert list(reqs) == ["ue[beta=1e-4]", "uq[M=Li]", "uq[M=Lf]"]
+        assert reqs["ue[beta=1e-4]"] == ApproxSpec.exact(np.full(7, 1e-4))
+        np.testing.assert_allclose(reqs["uq[M=Li]"].params, prob.partition.lipschitz)
+        assert set(reqs["uq[M=Lf]"].params) == {prob.partition.global_lipschitz}
 
 
 class TestCatalogSolverAgreement:
@@ -596,7 +574,7 @@ class TestCatalogSolverAgreement:
         spec = separable_from_factor(toy.partition, M_EQ_LIPSCHITZ_FACTOR)
         cfg = SolverConfig(approx=spec, max_iters=500, seed=5)
         st, _ = run_rcd_iht(toy, np.array([2.0, 0.5]), cfg)
-        catalog = enumerate_catalog(toy, [ClassRequest("uq", spec)])
+        catalog = enumerate_catalog(toy, {"uq": spec})
         entry = catalog.entry_for_support(st.support)
         assert entry is not None and entry.flags["uq"]
         assert np.linalg.norm(entry.point - st.x) <= 1e-6

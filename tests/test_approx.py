@@ -440,6 +440,12 @@ class TestApproxSpec:
         with pytest.raises(ValueError):
             ApproxSpec.diagonal_quadratic([1.0, 0.0])
 
+    def test_nonpositive_parameters_rejected_at_construction(self):
+        with pytest.raises(ValueError):
+            ApproxSpec("uq", [0.0, 1.0])
+        with pytest.raises(ValueError):
+            ApproxSpec("ue", [-1.0, 1.0])
+
     def test_non_finite_parameters_rejected(self):
         """NaN passes a bare v <= 0 test, and a NaN M made a uq run zero every coordinate."""
         for bad in (np.nan, np.inf):

@@ -284,6 +284,29 @@ lambdas = 0.01,0.07,0.09,0.15,0.35,0.8,1.2,1.8,2
             [0.01, 0.07, 0.09, 0.15, 0.35, 0.8, 1.2, 1.8, 2.0],
         )
 
+    def test_bad_lambda_fails_before_any_work(self, tmp_path, monkeypatch, capsys):
+        """Every sweep problem is built before the certification catalog and the
+        first solver run, so a bad lambda late in the sweep costs neither."""
+        calls = []
+        for name in ("run_named_solver", "enumerate_catalog"):
+            original = getattr(l0rcd.cli, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(l0rcd.cli, name, counted)
+        cfg = write_config(
+            tmp_path,
+            "[problem]\nkind = ls\nm = 4\nn = 6\nseed = 5\nlambda = 1\n"
+            "[solvers]\nlist = uq\n[starts]\ntrials = 2\n[sweep]\nlambdas = 0.07, 0.35, -1\n",
+        )
+        assert main(["tournament", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "penalty weights must be finite and nonnegative" in err
+        assert calls == []
+
     def test_sweep_required(self, tmp_path):
         cfg = write_config(
             tmp_path, "[problem]\nkind = ls\nm = 4\nn = 6\nseed = 5\nlambda = 1\n"
@@ -599,6 +622,23 @@ class TestConfigParsing:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
         assert "on support [" in proc.stderr and "[problem] nu" in proc.stderr
+
+    @pytest.mark.parametrize("case", ["out_is_a_file", "out_under_a_file", "csv_is_a_dir"])
+    def test_unusable_out_path_is_a_one_line_error(self, tmp_path, capsys, case):
+        """An --out that is a file, a path under a file, or an output CSV name
+        that is a directory: one error line naming the path, exit 2."""
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "o"
+        if case == "out_is_a_file":
+            out = tmp_path / "file"
+        elif case == "out_under_a_file":
+            out = tmp_path / "file" / "o"
+        else:
+            (out / "catalog.csv").mkdir(parents=True)
+        assert main(["enumerate", "--example2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(out) in err
 
     def test_negative_seed_flag_is_a_one_line_error(self, tmp_path, capsys):
         cfg = toy_config(tmp_path, start="random")

@@ -1,8 +1,11 @@
-"""README.md's two Python examples run and print what their comments state."""
+"""README.md's two Python examples run and print what their comments state,
+and its ``enumerate --example2`` block is what that command prints."""
 import contextlib
 import io
 import re
 from pathlib import Path
+
+from l0rcd.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -36,3 +39,11 @@ def test_enumerate_bundled_example():
     expected = "{'ue[beta=1e-4]': 69, 'uq[M=Li]': 69, 'uq[M=Lf]': 82, 'basic': 128}"
     assert "# " + expected in code and counts == expected
     assert "# [4, 5, 6] 3.0954..." in code and best.startswith("[4, 5, 6] 3.0954")
+
+
+def test_enumerate_example2_cli_block(tmp_path, capsys):
+    text = README.read_text()
+    (block,) = re.findall(r"l0rcd enumerate --example2 [^\n]*\n```\n\n```\n(.*?)```", text, re.S)
+    assert main(["enumerate", "--example2", "--out", str(tmp_path), "--no-timestamp"]) == 0
+    printed = capsys.readouterr().out
+    assert [line.rstrip() for line in printed.splitlines()] == block.splitlines()
