@@ -166,8 +166,9 @@ def _fixed_point_test(problem: L0Problem, model: ApproxSpec, tol: float) -> Call
     model.check_partition(partition)
     lam = partition.coord_lambda()
     M = model.coord_curvature(partition)
-    zero_bound = np.sqrt(2.0 * lam * M) + tol
-    keep_bound = np.sqrt(2.0 * lam / M) - tol
+    with np.errstate(over="ignore"):  # a bound that overflows is +inf, the right bound
+        zero_bound = np.sqrt(2.0 * lam * M) + tol
+        keep_bound = np.sqrt(2.0 * lam / M) - tol
     penalized = lam != 0.0  # lam = 0 always passes
     return lambda Z, G: ~np.any(
         np.where(Z == 0.0, np.abs(G) > zero_bound, np.abs(Z) < keep_bound) & penalized, axis=-1
@@ -233,7 +234,6 @@ def is_strong_local_min(
 def enumerate_catalog(
     problem: L0Problem,
     requests: Mapping[str, ApproxSpec],
-    tol: float = CLASSIFY_TOL,
 ) -> MinimaCatalog:
     """Solve the restricted problem for every support and classify the results.
 
@@ -260,7 +260,7 @@ def enumerate_catalog(
         raise ValueError(f"label {BASIC_LABEL!r} is reserved")
     partition = problem.partition
     solve = _restricted_solver(problem)
-    tests = {label: _fixed_point_test(problem, model, tol) for label, model in requests.items()}
+    tests = {label: _fixed_point_test(problem, m, CLASSIFY_TOL) for label, m in requests.items()}
     # bit i of s goes to the i-th penalized coordinate, which keeps the order of s
     penalized = np.flatnonzero(~partition.zero_penalty_mask)
     s = np.arange(1 << len(penalized), dtype=np.int64)
@@ -285,7 +285,7 @@ def enumerate_catalog(
             Z[rows] = solve(np.nonzero(bits[rows])[1].reshape(len(rows), size))
         f[chunk] = problem.smooth.eval(Z)
         F[chunk] = f[chunk] + _weighted_count(Z != 0.0, partition)
-        for label, member in _classify(problem, Z, tests, tol).items():
+        for label, member in _classify(problem, Z, tests, CLASSIFY_TOL).items():
             flags.setdefault(label, np.zeros(count, dtype=bool))[chunk] = member
     points.flags.writeable = False
 
@@ -293,7 +293,7 @@ def enumerate_catalog(
     conventions = {
         "tie_rule": TIE_RULE,
         "representative": "least-norm",
-        "classify_tol": repr(tol),
+        "classify_tol": repr(CLASSIFY_TOL),
         "objective": type(problem.smooth).__name__,
     }
     return MinimaCatalog(bitmasks, points, f, F, flags, labels, conventions)

@@ -58,18 +58,6 @@ class ApproxSpec:
             raise ValueError(f"{_PARAMS_OF[self.kind]} entries must be finite and positive")
         object.__setattr__(self, "params", params)
 
-    @classmethod
-    def separable_quadratic(cls, M) -> "ApproxSpec":
-        return cls("uq", M)
-
-    @classmethod
-    def diagonal_quadratic(cls, H_diag) -> "ApproxSpec":
-        return cls("uQ", H_diag)
-
-    @classmethod
-    def exact(cls, beta) -> "ApproxSpec":
-        return cls("ue", beta)
-
     def coord_curvature(self, partition: BlockPartition) -> np.ndarray:
         """Per-coordinate curvature of a quadratic model: M_i repeated over block i, or H_j.
 
@@ -126,12 +114,12 @@ class ApproxSpec:
 def separable_from_factor(partition: BlockPartition, factor: float) -> ApproxSpec:
     """Separable quadratic spec with M_i = factor * L_i (factor > 1)."""
     # Python floats: a product that overflows is an inf the spec rejects, with no numpy warning
-    return ApproxSpec.separable_quadratic([L * float(factor) for L in partition.lipschitz])
+    return ApproxSpec("uq", [L * float(factor) for L in partition.lipschitz])
 
 
 def exact_uniform(partition: BlockPartition, beta: float) -> ApproxSpec:
     """Exact-model spec with the same beta for every (scalar) block."""
-    return ApproxSpec.exact(np.full(partition.num_blocks, float(beta)))
+    return ApproxSpec("ue", np.full(partition.num_blocks, float(beta)))
 
 
 def model_curvature(

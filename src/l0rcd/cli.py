@@ -77,36 +77,30 @@ def seeded_rng(*entropy: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
+def _planted_draw(m: int, n: int, seed: int, planted_density: float):
+    """(rng, matrix, planted point) from ``seeded_rng(seed)``, in a fixed draw
+    order: the matrix iid U[-1,1], then the planted support, then its values."""
+    rng = seeded_rng(seed)
+    matrix = rng.uniform(-1.0, 1.0, size=(m, n))
+    mask = rng.random(n) < planted_density
+    vals = rng.uniform(-1.0, 1.0, size=n)
+    return rng, matrix, np.where(mask, vals, 0.0)
+
+
 def generate_least_squares(
     m: int, n: int, seed: int, planted_density: float = _DEFAULT_PLANT_DENSITY
 ) -> tuple[LeastSquaresObjective, np.ndarray]:
-    """Random LS instance: A entries iid U[-1,1], b = A @ planted sparse point.
-
-    Returns the objective and the planted point. Draw order is fixed:
-    matrix, then planted support, then planted values.
-    """
-    rng = seeded_rng(seed)
-    A = rng.uniform(-1.0, 1.0, size=(m, n))
-    mask = rng.random(n) < planted_density
-    vals = rng.uniform(-1.0, 1.0, size=n)
-    x_plant = np.where(mask, vals, 0.0)
+    """Random LS instance, b = A @ planted point; returns the objective and that point."""
+    _, A, x_plant = _planted_draw(m, n, seed, planted_density)
     return LeastSquaresObjective(A, A @ x_plant), x_plant
 
 
 def generate_logistic(
-    m: int,
-    n: int,
-    seed: int,
-    nu: float,
-    planted_density: float = _DEFAULT_PLANT_DENSITY,
+    m: int, n: int, seed: int, nu: float, planted_density: float = _DEFAULT_PLANT_DENSITY
 ) -> tuple[LogisticL2Objective, np.ndarray]:
-    """Random logistic instance: data iid U[-1,1], labels drawn from the
-    model at a planted sparse point."""
-    rng = seeded_rng(seed)
-    data = rng.uniform(-1.0, 1.0, size=(m, n))
-    mask = rng.random(n) < planted_density
-    vals = rng.uniform(-1.0, 1.0, size=n)
-    x_plant = np.where(mask, vals, 0.0)
+    """Random logistic instance, labels drawn from the model at a planted point;
+    returns the objective and that point."""
+    rng, data, x_plant = _planted_draw(m, n, seed, planted_density)
     t = data @ x_plant
     prob = 1.0 / (1.0 + np.exp(-t))
     y = (rng.random(m) < prob).astype(float)
@@ -152,7 +146,7 @@ def _random_starts(cfg: ExperimentConfig, problem: L0Problem, count: int) -> lis
 
 @dataclass
 class ExperimentConfig:
-    """Parsed experiment settings; see config.schema.ini for the key list."""
+    """Parsed experiment settings; ``CONFIG_KEYS`` gives each field's config key."""
 
     problem_kind: str = "least_squares"
     m: int = 0
@@ -198,6 +192,45 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _solver_list(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+_AT_LEAST_0 = (">= 0", lambda v: v >= 0)
+_IN_UNIT = ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)
+_ABOVE_1 = ("> 1", lambda v: v > 1.0)
+
+# Every config key: (section, key, ExperimentConfig field, parser, range rule or None).
+# A rule is (text, predicate). Every key present is cast, then every rule is checked,
+# both in this order, so of two bad values the first listed is reported.
+CONFIG_KEYS = (
+    ("problem", "kind", "problem_kind", str, None),
+    ("problem", "m", "m", int, None),
+    ("problem", "n", "n", int, None),
+    ("problem", "seed", "instance_seed", int, _AT_LEAST_0),
+    ("problem", "nu", "nu", _finite_float, None),
+    ("problem", "planted_density", "planted_density", _finite_float, _IN_UNIT),
+    ("problem", "matrix_csv", "matrix_csv", str, None),
+    ("problem", "rhs_csv", "rhs_csv", str, None),
+    ("problem", "labels_csv", "labels_csv", str, None),
+    ("problem", "lambda", "lam", _finite_float, None),
+    ("problem", "block_sizes", "block_sizes", _list_of(int), None),
+    ("solvers", "list", "solver_names", _solver_list, ("nonempty", bool)),
+    ("solvers", "uq_factor", "uq_factor", _finite_float, _ABOVE_1),
+    ("solvers", "ue_beta", "ue_beta", _finite_float, ("> 0", lambda v: v > 0.0)),
+    ("solvers", "ihta_factor", "ihta_factor", _finite_float, _ABOVE_1),
+    ("solvers", "max_iters", "max_iters", int, (">= 0 (0 means auto)", lambda v: v >= 0)),
+    ("starts", "trials", "trials", int, (">= 1", lambda v: v >= 1)),
+    ("starts", "density", "start_density", _finite_float, _IN_UNIT),
+    ("starts", "value_range", "value_range", _finite_float,
+     (">= 0 with 2 * value_range finite", lambda v: 0.0 <= 2.0 * v < np.inf)),
+    ("starts", "seed", "master_seed", int, _AT_LEAST_0),
+    ("sweep", "lambdas", "sweep", _list_of(_finite_float), None),
+    ("solve", "solver", "solve_solver", str, None),
+    ("solve", "start", "solve_start", str, None),
+)
+
+
 def _parse_config_file(path: str) -> ExperimentConfig:
     p = Path(path)
     if not p.is_file():
@@ -210,63 +243,17 @@ def _parse_config_file(path: str) -> ExperimentConfig:
         # configparser messages span lines; keep the error on one line
         raise ConfigError(f"cannot parse config {path}: {' '.join(str(exc).split())}") from exc
 
-    cfg = ExperimentConfig()
-    cfg.config_hash = hashlib.sha256(raw).hexdigest()[:16]
-
-    def get(section: str, key: str, cast, default):
+    # configparser strips every value, so a text key needs no strip of its own
+    cfg = ExperimentConfig(config_hash=hashlib.sha256(raw).hexdigest()[:16])
+    for section, key, name, parse, _ in CONFIG_KEYS:
         if parser.has_option(section, key):
             try:
-                return cast(parser.get(section, key))
+                setattr(cfg, name, parse(parser.get(section, key)))
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
-        return default
-
-    cfg.problem_kind = get("problem", "kind", str, cfg.problem_kind).strip()
-    cfg.m = get("problem", "m", int, cfg.m)
-    cfg.n = get("problem", "n", int, cfg.n)
-    cfg.instance_seed = get("problem", "seed", int, cfg.instance_seed)
-    cfg.nu = get("problem", "nu", _finite_float, cfg.nu)
-    cfg.planted_density = get("problem", "planted_density", _finite_float, cfg.planted_density)
-    cfg.matrix_csv = get("problem", "matrix_csv", str, cfg.matrix_csv)
-    cfg.rhs_csv = get("problem", "rhs_csv", str, cfg.rhs_csv)
-    cfg.labels_csv = get("problem", "labels_csv", str, cfg.labels_csv)
-    cfg.lam = get("problem", "lambda", _finite_float, cfg.lam)
-    cfg.block_sizes = get("problem", "block_sizes", _list_of(int), cfg.block_sizes)
-
-    names = get("solvers", "list", str, ",".join(cfg.solver_names))
-    cfg.solver_names = tuple(s.strip() for s in names.split(",") if s.strip())
-    cfg.uq_factor = get("solvers", "uq_factor", _finite_float, cfg.uq_factor)
-    cfg.ue_beta = get("solvers", "ue_beta", _finite_float, cfg.ue_beta)
-    cfg.ihta_factor = get("solvers", "ihta_factor", _finite_float, cfg.ihta_factor)
-    cfg.max_iters = get("solvers", "max_iters", int, cfg.max_iters)
-
-    cfg.trials = get("starts", "trials", int, cfg.trials)
-    cfg.start_density = get("starts", "density", _finite_float, cfg.start_density)
-    cfg.value_range = get("starts", "value_range", _finite_float, cfg.value_range)
-    cfg.master_seed = get("starts", "seed", int, cfg.master_seed)
-
-    cfg.sweep = get("sweep", "lambdas", _list_of(_finite_float), cfg.sweep)
-
-    cfg.solve_solver = get("solve", "solver", str, cfg.solve_solver).strip()
-    cfg.solve_start = get("solve", "start", str, cfg.solve_start).strip()
-
-    for key, value, ok, rule in (
-        ("[problem] seed", cfg.instance_seed, cfg.instance_seed >= 0, ">= 0"),
-        ("[problem] planted_density", cfg.planted_density, 0.0 <= cfg.planted_density <= 1.0,
-         "in [0, 1]"),
-        ("[solvers] list", repr(names), bool(cfg.solver_names), "nonempty"),
-        ("[solvers] uq_factor", cfg.uq_factor, cfg.uq_factor > 1.0, "> 1"),
-        ("[solvers] ue_beta", cfg.ue_beta, cfg.ue_beta > 0.0, "> 0"),
-        ("[solvers] ihta_factor", cfg.ihta_factor, cfg.ihta_factor > 1.0, "> 1"),
-        ("[solvers] max_iters", cfg.max_iters, cfg.max_iters >= 0, ">= 0 (0 means auto)"),
-        ("[starts] trials", cfg.trials, cfg.trials >= 1, ">= 1"),
-        ("[starts] density", cfg.start_density, 0.0 <= cfg.start_density <= 1.0, "in [0, 1]"),
-        ("[starts] value_range", cfg.value_range, 0.0 <= 2.0 * cfg.value_range < np.inf,
-         ">= 0 with 2 * value_range finite"),
-        ("[starts] seed", cfg.master_seed, cfg.master_seed >= 0, ">= 0"),
-    ):
-        if not ok:
-            raise ConfigError(f"{key} must be {rule}, got {value}")
+    for section, key, name, _, rule in CONFIG_KEYS:
+        if rule and not rule[1](value := getattr(cfg, name)):
+            raise ConfigError(f"[{section}] {key} must be {rule[0]}, got {value}")
     return cfg
 
 
@@ -354,19 +341,13 @@ def solver_spec(name: str, cfg: ExperimentConfig, problem: L0Problem) -> ApproxS
     elif name == "ue":
         spec = _construct(exact_uniform, partition, cfg.ue_beta)
     elif name == "ihta":
+        if not np.isfinite(partition.global_lipschitz * cfg.ihta_factor):
+            raise ConfigError(f"[solvers] ihta_factor = {cfg.ihta_factor} makes M_f overflow")
         return None
     else:
         raise ConfigError(f"unknown solver name {name!r} (expected uq, ue, or ihta)")
     _construct(spec.validate_for_solver, partition)
     return spec
-
-
-def _coordinate_max_iters(cfg: ExperimentConfig, n: int) -> int:
-    return cfg.max_iters if cfg.max_iters > 0 else 400 * n
-
-
-def _full_grad_max_iters(cfg: ExperimentConfig) -> int:
-    return cfg.max_iters if cfg.max_iters > 0 else 2000
 
 
 def run_named_solver(
@@ -376,20 +357,16 @@ def run_named_solver(
     cfg: ExperimentConfig,
     seed_entropy: tuple[int, ...],
 ):
-    """Run one configured solver from x0; returns (state, trace)."""
+    """Run one configured solver from x0; returns (state, trace).
+
+    ``max_iters`` = 0 picks 2000 for ``ihta`` and 400 n for a coordinate route."""
     spec = solver_spec(name, cfg, problem)
     if spec is None:
         M_f = problem.partition.global_lipschitz * cfg.ihta_factor
-        if not np.isfinite(M_f):
-            raise ConfigError(f"[solvers] ihta_factor = {cfg.ihta_factor} makes M_f overflow")
-        return run_ihta(problem, x0, M_f, max_iters=_full_grad_max_iters(cfg))
+        return run_ihta(problem, x0, M_f, max_iters=cfg.max_iters if cfg.max_iters > 0 else 2000)
     seed = int(np.random.SeedSequence(seed_entropy).generate_state(1)[0])
-    config = SolverConfig(
-        approx=spec,
-        max_iters=_coordinate_max_iters(cfg, problem.n),
-        seed=seed,
-    )
-    return run_rcd_iht(problem, x0, config)
+    max_iters = cfg.max_iters if cfg.max_iters > 0 else 400 * problem.n
+    return run_rcd_iht(problem, x0, SolverConfig(approx=spec, max_iters=max_iters, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +535,8 @@ def cmd_tournament(cfg: ExperimentConfig, writer: OutputWriter) -> int:
         raise ConfigError("tournament needs [sweep] lambdas")
     base_problem = build_problem(cfg, lam=1.0)
     problems = [build_problem(cfg, lam=lam) for lam in cfg.sweep]  # a bad lambda fails here
+    for name in cfg.solver_names:  # a route that cannot run fails before any work
+        solver_spec(name, cfg, base_problem)  # a model does not depend on lambda
     # F* = min f + lambda * nnz: a point's nonzeros, which can be fewer than its support
     catalog = _enumerate(base_problem, {})
     nnz = np.count_nonzero(catalog.points, axis=1)
@@ -593,6 +572,8 @@ def cmd_tournament(cfg: ExperimentConfig, writer: OutputWriter) -> int:
 
 def cmd_benchmark(cfg: ExperimentConfig, writer: OutputWriter) -> int:
     problem = build_problem(cfg)
+    for name in cfg.solver_names:  # a route that cannot run fails before any work
+        solver_spec(name, cfg, problem)
     starts = _random_starts(cfg, problem, cfg.trials)
     rows = []
     for si, name in enumerate(cfg.solver_names):
@@ -684,6 +665,21 @@ def cmd_gradcheck(cfg: ExperimentConfig, writer: OutputWriter) -> int:
 # entry point
 
 
+# (name, help, run(cfg, writer, args)): one row per subcommand, read by the
+# parser; the parsed arguments carry the row's ``run``.
+_SUBCOMMANDS = (
+    ("solve", "run one solver on one instance", lambda cfg, w, a: cmd_solve(cfg, w)),
+    ("enumerate", "enumerate supports and classify local minimizers",
+     lambda cfg, w, a: cmd_enumerate(cfg, w, a.example2)),
+    ("tournament", "λ sweep x solvers x random starts, success counts vs the certified optimum",
+     lambda cfg, w, a: cmd_tournament(cfg, w)),
+    ("benchmark", "run all configured solvers, report best F / sparsity / iterations",
+     lambda cfg, w, a: cmd_benchmark(cfg, w)),
+    ("gradcheck", "finite-difference and cache-coherence verification",
+     lambda cfg, w, a: cmd_gradcheck(cfg, w)),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="l0rcd",
@@ -693,14 +689,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("solve", "run one solver on one instance"),
-        ("enumerate", "enumerate supports and classify local minimizers"),
-        ("tournament", "λ sweep x solvers x random starts, success counts vs the certified optimum"),
-        ("benchmark", "run all configured solvers, report best F / sparsity / iterations"),
-        ("gradcheck", "finite-difference and cache-coherence verification"),
-    ]:
+    for name, help_text, run in _SUBCOMMANDS:
         sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(run=run, example2=False)
         sp.add_argument("--config", help="path to INI config (see config.schema.ini)")
         sp.add_argument("--seed", type=int, help="override the master experiment seed")
         sp.add_argument("--out", default="out", help="output directory (default: ./out)")
@@ -719,34 +710,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-
+    args = _build_parser().parse_args(argv)
     try:
         if args.config:
             cfg = _parse_config_file(args.config)
+        elif args.example2:
+            cfg = ExperimentConfig(config_hash="builtin-example2")
         else:
-            if args.command == "enumerate" and getattr(args, "example2", False):
-                cfg = ExperimentConfig(config_hash="builtin-example2")
-            else:
-                raise ConfigError("--config is required for this command")
+            raise ConfigError("--config is required for this command")
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError(f"--seed must be >= 0, got {args.seed}")
             cfg.master_seed = args.seed
-        writer = OutputWriter(args.out, cfg.config_hash, args.no_timestamp)
-
-        if args.command == "solve":
-            return cmd_solve(cfg, writer)
-        if args.command == "enumerate":
-            return cmd_enumerate(cfg, writer, getattr(args, "example2", False))
-        if args.command == "tournament":
-            return cmd_tournament(cfg, writer)
-        if args.command == "benchmark":
-            return cmd_benchmark(cfg, writer)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(cfg, writer)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return args.run(cfg, OutputWriter(args.out, cfg.config_hash, args.no_timestamp), args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

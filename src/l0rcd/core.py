@@ -53,6 +53,8 @@ class BlockPartition:
             raise ValueError("penalty weights must be finite and nonnegative")
         if not any(l > 0 for l in self.lam):
             raise ValueError("at least one penalty weight must be positive")
+        if sum(float(l) * int(s) for l, s in zip(self.lam, self.block_sizes)) == math.inf:
+            raise ValueError("the penalty of the full support, sum of lam_i * n_i, overflows")
         if any(not 0.0 < L < math.inf for L in self.lipschitz):
             raise ValueError("Lipschitz constants must be finite and positive")
         sum_L = float(sum(self.lipschitz))

@@ -369,7 +369,7 @@ def run_ihta(
     mu_f = M_f - partition.global_lipschitz
     smooth = problem.smooth
     tmap = threshold_map(
-        ApproxSpec.separable_quadratic(np.full(partition.num_blocks, M_f)), smooth, partition
+        ApproxSpec("uq", np.full(partition.num_blocks, M_f)), smooth, partition
     )
     whole = slice(0, partition.n)
 
@@ -405,10 +405,13 @@ def delta_lower_bound(problem: L0Problem, spec: ApproxSpec, x0: np.ndarray) -> f
     x0 = np.asarray(x0, dtype=float)
     mu = spec.mu(partition)
     lam = partition.lam_array
-    best = np.min((mu * lam / spec.curvature_bound(partition))[lam > 0.0])
-    # smallest x0_j^2 over each block's nonzeros; inf (no term) where there are none
-    sq = np.minimum.reduceat(np.where(x0 != 0.0, x0**2, np.inf), partition.block_starts)
-    return float(min(best, np.min(0.5 * mu * sq)) / partition.num_blocks)
+    # (mu_i / M_i) * lambda_i: mu_i <= M_i, so no product overflows
+    best = np.min((mu / spec.curvature_bound(partition) * lam)[lam > 0.0])
+    # smallest x0_j^2 over each block's nonzeros; inf (no term) where there are none.
+    # A term that overflows is inf too, and best is finite, so it is never the min.
+    with np.errstate(over="ignore"):
+        sq = np.minimum.reduceat(np.where(x0 != 0.0, x0**2, np.inf), partition.block_starts)
+        return float(min(best, np.min(0.5 * mu * sq)) / partition.num_blocks)
 
 
 def estimate_linear_rate(trace: SolverTrace, F_star: float) -> tuple[float, float]:

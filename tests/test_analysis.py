@@ -86,11 +86,11 @@ class TestIsBasic:
 
 
 def uq(M):
-    return ApproxSpec.separable_quadratic(M)
+    return ApproxSpec("uq", M)
 
 
 def ue(beta):
-    return ApproxSpec.exact(beta)
+    return ApproxSpec("ue", beta)
 
 
 class TestIsUqStrong:
@@ -112,6 +112,13 @@ class TestIsUqStrong:
     def test_looser_m_admits_more(self, toy):
         # (2, 0.5) enters the class once sqrt(2 lambda / M) drops below 0.5
         assert is_strong_local_min(toy, np.array([2.0, 0.5]), uq([4.0, 4.0]))
+
+    def test_overflowing_zero_bound_is_inf(self):
+        # 2 * lambda * M overflows: the bound on |grad| at a zero is +inf, no warning
+        partition = BlockPartition.scalar([1e308], [1.0])
+        prob = L0Problem(LeastSquaresObjective(np.eye(1), np.ones(1)), partition)
+        assert is_strong_local_min(prob, np.zeros(1), uq([2.0]))
+        assert not is_strong_local_min(prob, np.ones(1), uq([2.0]))
 
 
 class TestIsUeStrong:
@@ -209,7 +216,7 @@ class TestEnumerateCatalog:
         prob = L0Problem(built.smooth, partition)
         uq = separable_from_factor(partition, 1.5)
         L = np.repeat(partition.lipschitz, partition.block_sizes)
-        uQ = ApproxSpec.diagonal_quadratic(1.2 * L)
+        uQ = ApproxSpec("uQ", 1.2 * L)
         catalog = enumerate_catalog(prob, {"uq": uq, "uQ": uQ})
         mandatory = sum(1 << j for j in (2, 3, 4, 6, 7, 8))  # blocks 1 and 3
         assert partition.zero_penalty_bits == mandatory
@@ -246,7 +253,7 @@ class TestEnumerateCatalog:
         cfg = ExperimentConfig(m=5, n=8, instance_seed=4, lam=0.2, block_sizes=(3, 3, 2))
         prob = build_problem(cfg)
         sep = separable_from_factor(prob.partition, 1.5)
-        diag = ApproxSpec.diagonal_quadratic(sep.coord_curvature(prob.partition))
+        diag = ApproxSpec("uQ", sep.coord_curvature(prob.partition))
         catalog = enumerate_catalog(prob, {"sep": sep, "diag": diag})
         assert catalog.counts()["sep"] == catalog.counts()["diag"] > 0
         assert all(e.flags["sep"] == e.flags["diag"] for e in catalog.entries)
@@ -387,7 +394,7 @@ class TestOneClassification:
         prob = build_problem(cfg)
         L = np.repeat(prob.partition.lipschitz, prob.partition.block_sizes)
         H = L * np.linspace(1.0, 3.0, 8)
-        diag = ApproxSpec.diagonal_quadratic(H)
+        diag = ApproxSpec("uQ", H)
         catalog = enumerate_catalog(prob, {"uQ": diag})
         assert 0 < catalog.counts()["uQ"] < len(catalog.entries)
         for e in catalog.entries:
@@ -430,7 +437,7 @@ def _zero_penalty_blocks_case():
     L = np.repeat(partition.lipschitz, partition.block_sizes)
     requests = {
         "uq": separable_from_factor(partition, 1.5),
-        "uQ": ApproxSpec.diagonal_quadratic(1.2 * L),
+        "uQ": ApproxSpec("uQ", 1.2 * L),
         "uq[M=Lf]": ApproxSpec("uq", np.full(4, partition.global_lipschitz)),
     }
     return L0Problem(built.smooth, partition), requests
@@ -564,7 +571,7 @@ class TestExampleInstance:
         prob = build_example_instance()
         reqs = example_class_requests(prob)
         assert list(reqs) == ["ue[beta=1e-4]", "uq[M=Li]", "uq[M=Lf]"]
-        assert reqs["ue[beta=1e-4]"] == ApproxSpec.exact(np.full(7, 1e-4))
+        assert reqs["ue[beta=1e-4]"] == ApproxSpec("ue", np.full(7, 1e-4))
         np.testing.assert_allclose(reqs["uq[M=Li]"].params, prob.partition.lipschitz)
         assert set(reqs["uq[M=Lf]"].params) == {prob.partition.global_lipschitz}
 

@@ -306,7 +306,7 @@ class TestDeltaE:
             lam = rng.uniform(0.0, 1.0, 3) * (rng.random(3) < 0.8)
             lam[rng.integers(3)] = rng.uniform(0.05, 1.0)  # a partition needs one
             p = BlockPartition.scalar(lam, f.column_lipschitz())
-            tmap = threshold_map(ApproxSpec.exact(beta), f, p)
+            tmap = threshold_map(ApproxSpec("ue", beta), f, p)
             cache = f.make_cache(x)
             for j in range(3):
                 _, delta = exact_progress(f, x, j, beta[j], cache)
@@ -436,9 +436,9 @@ class TestApproxSpec:
         with pytest.raises(ValueError):
             ApproxSpec(kind="mystery", params=(1.0,))
         with pytest.raises(ValueError):
-            ApproxSpec.separable_quadratic([0.0])
+            ApproxSpec("uq", [0.0])
         with pytest.raises(ValueError):
-            ApproxSpec.diagonal_quadratic([1.0, 0.0])
+            ApproxSpec("uQ", [1.0, 0.0])
 
     def test_nonpositive_parameters_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -450,24 +450,24 @@ class TestApproxSpec:
         """NaN passes a bare v <= 0 test, and a NaN M made a uq run zero every coordinate."""
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
-                ApproxSpec.separable_quadratic([bad, 1.0])
+                ApproxSpec("uq", [bad, 1.0])
             with pytest.raises(ValueError):
-                ApproxSpec.diagonal_quadratic([1.0, bad])
+                ApproxSpec("uQ", [1.0, bad])
             with pytest.raises(ValueError):
-                ApproxSpec.exact([bad])
+                ApproxSpec("ue", [bad])
 
     def test_mu_and_curvature(self):
         p = BlockPartition.scalar([1.0, 1.0], [2.0, 3.0])
-        uq = ApproxSpec.separable_quadratic([4.0, 5.0])
+        uq = ApproxSpec("uq", [4.0, 5.0])
         np.testing.assert_allclose(uq.mu(p), [2.0, 2.0])
         np.testing.assert_allclose(uq.curvature_bound(p), [4.0, 5.0])
-        ue = ApproxSpec.exact([0.5, 0.25])
+        ue = ApproxSpec("ue", [0.5, 0.25])
         np.testing.assert_allclose(ue.mu(p), [0.5, 0.25])
         np.testing.assert_allclose(ue.curvature_bound(p), [2.5, 3.25])
 
     def test_diag_mu_uses_min_curvature(self):
         p = BlockPartition(block_sizes=(2,), lam=(1.0,), lipschitz=(2.0,))
-        spec = ApproxSpec.diagonal_quadratic([3.0, 6.0])
+        spec = ApproxSpec("uQ", [3.0, 6.0])
         np.testing.assert_allclose(spec.mu(p), [1.0])
         np.testing.assert_allclose(spec.curvature_bound(p), [6.0])
 
@@ -476,7 +476,7 @@ class TestApproxSpec:
         L = (1.0, 0.5, 2.0, 0.25)
         p = BlockPartition(block_sizes=sizes, lam=(1.0,) * 4, lipschitz=L)
         H = np.random.default_rng(8).uniform(3.0, 9.0, size=12)
-        spec = ApproxSpec.diagonal_quadratic(H)
+        spec = ApproxSpec("uQ", H)
         blocks = [H[p.block_slice(i)] for i in range(4)]
         np.testing.assert_array_equal(spec.mu(p), [min(b) - l for b, l in zip(blocks, L)])
         np.testing.assert_array_equal(spec.curvature_bound(p), [max(b) for b in blocks])
@@ -484,13 +484,13 @@ class TestApproxSpec:
     def test_validate_for_solver(self):
         p = BlockPartition.scalar([1.0, 1.0], [2.0, 3.0])
         with pytest.raises(ValueError):
-            ApproxSpec.separable_quadratic([2.0, 3.0]).validate_for_solver(p)
+            ApproxSpec("uq", [2.0, 3.0]).validate_for_solver(p)
         with pytest.raises(ValueError):
-            ApproxSpec.separable_quadratic([4.0]).validate_for_solver(p)
+            ApproxSpec("uq", [4.0]).validate_for_solver(p)
         multi = BlockPartition(block_sizes=(2,), lam=(1.0,), lipschitz=(1.0,))
         with pytest.raises(ValueError):
-            ApproxSpec.exact([0.1]).validate_for_solver(multi)
-        ApproxSpec.exact([0.1, 0.1]).validate_for_solver(p)
+            ApproxSpec("ue", [0.1]).validate_for_solver(multi)
+        ApproxSpec("ue", [0.1, 0.1]).validate_for_solver(p)
 
     def test_lipschitz_mode_is_strict(self):
         p = BlockPartition.scalar([1.0], [2.0])
@@ -508,9 +508,9 @@ class TestApproxSpec:
         np.testing.assert_allclose(exact_uniform(p, 0.3).params, [0.3, 0.3])
 
     def test_labels(self):
-        assert ApproxSpec.separable_quadratic([1.0]).kind == "uq"
-        assert ApproxSpec.diagonal_quadratic([1.0]).kind == "uQ"
-        assert ApproxSpec.exact([1.0]).kind == "ue"
+        assert ApproxSpec("uq", [1.0]).kind == "uq"
+        assert ApproxSpec("uQ", [1.0]).kind == "uQ"
+        assert ApproxSpec("ue", [1.0]).kind == "ue"
 
 
 class TestThresholdMap:
@@ -556,7 +556,7 @@ class TestThresholdMap:
         p = BlockPartition(
             block_sizes=(2, 2), lam=(0.2, 0.2), lipschitz=(1.0, 1.0)
         )
-        spec = ApproxSpec.diagonal_quadratic([1.5, 2.0, 2.5, 3.0])
+        spec = ApproxSpec("uQ", [1.5, 2.0, 2.5, 3.0])
         x = np.array([0.5, -0.5, 0.25, 0.0])
         cache = oracle.make_cache(x)
         grad = oracle.block_grad(x, slice(2, 4), cache)
@@ -585,7 +585,7 @@ class TestThresholdMap:
         p = BlockPartition(block_sizes=sizes, lam=tuple(lam), lipschitz=tuple(L))
         specs = [
             separable_from_factor(p, 1.5),
-            ApproxSpec.diagonal_quadratic(np.repeat(L, sizes) * rng.uniform(1.2, 3.0, n)),
+            ApproxSpec("uQ", np.repeat(L, sizes) * rng.uniform(1.2, 3.0, n)),
         ]
         if len(sizes) == n:
             specs.append(exact_uniform(p, 1e-3))
@@ -616,19 +616,19 @@ class TestModelCurvature:
     def test_quadratic_kinds_use_their_own(self):
         p = BlockPartition(block_sizes=(2, 1), lam=(0.1, 0.1), lipschitz=(1.0, 1.0))
         oracle = LeastSquaresObjective(np.eye(3), np.ones(3))
-        uq = ApproxSpec.separable_quadratic([2.0, 3.0])
+        uq = ApproxSpec("uq", [2.0, 3.0])
         np.testing.assert_array_equal(model_curvature(uq, oracle, p), [2.0, 2.0, 3.0])
-        uQ = ApproxSpec.diagonal_quadratic([2.0, 4.0, 3.0])
+        uQ = ApproxSpec("uQ", [2.0, 4.0, 3.0])
         np.testing.assert_array_equal(model_curvature(uQ, oracle, p), [2.0, 4.0, 3.0])
 
     def test_exact_on_least_squares_is_column_norm_plus_beta(self):
         A = np.array([[1.0, 2.0], [3.0, 0.5]])
         oracle = LeastSquaresObjective(A, np.ones(2))
         p = BlockPartition.scalar([0.1, 0.1], oracle.column_lipschitz())
-        spec = ApproxSpec.exact([0.25, 0.5])
+        spec = ApproxSpec("ue", [0.25, 0.5])
         np.testing.assert_array_equal(model_curvature(spec, oracle, p), [10.25, 4.75])
 
     def test_exact_without_fixed_curvature_is_none(self):
         oracle = random_logistic(6, 2, seed=23)
         p = BlockPartition.scalar([0.1, 0.1], oracle.column_lipschitz())
-        assert model_curvature(ApproxSpec.exact([0.1, 0.1]), oracle, p) is None
+        assert model_curvature(ApproxSpec("ue", [0.1, 0.1]), oracle, p) is None

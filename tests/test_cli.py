@@ -640,6 +640,63 @@ class TestConfigParsing:
         assert err.startswith("error:") and err.count("\n") == 1
         assert str(out) in err
 
+    @pytest.mark.parametrize("command", ["tournament", "benchmark"])
+    @pytest.mark.parametrize(
+        "blocks,solvers,message",
+        [
+            ("", "list = uq,bogus", "unknown solver name 'bogus'"),
+            ("block_sizes = 2,2,2,2,2,2", "list = uq,ue", "exact approximation requires scalar blocks"),
+            ("", "list = uq,ihta\nihta_factor = 1e308", "ihta_factor = 1e+308 makes M_f overflow"),
+        ],
+        ids=["unknown_name", "ue_on_blocks", "ihta_factor_overflow"],
+    )
+    def test_unrunnable_route_fails_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command, blocks, solvers, message
+    ):
+        """Every configured solver is resolved before the first run (and before
+        the tournament's certification catalog), so a route listed after uq
+        costs no uq runs."""
+        calls = []
+        for name in ("run_rcd_iht", "run_ihta", "enumerate_catalog"):
+            original = getattr(l0rcd.cli, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(l0rcd.cli, name, counted)
+        cfg = write_config(
+            tmp_path,
+            f"[problem]\nkind = ls\nm = 6\nn = 12\nseed = 13\nlambda = 0.5\n{blocks}\n"
+            f"[solvers]\n{solvers}\n[starts]\ntrials = 20\n[sweep]\nlambdas = 0.3, 0.5\n",
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["solve", "enumerate", "tournament", "benchmark"])
+    @pytest.mark.parametrize("lam,n", [("1e308", 12), ("3e307", 5), ("1e307", 12)])
+    def test_huge_penalty(self, tmp_path, command, lam, n):
+        """lambda = 1e308 on 12 coordinates makes the full support's penalty
+        overflow: one error line, exit 2. A finite full-support penalty runs with
+        nothing on stderr, no numpy warning included (3e307 on n = 5 overflows
+        2 lambda M_i in the class bounds, which are then +inf). Run in a child
+        process (``run_child``)."""
+        cfg = write_config(
+            tmp_path,
+            f"[problem]\nkind = ls\nm = 6\nn = {n}\nseed = 13\nlambda = {lam}\n"
+            f"[solvers]\nlist = uq, ue, ihta\n[sweep]\nlambdas = {lam}\n",
+        )
+        proc = run_child(command, cfg, tmp_path / "o")
+        if lam == "1e308":
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, proc.stderr
+            assert "sum of lam_i * n_i, overflows" in proc.stderr
+        else:
+            assert (proc.returncode, proc.stderr) == (0, "")
+
     def test_negative_seed_flag_is_a_one_line_error(self, tmp_path, capsys):
         cfg = toy_config(tmp_path, start="random")
         assert main(["solve", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2

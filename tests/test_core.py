@@ -151,6 +151,15 @@ class TestBlockPartition:
         with pytest.raises(ValueError):
             scalar_partition([1.0, 1.0], [1.0, 0.0])
 
+    def test_overflowing_full_support_penalty_rejected(self):
+        """sum of lam_i * n_i must be finite, so F of any point can be."""
+        BlockPartition.scalar([1e308], [1.0])
+        BlockPartition(block_sizes=(1, 1), lam=(8e307, 8e307), lipschitz=(1.0, 1.0))
+        with pytest.raises(ValueError, match="overflows"):
+            scalar_partition([1e308, 1e308], [1.0, 1.0])
+        with pytest.raises(ValueError, match="overflows"):
+            BlockPartition(block_sizes=(2,), lam=(1e308,), lipschitz=(1.0,))
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             BlockPartition(block_sizes=(1, 2), lam=(1.0,), lipschitz=(1.0, 1.0))

@@ -1,13 +1,19 @@
 """README.md's two Python examples run and print what their comments state,
-and its ``enumerate --example2`` block is what that command prints."""
+and its ``enumerate --example2`` block is what that command prints. The
+documents that describe the command line (README.md and config.schema.ini)
+name the keys and subcommands that the code declares."""
+import argparse
 import contextlib
+import dataclasses
 import io
 import re
 from pathlib import Path
 
-from l0rcd.cli import main
+from l0rcd.cli import CONFIG_KEYS, ExperimentConfig, _build_parser, _parse_config_file, main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+SCHEMA = ROOT / "config.schema.ini"
 
 
 def python_blocks():
@@ -47,3 +53,46 @@ def test_enumerate_example2_cli_block(tmp_path, capsys):
     assert main(["enumerate", "--example2", "--out", str(tmp_path), "--no-timestamp"]) == 0
     printed = capsys.readouterr().out
     assert [line.rstrip() for line in printed.splitlines()] == block.splitlines()
+
+
+def schema_keys():
+    """(section, key) of every ``key =`` or ``# key =`` line under a section header."""
+    keys, section = [], None
+    for line in SCHEMA.read_text().splitlines():
+        if header := re.fullmatch(r"\[(\w+)\]", line):
+            section = header[1]
+        elif section and (key := re.match(r"#?\s*(\w+)\s*=", line)):
+            keys.append((section, key[1]))
+    return keys
+
+
+def test_schema_names_exactly_the_config_keys():
+    rows = [(section, key) for section, key, *_ in CONFIG_KEYS]
+    assert len(set(rows)) == len(rows) == len(set(schema_keys())) == 23
+    assert set(schema_keys()) == set(rows)
+    # every ExperimentConfig field but the hash is filled by one key
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"config_hash"}
+    assert sorted(name for _, _, name, *_ in CONFIG_KEYS) == sorted(fields)
+
+
+def test_schema_parses():
+    cfg = _parse_config_file(str(SCHEMA))
+    assert cfg.solver_names == ("uq", "ue", "ihta")
+    assert (cfg.m, cfg.n, cfg.trials) == (6, 12, 100)
+    assert len(cfg.sweep) == 9
+
+
+def test_tournament_ini_block_parses(tmp_path):
+    (block,) = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+    path = tmp_path / "tournament.ini"
+    path.write_text(block)
+    cfg = _parse_config_file(str(path))
+    assert cfg.solver_names == ("ihta", "uq", "ue")
+    assert (cfg.m, cfg.n, cfg.instance_seed, cfg.uq_factor, cfg.max_iters) == (6, 12, 13, 2.0, 2400)
+    assert cfg.trials == 100 and len(cfg.sweep) == 9
+
+
+def test_subcommand_table_lists_the_parser_subcommands():
+    (action,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    listed = re.findall(r"^\| `(\w+)` +\|", README.read_text(), re.M)
+    assert listed == list(action.choices)

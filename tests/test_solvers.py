@@ -127,7 +127,7 @@ class TestStep:
         )
         prob = L0Problem(prob.smooth, partition)
         with pytest.raises(ValueError, match="exact approximation requires scalar blocks"):
-            _coordinate_step(prob, ApproxSpec.exact(np.full(len(sizes), 1e-4)))
+            _coordinate_step(prob, ApproxSpec("ue", np.full(len(sizes), 1e-4)))
 
     def test_understated_lipschitz_detected(self):
         """A wrong (too small) block constant breaks guaranteed descent."""
@@ -148,7 +148,7 @@ def _spec_for(model: str, partition: BlockPartition) -> ApproxSpec:
         return separable_from_factor(partition, 1.5)
     if model == "uQ":
         L = np.repeat(partition.lipschitz, partition.block_sizes)
-        return ApproxSpec.diagonal_quadratic(1.5 * L)
+        return ApproxSpec("uQ", 1.5 * L)
     return exact_uniform(partition, 1e-3)
 
 
@@ -335,7 +335,7 @@ class TestRunRcdIht:
         prob = random_ls_problem(8, 5, seed=46)
         beta = 0.3
         ue = exact_uniform(prob.partition, beta)
-        uQ = ApproxSpec.diagonal_quadratic(prob.smooth.coord_curvature() + beta)
+        uQ = ApproxSpec("uQ", prob.smooth.coord_curvature() + beta)
         x0 = np.linspace(-0.5, 0.5, 5)
         st_e, tr_e = run_rcd_iht(prob, x0, SolverConfig(approx=ue, max_iters=600, seed=3))
         st_q, tr_q = run_rcd_iht(prob, x0, SolverConfig(approx=uQ, max_iters=600, seed=3))
@@ -459,16 +459,16 @@ class TestDeltaLowerBound:
     def test_single_block_empty_support(self):
         # lambda=1, mu=1, M=2, x0=0: second min is over an empty set
         prob = self.problem_with([1.0], [1.0])
-        spec = ApproxSpec.separable_quadratic([2.0])
+        spec = ApproxSpec("uq", [2.0])
         assert delta_lower_bound(prob, spec, np.zeros(1)) == pytest.approx(0.5)
 
     def test_two_blocks_with_start_term(self):
         prob = self.problem_with([1.0, 1.0], [1.0, 1.0])
-        spec = ApproxSpec.separable_quadratic([2.0, 2.0])
+        spec = ApproxSpec("uq", [2.0, 2.0])
         assert delta_lower_bound(prob, spec, np.array([3.0, 0.0])) == pytest.approx(0.25)
 
     def test_linear_growth_in_lambda(self):
-        spec = ApproxSpec.separable_quadratic([2.0])
+        spec = ApproxSpec("uq", [2.0])
         d1 = delta_lower_bound(self.problem_with([1.0], [1.0]), spec, np.zeros(1))
         d10 = delta_lower_bound(self.problem_with([10.0], [1.0]), spec, np.zeros(1))
         assert d10 == pytest.approx(10.0 * d1)
@@ -476,15 +476,28 @@ class TestDeltaLowerBound:
     def test_exact_kind_uses_shifted_curvature(self):
         # mu = beta = 0.5 and M = L + beta = 1.5: delta = (0.5 * 1 / 1.5) / 1
         prob = self.problem_with([1.0], [1.0])
-        spec = ApproxSpec.exact([0.5])
+        spec = ApproxSpec("ue", [0.5])
         assert delta_lower_bound(prob, spec, np.zeros(1)) == pytest.approx(1.0 / 3.0)
+
+    def test_huge_factor_and_penalty_give_a_finite_bound(self):
+        # mu_i / M_i is about 1 when M_i = 1e300 L_i, so delta = lambda / N, not
+        # the inf of an overflowing product mu_i * lambda_i
+        prob = self.problem_with([1e10, 1e10], [1.0, 1.0])
+        spec = separable_from_factor(prob.partition, 1e300)
+        assert delta_lower_bound(prob, spec, np.zeros(2)) == pytest.approx(0.5e10)
+
+    def test_start_term_that_overflows_is_no_term(self):
+        # (mu/2) x0_0^2 overflows for x0_0 = 1e200; the penalty term, (1/2) / 2, is the min
+        prob = self.problem_with([1.0, 1.0], [1.0, 1.0])
+        spec = ApproxSpec("uq", [2.0, 2.0])
+        assert delta_lower_bound(prob, spec, np.array([1e200, 0.0])) == pytest.approx(0.25)
 
     def test_zero_penalty_blocks_skipped(self):
         prob = L0Problem(
             LeastSquaresObjective(np.eye(2), np.zeros(2)),
             BlockPartition.scalar([1.0, 0.0], [1.0, 1.0], 1.0),
         )
-        spec = ApproxSpec.separable_quadratic([2.0, 2.0])
+        spec = ApproxSpec("uq", [2.0, 2.0])
         # only the penalized block contributes: (1/2) * (1*1/2)
         assert delta_lower_bound(prob, spec, np.zeros(2)) == pytest.approx(0.25)
 
@@ -504,10 +517,10 @@ class TestDeltaLowerBound:
             spec = separable_from_factor(p, 1.7)
         else:
             L = np.repeat(p.lipschitz, p.block_sizes)
-            spec = ApproxSpec.diagonal_quadratic(L * rng.uniform(1.2, 3.0, p.n))
+            spec = ApproxSpec("uQ", L * rng.uniform(1.2, 3.0, p.n))
         x0 = rng.standard_normal(p.n) * (rng.random(p.n) < 0.5)
         mu, M = spec.mu(p), spec.curvature_bound(p)
-        best = min(mu[i] * p.lam[i] / M[i] for i in range(p.num_blocks) if p.lam[i] > 0.0)
+        best = min(mu[i] / M[i] * p.lam[i] for i in range(p.num_blocks) if p.lam[i] > 0.0)
         for i in range(p.num_blocks):
             blk = x0[p.block_slice(i)]
             nz = blk[blk != 0.0]
