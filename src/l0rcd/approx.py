@@ -32,6 +32,10 @@ M_EQ_LIPSCHITZ_FACTOR = 1.0 + 1e-6
 
 TIE_RULE = "zero"
 
+# Relative margin by which a curvature bound on the exact model's progress
+# must clear lambda_j before it decides the step (see ``threshold_e``).
+_CERT_MARGIN = 1e-9
+
 # The kinds, each with the name of its parameters in error messages.
 _PARAMS_OF = {"uq": "M", "uQ": "H diagonal", "ue": "beta"}
 
@@ -159,12 +163,30 @@ def threshold_q(x_i: np.ndarray, grad_i: np.ndarray, M_i, lambda_i) -> np.ndarra
     return np.where(keep, t, 0.0)
 
 
+def exact_curvature_bounds(
+    spec: ApproxSpec, oracle: SmoothOracle, partition: BlockPartition
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds lo_j <= g_j'' <= hi_j for the exact model ``spec`` along each coordinate.
+
+    g_j(h) = f(x + h e_j) + (beta_j/2) h^2, so lo_j = beta_j + c_j, with c_j
+    from the oracle's optional ``coord_curvature_floor()`` (beta_j alone
+    without it: f is convex), and hi_j = L_j + beta_j, which is
+    ``spec.curvature_bound`` and holds as the partition's Lipschitz
+    constants do.
+    """
+    beta = np.asarray(spec.params, dtype=float)
+    floor = getattr(oracle, "coord_curvature_floor", None)
+    lo = beta if floor is None else beta + floor()
+    return lo, spec.curvature_bound(partition)
+
+
 def _solve_1d(
     oracle: SmoothOracle,
     x: np.ndarray,
     j: int,
     beta: float,
     cache: np.ndarray,
+    at_zero: tuple[float, float] | None = None,
     max_iters: int = 200,
 ) -> float:
     """Root of g'(h) = d/dh [f(x + h e_j) + (beta/2) h^2], safeguarded Newton.
@@ -175,17 +197,18 @@ def _solve_1d(
     sign (RuntimeError if it has not by B = 2^1023, the last finite
     doubling); then Newton iterations start from h = 0 with the known g'(0) and
     fall back to bisection whenever a step leaves the bracket. g' is
-    evaluated once at every point visited. Converges when
+    evaluated once at every point visited; at h = 0 and at every Newton
+    point it comes with g'' from one ``coord_grad_curvature_shifted`` query,
+    whose answer at h = 0 the caller may pass as ``at_zero``. Converges when
     |g'(h)| <= 1e-10 * (1 + |g'(0)|).
     """
 
     def gp(h: float) -> float:
         return oracle.coord_grad_shifted(x, j, h, cache) + beta * h
 
-    def gpp(h: float) -> float:
-        return oracle.coord_curvature_shifted(x, j, h, cache) + beta
-
-    g0 = gp(0.0)
+    if at_zero is None:
+        at_zero = oracle.coord_grad_curvature_shifted(x, j, 0.0, cache)
+    g0, curv = at_zero[0], at_zero[1] + beta
     tol = 1e-10 * (1.0 + abs(g0))
     if abs(g0) <= tol:
         return 0.0
@@ -208,7 +231,6 @@ def _solve_1d(
 
     h, g = 0.0, g0
     for _ in range(max_iters):
-        curv = gpp(h)
         h_new = None
         if curv > 0.0:
             cand = h - g / curv
@@ -217,7 +239,8 @@ def _solve_1d(
         if h_new is None:
             h_new = 0.5 * (lo + hi)
         h = h_new
-        g = gp(h)
+        fp, fpp = oracle.coord_grad_curvature_shifted(x, j, h, cache)
+        g, curv = fp + beta * h, fpp + beta
         if abs(g) <= tol:
             return h
         if g < 0.0:
@@ -253,6 +276,8 @@ def threshold_e(
     beta: float,
     lambda_j: float,
     cache: np.ndarray,
+    lo: float | None = None,
+    hi: float = math.inf,
 ) -> float:
     """Exact-model thresholding of scalar coordinate j.
 
@@ -261,11 +286,40 @@ def threshold_e(
           - [f at the inner minimizer + (beta/2) h*^2],
     both evaluated through ``cache``, the oracle's cache at x. Returns
     x_j + h* when Delta > lambda_j, else an exact zero (ties to zero).
+
+    ``lo`` and ``hi`` bound the curvature of g(h) = f(x + h e_j) +
+    (beta/2) h^2 (``exact_curvature_bounds``); the defaults beta and inf
+    hold for any convex f. With d = g'(-x_j), strong convexity and
+    smoothness give d^2/(2 hi) <= Delta <= d^2/(2 lo). So the step is null,
+    with no Newton solve, when d^2/(2 lo) <= (1 - 1e-9) lambda_j, and keeps
+    x_j + h*, with no value of f, when d^2/(2 hi) > (1 + 1e-9) lambda_j;
+    only between the two is Delta computed. The margin 1e-9 lambda_j
+    exceeds the rounding of the computed Delta (a few ulps of the two
+    values it subtracts) and of d^2 and the bounds unless lambda_j is tiny
+    against f, so a bound and the computed Delta decide alike. Where they
+    could disagree, Delta lies within rounding of lambda_j, and the bound
+    gives the exact model's answer. At x_j = 0, d = g'(0) comes with
+    g''(0) from one query that the Newton solve reuses.
     """
-    h_star, keep_value = exact_inner_min(oracle, x, j, beta, cache)
-    zero_value = oracle.value_shifted(x, j, -x[j], cache) + 0.5 * beta * x[j] * x[j]
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    x_j = x[j]
+    if x_j == 0.0:
+        at_zero = oracle.coord_grad_curvature_shifted(x, j, 0.0, cache)
+        d = at_zero[0]
+    else:
+        at_zero = None
+        d = oracle.coord_grad_shifted(x, j, -x_j, cache) - beta * x_j
+    half_dd = 0.5 * d * d
+    if half_dd / (beta if lo is None else lo) <= lambda_j * (1.0 - _CERT_MARGIN):
+        return 0.0
+    h_star = _solve_1d(oracle, x, j, beta, cache, at_zero)
+    if half_dd / hi > lambda_j * (1.0 + _CERT_MARGIN):
+        return float(x_j + h_star)
+    keep_value = oracle.value_shifted(x, j, h_star, cache) + 0.5 * beta * h_star * h_star
+    zero_value = oracle.value_shifted(x, j, -x_j, cache) + 0.5 * beta * x_j * x_j
     if zero_value - keep_value > lambda_j:
-        return float(x[j] + h_star)
+        return float(x_j + h_star)
     return 0.0
 
 
@@ -277,18 +331,23 @@ def threshold_map(spec: ApproxSpec, oracle: SmoothOracle, partition: BlockPartit
     x, and writes nothing. It is ``threshold_q`` where ``model_curvature``
     has a curvature, and then x and g may also be stacks of points as rows
     (the cache is not read); it is ``threshold_e``, coordinate by
-    coordinate, where there is none. The fit to ``partition`` is checked
-    here, once (ValueError).
+    coordinate, where there is none, with the curvature bounds of
+    ``exact_curvature_bounds``. The fit to ``partition`` is checked and the
+    model resolved here, once (ValueError).
     """
     spec.check_partition(partition)
     lam = partition.coord_lambda()
     curvature = model_curvature(spec, oracle, partition)
+    if curvature is None:
+        lo, hi = (b.tolist() for b in exact_curvature_bounds(spec, oracle, partition))
 
     def tmap(x: np.ndarray, sl: slice, g: np.ndarray, cache: np.ndarray) -> np.ndarray:
         if curvature is not None:
             return threshold_q(x[..., sl], g, curvature[sl], lam[sl])
         # scalar blocks, so block j is coordinate j
         js = range(sl.start, sl.stop)
-        return np.array([threshold_e(oracle, x, j, spec.params[j], lam[j], cache) for j in js])
+        return np.array(
+            [threshold_e(oracle, x, j, spec.params[j], lam[j], cache, lo[j], hi[j]) for j in js]
+        )
 
     return tmap

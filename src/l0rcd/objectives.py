@@ -37,9 +37,19 @@ class SmoothOracle(Protocol):
     of a 2-D array; a stack gets one value (or gradient row) per row, with the
     bits of the one-point call on that row.
 
+    ``coord_grad_shifted``, ``coord_curvature_shifted`` and ``value_shifted``
+    give f', f'' and f along coordinate j at x + h e_j from the cache at x.
+    ``coord_grad_curvature_shifted`` returns the pair (f', f'') of one point,
+    with the bits of the two single queries, from one pass over the shifted
+    cache: the exact model's Newton step needs both at every point.
+
     Optional methods outside the protocol: ``coord_curvature()`` says that f
     is quadratic along every coordinate and gives that curvature, so the
-    exact model steps in closed form instead of by safeguarded Newton, and
+    exact model steps in closed form instead of by safeguarded Newton;
+    ``coord_curvature_floor()`` gives, per coordinate, a lower bound c_j on
+    f'' along coordinate j everywhere (the ridge weight on logistic), which
+    lets the exact model decide a step from curvature bounds without its
+    Newton solve (without it the bound is 0, as for any convex f); and
     ``restricted_minimize(cols)`` makes enumeration possible: it takes a
     (k, s) int array of sorted index rows, all of one size s, and returns
     the (k, n) array of the minimizers of f over the vectors supported on
@@ -65,6 +75,10 @@ class SmoothOracle(Protocol):
     def coord_curvature_shifted(
         self, x: np.ndarray, j: int, h: float, cache: np.ndarray
     ) -> float: ...
+
+    def coord_grad_curvature_shifted(
+        self, x: np.ndarray, j: int, h: float, cache: np.ndarray
+    ) -> tuple[float, float]: ...
 
     def value_shifted(self, x: np.ndarray, j: int, h: float, cache: np.ndarray) -> float: ...
 
@@ -171,7 +185,12 @@ class LeastSquaresObjective:
     def coord_curvature_shifted(
         self, x: np.ndarray, j: int, h: float, cache: np.ndarray
     ) -> float:
-        return float(self._col_sq[j])
+        return self.coord_grad_curvature_shifted(x, j, h, cache)[1]
+
+    def coord_grad_curvature_shifted(
+        self, x: np.ndarray, j: int, h: float, cache: np.ndarray
+    ) -> tuple[float, float]:
+        return self.coord_grad_shifted(x, j, h, cache), float(self._col_sq[j])
 
     def value_shifted(self, x: np.ndarray, j: int, h: float, cache: np.ndarray) -> float:
         r = cache + self.A[:, j] * h
@@ -295,16 +314,28 @@ class LogisticL2Objective:
         # the sigmoid and log(1 + e^t) map to the same value.
         return cache if h == 0.0 else cache + self.data[:, j] * h
 
+    def _coord_grad(self, x: np.ndarray, j: int, h: float, s: np.ndarray) -> float:
+        # f' along coordinate j at x + h e_j, from the sigmoid s of the shifted predictors
+        return float(self.data[:, j] @ (s - self.y)) / self.m + self.nu * (x[j] + h)
+
     def coord_grad_shifted(self, x: np.ndarray, j: int, h: float, cache: np.ndarray) -> float:
-        t = self._shifted(j, h, cache)
-        g = float(self.data[:, j] @ (_sigmoid(t) - self.y)) / self.m
-        return g + self.nu * (x[j] + h)
+        return self._coord_grad(x, j, h, _sigmoid(self._shifted(j, h, cache)))
 
     def coord_curvature_shifted(
         self, x: np.ndarray, j: int, h: float, cache: np.ndarray
     ) -> float:
+        return self.coord_grad_curvature_shifted(x, j, h, cache)[1]
+
+    def coord_grad_curvature_shifted(
+        self, x: np.ndarray, j: int, h: float, cache: np.ndarray
+    ) -> tuple[float, float]:
         s = _sigmoid(self._shifted(j, h, cache))
-        return float((s * (1.0 - s)) @ (self.data[:, j] ** 2)) / self.m + self.nu
+        curvature = float((s * (1.0 - s)) @ (self.data[:, j] ** 2)) / self.m + self.nu
+        return self._coord_grad(x, j, h, s), curvature
+
+    def coord_curvature_floor(self) -> np.ndarray:
+        """Lower bound nu on f'' along each coordinate: the loss is convex."""
+        return np.full(self.dim, self.nu)
 
     def value_shifted(self, x: np.ndarray, j: int, h: float, cache: np.ndarray) -> float:
         t = self._shifted(j, h, cache)
@@ -336,8 +367,8 @@ class LogisticL2Objective:
         tol = self._restricted_tol
         sub = self.data[:, idx]
         w = np.zeros(len(idx))
+        t = sub @ w
         for _ in range(100):
-            t = sub @ w
             s = _sigmoid(t)
             g = sub.T @ (s - self.y) / self.m + self.nu * w
             if float(np.linalg.norm(g)) <= tol:
@@ -356,13 +387,14 @@ class LogisticL2Objective:
             alpha = 1.0
             for _ in range(50):
                 w_new = w - alpha * step
-                z[idx] = w_new
-                val_new = self.eval(z)
+                # f at the trial point, from the predictors of the support's columns
+                t_new = sub @ w_new
+                loss = float((_log1pexp(t_new) - self.y * t_new).sum()) / self.m
+                val_new = _finite(loss + 0.5 * self.nu * float(w_new @ w_new))
                 if val_new <= val + 1e-12 * (1 + abs(val)):
                     break
                 alpha *= 0.5
-            w = w_new
-            val = val_new
+            w, t, val = w_new, t_new, val_new
         raise RuntimeError(
             f"restricted Newton did not reach gradient tolerance {tol:.3e} on support {idx}"
         )

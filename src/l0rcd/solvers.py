@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import TIE_RULE, ApproxSpec, model_curvature, threshold_e, threshold_map
+from .approx import (
+    TIE_RULE,
+    ApproxSpec,
+    exact_curvature_bounds,
+    model_curvature,
+    threshold_e,
+    threshold_map,
+)
 # l0_norm stays importable from this module.
 from .core import IterateState, L0Problem, l0_norm  # noqa: F401
 
@@ -157,9 +164,10 @@ def _scalar_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateState
     curvature = model_curvature(spec, smooth, problem.partition)
     if curvature is None:
         beta = spec.params
+        lo, hi = (b.tolist() for b in exact_curvature_bounds(spec, smooth, problem.partition))
 
         def threshold(x: np.ndarray, j: int, x_j: float, cache: np.ndarray) -> float:
-            return threshold_e(smooth, x, j, beta[j], lam[j], cache)
+            return threshold_e(smooth, x, j, beta[j], lam[j], cache, lo[j], hi[j])
 
     else:
         curvature = curvature.tolist()

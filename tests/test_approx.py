@@ -6,6 +6,7 @@ import pytest
 from l0rcd import (
     ApproxSpec,
     LeastSquaresObjective,
+    LogisticL2Objective,
     exact_inner_min,
     exact_uniform,
     separable_from_factor,
@@ -13,7 +14,12 @@ from l0rcd import (
     threshold_map,
     threshold_q,
 )
-from l0rcd.approx import M_EQ_LIPSCHITZ_FACTOR, _solve_1d, model_curvature
+from l0rcd.approx import (
+    M_EQ_LIPSCHITZ_FACTOR,
+    _solve_1d,
+    exact_curvature_bounds,
+    model_curvature,
+)
 from l0rcd.core import BlockPartition
 
 from test_objectives import random_logistic
@@ -145,7 +151,8 @@ def single_column_ls():
 
 
 class GradCallLog:
-    """Forwards to an oracle and records the h of every ``coord_grad_shifted`` call."""
+    """Forwards to an oracle and records the h of every query that returns g':
+    ``coord_grad_shifted`` and ``coord_grad_curvature_shifted``."""
 
     def __init__(self, oracle):
         self.oracle = oracle
@@ -158,6 +165,10 @@ class GradCallLog:
         self.hs.append(h)
         return self.oracle.coord_grad_shifted(x, j, h, cache)
 
+    def coord_grad_curvature_shifted(self, x, j, h, cache):
+        self.hs.append(h)
+        return self.oracle.coord_grad_curvature_shifted(x, j, h, cache)
+
 
 class ConstantSlope:
     """An oracle whose coordinate derivative is 1 everywhere: no root to bracket."""
@@ -169,6 +180,9 @@ class ConstantSlope:
 
     def coord_curvature_shifted(self, x, j, h, cache):
         return 0.0
+
+    def coord_grad_curvature_shifted(self, x, j, h, cache):
+        return 1.0, 0.0
 
 
 class TestExactInnerMin:
@@ -396,6 +410,130 @@ class TestThresholdE:
             assert threshold_e(oracle, x, j, beta, lam, cache) == pytest.approx(
                 expect, abs=1e-12
             )
+
+
+def threshold_e_reference(oracle, x, j, beta, lam, cache):
+    """The exact map without curvature bounds: Newton, both values, ties to zero."""
+    h = _solve_1d(oracle, x, j, beta, cache)
+    keep = oracle.value_shifted(x, j, h, cache) + 0.5 * beta * h * h
+    zero = oracle.value_shifted(x, j, -x[j], cache) + 0.5 * beta * x[j] * x[j]
+    return float(x[j] + h) if zero - keep > lam else 0.0
+
+
+def progress_bounds(oracle, x, j, beta, lo, hi, cache):
+    """d^2/(2 lo) and d^2/(2 hi) with d = g'(-x_j): the bounds on Delta."""
+    d = oracle.coord_grad_shifted(x, j, -x[j], cache) - beta * x[j]
+    return 0.5 * d * d / lo, 0.5 * d * d / hi
+
+
+SHIFTED_QUERIES = ("coord_grad_shifted", "coord_curvature_shifted", "coord_grad_curvature_shifted")
+
+
+class QueryLog:
+    """Forwards to an oracle and counts the calls of each shifted query."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.calls = dict.fromkeys(SHIFTED_QUERIES + ("value_shifted",), 0)
+
+    def __getattr__(self, name):
+        method = getattr(self.oracle, name)
+        if name not in self.calls:
+            return method
+
+        def counted(*args):
+            self.calls[name] += 1
+            return method(*args)
+
+        return counted
+
+    def shifted(self):
+        return sum(self.calls[q] for q in SHIFTED_QUERIES)
+
+
+class TestCertifiedThresholdE:
+    """threshold_e decides from the curvature bounds where they decide, with the
+    bits of the map that always computes Delta."""
+
+    def test_certified_map_keeps_the_bits(self):
+        rng = np.random.default_rng(31)
+        fired = {"null": 0, "keep": 0, "neither": 0}
+        x_j_zero = 0
+        draws = 2100
+        for draw in range(draws):
+            m, n = int(rng.integers(4, 25)), int(rng.integers(2, 7))
+            data = rng.uniform(-1, 1, (m, n))
+            beta = float(10.0 ** rng.uniform(-4, 0))
+            if draw % 3:
+                nu = float(10.0 ** rng.uniform(-3, 0))
+                oracle = LogisticL2Objective(data, (rng.random(m) < 0.5).astype(float), nu)
+                p = BlockPartition.scalar(np.full(n, 0.1), oracle.column_lipschitz())
+                lo, hi = exact_curvature_bounds(exact_uniform(p, beta), oracle, p)
+            else:
+                # g'' is the constant ||A_j||^2 + beta: both bounds are tight, so
+                # Delta is exactly d^2/(2 lo) and only the margin separates the two
+                oracle = LeastSquaresObjective(data, rng.uniform(-1, 1, m))
+                lo = hi = oracle.coord_curvature() + beta
+            x = rng.standard_normal(n) * (rng.random(n) < 0.5) * 10.0 ** rng.uniform(-1, 1)
+            j = int(rng.integers(n))
+            x_j_zero += x[j] == 0.0
+            cache = oracle.make_cache(x)
+            b_lo, b_hi = progress_bounds(oracle, x, j, beta, lo[j], hi[j], cache)
+            lams = [0.0]
+            lams += [b * f for b in (b_lo, b_hi) for f in (1.0 - 1e-12, 1.0 + 1e-12)]
+            lams += [b_hi * 10.0 ** rng.uniform(-3, 0), b_lo * 10.0 ** rng.uniform(0, 3)]
+            for lam in lams:
+                out = threshold_e(oracle, x, j, beta, lam, cache, lo[j], hi[j])
+                ref = threshold_e_reference(oracle, x, j, beta, lam, cache)
+                assert np.float64(out).tobytes() == np.float64(ref).tobytes(), (draw, lam)
+                if b_lo <= lam * (1.0 - 1e-9):
+                    fired["null"] += 1
+                elif b_hi > lam * (1.0 + 1e-9):
+                    fired["keep"] += 1
+                else:
+                    fired["neither"] += 1
+        assert min(fired.values()) >= 100, fired
+        assert 100 <= x_j_zero <= draws - 100
+
+    def test_null_certified_step_makes_one_query(self):
+        oracle = random_logistic(12, 5, seed=33)
+        p = BlockPartition.scalar(np.full(5, 0.1), oracle.column_lipschitz())
+        lo, hi = exact_curvature_bounds(exact_uniform(p, 0.01), oracle, p)
+        x = np.array([0.0, 0.7, 0.0, -1.2, 0.3])
+        cache = oracle.make_cache(x)
+        for j in range(5):
+            b_lo, _ = progress_bounds(oracle, x, j, 0.01, lo[j], hi[j], cache)
+            log = QueryLog(oracle)
+            assert threshold_e(log, x, j, 0.01, 2.0 * b_lo, cache, lo[j], hi[j]) == 0.0
+            assert log.shifted() == 1
+            assert log.calls["value_shifted"] == 0
+
+    def test_keep_certified_step_makes_no_value_query(self):
+        oracle = random_logistic(12, 5, seed=34)
+        p = BlockPartition.scalar(np.full(5, 0.1), oracle.column_lipschitz())
+        lo, hi = exact_curvature_bounds(exact_uniform(p, 0.01), oracle, p)
+        x = np.array([0.0, 0.7, 0.0, -1.2, 0.3])
+        cache = oracle.make_cache(x)
+        for j in range(5):
+            b_lo, b_hi = progress_bounds(oracle, x, j, 0.01, lo[j], hi[j], cache)
+            for lam, values in ((0.5 * b_hi, 0), ((b_lo * b_hi) ** 0.5, 2)):
+                log = QueryLog(oracle)
+                out = threshold_e(log, x, j, 0.01, lam, cache, lo[j], hi[j])
+                assert log.calls["value_shifted"] == values
+                ref = threshold_e_reference(oracle, x, j, 0.01, lam, cache)
+                assert np.float64(out).tobytes() == np.float64(ref).tobytes()
+                assert out != 0.0 or values == 2  # a keep-certified step keeps
+
+    def test_bounds_from_the_oracle_and_the_partition(self):
+        oracle = random_logistic(12, 3, seed=35, nu=0.05)
+        p = BlockPartition.scalar(np.full(3, 0.1), oracle.column_lipschitz())
+        spec = ApproxSpec("ue", [0.01, 0.02, 0.03])
+        lo, hi = exact_curvature_bounds(spec, oracle, p)
+        np.testing.assert_array_equal(lo, np.array(spec.params) + 0.05)
+        np.testing.assert_array_equal(hi, spec.curvature_bound(p))
+        # no curvature floor: f is convex, so beta alone bounds g'' from below
+        ls = LeastSquaresObjective(np.eye(3), np.ones(3))
+        np.testing.assert_array_equal(exact_curvature_bounds(spec, ls, p)[0], spec.params)
 
 
 class TestUpperModelOrdering:

@@ -106,6 +106,17 @@ class TestLogistic:
             f.column_lipschitz(), [10.0 / 8.0 + 0.5, 4.0 / 8.0 + 0.5]
         )
 
+    def test_curvature_floor_is_nu(self):
+        """nu bounds f'' along every coordinate from below, at any point and h."""
+        f = random_logistic(12, 5, 3, nu=0.02)
+        np.testing.assert_array_equal(f.coord_curvature_floor(), np.full(5, 0.02))
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            x = 30.0 * rng.standard_normal(5)
+            j = int(rng.integers(5))
+            c = f.coord_curvature_shifted(x, j, float(rng.standard_normal()), f.make_cache(x))
+            assert c >= f.coord_curvature_floor()[j]
+
     def test_label_validation(self):
         with pytest.raises(ValueError):
             LogisticL2Objective(np.ones((2, 1)), np.array([0.0, 2.0]), nu=0.1)
@@ -215,6 +226,29 @@ class TestOracleContract:
             assert oracle.coord_curvature_shifted(x, j, h, cache) == pytest.approx(
                 fd, rel=1e-4, abs=1e-6
             )
+
+    @pytest.mark.parametrize("scale", [1.0, 60.0], ids=["moderate", "predictors_past_40"])
+    def test_fused_query_is_the_two_single_queries(self, make, scale):
+        """(g', g'') from one query equal the two single queries bit for bit,
+        at h = 0, at h = -x_j and at a random h; at scale 60 the predictors
+        reach |t| > 40, where the sigmoid saturates."""
+        oracle = make(14)
+        rng = np.random.default_rng(15)
+        big = 0
+        for _ in range(40):
+            x = scale * rng.standard_normal(oracle.dim) * (rng.random(oracle.dim) < 0.7)
+            cache = oracle.make_cache(x)
+            big += bool(np.any(np.abs(cache) > 40.0))
+            j = int(rng.integers(oracle.dim))
+            for h in (0.0, -x[j], scale * float(rng.standard_normal())):
+                g, c = oracle.coord_grad_curvature_shifted(x, j, h, cache)
+                assert np.float64(g).tobytes() == np.float64(
+                    oracle.coord_grad_shifted(x, j, h, cache)
+                ).tobytes()
+                assert np.float64(c).tobytes() == np.float64(
+                    oracle.coord_curvature_shifted(x, j, h, cache)
+                ).tobytes()
+        assert (big > 0) == (scale > 1.0)
 
     def test_cache_coherence_after_many_updates(self, make):
         """1000 incremental block updates drift less than 1e-8 from a rebuild."""
