@@ -30,8 +30,9 @@ from .approx import TIE_RULE, ApproxSpec, model_curvature, threshold_map
 from .core import BlockPartition, L0Problem, _check_dim, _weighted_count
 from .objectives import LeastSquaresObjective, _rowdot
 
-# Boundary tolerance for class membership tests; restricted solves are
-# accurate to 1e-10, so this absorbs accumulation without blurring classes.
+# Boundary tolerance for class membership tests; restricted solves agree
+# with a pseudoinverse solve to about 1e-11 relative, so this absorbs
+# accumulation without blurring classes.
 CLASSIFY_TOL = 1e-8
 
 # 2^n supports are solved; past this the table stops being a desk computation.

@@ -86,9 +86,19 @@ class SmoothOracle(Protocol):
 # Rank cutoff (relative to the largest singular value) for least-norm solves.
 _RANK_TOL = 1e-10
 
+# A row keeps its Gram-route point when the refinement step is at most this
+# fraction of w (max norms). The step measures the first solve's error, about
+# cond(A_I)^2 * eps, so this admits cond(A_I) up to about 1e5, where the
+# refined point is accurate to about cond(A_I) * eps = 1e-11.
+_REFINE_TOL = 1e-6
+
 # The gelsd gufunc that np.linalg.lstsq wraps, (m,n),(m,nrhs),()->(n,nrhs),(nrhs),(),(p),
-# bound here so that a numpy without it fails at import and not mid-enumeration.
+# and the gesv gufunc that np.linalg.solve wraps for one right-hand side,
+# (m,m),(m)->(m), which puts NaN in the row of a singular system instead of
+# raising for the whole stack. Bound here so that a numpy without them fails
+# at import and not mid-enumeration.
 _gelsd = _umath_linalg.lstsq
+_gesv = _umath_linalg.solve1
 
 
 def _raise_lstsq_error(err, flag):
@@ -200,23 +210,55 @@ class LeastSquaresObjective:
         """Curvature ||A_j||^2 of f along each coordinate: f is quadratic there."""
         return self._col_sq.copy()
 
+    @cached_property
+    def _gram(self) -> tuple[np.ndarray, np.ndarray]:
+        # A^T A and A^T b, built on the first restricted solve: only enumeration needs them
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf entry fails its rows
+            return self.A.T @ self.A, self.A.T @ self.b
+
     def restricted_minimize(self, cols: np.ndarray) -> np.ndarray:
         """Least-norm minimizers over the supports given as the rows of cols.
 
         ``cols`` is a (k, s) int array of sorted index rows; the result holds
-        one point per row, shape (k, n). Pseudoinverse with relative rank
-        cutoff 1e-10, so rank-deficient supports get a canonical
-        representative. One gelsd call solves the stack, under the error
-        state that ``np.linalg.lstsq`` sets, and each row gets the bits of
-        ``np.linalg.lstsq(A[:, row], b, rcond=1e-10)``.
+        one point per row, shape (k, n), zero off the row's support. For
+        s <= m the stack solves the normal equations G_I w = c_I, gathered
+        from G = A^T A and c = A^T b; for s > m it takes the least-norm form
+        w = A_I^T (A_I A_I^T)^-1 b. Either way one step of iterative
+        refinement follows, the same solve on the residual b - A_I w. A row
+        whose step is not small against w (relative ``_REFINE_TOL``), whose
+        system is singular or whose values are not finite goes to the gelsd
+        gufunc behind ``np.linalg.lstsq``, under the error state that it
+        sets, and gets the bits of ``np.linalg.lstsq(A[:, row], b,
+        rcond=1e-10)``: a pseudoinverse with relative rank cutoff 1e-10, so
+        a rank-deficient support gets a canonical representative. Every
+        step is one LAPACK or BLAS call per row, so a row has the bits of
+        the one-row call whatever else is in the stack.
         """
-        sub = np.moveaxis(self.A[:, cols], 1, 0)  # (k, m, s)
-        with np.errstate(
-            call=_raise_lstsq_error, invalid="call", over="ignore", divide="ignore", under="ignore"
-        ):
-            sol = _gelsd(sub, self.b[:, None], _RANK_TOL, signature="ddd->ddid")[0]
+        AT = self.A.T[cols]  # (k, s, m): the rows of A_I^T
+        AI = AT.transpose(0, 2, 1)
+        with np.errstate(all="ignore"):  # a failed row goes to gelsd below
+            if cols.shape[1] <= self.A.shape[0]:
+                G, c = self._gram
+                G_I = G[cols[:, :, None], cols[:, None, :]]
+                w = _gesv(G_I, c[cols], signature="dd->d")
+                step = _gesv(G_I, _matvec(AT, self.b - _matvec(AI, w)), signature="dd->d")
+            else:
+                H = AI @ AT
+                w = _matvec(AT, _gesv(H, self.b, signature="dd->d"))
+                step = _matvec(AT, _gesv(H, self.b - _matvec(AI, w), signature="dd->d"))
+            certified = np.abs(step).max(axis=1) <= _REFINE_TOL * np.abs(w).max(axis=1)
+            w += step
+            certified &= np.isfinite(w).all(axis=1)
+        rows = np.flatnonzero(~certified)
+        if len(rows):
+            with np.errstate(
+                call=_raise_lstsq_error, invalid="call", over="ignore", divide="ignore",
+                under="ignore",
+            ):
+                sol = _gelsd(AI[rows], self.b[:, None], _RANK_TOL, signature="ddd->ddid")[0]
+            w[rows] = sol[..., 0]
         Z = np.zeros((len(cols), self.dim))
-        np.put_along_axis(Z, cols, sol[..., 0], axis=1)
+        np.put_along_axis(Z, cols, w, axis=1)
         return Z
 
     # Constants for partition construction.

@@ -368,17 +368,44 @@ class TestOneClassification:
         assert catalog.counts() == {"uq[M=Li]": 74, "uq[M=Lf]": 151, "basic": 4096}
         assert verify_inclusions(catalog) == []
 
-    def test_pinned_counts_with_zero_penalties(self):
+    @staticmethod
+    def zero_penalty_case():
         oracle, _ = generate_least_squares(5, 8, 5)
         lam = np.full(8, 0.2)
         lam[[2, 5]] = 0.0
         partition = BlockPartition.scalar(
             lam, oracle.column_lipschitz(), oracle.spectral_lipschitz()
         )
-        prob = L0Problem(oracle, partition)
-        catalog = enumerate_catalog(prob, self.requests(partition, exact=True))
-        assert catalog.counts() == {"ue": 17, "uq[M=Li]": 17, "uq[M=Lf]": 23, "basic": 64}
+        return L0Problem(oracle, partition), TestOneClassification.requests(partition, exact=True)
+
+    def test_pinned_counts_with_zero_penalties(self):
+        prob, requests = self.zero_penalty_case()
+        catalog = enumerate_catalog(prob, requests)
+        assert catalog.counts() == {"ue": 16, "uq[M=Li]": 16, "uq[M=Lf]": 22, "basic": 64}
         assert verify_inclusions(catalog) == []
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda: _example_case(),
+            zero_penalty_case,
+            lambda: _configured_case(m=6, n=12, instance_seed=13, lam=0.3),
+            lambda: _configured_case(m=8, n=16, instance_seed=3, lam=0.3),
+        ],
+        ids=["example_4x7", "zero_penalties_5x8", "generated_6x12", "generated_8x16"],
+    )
+    def test_class_members_hold_their_own_support(self, case):
+        """A row flagged in a requested class has I(z) equal to its own bitmask. A
+        point with an exact zero inside its support is also the minimizer of a
+        smaller support's row, so a class would count it twice."""
+        prob, requests = case()
+        catalog = enumerate_catalog(prob, requests)
+        on = (catalog.points != 0.0) | prob.partition.zero_penalty_mask
+        support = on.astype(np.int64) @ (1 << np.arange(prob.n, dtype=np.int64))
+        for label in requests:
+            rows = catalog.flags[label]
+            assert rows.any()
+            assert (support[rows] == catalog.bitmasks[rows]).all(), label
 
     def test_predicates_agree_with_catalog_flags(self):
         prob = build_example_instance()
@@ -441,6 +468,11 @@ def _zero_penalty_blocks_case():
         "uq[M=Lf]": ApproxSpec("uq", np.full(4, partition.global_lipschitz)),
     }
     return L0Problem(built.smooth, partition), requests
+
+
+def _example_case():
+    prob = build_example_instance()
+    return prob, example_class_requests(prob)
 
 
 def _configured_case(**kw):

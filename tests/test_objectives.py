@@ -16,8 +16,9 @@ from l0rcd import (
     load_vector_csv,
     restricted_minimize,
 )
-from l0rcd.cli import generate_least_squares
-from l0rcd.objectives import _gelsd, _log1pexp, _sigmoid
+from l0rcd import objectives
+from l0rcd.cli import ExperimentConfig, build_problem, generate_least_squares
+from l0rcd.objectives import _gelsd, _gesv, _log1pexp, _sigmoid
 
 
 def random_ls(m, n, seed):
@@ -343,28 +344,84 @@ def _rank_deficient_5x6():
     return LeastSquaresObjective(A, rng.uniform(-1.0, 1.0, 5))
 
 
+def _rank_deficient(sub):
+    return bool(np.linalg.matrix_rank(sub) < min(sub.shape))
+
+
+# Each least-squares stack with its number of rank-deficient supports: on the
+# 5x6 matrix, those with the zero column or with both copies of column 1.
+_LEAST_SQUARES_STACKS = pytest.mark.parametrize(
+    "make,deficient_count",
+    [
+        (lambda: build_example_instance().smooth, 0),
+        (lambda: generate_least_squares(8, 11, 3)[0], 0),
+        (_rank_deficient_5x6, 40),
+    ],
+    ids=["example_4x7", "generated_8x11", "rank_deficient_5x6"],
+)
+
+
 class TestRestrictedMinimizeStack:
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: build_example_instance().smooth,
-            lambda: generate_least_squares(8, 11, 3)[0],
-            _rank_deficient_5x6,
-        ],
-        ids=["example_4x7", "generated_8x11", "rank_deficient_5x6"],
-    )
-    def test_least_squares_rows_are_lstsq_bit_for_bit(self, make):
-        """Each row of a stacked solve holds the bits of np.linalg.lstsq on that
-        support, and zeros off it."""
+    @_LEAST_SQUARES_STACKS
+    def test_least_squares_rows_agree_with_lstsq(self, make, deficient_count):
+        """Each row of a stacked solve is within 1e-10, relative in the max norm,
+        of np.linalg.lstsq on that support, and zero off it; a rank-deficient
+        support goes to gelsd and keeps lstsq's bits."""
         oracle = make()
         n = oracle.dim
+        deficient = 0
         for cols in _support_stacks(n):
             Z = oracle.restricted_minimize(cols)
             assert Z.shape == (len(cols), n)
             for z, idx in zip(Z, cols.tolist()):
-                sol = np.linalg.lstsq(oracle.A[:, idx], oracle.b, rcond=1e-10)[0]
-                assert z[idx].tobytes() == sol.tobytes()
+                sub = oracle.A[:, idx]
+                sol = np.linalg.lstsq(sub, oracle.b, rcond=1e-10)[0]
+                if _rank_deficient(sub):
+                    deficient += 1
+                    assert z[idx].tobytes() == sol.tobytes()
+                else:
+                    assert np.abs(z[idx] - sol).max() <= 1e-10 * np.abs(sol).max()
                 assert not np.delete(z, idx).any()
+        assert deficient == deficient_count
+
+    @_LEAST_SQUARES_STACKS
+    def test_least_squares_stack_equals_row_by_row(self, make, deficient_count, monkeypatch):
+        """Each row of a stacked solve has the bits of the one-row call, and only
+        the rank-deficient rows reach gelsd, in the stack and alone."""
+        oracle = make()
+        gelsd_rows = []
+
+        def counted(a, *args, **kwargs):
+            gelsd_rows.append(len(a))
+            return _gelsd(a, *args, **kwargs)
+
+        monkeypatch.setattr(objectives, "_gelsd", counted)
+        stacked = 0
+        for cols in _support_stacks(oracle.dim):
+            deficient = [_rank_deficient(oracle.A[:, idx]) for idx in cols.tolist()]
+            gelsd_rows.clear()
+            Z = oracle.restricted_minimize(cols)
+            assert sum(gelsd_rows) == sum(deficient)
+            stacked += sum(gelsd_rows)
+            for z, row, is_deficient in zip(Z, cols, deficient):
+                gelsd_rows.clear()
+                assert z.tobytes() == oracle.restricted_minimize(row[None]).tobytes()
+                assert gelsd_rows == [1] * is_deficient
+        assert stacked == deficient_count
+
+    def test_gram_matrix_built_on_first_restricted_solve(self):
+        """Building a problem and running its oracle queries make no A^T A; the
+        first restricted solve does."""
+        prob = build_problem(ExperimentConfig(m=8, n=11, instance_seed=3, lam=0.3))
+        oracle = prob.smooth
+        x = np.linspace(-1.0, 1.0, 11)
+        oracle.eval(x)
+        oracle.full_grad(x)
+        oracle.coord_grad_shifted(x, 2, 0.5, oracle.make_cache(x))
+        oracle.spectral_lipschitz()
+        assert "_gram" not in vars(oracle)
+        oracle.restricted_minimize(np.array([[0, 3]]))
+        assert "_gram" in vars(oracle)
 
     def test_logistic_stack_equals_row_by_row(self):
         oracle = random_logistic(12, 6, 7)
@@ -404,6 +461,17 @@ class TestRestrictedMinimizeStack:
         solve relies on."""
         assert _gelsd.signature == "(m,n),(m,nrhs),()->(n,nrhs),(nrhs),(),(p)"
         assert "ddd->ddid" in _gelsd.types
+
+    def test_gesv_binding_fills_a_singular_row_with_nan(self):
+        """The private gufunc behind np.linalg.solve solves each row of a stack on
+        its own and marks a singular row with NaN instead of raising."""
+        assert _gesv.signature == "(m,m),(m)->(m)"
+        assert "dd->d" in _gesv.types
+        stack = np.array([[[2.0, 0.0], [0.0, 4.0]], [[1.0, 1.0], [1.0, 1.0]]])
+        with np.errstate(invalid="ignore"):
+            out = _gesv(stack, np.array([[2.0, 2.0], [1.0, 1.0]]), signature="dd->d")
+        assert out[0].tolist() == [1.0, 0.5]
+        assert np.isnan(out[1]).all()
 
 
 class TestLoaders:
