@@ -439,15 +439,10 @@ def cmd_solve(cfg: ExperimentConfig, writer: OutputWriter) -> int:
     F = trace.final_F
     sparsity = int(np.count_nonzero(state.x))
 
+    # csv writes a float as str(), which is _fmt's repr
+    writer.write_csv("solution.csv", ["index", "value"], enumerate(state.x.tolist()))
     writer.write_csv(
-        "solution.csv",
-        ["index", "value"],
-        ([j, _fmt(v)] for j, v in enumerate(state.x)),
-    )
-    writer.write_csv(
-        "trace.csv",
-        ["k", "i_k", "F", "step_norm", "support_changed"],
-        ([k, i, _fmt(Fv), _fmt(s), c] for k, i, Fv, s, c in trace_rows(trace)),
+        "trace.csv", ["k", "i_k", "F", "step_norm", "support_changed"], trace_rows(trace)
     )
     print_table(
         ["solver", "F", "nonzeros", "iterations", "stop"],

@@ -101,6 +101,23 @@ class BlockPartition:
     def zero_penalty_bits(self) -> int:
         return _bitmask_of(self.zero_penalty_mask)
 
+    @cached_property
+    def count_penalty(self) -> tuple[float, ...] | None:
+        """``l0_norm`` of a point by its number k of penalized nonzeros, as
+        entry k, when the penalty depends on that count alone: every block
+        with lam_i > 0 is one coordinate, and all of them share one lam.
+        None on any other partition.
+
+        Entry k is the left-to-right sum of k copies of lam, the sum
+        ``l0_norm`` forms once its exact 0.0 terms drop out, so it has
+        ``l0_norm``'s bits (lam * k rounds differently from k = 6 at
+        lam = 0.3).
+        """
+        penalized = [(s, l) for s, l in zip(self.block_sizes, self.lam) if l > 0.0]
+        if any(s != 1 or l != penalized[0][1] for s, l in penalized):
+            return None
+        return (0.0, *np.cumsum(np.full(len(penalized), penalized[0][1])).tolist())
+
     def coord_lambda(self) -> np.ndarray:
         """Per-coordinate penalty weight (each coordinate inherits its block's)."""
         return self._coord_lam
@@ -193,12 +210,17 @@ def objective_F(problem: L0Problem, x: np.ndarray) -> float:
 class IterateState:
     """Mutable per-run solver state: point, oracle cache, f value, support, penalty.
 
-    Exclusively owned by one solver run. ``support`` is ``support_of(x)``
-    and ``penalty`` is ``l0_norm(x)``.
-    Both depend on ``x`` only through which entries are zero, so the
-    stepping code keeps ``cache`` and ``f_value`` consistent with ``x`` and
-    calls ``recount`` only when a step changes that zero pattern; ``refresh``
-    rebuilds everything from scratch.
+    Exclusively owned by one solver run. ``support`` is ``support_of(x)``,
+    ``penalty`` is ``l0_norm(x)`` and ``nonzeros`` counts the nonzero
+    coordinates of the blocks with lam_i > 0. The three depend on ``x``
+    only through which entries are zero. The stepping code keeps ``cache``
+    and ``f_value`` consistent with ``x``; a coordinate step that changes
+    the zero pattern of one block calls ``flip``, which XORs the changed
+    bits into the support and reads the penalty from the partition's
+    ``count_penalty`` table, with no O(n) work. On a partition without the
+    table, ``flip`` recomputes the penalty with ``l0_norm``. ``recount``
+    reads all three from the whole point, and ``refresh`` rebuilds
+    everything from scratch; the full-gradient step recounts.
     """
 
     x: np.ndarray
@@ -206,6 +228,7 @@ class IterateState:
     f_value: float = field(init=False)
     support: int = field(init=False)
     penalty: float = field(init=False)
+    nonzeros: int = field(init=False)
 
     @classmethod
     def from_point(cls, problem: L0Problem, x: np.ndarray) -> "IterateState":
@@ -217,9 +240,24 @@ class IterateState:
         return self.f_value + self.penalty
 
     def recount(self, problem: L0Problem) -> None:
-        """Recompute support and penalty from the zero pattern of the point."""
-        self.support = _bitmask_of(self.x != 0.0) | problem.partition.zero_penalty_bits
-        self.penalty = l0_norm(self.x, problem.partition)
+        """Recompute support, penalty and nonzero count from the zero pattern of the point."""
+        partition = problem.partition
+        self.support = _bitmask_of(self.x != 0.0) | partition.zero_penalty_bits
+        self.penalty = l0_norm(self.x, partition)
+        # the support holds every zero-penalty coordinate and the penalized nonzeros
+        self.nonzeros = self.support.bit_count() - partition.zero_penalty_bits.bit_count()
+
+    def flip(self, problem: L0Problem, bits: int, gained: int) -> None:
+        """Account for a step that toggled the zero pattern at ``bits`` (a
+        bitmask of penalized coordinates) and so gained ``gained`` nonzeros
+        (negative for a net loss)."""
+        self.support ^= bits
+        self.nonzeros += gained
+        table = problem.partition.count_penalty
+        if table is None:
+            self.penalty = l0_norm(self.x, problem.partition)
+        else:
+            self.penalty = table[self.nonzeros]
 
     def refresh(self, problem: L0Problem) -> None:
         """Recompute cache, f value, support and penalty from the current point."""

@@ -8,6 +8,7 @@ restrictions used by the exact thresholding map.
 """
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import Protocol, runtime_checkable
 
@@ -32,7 +33,10 @@ class SmoothOracle(Protocol):
     ``cache`` is objective-specific auxiliary state (e.g. the residual) that
     makes single-block updates O(m * n_i) instead of O(m * n). The cache is
     exclusively owned by one solver run; oracles themselves are immutable.
-    ``update_cache(cache, sl, delta)`` adds block ``sl``'s change ``delta`` in place.
+    ``update_cache(cache, sl, delta)`` adds block ``sl``'s change ``delta`` in place;
+    ``sl`` is a slice with an array ``delta``, or a coordinate index j with a
+    float change, added as the column axpy ``cache += A[:, j] * delta``: the
+    bits of the one-column slice form, for a cache that holds no -0.0.
     ``eval`` and ``full_grad`` take one point or a stack of points as the rows
     of a 2-D array; a stack gets one value (or gradient row) per row, with the
     bits of the one-point call on that row.
@@ -68,7 +72,9 @@ class SmoothOracle(Protocol):
 
     def block_grad(self, x: np.ndarray, sl: slice, cache: np.ndarray) -> np.ndarray: ...
 
-    def update_cache(self, cache: np.ndarray, sl: slice, delta: np.ndarray) -> np.ndarray: ...
+    def update_cache(
+        self, cache: np.ndarray, sl: slice | int, delta: np.ndarray | float
+    ) -> np.ndarray: ...
 
     def coord_grad_shifted(self, x: np.ndarray, j: int, h: float, cache: np.ndarray) -> float: ...
 
@@ -120,7 +126,7 @@ def _block_spectral_sq(matrix: np.ndarray, col_sq: np.ndarray, block_sizes) -> n
 
 
 def _finite(v: float) -> float:
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise ValueError(f"objective evaluated to a non-finite value: {v}")
     return float(v)
 
@@ -185,8 +191,10 @@ class LeastSquaresObjective:
     def block_grad(self, x: np.ndarray, sl: slice, cache: np.ndarray) -> np.ndarray:
         return self.A[:, sl].T @ cache
 
-    def update_cache(self, cache: np.ndarray, sl: slice, delta: np.ndarray) -> np.ndarray:
-        cache += self.A[:, sl] @ delta
+    def update_cache(
+        self, cache: np.ndarray, sl: slice | int, delta: np.ndarray | float
+    ) -> np.ndarray:
+        cache += self.A[:, sl] @ delta if isinstance(sl, slice) else self.A[:, sl] * delta
         return cache
 
     def coord_grad_shifted(self, x: np.ndarray, j: int, h: float, cache: np.ndarray) -> float:
@@ -346,8 +354,10 @@ class LogisticL2Objective:
     def block_grad(self, x: np.ndarray, sl: slice, cache: np.ndarray) -> np.ndarray:
         return self.data[:, sl].T @ (_sigmoid(cache) - self.y) / self.m + self.nu * x[sl]
 
-    def update_cache(self, cache: np.ndarray, sl: slice, delta: np.ndarray) -> np.ndarray:
-        cache += self.data[:, sl] @ delta
+    def update_cache(
+        self, cache: np.ndarray, sl: slice | int, delta: np.ndarray | float
+    ) -> np.ndarray:
+        cache += self.data[:, sl] @ delta if isinstance(sl, slice) else self.data[:, sl] * delta
         return cache
 
     def _shifted(self, j: int, h: float, cache: np.ndarray) -> np.ndarray:

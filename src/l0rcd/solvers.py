@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +29,7 @@ from .approx import (
     threshold_map,
 )
 # l0_norm stays importable from this module.
-from .core import IterateState, L0Problem, l0_norm  # noqa: F401
+from .core import IterateState, L0Problem, _bitmask_of, l0_norm  # noqa: F401
 
 # Counter-based generator pinned for cross-run reproducibility; the
 # identifier travels in trace metadata and CSV headers.
@@ -40,6 +40,8 @@ _DESCENT_SLACK = 1e-12
 _STEP_TOL = 1e-10
 # Relative gap between the tracked f and f from a fresh cache that a stop repairs.
 _DRIFT_TOL = 1e-9
+# Uniform doubles a run draws from its generator at a time.
+_DRAW_CHUNK = 256
 
 
 class InvariantViolation(RuntimeError):
@@ -57,6 +59,19 @@ def make_rng(seed: int) -> np.random.Generator:
 def draw_block(rng: np.random.Generator, num_blocks: int) -> int:
     # Rejection-free uniform mapping from the 53-bit double; no modulo bias.
     return int(num_blocks * rng.random())
+
+
+def block_draws(rng: np.random.Generator, num_blocks: int) -> Iterator[int]:
+    """The blocks of repeated ``draw_block(rng, num_blocks)`` calls, endless.
+
+    The doubles come ``_DRAW_CHUNK`` at a time from one ``rng.random``
+    call, which yields the values of as many single ``rng.random()``
+    calls; the generator runs ahead of the blocks taken by up to that many
+    doubles.
+    """
+    while True:
+        for u in rng.random(_DRAW_CHUNK).tolist():
+            yield int(num_blocks * u)
 
 
 @dataclass
@@ -116,9 +131,22 @@ class SolverTrace:
 
 
 def _norm(v: np.ndarray) -> float:
-    # np.linalg.norm's own formula for a 1-D float array, bit for bit,
-    # without its per-call dispatch
-    return math.sqrt(v.dot(v))
+    """Euclidean norm of a 1-D float array.
+
+    np.linalg.norm's own formula, bit for bit, without its per-call
+    dispatch, except where v . v overflows a finite v: the norm is then
+    taken from v scaled by its largest magnitude, so a step longer than
+    1.34e154 gets its norm and not inf. A one-entry v gets |v_0| there,
+    as the float step does. ``np.vdot`` makes the BLAS call of ``v.dot``
+    without raising numpy's overflow warning for the case handled here.
+    """
+    s = math.sqrt(np.vdot(v, v))
+    if s == math.inf:
+        scale = float(np.abs(v).max())
+        if scale < math.inf:
+            w = v / scale
+            s = scale * math.sqrt(w.dot(w))
+    return s
 
 
 def _block_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateState, int], float]:
@@ -126,25 +154,33 @@ def _block_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateState,
 
     The map is built here, so a spec that does not fit raises ValueError
     before any step. A null step touches nothing. Otherwise point, cache and
-    f value move together; support and penalty are recounted only on a
-    zero-pattern change.
+    f value move together. A step that changes the zero pattern of a block
+    with lam_i > 0 passes the changed bits, shifted to the block's offset,
+    to ``IterateState.flip``; on a block with lam_i = 0 the support and the
+    penalty cannot change. The step does O(m n_i) work, plus an ``l0_norm``
+    on a pattern change where the partition has no ``count_penalty`` table.
     """
     smooth = problem.smooth
     partition = problem.partition
+    lam = partition.lam
     tmap = threshold_map(spec, smooth, partition)
 
     def step(state: IterateState, i: int) -> float:
         sl = partition.block_slice(i)
+        block = state.x[sl]
         new_block = tmap(state.x, sl, smooth.block_grad(state.x, sl, state.cache), state.cache)
-        delta = new_block - state.x[sl]
+        delta = new_block - block
         if not delta.any():
             return 0.0
-        pattern_changed = np.any((state.x[sl] != 0.0) != (new_block != 0.0))
-        state.x[sl] = new_block
+        was, now = block != 0.0, new_block != 0.0
+        block[:] = new_block
         smooth.update_cache(state.cache, sl, delta)
         state.f_value = smooth.value_from_cache(state.x, state.cache)
-        if pattern_changed:
-            state.recount(problem)
+        if lam[i] > 0.0:
+            changed = was != now
+            if changed.any():
+                gained = int(np.count_nonzero(now)) - int(np.count_nonzero(was))
+                state.flip(problem, _bitmask_of(changed) << sl.start, gained)
         return _norm(delta)
 
     return step
@@ -156,8 +192,9 @@ def _scalar_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateState
     Block j is coordinate j. The threshold, the null-step test, the
     zero-pattern test and the step norm are float operations, with the same
     roundings as the block arithmetic, so both steps move a state bit for bit
-    alike. The gradient, the cache update, the f value and a recount still
-    go through the oracle and numpy.
+    alike. The gradient, the cache update (a column axpy) and the f value
+    still go through the oracle and numpy; a zero-pattern change flips one
+    support bit.
     """
     smooth = problem.smooth
     lam = problem.partition.lam
@@ -187,12 +224,13 @@ def _scalar_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateState
         if d == 0.0:
             return 0.0
         x[j] = new
-        smooth.update_cache(state.cache, slice(j, j + 1), np.array([d]))
+        smooth.update_cache(state.cache, j, d)
         state.f_value = smooth.value_from_cache(x, state.cache)
-        if (old != 0.0) != (new != 0.0):
-            state.recount(problem)
-        # bit for bit np.linalg.norm of the one-entry delta, also on underflow
-        return math.sqrt(d * d)
+        if (old != 0.0) != (new != 0.0) and lam[j] > 0.0:
+            state.flip(problem, 1 << j, 1 if new != 0.0 else -1)
+        # bit for bit _norm of the one-entry delta, also on underflow and overflow
+        s = math.sqrt(d * d)
+        return abs(d) if s == math.inf else s
 
     return step
 
@@ -206,16 +244,37 @@ def _coordinate_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateS
 
 
 def _check_descent(F_old: float, F_new: float, mu: float, step_norm: float, i: int) -> None:
-    """Raise InvariantViolation unless F_new <= F_old - (mu/2) step^2 + slack."""
-    step_sq = step_norm**2
-    bound = F_old - 0.5 * mu * step_sq + _DESCENT_SLACK * (1.0 + abs(F_old))
+    """Raise InvariantViolation unless F_new <= F_old - (mu/2) step^2 + slack.
+
+    The product is taken as (0.5 mu) step step, so a step norm above
+    1.34e154 with a small mu gives a finite decrease: step^2 would overflow
+    (``step**2`` raises OverflowError there).
+    """
+    bound = F_old - 0.5 * mu * step_norm * step_norm + _DESCENT_SLACK * (1.0 + abs(F_old))
     if F_new > bound:
         where = f"block {i}" if i >= 0 else "the full-gradient step"
         raise InvariantViolation(
             f"descent inequality violated at {where}: F {F_old:.12g} -> {F_new:.12g}, "
-            f"required <= {bound:.12g} (mu={mu:.3g}, step^2={step_sq:.3g}); "
+            f"required <= {bound:.12g} (mu={mu:.3g}, step={step_norm:.3g}); "
             "check the Lipschitz constants"
         )
+
+
+def _norm_bounds(x_norm: float, drift: float, steps: int, n: int) -> tuple[float, float]:
+    """Floats lo <= _norm(x) <= hi for an x reached in ``steps`` steps from a
+    point whose ``_norm`` was ``x_norm``, where the steps' norms sum to
+    ``drift``.
+
+    The triangle inequality gives ||x|| within x_norm -+ drift. The slack
+    covers the rounding of each norm (n terms), of the sum (``steps``
+    terms) and of this arithmetic with a relative 4 eps (n + steps + 4),
+    and steps whose norm underflowed to 0 with the absolute 1e-140 term.
+    A stop test is monotone in the norm, so if it gives one answer at lo
+    and at hi, it gives that answer at _norm(x). A non-finite input gives
+    a NaN or infinite bound, which decides nothing.
+    """
+    slack = 2.0**-51 * (n + steps + 4) * (x_norm + drift + 1e-140)
+    return x_norm - drift - slack, x_norm + drift + slack
 
 
 def _refreshed(problem: L0Problem, state: IterateState) -> bool:
@@ -250,7 +309,9 @@ def _drive(
     checked against the descent inequality. Stops at max_iters, or earlier
     once the support has been stable for ``window`` consecutive iterations
     and every step over that window moved the point by at most
-    1e-10 * (1 + ||x||). ||x|| is recomputed only after a step moved x.
+    1e-10 * (1 + ||x||). ||x|| is computed only where ``_norm_bounds``,
+    from the last computed norm and the step norms since, cannot decide
+    that test, so the decision is always the one the computed norm gives.
     At either stop the tracked f is checked against a fresh cache
     (``_refreshed``); after a refresh a ``converged`` stop is taken back,
     and the run goes on with the stability window restarted.
@@ -263,7 +324,9 @@ def _drive(
     # the largest step of the last ``window`` iterations, at O(1) amortized.
     peaks: deque[tuple[int, float]] = deque()
     stable = 0
-    x_norm: float | None = None  # ||x||, None once a step moved x
+    x_norm: float | None = None  # ||x|| at iteration k_norm, None before the first
+    k_norm = 0
+    drift = 0.0  # sum of the step norms since k_norm
     stop_reason = "max_iters"
 
     for k in range(max_iters):
@@ -282,14 +345,20 @@ def _drive(
         if peaks[0][0] <= k - window:
             peaks.popleft()
         stable = 0 if changed else stable + 1
-        # A nonzero move whose norm underflows to 0.0 changes ||x|| far below
-        # what 1 + ||x|| resolves.
-        if step_norm != 0.0:
-            x_norm = None
+        drift += step_norm
         if stable >= window:
-            if x_norm is None:
-                x_norm = _norm(state.x)
-            if peaks[0][1] <= _STEP_TOL * (1.0 + x_norm):
+            peak = peaks[0][1]
+            small = None
+            if x_norm is not None:
+                lo, hi = _norm_bounds(x_norm, drift, k + 1 - k_norm, problem.n)
+                if peak <= _STEP_TOL * (1.0 + lo):
+                    small = True
+                elif peak > _STEP_TOL * (1.0 + hi):
+                    small = False
+            if small is None:
+                x_norm, k_norm, drift = _norm(state.x), k + 1, 0.0
+                small = peak <= _STEP_TOL * (1.0 + x_norm)
+            if small:
                 if _refreshed(problem, state):
                     # the run stood on a drifted f; it goes on from the fresh one
                     F_cur = state.objective()
@@ -337,9 +406,10 @@ def run_rcd_iht(
     }
 
     update = _coordinate_step(problem, spec)
+    draws = block_draws(rng, N)
 
     def step(state: IterateState) -> tuple[int, float, float]:
-        i = draw_block(rng, N)
+        i = next(draws)
         return i, update(state, i), mu[i]
 
     return _drive(
@@ -448,12 +518,12 @@ def estimate_linear_rate(trace: SolverTrace, F_star: float) -> tuple[float, floa
 
 
 def trace_rows(trace: SolverTrace):
-    """Iterate CSV rows (k, i_k, F, step_norm, support_changed) for export."""
-    for k in range(trace.iterations):
-        yield (
-            k,
-            int(trace.blocks[k]),
-            trace.F[k],
-            trace.step_norms[k],
-            int(trace.support_changed[k]),
-        )
+    """Iterate CSV rows (k, i_k, F, step_norm, support_changed) of Python
+    ints and floats for export, read from ``.tolist()`` columns."""
+    return zip(
+        range(trace.iterations),
+        trace.blocks.tolist(),
+        trace.F.tolist(),
+        trace.step_norms.tolist(),
+        trace.support_changed.view(np.uint8).tolist(),
+    )

@@ -164,6 +164,35 @@ class TestBlockPartition:
         with pytest.raises(ValueError):
             BlockPartition(block_sizes=(1, 2), lam=(1.0,), lipschitz=(1.0, 1.0))
 
+    @pytest.mark.parametrize("lam, first_gap", [(0.3, 6), (0.07, 10)])
+    def test_count_penalty_is_l0_norm_by_count(self, lam, first_gap):
+        """Entry k has the bits of l0_norm at every point with k penalized
+        nonzeros, zero-penalty blocks of any size included; lam * k does not."""
+        sizes = (1,) * 200 + (3,) + (1,) * 300
+        p = BlockPartition(
+            block_sizes=sizes, lam=(lam,) * 200 + (0.0,) + (lam,) * 300, lipschitz=(1.0,) * 501
+        )
+        table = p.count_penalty
+        assert len(table) == 501
+        rng = np.random.default_rng(7)
+        x = np.zeros(p.n)
+        for k, j in enumerate([-1, *rng.permutation(np.flatnonzero(p.coord_lambda() > 0.0))]):
+            if j >= 0:
+                x[j] = rng.standard_normal()
+            x[200:203] = rng.standard_normal(3) * (rng.random(3) < 0.5)
+            assert type(table[k]) is float
+            assert table[k].hex() == l0_norm(x, p).hex()
+        assert min(k for k in range(len(table)) if table[k] != lam * k) == first_gap
+
+    @pytest.mark.parametrize(
+        "sizes, lam",
+        [((1, 1, 1), (0.3, 0.2, 0.3)), ((1, 2, 1), (0.3, 0.3, 0.3)), ((2,), (0.5,))],
+        ids=["two_lambdas", "penalized_pair", "one_block"],
+    )
+    def test_count_penalty_only_where_the_count_decides(self, sizes, lam):
+        p = BlockPartition(block_sizes=sizes, lam=lam, lipschitz=(1.0,) * len(sizes))
+        assert p.count_penalty is None
+
 
 class TestIterateState:
     def test_from_point_consistency(self, toy):
@@ -179,6 +208,23 @@ class TestIterateState:
         st.refresh(toy)
         assert st.support == 0b01
         assert st.objective() == pytest.approx(0.625)
+
+    @pytest.mark.parametrize(
+        "lam", [(0.3,) * 6, (0.0, 0.3, 0.2, 0.0, 0.3, 0.2)], ids=["table", "l0_norm"]
+    )
+    def test_flip_keeps_support_penalty_and_count(self, lam):
+        """flip after a manual edit of one coordinate gives what recount gives."""
+        p = BlockPartition.scalar(lam, [1.0] * 6)
+        prob = L0Problem(LeastSquaresObjective(np.ones((2, 6)), np.ones(2)), p)
+        st = IterateState.from_point(prob, np.array([1.0, 0.0, 2.0, 0.0, 0.0, -1.0]))
+        rng = np.random.default_rng(3)
+        for j in rng.permutation(np.tile(np.flatnonzero(p.coord_lambda() > 0.0), 4)).tolist():
+            gained = 1 if st.x[j] == 0.0 else -1
+            st.x[j] = 0.0 if gained < 0 else 0.5
+            st.flip(prob, 1 << j, gained)
+            support, penalty, nonzeros = st.support, st.penalty, st.nonzeros
+            st.recount(prob)
+            assert (support, penalty.hex(), nonzeros) == (st.support, st.penalty.hex(), st.nonzeros)
 
     def test_copy_is_taken(self, toy):
         x = np.array([1.0, 1.0])
@@ -219,6 +265,7 @@ def test_state_support_and_penalty_from_the_zero_pattern(case):
     state = IterateState.from_point(prob, x)
     assert state.support == expected
     assert state.penalty.hex() == l0_norm(x, p).hex()
+    assert state.nonzeros == int(np.count_nonzero(x[p.coord_lambda() > 0.0]))
 
 
 def test_every_exported_name_resolves():

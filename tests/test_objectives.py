@@ -267,6 +267,19 @@ class TestOracleContract:
         drift = np.max(np.abs(cache - fresh)) / (1.0 + np.max(np.abs(fresh)))
         assert drift <= 1e-8
 
+    def test_coordinate_update_is_the_one_column_slice_update(self, make):
+        """update_cache(cache, j, d) has the bits of update_cache(cache, j:j+1, [d])."""
+        oracle = make(14)
+        rng = np.random.default_rng(15)
+        for scale in (1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150):
+            for _ in range(50):
+                cache = oracle.make_cache(scale * rng.standard_normal(oracle.dim))
+                j = int(rng.integers(oracle.dim))
+                d = scale * float(rng.standard_normal())
+                by_coordinate = oracle.update_cache(cache.copy(), j, d)
+                by_slice = oracle.update_cache(cache.copy(), slice(j, j + 1), np.array([d]))
+                assert by_coordinate.tobytes() == by_slice.tobytes()
+
     def test_update_cache_noop_when_unchanged(self, make):
         oracle = make(10)
         x = np.ones(oracle.dim)

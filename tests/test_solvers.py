@@ -19,15 +19,20 @@ from l0rcd import (
     run_ihta,
     run_rcd_iht,
     separable_from_factor,
+    support_of,
     threshold_map,
     threshold_q,
 )
 from l0rcd.approx import M_EQ_LIPSCHITZ_FACTOR
+from l0rcd import solvers
 from l0rcd.solvers import (
     _block_step,
     _check_descent,
     _coordinate_step,
+    _norm,
+    _norm_bounds,
     _scalar_step,
+    block_draws,
     draw_block,
     make_rng,
     trace_rows,
@@ -81,30 +86,47 @@ class TestStep:
             np.testing.assert_array_equal(st.x, [2.0, 0.0])
 
     @pytest.mark.parametrize(
-        "sizes", [None, (2, 3), (3, 1, 4, 2) * 8], ids=["scalar", "blocks_2_3", "blocks_n80"]
+        "sizes, lam",
+        [
+            (None, None),
+            ((2, 3), None),
+            ((3, 1, 4, 2) * 8, None),
+            ((1,) * 500, None),
+            ((1,) * 40, (0.0, 0.3, 0.07, 0.3, 0.0) * 8),
+        ],
+        ids=["scalar", "blocks_2_3", "blocks_n80", "scalar_n500", "scalar_mixed_lambda"],
     )
-    def test_state_stays_consistent(self, sizes):
+    def test_state_stays_consistent(self, sizes, lam):
+        """Support, penalty and nonzero count equal support_of and l0_norm of
+        the point, bit for bit, after every step: on the count table (uniform
+        lambda, scalar_n500 reaching counts up to 500) and off it."""
         prob = random_ls_problem(8, sum(sizes) if sizes else 5, seed=40)
         if sizes is not None:
-            # the first block carries no penalty: its coordinates are always in I(x)
+            # by default the first block carries no penalty: its coordinates are always in I(x)
             partition = BlockPartition(
                 block_sizes=sizes,
-                lam=(0.0,) + (0.3,) * (len(sizes) - 1),
+                lam=lam or (0.0,) + (0.3,) * (len(sizes) - 1),
                 lipschitz=tuple(prob.smooth.block_lipschitz(sizes)),
                 global_lipschitz=prob.partition.global_lipschitz,
             )
             prob = L0Problem(prob.smooth, partition)
         p = prob.partition
+        assert (p.count_penalty is None) == (sizes is not None and max(sizes) > 1 or lam is not None)
         step = checked_step(prob, separable_from_factor(p, 1.5))
         rng = np.random.default_rng(41)
         st = toy_state(prob, rng.standard_normal(p.n))
-        for _ in range(300):
+        penalized = p.coord_lambda() > 0.0
+        changes = 0
+        for _ in range(max(300, 2 * p.num_blocks)):
             i = int(rng.integers(p.num_blocks))
+            before = st.support
             step(st, i)
-            in_support = (st.x != 0.0) | (p.coord_lambda() == 0.0)
-            assert st.support == sum(1 << j for j in np.flatnonzero(in_support).tolist())
-            assert st.penalty == l0_norm(st.x, p)
+            changes += st.support != before
+            assert st.support == support_of(st.x, p)
+            assert st.penalty.hex() == l0_norm(st.x, p).hex()
+            assert st.nonzeros == int(np.count_nonzero(st.x[penalized]))
             assert st.f_value == pytest.approx(prob.smooth.eval(st.x), rel=1e-9)
+        assert changes >= 3
 
     def test_null_step_leaves_state_bit_identical(self, toy):
         """At the strong point (2, 0) the map returns each block unchanged."""
@@ -128,6 +150,25 @@ class TestStep:
         prob = L0Problem(prob.smooth, partition)
         with pytest.raises(ValueError, match="exact approximation requires scalar blocks"):
             _coordinate_step(prob, ApproxSpec("ue", np.full(len(sizes), 1e-4)))
+
+    def test_long_step_passes_the_descent_check(self):
+        """A step longer than 1.34e154, whose d * d overflows, has norm |d| on
+        both step paths and passes the descent check; its norm was inf, and
+        the check then required F <= -inf."""
+        A = np.array([[1e-160, 1.0], [0.0, 1.0]])
+        oracle = LeastSquaresObjective(A, np.array([0.0, 1.0]))
+        partition = BlockPartition.scalar([1.0, 1.0], oracle.column_lipschitz())
+        prob = L0Problem(oracle, partition)
+        spec = separable_from_factor(partition, 2.0)
+        x0 = np.array([1.5e154, 0.0])
+        for make_step in (_scalar_step, _block_step):
+            st = toy_state(prob, x0)
+            F_old = st.objective()
+            assert make_step(prob, spec)(st, 0) == 1.5e154
+            assert (F_old, st.objective()) == pytest.approx((1.5, 0.5))
+        _, trace = run_rcd_iht(prob, x0, SolverConfig(approx=spec, max_iters=50, seed=0))
+        assert trace.kappa == 1 and trace.final_F == pytest.approx(0.5)
+        assert trace.step_norms.max() == 1.5e154
 
     def test_understated_lipschitz_detected(self):
         """A wrong (too small) block constant breaks guaranteed descent."""
@@ -164,11 +205,14 @@ def _spec_for(model: str, partition: BlockPartition) -> ApproxSpec:
 @example(seed=1, lam_0=_HUGE_LAMBDA, x_0_zero=True, rest=[])  # null step
 @example(seed=1, lam_0=_HUGE_LAMBDA, x_0_zero=False, rest=[])  # support change
 @example(seed=1, lam_0=0.0, x_0_zero=True, rest=[0, 0])  # lambda = 0 coordinate
+@example(seed=1, lam_0=0.3, x_0_zero=False, rest=[1, 2, 3, 4, 5, 0])  # count table
 def test_scalar_step_matches_block_step(objective, model, seed, lam_0, x_0_zero, rest):
     """The float step and ``_block_step`` move a state bit for bit alike.
 
     Coordinate 0 carries ``lam_0`` and is stepped first, then the
-    coordinates of ``rest``; both states are compared after every step.
+    coordinates of ``rest``; both states are compared after every step. At
+    lam_0 = 0.3 (one lambda) and 0 (no penalty on coordinate 0) both steps
+    read the penalty from the partition's count table.
     """
     rng = np.random.default_rng(seed)
     m, n = int(rng.integers(3, 10)), 6
@@ -188,36 +232,52 @@ def test_scalar_step_matches_block_step(objective, model, seed, lam_0, x_0_zero,
         assert scalar_state.cache.tobytes() == block_state.cache.tobytes()
         assert scalar_state.f_value == block_state.f_value
         assert scalar_state.support == block_state.support
-        assert scalar_state.penalty == block_state.penalty
+        assert scalar_state.penalty.hex() == block_state.penalty.hex()
+        assert scalar_state.nonzeros == block_state.nonzeros
     if lam_0 == _HUGE_LAMBDA:
         # zeroed: a null step from a zero, a support change from a nonzero
         assert block_state.x[0] == 0.0
 
 
 class TestRunRcdIht:
-    @pytest.mark.parametrize("route", ["uq", "ihta"])
+    @pytest.mark.parametrize("route", ["uq", "uq_mixed_lambda", "ihta"])
     def test_penalty_recounted_only_on_support_changes(self, monkeypatch, route):
-        """l0_norm runs once for the start and once per support change."""
+        """The whole point is read once, at the start. A coordinate step then
+        flips support bits; on a partition with a ``count_penalty`` table it
+        reads the penalty there, elsewhere it calls l0_norm once per support
+        change, as the full-gradient step does."""
         from l0rcd import core
 
-        calls = []
-        counted = core.l0_norm
-
-        def counting(x, partition):
-            calls.append(1)
-            return counted(x, partition)
-
-        monkeypatch.setattr(core, "l0_norm", counting)
         prob = random_ls_problem(12, 20, seed=44)
+        if route == "uq_mixed_lambda":
+            p = prob.partition
+            lam = (0.3, 0.2) * 10
+            prob = L0Problem(prob.smooth, BlockPartition.scalar(lam, p.lipschitz, p.global_lipschitz))
+            assert prob.partition.count_penalty is None
+        else:
+            assert prob.partition.count_penalty is not None
         assert all(lam > 0.0 for lam in prob.partition.lam)
+        prob.partition.zero_penalty_bits  # built once per partition, before counting
+        calls = {"l0_norm": 0, "_bitmask_of": 0}
+        for name in calls:
+            original = getattr(core, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(core, name, counting)
         x0 = np.random.default_rng(45).standard_normal(20)
-        if route == "uq":
+        if route == "ihta":
+            _, trace = run_ihta(prob, x0, 1.5 * prob.partition.global_lipschitz, max_iters=600)
+        else:
             spec = separable_from_factor(prob.partition, 1.5)
             _, trace = run_rcd_iht(prob, x0, SolverConfig(approx=spec, max_iters=600, seed=2))
-        else:
-            _, trace = run_ihta(prob, x0, 1.5 * prob.partition.global_lipschitz, max_iters=600)
         assert trace.kappa > 0
-        assert len(calls) == trace.kappa + 1
+        if route == "uq":
+            assert calls == {"l0_norm": 1, "_bitmask_of": 1}
+        else:
+            assert calls["l0_norm"] == trace.kappa + 1
 
     @pytest.mark.parametrize("route", ["uq_least_squares", "ue_logistic"])
     def test_cache_work_only_on_moving_steps(self, monkeypatch, route):
@@ -245,6 +305,56 @@ class TestRunRcdIht:
         # one f evaluation for the start, one per moving step, and one from a
         # fresh cache at the stop, which finds no drift here
         assert calls == {"update_cache": moved, "value_from_cache": moved + 2}
+
+    @pytest.mark.parametrize("route", ["uq", "ue", "ihta", "uq_blocks"])
+    def test_norm_bounds_keep_every_stop_decision(self, monkeypatch, route):
+        """Runs that take ||x|| from the bounds where they decide stop where
+        runs that compute it at every stability check stop, bit for bit."""
+        prob = random_ls_problem(6, 12, seed=13, lam=0.15)
+        if route == "uq_blocks":
+            p = prob.partition
+            sizes = (3, 3, 2, 4)
+            partition = BlockPartition(
+                block_sizes=sizes, lam=(0.15,) * 4,
+                lipschitz=tuple(prob.smooth.block_lipschitz(sizes)),
+                global_lipschitz=p.global_lipschitz,
+            )
+            prob = L0Problem(prob.smooth, partition)
+
+        def runs():
+            traces, rng = [], np.random.default_rng(14)
+            for trial in range(12):
+                x0 = rng.uniform(-1, 1, 12) * (rng.random(12) < 0.5)
+                if route == "ihta":
+                    M_f = 1.000001 * prob.partition.global_lipschitz
+                    traces.append(run_ihta(prob, x0, M_f, max_iters=2000)[1])
+                else:
+                    spec = (
+                        exact_uniform(prob.partition, 1e-4) if route == "ue"
+                        else separable_from_factor(prob.partition, 2.0)
+                    )
+                    cfg = SolverConfig(approx=spec, max_iters=2400, seed=trial)
+                    traces.append(run_rcd_iht(prob, x0, cfg)[1])
+            return traces
+
+        norms = {"x": 0}
+        original = solvers._norm
+
+        def counting(v):
+            norms["x"] += v.size == 12
+            return original(v)
+
+        monkeypatch.setattr(solvers, "_norm", counting)
+        bounded = runs()
+        bounded_norms, norms["x"] = norms["x"], 0
+        monkeypatch.setattr(solvers, "_norm_bounds", lambda *a: (np.nan, np.nan))
+        computed = runs()
+        assert sum(t.metadata["stop"] == "converged" for t in computed) >= 6
+        for a, b in zip(bounded, computed):
+            assert a.metadata["stop"] == b.metadata["stop"]
+            assert a.F.tobytes() == b.F.tobytes() and a.final_F == b.final_F
+        # ||x|| (or, on ihta, a step) of length 12: far fewer with the bounds
+        assert bounded_norms < norms["x"]
 
     def test_toy_converges(self, toy):
         spec = lipschitz_mode(toy.partition)
@@ -606,6 +716,39 @@ class TestHelpers:
         assert expected >> 64
         assert type(full.supports[-1]) is int
         assert full.supports[-1] == expected
+
+    @pytest.mark.parametrize("num_blocks", [1, 7, 500])
+    def test_block_draws_are_draw_block_calls(self, num_blocks):
+        """Blocks drawn in chunks are the blocks of one draw_block call each,
+        across two chunk boundaries."""
+        assert 2 * solvers._DRAW_CHUNK < 700
+        single = make_rng(11)
+        expected = [draw_block(single, num_blocks) for _ in range(700)]
+        draws = block_draws(make_rng(11), num_blocks)
+        assert [next(draws) for _ in range(700)] == expected
+
+    def test_norm_scales_past_overflow(self):
+        v = np.array([3e200, -4e200, 0.0])
+        assert _norm(v) == pytest.approx(5e200, rel=1e-15)
+        assert _norm(np.array([-2e300])) == 2e300
+        assert _norm(np.array([1e200, np.inf])) == np.inf
+        assert _norm(np.array([1e-170])) == 0.0  # underflows, as np.linalg.norm does
+
+    def test_norm_bounds_bracket_the_computed_norm(self):
+        """A random walk of steps from 1e-170 to 1e100 stays inside the bounds
+        taken from its start norm and its summed step norms."""
+        rng = np.random.default_rng(12)
+        for scale in (1e-170, 1e-20, 1.0, 1e100):
+            x = scale * rng.standard_normal(30)
+            start, drift = _norm(x), 0.0
+            for k in range(1, 400):
+                j = int(rng.integers(30))
+                new = x[j] + scale * 10.0 ** rng.uniform(-12, 0) * rng.standard_normal()
+                drift += _norm(np.array([new - x[j]]))
+                x[j] = new
+                lo, hi = _norm_bounds(start, drift, k, x.size)
+                assert lo <= _norm(x) <= hi
+        assert all(v != v for v in _norm_bounds(np.inf, 1.0, 1, 3)[:1])
 
     def test_trace_rows_schema(self, toy):
         cfg = SolverConfig(
