@@ -330,6 +330,8 @@ class LogisticL2Objective:
         self.nu = float(nu)
         self.m = m
         self._col_sq = np.einsum("ij,ij->j", data, data)
+        # squared entries, column j contiguous, for the curvature queries
+        self._data_sq = np.asfortranarray(self.data**2)
 
     @property
     def dim(self) -> int:
@@ -382,7 +384,7 @@ class LogisticL2Objective:
         self, x: np.ndarray, j: int, h: float, cache: np.ndarray
     ) -> tuple[float, float]:
         s = _sigmoid(self._shifted(j, h, cache))
-        curvature = float((s * (1.0 - s)) @ (self.data[:, j] ** 2)) / self.m + self.nu
+        curvature = float((s * (1.0 - s)) @ self._data_sq[:, j]) / self.m + self.nu
         return self._coord_grad(x, j, h, s), curvature
 
     def coord_curvature_floor(self) -> np.ndarray:

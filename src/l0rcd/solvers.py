@@ -27,6 +27,7 @@ from .approx import (
     model_curvature,
     threshold_e,
     threshold_map,
+    threshold_q,
 )
 # l0_norm stays importable from this module.
 from .core import IterateState, L0Problem, _bitmask_of, l0_norm  # noqa: F401
@@ -305,8 +306,10 @@ def _drive(
 
     ``step`` moves the state one iteration forward in place and returns the
     block it drew (-1 for a full-gradient step), the step norm and the
-    descent modulus mu of that step. F is evaluated once per iteration and
-    checked against the descent inequality. Stops at max_iters, or earlier
+    descent modulus mu of that step. F is read once per iteration, as
+    ``f_value + penalty`` (the bits of ``IterateState.objective``), and
+    checked against the descent inequality; ``_check_descent`` is called
+    only to raise, with the same test. Stops at max_iters, or earlier
     once the support has been stable for ``window`` consecutive iterations
     and every step over that window moved the point by at most
     1e-10 * (1 + ||x||). ||x|| is computed only where ``_norm_bounds``,
@@ -316,6 +319,7 @@ def _drive(
     (``_refreshed``); after a refresh a ``converged`` stop is taken back,
     and the run goes on with the stability window restarted.
     """
+    n = problem.n
     state = IterateState.from_point(problem, x0)
     F_cur = state.objective()
 
@@ -332,8 +336,10 @@ def _drive(
     for k in range(max_iters):
         support_before = state.support
         i, step_norm, mu = step(state)
-        F_new = state.objective()
-        _check_descent(F_cur, F_new, mu, step_norm, i)
+        F_new = state.f_value + state.penalty
+        # _check_descent's test, inline
+        if F_new > F_cur - 0.5 * mu * step_norm * step_norm + _DESCENT_SLACK * (1.0 + abs(F_cur)):
+            _check_descent(F_cur, F_new, mu, step_norm, i)
 
         changed = state.support != support_before
         records.append((i, F_cur, step_norm, changed, support_before))
@@ -350,7 +356,7 @@ def _drive(
             peak = peaks[0][1]
             small = None
             if x_norm is not None:
-                lo, hi = _norm_bounds(x_norm, drift, k + 1 - k_norm, problem.n)
+                lo, hi = _norm_bounds(x_norm, drift, k + 1 - k_norm, n)
                 if peak <= _STEP_TOL * (1.0 + lo):
                     small = True
                 elif peak > _STEP_TOL * (1.0 + hi):
@@ -427,12 +433,13 @@ def run_ihta(
     """Full-gradient hard-thresholding baseline with global constant M_f.
 
     Every iteration applies the thresholding map of the separable quadratic
-    model with M_i = M_f to every block at once: the gradient step
-    x - grad f(x) / M_f, with coordinate j zeroed unless
-    (M_f/2) |x_j - grad_j/M_f|^2 exceeds its block's penalty (ties to zero,
-    as in the coordinate method) or that penalty is 0. Requires a finite
-    M_f > L_f. Deterministic; trace block index is -1. The stability window
-    is 3 full iterations (each one touches every block).
+    model with M_i = M_f to every block at once, ``threshold_q`` with the
+    scalar M_f: the gradient step x - grad f(x) / M_f, with coordinate j
+    zeroed unless (M_f/2) |x_j - grad_j/M_f|^2 exceeds its block's penalty
+    (ties to zero, as in the coordinate method) or that penalty is 0.
+    Requires a finite M_f > L_f. Deterministic; trace block index is -1.
+    The stability window is 3 full iterations (each one touches every
+    block).
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -446,21 +453,20 @@ def run_ihta(
         )
     mu_f = M_f - partition.global_lipschitz
     smooth = problem.smooth
-    tmap = threshold_map(
-        ApproxSpec("uq", np.full(partition.num_blocks, M_f)), smooth, partition
-    )
+    lam = partition.coord_lambda()
     whole = slice(0, partition.n)
 
     def step(state: IterateState) -> tuple[int, float, float]:
         # The cache holds the residual (or predictors) at state.x already.
-        g = smooth.block_grad(state.x, whole, state.cache)
-        new_x = tmap(state.x, whole, g, state.cache)
-        step_norm = _norm(new_x - state.x)
-        pattern_changed = np.any((new_x != 0.0) != (state.x != 0.0))
+        x = state.x
+        new_x = threshold_q(x, smooth.block_grad(x, whole, state.cache), M_f, lam)
+        step_norm = _norm(new_x - x)
         state.x = new_x
+        # a fresh cache each step, so the tracked f cannot drift
         state.cache = smooth.make_cache(new_x)
         state.f_value = smooth.value_from_cache(new_x, state.cache)
-        if pattern_changed:
+        # the zero patterns as bytes of bool masks; -0.0 counts as zero
+        if (new_x != 0.0).tobytes() != (x != 0.0).tobytes():
             state.recount(problem)
         return -1, step_norm, mu_f
 

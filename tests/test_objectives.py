@@ -118,6 +118,23 @@ class TestLogistic:
             c = f.coord_curvature_shifted(x, j, float(rng.standard_normal()), f.make_cache(x))
             assert c >= f.coord_curvature_floor()[j]
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-20, 1.0, 1e20, 1e150])
+    def test_curvature_is_the_squared_column_formula(self, scale):
+        """The curvature query, which reads squared entries built once, has the
+        bits of the formula that squares data[:, j] on every call."""
+        rng = np.random.default_rng(5)
+        f = LogisticL2Objective(
+            scale * rng.uniform(-1, 1, (9, 6)), (rng.random(9) < 0.5).astype(float), nu=0.1
+        )
+        for _ in range(40):
+            x = rng.standard_normal(6) / scale
+            cache = f.make_cache(x)
+            j, h = int(rng.integers(6)), float(rng.choice([0.0, rng.standard_normal() / scale]))
+            s = _sigmoid(f._shifted(j, h, cache))
+            want = float((s * (1.0 - s)) @ (f.data[:, j] ** 2)) / f.m + f.nu
+            got = f.coord_grad_curvature_shifted(x, j, h, cache)[1]
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
     def test_label_validation(self):
         with pytest.raises(ValueError):
             LogisticL2Objective(np.ones((2, 1)), np.array([0.0, 2.0]), nu=0.1)

@@ -63,6 +63,34 @@ def checked_step(problem, spec):
     return checked
 
 
+def reference_run_ihta(problem, x0, M_f, max_iters):
+    """``run_ihta`` with the full-gradient step taken through the generic map:
+    ``threshold_map`` of the ``uq`` model at M_f over ``slice(0, n)``, and the
+    zero-pattern test through ``np.any``. The reference for the step that
+    calls ``threshold_q`` with the scalar M_f."""
+    partition, smooth = problem.partition, problem.smooth
+    tmap = threshold_map(ApproxSpec("uq", np.full(partition.num_blocks, M_f)), smooth, partition)
+    whole = slice(0, partition.n)
+    mu_f = M_f - partition.global_lipschitz
+
+    def step(state):
+        g = smooth.block_grad(state.x, whole, state.cache)
+        new_x = tmap(state.x, whole, g, state.cache)
+        step_norm = _norm(new_x - state.x)
+        pattern_changed = np.any((new_x != 0.0) != (state.x != 0.0))
+        state.x = new_x
+        state.cache = smooth.make_cache(new_x)
+        state.f_value = smooth.value_from_cache(new_x, state.cache)
+        if pattern_changed:
+            state.recount(problem)
+        return -1, step_norm, mu_f
+
+    metadata = {
+        "solver": "ihta", "approx": "uq-global", "rng": "none", "seed": 0, "M_f": float(M_f)
+    }
+    return solvers._drive(problem, x0, step, max_iters, 3, float("nan"), metadata)
+
+
 class TestStep:
     def test_toy_block_zeroed(self, toy):
         """At (2, 0.5) the second coordinate's progress 0.125 < 0.5: zero it."""
@@ -178,6 +206,22 @@ class TestStep:
         st = toy_state(prob, [0.0])
         with pytest.raises(InvariantViolation):
             checked_step(prob, lipschitz_mode(partition))(st, 0)
+
+    @pytest.mark.parametrize(
+        "route, where", [("uq", "at block 0"), ("ihta", "at the full-gradient step")]
+    )
+    def test_understated_lipschitz_stops_the_run(self, route, where):
+        """A run's loop tests descent inline and raises through _check_descent.
+        The constants understate lambda_max(A^T A) = 1, so M = 0.02 (1 + 1e-6)
+        and M_f = 0.03 pass validation and the first step overshoots."""
+        oracle = LeastSquaresObjective(np.array([[1.0]]), np.array([2.0]))
+        prob = L0Problem(oracle, BlockPartition.scalar([0.5], [0.02], 0.02))
+        with pytest.raises(InvariantViolation, match=f"descent inequality violated {where}"):
+            if route == "ihta":
+                run_ihta(prob, np.zeros(1), 0.03, max_iters=10)
+            else:
+                cfg = SolverConfig(approx=lipschitz_mode(prob.partition), max_iters=10)
+                run_rcd_iht(prob, np.zeros(1), cfg)
 
 
 # A penalty this large zeroes the coordinate whatever its model value.
@@ -551,6 +595,45 @@ class TestRunIhta:
             st, _ = run_ihta(prob, x0, M_f, max_iters=1)
             g = prob.smooth.block_grad(x0, slice(0, 8), prob.smooth.make_cache(x0))
             assert st.x.tobytes() == threshold_q(x0, g, M_f, p.coord_lambda()).tobytes()
+
+    @pytest.mark.parametrize("objective", ["least_squares", "logistic"])
+    @pytest.mark.parametrize("sizes", [None, (3, 1, 2, 2)], ids=["scalar", "blocks_3_1_2_2"])
+    def test_run_equals_the_generic_map_run(self, objective, sizes):
+        """Whole runs give the trace of ``reference_run_ihta`` byte for byte,
+        from zero starts (+0.0 and -0.0) and from starts with -0.0 entries;
+        a lambda = 0 block (coordinate 1, or the 2-block at 4-5) takes plain
+        steps. Support and penalty end as support_of and l0_norm of the point."""
+        make = random_ls_problem if objective == "least_squares" else random_logistic_problem
+        prob = make(9, 8, seed=58)
+        lam = np.random.default_rng(59).uniform(0.05, 0.5, len(sizes or (1,) * 8))
+        if sizes is None:
+            lam[1] = 0.0
+            p = BlockPartition.scalar(lam, prob.partition.lipschitz)
+        else:
+            lam[2] = 0.0
+            lipschitz = tuple(prob.smooth.block_lipschitz(sizes))
+            p = BlockPartition(block_sizes=sizes, lam=tuple(lam), lipschitz=lipschitz)
+        prob = L0Problem(prob.smooth, p)
+        M_f = 1.3 * p.global_lipschitz
+        rng = np.random.default_rng(60)
+        starts = [np.zeros(8), np.full(8, -0.0)]
+        for _ in range(8):
+            x0 = rng.standard_normal(8) * (rng.random(8) < 0.6)
+            x0[x0 == 0.0] = -0.0
+            starts.append(x0)
+        kappa = 0
+        for x0 in starts:
+            st, trace = run_ihta(prob, x0, M_f, max_iters=300)
+            ref_st, ref = reference_run_ihta(prob, x0, M_f, max_iters=300)
+            for column in ("blocks", "F", "step_norms", "support_changed", "final_x"):
+                assert getattr(trace, column).tobytes() == getattr(ref, column).tobytes(), column
+            assert trace.supports == ref.supports
+            assert np.float64(trace.final_F).tobytes() == np.float64(ref.final_F).tobytes()
+            assert trace.metadata == ref.metadata
+            assert st.support == support_of(st.x, p) == ref_st.support
+            assert st.penalty.hex() == l0_norm(st.x, p).hex() == ref_st.penalty.hex()
+            kappa += trace.kappa
+        assert kappa >= 5
 
     def test_descent_monotone(self):
         prob = random_logistic_problem(12, 6, seed=49)
