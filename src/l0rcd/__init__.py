@@ -22,11 +22,10 @@ from .objectives import (
 )
 from .approx import (
     ApproxSpec,
-    exact_inner_min,
     exact_uniform,
+    resolve,
     separable_from_factor,
     threshold_e,
-    threshold_map,
     threshold_q,
 )
 from .solvers import (
@@ -68,11 +67,10 @@ __all__ = [
     "load_matrix_csv",
     "load_vector_csv",
     "ApproxSpec",
-    "exact_inner_min",
     "exact_uniform",
+    "resolve",
     "separable_from_factor",
     "threshold_e",
-    "threshold_map",
     "threshold_q",
     "InvariantViolation",
     "RNG_ALGORITHM",

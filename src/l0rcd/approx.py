@@ -8,12 +8,16 @@ each agreeing with f and its block gradient at the current point x:
 - ``ue``, exact: the true one-dimensional restriction of f plus a proximal term
   (beta_i/2) |y - x_i|^2, scalar blocks only. Where f is quadratic along
   each coordinate (least squares) this is the diagonal model with
-  curvature ||A_j||^2 + beta_j; ``model_curvature`` says which case holds.
+  curvature ||A_j||^2 + beta_j; ``resolve`` says which case holds.
 
 The thresholding map minimizes model + lambda_i * ||.||_0 over the block by
 comparing a "keep" candidate against zeroing, coordinate by coordinate for
 the separable models. Ties resolve to zero (the sparser point); the tie rule
 is recorded in solver/CLI output metadata as ``tie_rule=zero``.
+
+``resolve`` turns a model (``ApproxSpec``) into a ``Model`` on one oracle and
+one partition, once per solver run and once per class: the block map, the
+float threshold of one coordinate and the fixed-point test all come from it.
 """
 from __future__ import annotations
 
@@ -126,25 +130,6 @@ def exact_uniform(partition: BlockPartition, beta: float) -> ApproxSpec:
     return ApproxSpec("ue", np.full(partition.num_blocks, float(beta)))
 
 
-def model_curvature(
-    spec: ApproxSpec, oracle: SmoothOracle, partition: BlockPartition
-) -> np.ndarray | None:
-    """Per-coordinate curvature of ``spec``'s model on ``oracle``, or None.
-
-    A quadratic kind has its own curvature. The exact kind has one when f
-    is quadratic along each coordinate, with the oracle's optional
-    ``coord_curvature()`` c_j: then minimizing f plus (beta_j/2) h^2 along
-    coordinate j is the diagonal quadratic model with curvature c_j + beta_j,
-    and ``threshold_q`` is its thresholding map. None otherwise.
-    """
-    if spec.kind != "ue":
-        return spec.coord_curvature(partition)
-    coord_curvature = getattr(oracle, "coord_curvature", None)
-    if coord_curvature is None:
-        return None
-    return coord_curvature() + np.asarray(spec.params, dtype=float)
-
-
 def threshold_q(x_i: np.ndarray, grad_i: np.ndarray, M_i, lambda_i) -> np.ndarray:
     """Quadratic-model thresholding of one block.
 
@@ -161,23 +146,6 @@ def threshold_q(x_i: np.ndarray, grad_i: np.ndarray, M_i, lambda_i) -> np.ndarra
     keep = 0.5 * M_i * t * t > lambda_i
     keep |= np.equal(lambda_i, 0.0)  # also where Delta_j = 0
     return np.where(keep, t, 0.0)
-
-
-def exact_curvature_bounds(
-    spec: ApproxSpec, oracle: SmoothOracle, partition: BlockPartition
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bounds lo_j <= g_j'' <= hi_j for the exact model ``spec`` along each coordinate.
-
-    g_j(h) = f(x + h e_j) + (beta_j/2) h^2, so lo_j = beta_j + c_j, with c_j
-    from the oracle's optional ``coord_curvature_floor()`` (beta_j alone
-    without it: f is convex), and hi_j = L_j + beta_j, which is
-    ``spec.curvature_bound`` and holds as the partition's Lipschitz
-    constants do.
-    """
-    beta = np.asarray(spec.params, dtype=float)
-    floor = getattr(oracle, "coord_curvature_floor", None)
-    lo = beta if floor is None else beta + floor()
-    return lo, spec.curvature_bound(partition)
 
 
 def _solve_1d(
@@ -253,22 +221,6 @@ def _solve_1d(
     )
 
 
-def exact_inner_min(
-    oracle: SmoothOracle, x: np.ndarray, j: int, beta: float, cache: np.ndarray
-) -> tuple[float, float]:
-    """Minimize g(h) = f(x + h e_j) + (beta/2) h^2 over the scalar offset h.
-
-    Returns (h_star, g(h_star)), with h_star from safeguarded Newton
-    (``_solve_1d``). ``cache`` is the oracle's cache at x.
-    """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    x = np.asarray(x, dtype=float)
-    h_star = _solve_1d(oracle, x, j, beta, cache)
-    value = oracle.value_shifted(x, j, h_star, cache) + 0.5 * beta * h_star * h_star
-    return float(h_star), float(value)
-
-
 def threshold_e(
     oracle: SmoothOracle,
     x: np.ndarray,
@@ -288,7 +240,7 @@ def threshold_e(
     x_j + h* when Delta > lambda_j, else an exact zero (ties to zero).
 
     ``lo`` and ``hi`` bound the curvature of g(h) = f(x + h e_j) +
-    (beta/2) h^2 (``exact_curvature_bounds``); the defaults beta and inf
+    (beta/2) h^2 (``Model.lo`` and ``Model.hi``); the defaults beta and inf
     hold for any convex f. With d = g'(-x_j), strong convexity and
     smoothness give d^2/(2 hi) <= Delta <= d^2/(2 lo). So the step is null,
     with no Newton solve, when d^2/(2 lo) <= (1 - 1e-9) lambda_j, and keeps
@@ -323,31 +275,133 @@ def threshold_e(
     return 0.0
 
 
-def threshold_map(spec: ApproxSpec, oracle: SmoothOracle, partition: BlockPartition) -> Callable:
-    """The thresholding map of ``spec`` on ``oracle``: ``tmap(x, sl, g, cache)``.
+def _moves(z, out, tol: float):
+    """Whether the exact map moves z to out: it must keep each zero/nonzero
+    status exactly and may move a kept value by at most tol. Elementwise on
+    arrays, one bool on floats."""
+    return ((out == 0.0) != (z == 0.0)) | (abs(out - z) > tol)
 
-    ``tmap`` returns the new values of the coordinates ``sl`` (a block, or
-    ``slice(0, n)``) from x, the gradient ``g`` over ``sl`` and the cache at
-    x, and writes nothing. It is ``threshold_q`` where ``model_curvature``
-    has a curvature, and then x and g may also be stacks of points as rows
-    (the cache is not read); it is ``threshold_e``, coordinate by
-    coordinate, where there is none, with the curvature bounds of
-    ``exact_curvature_bounds``. The fit to ``partition`` is checked and the
-    model resolved here, once (ValueError).
+
+@dataclass(frozen=True, eq=False)
+class Model:
+    """A model resolved on one oracle and one partition; built by ``resolve``.
+
+    ``lam`` is the penalty per coordinate. ``curvature`` is the model's
+    curvature per coordinate, or None for the exact kind on an objective
+    that is not quadratic along each coordinate; ``lo`` and ``hi`` then
+    bound the curvature of the exact model along each coordinate (see
+    ``threshold_e``), and are None otherwise. ``threshold(x, j, x_j, cache)``
+    is the map of coordinate j alone, on Python floats: ``x_j`` is x[j] as a
+    float and ``cache`` the oracle's cache at x.
+    """
+
+    spec: ApproxSpec
+    oracle: SmoothOracle
+    partition: BlockPartition
+    lam: np.ndarray
+    curvature: np.ndarray | None
+    lo: list[float] | None
+    hi: list[float] | None
+    threshold: Callable[[np.ndarray, int, float, np.ndarray], float]
+
+    @property
+    def mu(self) -> list[float]:
+        """The descent modulus per block, ``ApproxSpec.mu``."""
+        return self.spec.mu(self.partition).tolist()
+
+    def map(self, x: np.ndarray, sl: slice, g: np.ndarray, cache: np.ndarray) -> np.ndarray:
+        """The new values of the coordinates ``sl`` (a block, or ``slice(0, n)``).
+
+        From x, the gradient ``g`` over ``sl`` and the cache at x; writes
+        nothing. It is ``threshold_q`` where the model has a curvature, and
+        then x and g may also be stacks of points as rows (the cache is not
+        read); ``threshold_e``, coordinate by coordinate, where it has none.
+        """
+        if self.curvature is not None:
+            return threshold_q(x[..., sl], g, self.curvature[sl], self.lam[sl])
+        return np.array([self.threshold(x, j, x[j], cache) for j in range(sl.start, sl.stop)])
+
+    def fixed(self, tol: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """The test "the map leaves z in place, within tol", ``(Z, G) -> bool per row``.
+
+        Z is a stack of points, one per row, and G the gradients at them.
+        For the quadratic kinds, with curvature M_j, a coordinate in a
+        positive-penalty block passes where |G_j| <= sqrt(2 lambda_j M_j) + tol
+        at Z_j = 0 and |Z_j| >= sqrt(2 lambda_j / M_j) - tol elsewhere. For
+        the exact kind the map must keep each zero/nonzero status exactly
+        and may move a kept value by at most tol: in closed form over the
+        whole stack where the model has a curvature, else row by row, with
+        one cache per row, until the first coordinate that moves.
+        """
+        lam, M = self.lam, self.curvature
+        if self.spec.kind != "ue":
+            with np.errstate(over="ignore"):  # a bound that overflows is +inf, the right bound
+                zero_bound = np.sqrt(2.0 * lam * M) + tol
+                keep_bound = np.sqrt(2.0 * lam / M) - tol
+            penalized = lam != 0.0  # lam = 0 always passes
+            return lambda Z, G: ~np.any(
+                np.where(Z == 0.0, np.abs(G) > zero_bound, np.abs(Z) < keep_bound) & penalized,
+                axis=-1,
+            )
+        if M is not None:
+            return lambda Z, G: ~np.any(_moves(Z, threshold_q(Z, G, M, lam), tol), axis=-1)
+        oracle, threshold = self.oracle, self.threshold
+
+        def rows_fixed(Z, G):
+            out = np.ones(len(Z), dtype=bool)
+            for k, z in enumerate(Z):
+                cache = oracle.make_cache(z)
+                out[k] = not any(
+                    _moves(z_j, threshold(z, j, z_j, cache), tol)
+                    for j, z_j in enumerate(z.tolist())
+                )
+            return out
+
+        return rows_fixed
+
+
+def resolve(spec: ApproxSpec, oracle: SmoothOracle, partition: BlockPartition) -> Model:
+    """``spec`` resolved on ``oracle`` and ``partition``, once (ValueError where it does not fit).
+
+    A quadratic kind has its own curvature. The exact kind has one when f
+    is quadratic along each coordinate, with the oracle's optional
+    ``coord_curvature()`` c_j: then minimizing f plus (beta_j/2) h^2 along
+    coordinate j is the diagonal quadratic model with curvature c_j + beta_j,
+    and ``threshold_q`` is its map. Otherwise the exact model's curvature
+    along coordinate j lies between lo_j = beta_j + c_j, with c_j from the
+    oracle's optional ``coord_curvature_floor()`` (beta_j alone without it:
+    f is convex), and hi_j = L_j + beta_j, ``spec.curvature_bound``, which
+    holds as the partition's Lipschitz constants do.
     """
     spec.check_partition(partition)
     lam = partition.coord_lambda()
-    curvature = model_curvature(spec, oracle, partition)
+    lam_j = lam.tolist()
+    curvature = lo = hi = None
+    if spec.kind != "ue":
+        curvature = spec.coord_curvature(partition)
+    else:
+        beta = np.asarray(spec.params, dtype=float)
+        coord_curvature = getattr(oracle, "coord_curvature", None)
+        if coord_curvature is not None:
+            curvature = coord_curvature() + beta
+        else:
+            floor = getattr(oracle, "coord_curvature_floor", None)
+            lo = (beta if floor is None else beta + floor()).tolist()
+            hi = spec.curvature_bound(partition).tolist()
     if curvature is None:
-        lo, hi = (b.tolist() for b in exact_curvature_bounds(spec, oracle, partition))
+        params = spec.params
 
-    def tmap(x: np.ndarray, sl: slice, g: np.ndarray, cache: np.ndarray) -> np.ndarray:
-        if curvature is not None:
-            return threshold_q(x[..., sl], g, curvature[sl], lam[sl])
-        # scalar blocks, so block j is coordinate j
-        js = range(sl.start, sl.stop)
-        return np.array(
-            [threshold_e(oracle, x, j, spec.params[j], lam[j], cache, lo[j], hi[j]) for j in js]
-        )
+        def threshold(x: np.ndarray, j: int, x_j: float, cache: np.ndarray) -> float:
+            return threshold_e(oracle, x, j, params[j], lam_j[j], cache, lo[j], hi[j])
 
-    return tmap
+    else:
+        curvature_j = curvature.tolist()
+
+        def threshold(x: np.ndarray, j: int, x_j: float, cache: np.ndarray) -> float:
+            # threshold_q on floats: the gradient step, kept where its
+            # progress value beats lambda_j, and always when lambda_j is 0
+            M = curvature_j[j]
+            t = x_j - float(oracle.coord_grad_shifted(x, j, 0.0, cache)) / M
+            return t if lam_j[j] == 0.0 or 0.5 * M * t * t > lam_j[j] else 0.0
+
+    return Model(spec, oracle, partition, lam, curvature, lo, hi, threshold)

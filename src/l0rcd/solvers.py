@@ -20,15 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import (
-    TIE_RULE,
-    ApproxSpec,
-    exact_curvature_bounds,
-    model_curvature,
-    threshold_e,
-    threshold_map,
-    threshold_q,
-)
+from .approx import TIE_RULE, ApproxSpec, Model, resolve, threshold_q
 # l0_norm stays importable from this module.
 from .core import IterateState, L0Problem, _bitmask_of, l0_norm  # noqa: F401
 
@@ -150,21 +142,20 @@ def _norm(v: np.ndarray) -> float:
     return s
 
 
-def _block_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateState, int], float]:
-    """The step that replaces block i by its thresholding map; it returns the step norm.
+def _block_step(problem: L0Problem, model: Model) -> Callable[[IterateState, int], float]:
+    """The step that replaces block i by ``model``'s map; it returns the step norm.
 
-    The map is built here, so a spec that does not fit raises ValueError
-    before any step. A null step touches nothing. Otherwise point, cache and
-    f value move together. A step that changes the zero pattern of a block
-    with lam_i > 0 passes the changed bits, shifted to the block's offset,
-    to ``IterateState.flip``; on a block with lam_i = 0 the support and the
+    A null step touches nothing. Otherwise point, cache and f value move
+    together. A step that changes the zero pattern of a block with
+    lam_i > 0 passes the changed bits, shifted to the block's offset, to
+    ``IterateState.flip``; on a block with lam_i = 0 the support and the
     penalty cannot change. The step does O(m n_i) work, plus an ``l0_norm``
     on a pattern change where the partition has no ``count_penalty`` table.
     """
     smooth = problem.smooth
     partition = problem.partition
     lam = partition.lam
-    tmap = threshold_map(spec, smooth, partition)
+    tmap = model.map
 
     def step(state: IterateState, i: int) -> float:
         sl = partition.block_slice(i)
@@ -187,35 +178,19 @@ def _block_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateState,
     return step
 
 
-def _scalar_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateState, int], float]:
+def _scalar_step(problem: L0Problem, model: Model) -> Callable[[IterateState, int], float]:
     """``_block_step`` for a partition of scalar blocks, on Python floats.
 
-    Block j is coordinate j. The threshold, the null-step test, the
-    zero-pattern test and the step norm are float operations, with the same
-    roundings as the block arithmetic, so both steps move a state bit for bit
-    alike. The gradient, the cache update (a column axpy) and the f value
-    still go through the oracle and numpy; a zero-pattern change flips one
-    support bit.
+    Block j is coordinate j, and ``model.threshold`` is its map. The
+    threshold, the null-step test, the zero-pattern test and the step norm
+    are float operations, with the same roundings as the block arithmetic,
+    so both steps move a state bit for bit alike. The gradient, the cache
+    update (a column axpy) and the f value still go through the oracle and
+    numpy; a zero-pattern change flips one support bit.
     """
     smooth = problem.smooth
     lam = problem.partition.lam
-    curvature = model_curvature(spec, smooth, problem.partition)
-    if curvature is None:
-        beta = spec.params
-        lo, hi = (b.tolist() for b in exact_curvature_bounds(spec, smooth, problem.partition))
-
-        def threshold(x: np.ndarray, j: int, x_j: float, cache: np.ndarray) -> float:
-            return threshold_e(smooth, x, j, beta[j], lam[j], cache, lo[j], hi[j])
-
-    else:
-        curvature = curvature.tolist()
-
-        def threshold(x: np.ndarray, j: int, x_j: float, cache: np.ndarray) -> float:
-            # threshold_q on floats: the gradient step, kept where its
-            # progress value beats lambda_j, and always when lambda_j is 0
-            M = curvature[j]
-            t = x_j - float(smooth.coord_grad_shifted(x, j, 0.0, cache)) / M
-            return t if lam[j] == 0.0 or 0.5 * M * t * t > lam[j] else 0.0
+    threshold = model.threshold
 
     def step(state: IterateState, j: int) -> float:
         x = state.x
@@ -236,12 +211,12 @@ def _scalar_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateState
     return step
 
 
-def _coordinate_step(problem: L0Problem, spec: ApproxSpec) -> Callable[[IterateState, int], float]:
+def _coordinate_step(problem: L0Problem, model: Model) -> Callable[[IterateState, int], float]:
     """The step a coordinate run takes: on Python floats when every block is
     one coordinate (``_scalar_step``), on arrays otherwise (``_block_step``)."""
     if problem.partition.n == problem.partition.num_blocks:
-        return _scalar_step(problem, spec)
-    return _block_step(problem, spec)
+        return _scalar_step(problem, model)
+    return _block_step(problem, model)
 
 
 def _check_descent(F_old: float, F_new: float, mu: float, step_norm: float, i: int) -> None:
@@ -402,7 +377,8 @@ def run_rcd_iht(
     partition = problem.partition
     spec = config.approx
     spec.validate_for_solver(partition)
-    mu = spec.mu(partition).tolist()
+    model = resolve(spec, problem.smooth, partition)
+    mu = model.mu
     N = partition.num_blocks
     rng = make_rng(config.seed)
 
@@ -411,7 +387,7 @@ def run_rcd_iht(
         "solver": "rcd-iht", "approx": spec.kind, "rng": RNG_ALGORITHM, "seed": int(config.seed)
     }
 
-    update = _coordinate_step(problem, spec)
+    update = _coordinate_step(problem, model)
     draws = block_draws(rng, N)
 
     def step(state: IterateState) -> tuple[int, float, float]:

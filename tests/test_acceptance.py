@@ -27,7 +27,7 @@ from l0rcd import (
     separable_from_factor,
     verify_inclusions,
 )
-from l0rcd.approx import _solve_1d, threshold_e, threshold_q
+from l0rcd.approx import _solve_1d, resolve, threshold_e, threshold_q
 from l0rcd.cli import ExperimentConfig, build_problem, main, random_start, seeded_rng
 from l0rcd.objectives import LeastSquaresObjective, LogisticL2Objective
 from l0rcd.solvers import _check_descent, _coordinate_step, draw_block, make_rng
@@ -233,8 +233,9 @@ def test_criterion_03_kept_magnitudes_clear_the_threshold():
         x0 = random_start(problem.n, seeded_rng(9000 + index, 0))
         state = IterateState.from_point(problem, x0)
         rng = make_rng(3 * index + 1)
-        mu = spec.mu(part)
-        step = _coordinate_step(problem, spec)
+        model = resolve(spec, problem.smooth, part)
+        mu = model.mu
+        step = _coordinate_step(problem, model)
         for _ in range(DESCENT_ITERS):
             i = draw_block(rng, part.num_blocks)
             F_old = state.objective()

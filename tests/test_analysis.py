@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from l0rcd import (
     separable_from_factor,
     verify_inclusions,
 )
+from l0rcd import analysis, approx
 from l0rcd.analysis import _CHUNK, CLASSIFY_TOL
 from l0rcd.approx import M_EQ_LIPSCHITZ_FACTOR
 
@@ -551,6 +553,82 @@ def test_column_queries_match_a_loop_over_the_entries(case):
     ]
     assert expect
     assert verify_inclusions(dataclasses.replace(catalog, class_labels=reversed_labels)) == expect
+
+
+# Each class of four catalogs as (member count, sha256 of its sorted member
+# bitmasks as little-endian int64). Between them they take all three class
+# tests: the quadratic bounds, the exact model in closed form on least squares,
+# and the exact model by Newton, coordinate by coordinate, on logistic.
+PINNED_MEMBERS = {
+    "example2": {
+        "ue[beta=1e-4]": (69, "e5a09772a8284b5da6ccfe9de12c6c4577478828d8519e8c6e5da35e88ec1b63"),
+        "uq[M=Li]": (69, "e5a09772a8284b5da6ccfe9de12c6c4577478828d8519e8c6e5da35e88ec1b63"),
+        "uq[M=Lf]": (82, "bac16b233f99b861f6b894c733a179f1841b84653260303af9c22c243000ad0f"),
+        "basic": (128, "3e4f0a2fd9498da7c1440a355a22b6292161a5216c63aa0bc59b5a4742fd1e36"),
+    },
+    "ls-8x16": {
+        "ue[beta=0.0001]": (536, "ab531a6bfed98c35a1eb266883af7eef1be22ce5ea64463cda8ede7172f1d42d"),
+        "uq[M=Li]": (536, "ab531a6bfed98c35a1eb266883af7eef1be22ce5ea64463cda8ede7172f1d42d"),
+        "uq[M=Lf]": (1437, "18c37a6d3eedde9d12bbff9ecd34121cced80c0c91f023759b4b415e8b1adfc4"),
+        "basic": (65536, "197f7a314b356f70296099420b30d0beddb9fe80e95054af72e1c382cdf1eb9b"),
+    },
+    "ls-5x12-blocks-3-3-2-4": {
+        "uq[M=Li]": (55, "899936bc68ca35f2a9acee966608754bd8e64282d91f070331a34049833c952b"),
+        "uq[M=Lf]": (109, "51496166260a3daf4d1c999d2dff89bfd05eaa136250e6d7a74245bdb1f83433"),
+        "basic": (4096, "b83e23eb1db808bf694ae4894d62b50c9840bcd869ba7ac2456f40ddf0530bf3"),
+    },
+    "logistic-12x8": {
+        "ue[beta=0.0001]": (1, "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
+        "uq[M=Li]": (1, "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc"),
+        "uq[M=Lf]": (15, "6ee9ff5c12018a0b358feb6b20c23cbc87d3d8a5ceaddcb0b6d6f285c072da91"),
+        "basic": (256, "bbd330b12e8159e117376ef24fa106413bc9fc18032a0d43e95c5dae5e47953f"),
+    },
+}
+
+PINNED_CASES = {
+    "example2": _example_case,
+    "ls-8x16": lambda: _configured_case(m=8, n=16, instance_seed=3, lam=0.3),
+    "ls-5x12-blocks-3-3-2-4": lambda: _configured_case(
+        m=5, n=12, instance_seed=4, lam=0.3, block_sizes=(3, 3, 2, 4)
+    ),
+    "logistic-12x8": lambda: _configured_case(
+        problem_kind="logistic", m=12, n=8, instance_seed=5, nu=0.3, lam=0.05
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_CASES))
+def test_class_members_are_pinned(name):
+    """Every class of the catalog has the members it had before the models were
+    resolved in one place (``approx.resolve``)."""
+    catalog = enumerate_catalog(*PINNED_CASES[name]())
+    got = {}
+    for label in catalog.class_labels:
+        members = np.sort(catalog.bitmasks[catalog.flags[label]]).astype("<i8")
+        got[label] = (len(members), hashlib.sha256(members.tobytes()).hexdigest())
+    assert got == PINNED_MEMBERS[name]
+
+
+def test_model_resolved_once_per_class(monkeypatch):
+    """One ``resolve`` per requested class and catalog, however many chunks it
+    fills, and one per predicate call."""
+    calls = []
+
+    def counted(spec, oracle, partition):
+        calls.append(spec.kind)
+        return approx.resolve(spec, oracle, partition)
+
+    monkeypatch.setattr(analysis, "resolve", counted)
+    prob, requests = _configured_case(m=8, n=11, instance_seed=3, lam=0.3)
+    catalog = enumerate_catalog(prob, requests)
+    assert len(catalog.bitmasks) == 2 * _CHUNK
+    assert calls == ["ue", "uq", "uq"]
+    calls.clear()
+    enumerate_catalog(prob, {})
+    assert calls == []
+    is_strong_local_min(prob, catalog.points[5], requests["uq[M=Li]"])
+    is_basic_local_min(prob, catalog.points[5])
+    assert calls == ["uq"]
 
 
 class TestVerifyInclusions:

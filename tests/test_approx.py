@@ -7,19 +7,13 @@ from l0rcd import (
     ApproxSpec,
     LeastSquaresObjective,
     LogisticL2Objective,
-    exact_inner_min,
     exact_uniform,
+    resolve,
     separable_from_factor,
     threshold_e,
-    threshold_map,
     threshold_q,
 )
-from l0rcd.approx import (
-    M_EQ_LIPSCHITZ_FACTOR,
-    _solve_1d,
-    exact_curvature_bounds,
-    model_curvature,
-)
+from l0rcd.approx import M_EQ_LIPSCHITZ_FACTOR, _solve_1d
 from l0rcd.core import BlockPartition
 
 from test_objectives import random_logistic
@@ -185,6 +179,12 @@ class ConstantSlope:
         return 1.0, 0.0
 
 
+def exact_inner_min(oracle, x, j, beta, cache):
+    """(h*, g(h*)) for g(h) = f(x + h e_j) + (beta/2) h^2, h* from safeguarded Newton."""
+    h = _solve_1d(oracle, x, j, beta, cache)
+    return h, oracle.value_shifted(x, j, h, cache) + 0.5 * beta * h * h
+
+
 class TestExactInnerMin:
     def test_closed_form_value(self):
         f = single_column_ls()
@@ -284,8 +284,10 @@ class TestExactInnerMin:
         assert v <= min(vals) + 1e-9
 
     def test_beta_validation(self):
-        with pytest.raises(ValueError):
-            exact_inner_min(single_column_ls(), np.zeros(1), 0, 0.0, np.zeros(1))
+        f = single_column_ls()
+        for beta in (0.0, -1.0):
+            with pytest.raises(ValueError, match="beta must be positive"):
+                threshold_e(f, np.zeros(1), 0, beta, 0.1, f.make_cache(np.zeros(1)))
 
 
 def exact_progress(oracle, x, j, beta, cache):
@@ -309,7 +311,7 @@ class TestDeltaE:
     def test_generic_route_matches_fast_path(self):
         """On least squares, threshold_e (Newton, Delta as a difference of
         two f values) and the exact spec's closed-form step through
-        threshold_map agree bit for bit away from the boundary Delta = lambda."""
+        the resolved model's map agree bit for bit away from the boundary Delta = lambda."""
         rng = np.random.default_rng(9)
         A = rng.uniform(-1, 1, (5, 3))
         f = LeastSquaresObjective(A, rng.uniform(-1, 1, 5))
@@ -320,7 +322,7 @@ class TestDeltaE:
             lam = rng.uniform(0.0, 1.0, 3) * (rng.random(3) < 0.8)
             lam[rng.integers(3)] = rng.uniform(0.05, 1.0)  # a partition needs one
             p = BlockPartition.scalar(lam, f.column_lipschitz())
-            tmap = threshold_map(ApproxSpec("ue", beta), f, p)
+            tmap = resolve(ApproxSpec("ue", beta), f, p).map
             cache = f.make_cache(x)
             for j in range(3):
                 _, delta = exact_progress(f, x, j, beta[j], cache)
@@ -451,6 +453,18 @@ class QueryLog:
         return sum(self.calls[q] for q in SHIFTED_QUERIES)
 
 
+class WithoutFloor:
+    """Forwards to an oracle but hides its optional ``coord_curvature_floor``."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+
+    def __getattr__(self, name):
+        if name == "coord_curvature_floor":
+            raise AttributeError(name)
+        return getattr(self.oracle, name)
+
+
 class TestCertifiedThresholdE:
     """threshold_e decides from the curvature bounds where they decide, with the
     bits of the map that always computes Delta."""
@@ -468,7 +482,8 @@ class TestCertifiedThresholdE:
                 nu = float(10.0 ** rng.uniform(-3, 0))
                 oracle = LogisticL2Objective(data, (rng.random(m) < 0.5).astype(float), nu)
                 p = BlockPartition.scalar(np.full(n, 0.1), oracle.column_lipschitz())
-                lo, hi = exact_curvature_bounds(exact_uniform(p, beta), oracle, p)
+                model = resolve(exact_uniform(p, beta), oracle, p)
+                lo, hi = model.lo, model.hi
             else:
                 # g'' is the constant ||A_j||^2 + beta: both bounds are tight, so
                 # Delta is exactly d^2/(2 lo) and only the margin separates the two
@@ -498,7 +513,8 @@ class TestCertifiedThresholdE:
     def test_null_certified_step_makes_one_query(self):
         oracle = random_logistic(12, 5, seed=33)
         p = BlockPartition.scalar(np.full(5, 0.1), oracle.column_lipschitz())
-        lo, hi = exact_curvature_bounds(exact_uniform(p, 0.01), oracle, p)
+        model = resolve(exact_uniform(p, 0.01), oracle, p)
+        lo, hi = model.lo, model.hi
         x = np.array([0.0, 0.7, 0.0, -1.2, 0.3])
         cache = oracle.make_cache(x)
         for j in range(5):
@@ -511,7 +527,8 @@ class TestCertifiedThresholdE:
     def test_keep_certified_step_makes_no_value_query(self):
         oracle = random_logistic(12, 5, seed=34)
         p = BlockPartition.scalar(np.full(5, 0.1), oracle.column_lipschitz())
-        lo, hi = exact_curvature_bounds(exact_uniform(p, 0.01), oracle, p)
+        model = resolve(exact_uniform(p, 0.01), oracle, p)
+        lo, hi = model.lo, model.hi
         x = np.array([0.0, 0.7, 0.0, -1.2, 0.3])
         cache = oracle.make_cache(x)
         for j in range(5):
@@ -528,12 +545,12 @@ class TestCertifiedThresholdE:
         oracle = random_logistic(12, 3, seed=35, nu=0.05)
         p = BlockPartition.scalar(np.full(3, 0.1), oracle.column_lipschitz())
         spec = ApproxSpec("ue", [0.01, 0.02, 0.03])
-        lo, hi = exact_curvature_bounds(spec, oracle, p)
-        np.testing.assert_array_equal(lo, np.array(spec.params) + 0.05)
-        np.testing.assert_array_equal(hi, spec.curvature_bound(p))
+        model = resolve(spec, oracle, p)
+        assert model.curvature is None
+        np.testing.assert_array_equal(model.lo, np.array(spec.params) + 0.05)
+        np.testing.assert_array_equal(model.hi, spec.curvature_bound(p))
         # no curvature floor: f is convex, so beta alone bounds g'' from below
-        ls = LeastSquaresObjective(np.eye(3), np.ones(3))
-        np.testing.assert_array_equal(exact_curvature_bounds(spec, ls, p)[0], spec.params)
+        np.testing.assert_array_equal(resolve(spec, WithoutFloor(oracle), p).lo, spec.params)
 
 
 class TestUpperModelOrdering:
@@ -652,6 +669,8 @@ class TestApproxSpec:
 
 
 class TestThresholdMap:
+    """``Model.map``, the thresholding map of a resolved model."""
+
     def test_dispatch_matches_direct_calls(self):
         rng = np.random.default_rng(19)
         A = rng.uniform(-1, 1, (6, 4))
@@ -662,14 +681,14 @@ class TestThresholdMap:
         x = rng.standard_normal(4)
         cache = oracle.make_cache(x)
         uq = separable_from_factor(p, 1.5)
-        tmap = threshold_map(uq, oracle, p)
+        tmap = resolve(uq, oracle, p).map
         for i in range(4):
             sl = p.block_slice(i)
             grad = oracle.block_grad(x, sl, cache)
             np.testing.assert_array_equal(
                 tmap(x, sl, grad, cache), threshold_q(x[sl], grad, uq.params[i], p.lam[i])
             )
-        tmap = threshold_map(exact_uniform(p, 0.01), oracle, p)
+        tmap = resolve(exact_uniform(p, 0.01), oracle, p).map
         for i in range(4):
             sl = p.block_slice(i)
             np.testing.assert_array_equal(
@@ -682,7 +701,7 @@ class TestThresholdMap:
         p = BlockPartition.scalar(np.full(4, 0.05), oracle.column_lipschitz())
         x = np.random.default_rng(22).standard_normal(4)
         cache = oracle.make_cache(x)
-        tmap = threshold_map(exact_uniform(p, 0.01), oracle, p)
+        tmap = resolve(exact_uniform(p, 0.01), oracle, p).map
         for i in range(4):
             sl = p.block_slice(i)
             assert tmap(x, sl, oracle.block_grad(x, sl, cache), cache).tobytes() == (
@@ -698,7 +717,7 @@ class TestThresholdMap:
         x = np.array([0.5, -0.5, 0.25, 0.0])
         cache = oracle.make_cache(x)
         grad = oracle.block_grad(x, slice(2, 4), cache)
-        got = threshold_map(spec, oracle, p)(x, slice(2, 4), grad, cache)
+        got = resolve(spec, oracle, p).map(x, slice(2, 4), grad, cache)
         np.testing.assert_array_equal(
             got, threshold_q(x[2:4], grad, [2.5, 3.0], 0.2)
         )
@@ -729,7 +748,7 @@ class TestThresholdMap:
             specs.append(exact_uniform(p, 1e-3))
         whole = slice(0, n)
         for spec in specs:
-            tmap = threshold_map(spec, oracle, p)
+            tmap = resolve(spec, oracle, p).map
             for _ in range(20):
                 x = rng.standard_normal(n) * (rng.random(n) < 0.6)
                 cache = oracle.make_cache(x)
@@ -746,27 +765,29 @@ class TestThresholdMap:
         cache = oracle.make_cache(x)
         before = (x.tobytes(), cache.tobytes())
         for spec in (separable_from_factor(p, 1.5), exact_uniform(p, 0.01)):
-            threshold_map(spec, oracle, p)(x, slice(0, 4), oracle.full_grad(x), cache)
+            resolve(spec, oracle, p).map(x, slice(0, 4), oracle.full_grad(x), cache)
         assert (x.tobytes(), cache.tobytes()) == before
 
 
 class TestModelCurvature:
+    """The curvature ``resolve`` finds for a model, None where the exact model has none."""
+
     def test_quadratic_kinds_use_their_own(self):
         p = BlockPartition(block_sizes=(2, 1), lam=(0.1, 0.1), lipschitz=(1.0, 1.0))
         oracle = LeastSquaresObjective(np.eye(3), np.ones(3))
         uq = ApproxSpec("uq", [2.0, 3.0])
-        np.testing.assert_array_equal(model_curvature(uq, oracle, p), [2.0, 2.0, 3.0])
+        np.testing.assert_array_equal(resolve(uq, oracle, p).curvature, [2.0, 2.0, 3.0])
         uQ = ApproxSpec("uQ", [2.0, 4.0, 3.0])
-        np.testing.assert_array_equal(model_curvature(uQ, oracle, p), [2.0, 4.0, 3.0])
+        np.testing.assert_array_equal(resolve(uQ, oracle, p).curvature, [2.0, 4.0, 3.0])
 
     def test_exact_on_least_squares_is_column_norm_plus_beta(self):
         A = np.array([[1.0, 2.0], [3.0, 0.5]])
         oracle = LeastSquaresObjective(A, np.ones(2))
         p = BlockPartition.scalar([0.1, 0.1], oracle.column_lipschitz())
         spec = ApproxSpec("ue", [0.25, 0.5])
-        np.testing.assert_array_equal(model_curvature(spec, oracle, p), [10.25, 4.75])
+        np.testing.assert_array_equal(resolve(spec, oracle, p).curvature, [10.25, 4.75])
 
     def test_exact_without_fixed_curvature_is_none(self):
         oracle = random_logistic(6, 2, seed=23)
         p = BlockPartition.scalar([0.1, 0.1], oracle.column_lipschitz())
-        assert model_curvature(ApproxSpec("ue", [0.1, 0.1]), oracle, p) is None
+        assert resolve(ApproxSpec("ue", [0.1, 0.1]), oracle, p).curvature is None

@@ -16,11 +16,11 @@ from l0rcd import (
     exact_uniform,
     l0_norm,
     objective_F,
+    resolve,
     run_ihta,
     run_rcd_iht,
     separable_from_factor,
     support_of,
-    threshold_map,
     threshold_q,
 )
 from l0rcd.approx import M_EQ_LIPSCHITZ_FACTOR
@@ -50,10 +50,27 @@ def toy_state(problem, x):
     return IterateState.from_point(problem, np.asarray(x, dtype=float))
 
 
+def resolved(problem, spec):
+    return resolve(spec, problem.smooth, problem.partition)
+
+
+def count_resolves(monkeypatch):
+    """The kinds of the models ``solvers`` resolves from now on, in order."""
+    calls = []
+
+    def counted(spec, oracle, partition):
+        calls.append(spec.kind)
+        return resolve(spec, oracle, partition)
+
+    monkeypatch.setattr(solvers, "resolve", counted)
+    return calls
+
+
 def checked_step(problem, spec):
     """The step a run takes, ``step(state, i)``, followed by the run's descent check."""
-    step = _coordinate_step(problem, spec)
-    mu = spec.mu(problem.partition)
+    model = resolved(problem, spec)
+    step = _coordinate_step(problem, model)
+    mu = model.mu
 
     def checked(state, i):
         F_old = state.objective()
@@ -65,11 +82,11 @@ def checked_step(problem, spec):
 
 def reference_run_ihta(problem, x0, M_f, max_iters):
     """``run_ihta`` with the full-gradient step taken through the generic map:
-    ``threshold_map`` of the ``uq`` model at M_f over ``slice(0, n)``, and the
+    ``Model.map`` of the ``uq`` model at M_f over ``slice(0, n)``, and the
     zero-pattern test through ``np.any``. The reference for the step that
     calls ``threshold_q`` with the scalar M_f."""
     partition, smooth = problem.partition, problem.smooth
-    tmap = threshold_map(ApproxSpec("uq", np.full(partition.num_blocks, M_f)), smooth, partition)
+    tmap = resolve(ApproxSpec("uq", np.full(partition.num_blocks, M_f)), smooth, partition).map
     whole = slice(0, partition.n)
     mu_f = M_f - partition.global_lipschitz
 
@@ -167,7 +184,7 @@ class TestStep:
 
     def test_exact_model_rejects_a_multi_coordinate_block(self):
         """The exact model has one scalar step; it must not be broadcast over a
-        block. The step refuses to be built, so no state is ever written."""
+        block. The model refuses to be resolved, so no step is ever built."""
         prob = random_logistic_problem(15, 12, seed=47)
         sizes = (3, 3, 2, 4)
         partition = BlockPartition(
@@ -177,7 +194,7 @@ class TestStep:
         )
         prob = L0Problem(prob.smooth, partition)
         with pytest.raises(ValueError, match="exact approximation requires scalar blocks"):
-            _coordinate_step(prob, ApproxSpec("ue", np.full(len(sizes), 1e-4)))
+            resolved(prob, ApproxSpec("ue", np.full(len(sizes), 1e-4)))
 
     def test_long_step_passes_the_descent_check(self):
         """A step longer than 1.34e154, whose d * d overflows, has norm |d| on
@@ -192,7 +209,7 @@ class TestStep:
         for make_step in (_scalar_step, _block_step):
             st = toy_state(prob, x0)
             F_old = st.objective()
-            assert make_step(prob, spec)(st, 0) == 1.5e154
+            assert make_step(prob, resolved(prob, spec))(st, 0) == 1.5e154
             assert (F_old, st.objective()) == pytest.approx((1.5, 0.5))
         _, trace = run_rcd_iht(prob, x0, SolverConfig(approx=spec, max_iters=50, seed=0))
         assert trace.kappa == 1 and trace.final_F == pytest.approx(0.5)
@@ -268,7 +285,8 @@ def test_scalar_step_matches_block_step(objective, model, seed, lam_0, x_0_zero,
     x0 = rng.standard_normal(n) * (rng.random(n) < 0.6)
     x0[0] = 0.0 if x_0_zero else 0.7
     scalar_state, block_state = toy_state(prob, x0), toy_state(prob, x0)
-    step, block_step = _scalar_step(prob, spec), _block_step(prob, spec)
+    model = resolved(prob, spec)
+    step, block_step = _scalar_step(prob, model), _block_step(prob, model)
     for j in [0, *rest]:
         norm = step(scalar_state, j)
         assert norm == block_step(block_state, j)
@@ -284,6 +302,24 @@ def test_scalar_step_matches_block_step(objective, model, seed, lam_0, x_0_zero,
 
 
 class TestRunRcdIht:
+    @pytest.mark.parametrize(
+        "model, sizes",
+        [("uq", (1,) * 6), ("uQ", (1,) * 6), ("ue", (1,) * 6), ("uq", (2, 1, 3)), ("uQ", (2, 1, 3))],
+        ids=["uq-scalar", "uQ-scalar", "ue-scalar", "uq-blocks", "uQ-blocks"],
+    )
+    def test_model_resolved_once_per_run(self, monkeypatch, model, sizes):
+        prob = random_logistic_problem(10, 6, seed=48)
+        partition = BlockPartition(
+            block_sizes=sizes,
+            lam=(0.05,) * len(sizes),
+            lipschitz=tuple(prob.smooth.block_lipschitz(sizes)),
+        )
+        prob = L0Problem(prob.smooth, partition)
+        calls = count_resolves(monkeypatch)
+        cfg = SolverConfig(approx=_spec_for(model, partition), max_iters=200, seed=2)
+        run_rcd_iht(prob, np.linspace(-1.0, 1.0, 6), cfg)
+        assert calls == [model]
+
     @pytest.mark.parametrize("route", ["uq", "uq_mixed_lambda", "ihta"])
     def test_penalty_recounted_only_on_support_changes(self, monkeypatch, route):
         """The whole point is read once, at the start. A coordinate step then
@@ -476,7 +512,7 @@ class TestRunRcdIht:
         spec = separable_from_factor(prob.partition, 1.5)
         cfg = SolverConfig(approx=spec, max_iters=4000, seed=11)
         st, _ = run_rcd_iht(prob, np.ones(5) * 0.3, cfg)
-        tmap = threshold_map(spec, prob.smooth, prob.partition)
+        tmap = resolved(prob, spec).map
         cache = prob.smooth.make_cache(st.x)
         for i in range(prob.partition.num_blocks):
             sl = prob.partition.block_slice(i)
@@ -532,6 +568,12 @@ class TestRunRcdIht:
 
 
 class TestRunIhta:
+    def test_resolves_no_model(self, monkeypatch):
+        calls = count_resolves(monkeypatch)
+        prob = random_logistic_problem(10, 6, seed=48)
+        run_ihta(prob, np.linspace(-1.0, 1.0, 6), 1.5 * prob.partition.global_lipschitz, 200)
+        assert calls == []
+
     def test_toy_first_iterate(self, toy):
         # gradient vanishes at (2, 0.5); only the small coordinate is zeroed
         st, _ = run_ihta(toy, np.array([2.0, 0.5]), M_f=2.0 + 1e-6, max_iters=1)
