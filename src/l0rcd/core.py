@@ -183,7 +183,10 @@ def support_of(x: np.ndarray, partition: BlockPartition) -> int:
 class L0Problem:
     """A smooth convex oracle paired with a block partition.
 
-    Immutable and safely shareable across concurrent solver runs.
+    Immutable and safely shareable across concurrent solver runs. An oracle
+    may keep a memo of its last answers (the logistic one does), but only of
+    a pure function of the cache bits, replaced whole: runs that share it
+    can miss it, never read each other's state, and get the same bits.
     """
 
     smooth: "SmoothOracle"

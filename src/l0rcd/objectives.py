@@ -32,7 +32,9 @@ class SmoothOracle(Protocol):
 
     ``cache`` is objective-specific auxiliary state (e.g. the residual) that
     makes single-block updates O(m * n_i) instead of O(m * n). The cache is
-    exclusively owned by one solver run; oracles themselves are immutable.
+    exclusively owned by one solver run; oracles themselves are immutable, up
+    to a memo keyed by the cache's bytes that no answer depends on (see
+    LogisticL2Objective).
     ``update_cache(cache, sl, delta)`` adds block ``sl``'s change ``delta`` in place;
     ``sl`` is a slice with an array ``delta``, or a coordinate index j with a
     float change, added as the column axpy ``cache += A[:, j] * delta``: the
@@ -289,18 +291,25 @@ class LeastSquaresObjective:
         return float(np.linalg.eigvalsh(self.A.T @ self.A)[-1])
 
 
-def _log1pexp(t: np.ndarray) -> np.ndarray:
-    # max(t, 0) + log1p(exp(-|t|)), the overflow-safe branch form
+def _exp_neg_abs(t: np.ndarray) -> np.ndarray:
+    # exp(-|t|), the one exp of the overflow-safe forms of log(1 + e^t) and the sigmoid
+    return np.exp(-np.abs(t))
+
+
+def _log1pexp(t: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    # max(t, 0) + log1p(exp(-|t|)), the overflow-safe branch form; e is
+    # exp(-|t|) where the caller has it already
     t = np.asarray(t, dtype=float)
-    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+    return np.maximum(t, 0.0) + np.log1p(_exp_neg_abs(t) if e is None else e)
 
 
-def _sigmoid(t: np.ndarray) -> np.ndarray:
+def _sigmoid(t: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     # One exp for the two overflow-safe branches: with e = exp(-|t|) this is
     # 1/(1 + exp(-t)) for t >= 0 and exp(t)/(1 + exp(t)) below, bit for bit,
-    # because -|t| is t itself there.
+    # because -|t| is t itself there. e as in _log1pexp.
     t = np.asarray(t, dtype=float)
-    e = np.exp(-np.abs(t))
+    if e is None:
+        e = _exp_neg_abs(t)
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
@@ -311,6 +320,13 @@ class LogisticL2Objective:
 
     Samples a_k are the rows of ``data`` (shape m x n); labels y in {0,1}.
     Strongly convex with parameter nu. Cache: linear predictors t = data @ x.
+
+    The oracle keeps the sigmoid s, s - y and the mean loss of the last
+    predictors it was asked about (a one-entry memo keyed by their bytes),
+    so the queries at one cache state share one exp over the m predictors:
+    ``value_from_cache``, ``block_grad`` and every shifted query at h = 0.
+    The memo holds a pure function of those bits, so no query can read a
+    stale entry, and every answer has the bits of a fresh oracle.
     """
 
     def __init__(self, data: np.ndarray, y: np.ndarray, nu: float) -> None:
@@ -332,6 +348,8 @@ class LogisticL2Objective:
         self._col_sq = np.einsum("ij,ij->j", data, data)
         # squared entries, column j contiguous, for the curvature queries
         self._data_sq = np.asfortranarray(self.data**2)
+        # (predictor bytes, s, s - y, mean loss), see _at
+        self._memo: tuple[bytes, np.ndarray, np.ndarray, float] | None = None
 
     @property
     def dim(self) -> int:
@@ -346,15 +364,35 @@ class LogisticL2Objective:
         t = _matvec(self.data, x)
         return _matvec(self.data.T, _sigmoid(t) - self.y) / self.m + self.nu * x
 
+    def _loss(self, t: np.ndarray, e: np.ndarray | None = None) -> float:
+        # the mean logistic loss at the predictors t (e as in _log1pexp)
+        return float((_log1pexp(t, e) - self.y * t).sum()) / self.m
+
+    def _at(self, t: np.ndarray) -> tuple[bytes, np.ndarray, np.ndarray, float]:
+        """(key, s, s - y, mean loss) at the predictors t, from one exp.
+
+        Read from the memo when t has its bytes, else computed and stored.
+        s - y is kept beside s: with y = 1, s - 1 + 1 need not give s back.
+        The memo is replaced whole, so runs that share the oracle can only
+        miss it, never read a mix of two states.
+        """
+        t = np.asarray(t, dtype=float)
+        key = t.tobytes()
+        memo = self._memo
+        if memo is None or memo[0] != key:
+            e = _exp_neg_abs(t)
+            s = _sigmoid(t, e)
+            memo = self._memo = (key, s, s - self.y, self._loss(t, e))
+        return memo
+
     def make_cache(self, x: np.ndarray) -> np.ndarray:
         return self.data @ x
 
     def value_from_cache(self, x: np.ndarray, cache: np.ndarray) -> float:
-        loss = float((_log1pexp(cache) - self.y * cache).sum()) / self.m
-        return _finite(loss + 0.5 * self.nu * float(x @ x))
+        return _finite(self._at(cache)[3] + 0.5 * self.nu * float(x @ x))
 
     def block_grad(self, x: np.ndarray, sl: slice, cache: np.ndarray) -> np.ndarray:
-        return self.data[:, sl].T @ (_sigmoid(cache) - self.y) / self.m + self.nu * x[sl]
+        return self.data[:, sl].T @ self._at(cache)[2] / self.m + self.nu * x[sl]
 
     def update_cache(
         self, cache: np.ndarray, sl: slice | int, delta: np.ndarray | float
@@ -368,12 +406,21 @@ class LogisticL2Objective:
         # the sigmoid and log(1 + e^t) map to the same value.
         return cache if h == 0.0 else cache + self.data[:, j] * h
 
-    def _coord_grad(self, x: np.ndarray, j: int, h: float, s: np.ndarray) -> float:
-        # f' along coordinate j at x + h e_j, from the sigmoid s of the shifted predictors
-        return float(self.data[:, j] @ (s - self.y)) / self.m + self.nu * (x[j] + h)
+    def _sigmoid_shifted(
+        self, j: int, h: float, cache: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # s and s - y at the predictors of x + h e_j; from the memo at h == 0
+        if h == 0.0:
+            return self._at(cache)[1:3]
+        s = _sigmoid(self._shifted(j, h, cache))
+        return s, s - self.y
+
+    def _coord_grad(self, x: np.ndarray, j: int, h: float, s_minus_y: np.ndarray) -> float:
+        # f' along coordinate j at x + h e_j, from s - y at the shifted predictors
+        return float(self.data[:, j] @ s_minus_y) / self.m + self.nu * (x[j] + h)
 
     def coord_grad_shifted(self, x: np.ndarray, j: int, h: float, cache: np.ndarray) -> float:
-        return self._coord_grad(x, j, h, _sigmoid(self._shifted(j, h, cache)))
+        return self._coord_grad(x, j, h, self._sigmoid_shifted(j, h, cache)[1])
 
     def coord_curvature_shifted(
         self, x: np.ndarray, j: int, h: float, cache: np.ndarray
@@ -383,17 +430,16 @@ class LogisticL2Objective:
     def coord_grad_curvature_shifted(
         self, x: np.ndarray, j: int, h: float, cache: np.ndarray
     ) -> tuple[float, float]:
-        s = _sigmoid(self._shifted(j, h, cache))
+        s, s_minus_y = self._sigmoid_shifted(j, h, cache)
         curvature = float((s * (1.0 - s)) @ self._data_sq[:, j]) / self.m + self.nu
-        return self._coord_grad(x, j, h, s), curvature
+        return self._coord_grad(x, j, h, s_minus_y), curvature
 
     def coord_curvature_floor(self) -> np.ndarray:
         """Lower bound nu on f'' along each coordinate: the loss is convex."""
         return np.full(self.dim, self.nu)
 
     def value_shifted(self, x: np.ndarray, j: int, h: float, cache: np.ndarray) -> float:
-        t = self._shifted(j, h, cache)
-        loss = float((_log1pexp(t) - self.y * t).sum()) / self.m
+        loss = self._at(cache)[3] if h == 0.0 else self._loss(self._shifted(j, h, cache))
         sq = float(x @ x) - x[j] ** 2 + (x[j] + h) ** 2
         return loss + 0.5 * self.nu * sq
 
@@ -443,8 +489,7 @@ class LogisticL2Objective:
                 w_new = w - alpha * step
                 # f at the trial point, from the predictors of the support's columns
                 t_new = sub @ w_new
-                loss = float((_log1pexp(t_new) - self.y * t_new).sum()) / self.m
-                val_new = _finite(loss + 0.5 * self.nu * float(w_new @ w_new))
+                val_new = _finite(self._loss(t_new) + 0.5 * self.nu * float(w_new @ w_new))
                 if val_new <= val + 1e-12 * (1 + abs(val)):
                     break
                 alpha *= 0.5

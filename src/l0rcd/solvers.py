@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .approx import TIE_RULE, ApproxSpec, Model, resolve, threshold_q
+from .approx import TIE_RULE, ApproxSpec, Model, resolve
 # l0_norm stays importable from this module.
 from .core import IterateState, L0Problem, _bitmask_of, l0_norm  # noqa: F401
 
@@ -431,11 +431,19 @@ def run_ihta(
     smooth = problem.smooth
     lam = partition.coord_lambda()
     whole = slice(0, partition.n)
+    # threshold_q(x, g, M_f, lam) with its per-run constants built once; the
+    # same products in the same order give the same bits
+    M = float(M_f)
+    half_M = 0.5 * M
+    free = lam == 0.0
 
     def step(state: IterateState) -> tuple[int, float, float]:
         # The cache holds the residual (or predictors) at state.x already.
         x = state.x
-        new_x = threshold_q(x, smooth.block_grad(x, whole, state.cache), M_f, lam)
+        t = x - smooth.block_grad(x, whole, state.cache) / M
+        keep = half_M * t * t > lam
+        keep |= free
+        new_x = np.where(keep, t, 0.0)
         step_norm = _norm(new_x - x)
         state.x = new_x
         # a fresh cache each step, so the tracked f cannot drift

@@ -144,6 +144,83 @@ class TestLogistic:
             LogisticL2Objective(np.ones((2, 1)), np.zeros(2), nu=0.0)
 
 
+def _h0_queries(n):
+    """Every query of the oracle surface that reads the cache as it stands (h = 0,
+    also h = -0.0), as functions (oracle, x, cache) -> result."""
+    queries = [
+        lambda f, x, c: f.value_from_cache(x, c),
+        lambda f, x, c: f.block_grad(x, slice(0, n), c),
+        lambda f, x, c: f.block_grad(x, slice(1, 3), c),
+    ]
+    for j in range(n):
+        for h in (0.0, -0.0):
+            queries += [
+                lambda f, x, c, j=j, h=h: f.coord_grad_shifted(x, j, h, c),
+                lambda f, x, c, j=j, h=h: f.coord_curvature_shifted(x, j, h, c),
+                lambda f, x, c, j=j, h=h: f.coord_grad_curvature_shifted(x, j, h, c),
+                lambda f, x, c, j=j, h=h: f.value_shifted(x, j, h, c),
+            ]
+    return queries
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+class TestLogisticMemo:
+    """The logistic oracle keeps the sigmoid and loss of the last predictors it
+    saw; no query may tell. A fresh oracle per query is the reference."""
+
+    @staticmethod
+    def fresh(f):
+        return LogisticL2Objective(f.data, f.y, f.nu)
+
+    def test_cache_edited_in_place_without_update_cache(self):
+        f = random_logistic(15, 6, 21)
+        rng = np.random.default_rng(22)
+        x, z = rng.standard_normal(6), 3.0 * rng.standard_normal(6)
+        before, after = f.make_cache(x), f.make_cache(z)
+        cache = before.copy()
+        for query in _h0_queries(6):
+            cache[:] = before
+            f.value_from_cache(x, cache)  # the memo now holds the predictors at x
+            cache[:] = after
+            assert _bits(query(f, z, cache)) == _bits(query(self.fresh(f), z, cache))
+
+    def test_two_caches_queried_alternately(self):
+        f = random_logistic(15, 6, 23)
+        rng = np.random.default_rng(24)
+        points = [rng.standard_normal(6), rng.standard_normal(6)]
+        caches = [f.make_cache(x) for x in points]
+        for query in _h0_queries(6):
+            for _ in range(2):
+                for x, cache in zip(points, caches):
+                    assert _bits(query(f, x, cache)) == _bits(query(self.fresh(f), x, cache))
+
+    def test_one_exp_per_predictor_state(self, monkeypatch):
+        """The queries at one cache state share one exp; a shifted query at
+        h != 0 makes its own and leaves the memo in place."""
+        f = random_logistic(15, 6, 25)
+        x = np.random.default_rng(26).standard_normal(6)
+        cache = f.make_cache(x)
+        calls = []
+        original = objectives._exp_neg_abs
+
+        def counted(t):
+            calls.append(len(t))
+            return original(t)
+
+        monkeypatch.setattr(objectives, "_exp_neg_abs", counted)
+        for query in _h0_queries(6):
+            query(f, x, cache)
+        assert calls == [15]
+        f.coord_grad_curvature_shifted(x, 2, 0.5, cache)
+        f.value_shifted(x, 2, -x[2], cache)
+        for query in _h0_queries(6):
+            query(f, x, cache)
+        assert calls == [15, 15, 15]
+
+
 def two_branch_sigmoid(t):
     """Overflow-safe sigmoid as two masked branches: the reference for ``_sigmoid``."""
     t = np.asarray(t, dtype=float)

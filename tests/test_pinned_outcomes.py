@@ -6,14 +6,25 @@ instances: the 6x12 least squares instance of the acceptance tournament
 logistic instance, once with multivariate blocks and once with scalar
 blocks (where `ue` takes the safeguarded Newton step). Iteration counts,
 stop reasons and final supports must match exactly; final F to 1e-12
-relative.
+relative. Two more tests pin every bit, as sha256 digests: the traces of
+the logistic ``benchmark`` configuration (50x40, 12 starts, three routes)
+and the 12x8 logistic catalog.
 """
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
-from l0rcd.cli import ExperimentConfig, build_problem, random_start, run_named_solver, seeded_rng
+from l0rcd.analysis import enumerate_catalog
+from l0rcd.cli import (
+    ExperimentConfig,
+    _enumerate_requests,
+    build_problem,
+    random_start,
+    run_named_solver,
+    seeded_rng,
+)
 
 ACCEPTANCE = ExperimentConfig(
     problem_kind="least_squares", m=6, n=12, instance_seed=13, uq_factor=2.0, max_iters=2400
@@ -107,3 +118,58 @@ def test_scalar_logistic_outcomes():
         for t in range(2):
             got = outcome(problem, SCALAR_LOGISTIC, name, (0, 0, si, t), t)
             assert_outcome(got, SCALAR_LOGISTIC_OUTCOMES[(name, t)])
+
+
+# The logistic benchmark configuration: 50x40, three routes, 12 random starts.
+MULTISTART_LOGISTIC = ExperimentConfig(
+    problem_kind="logistic",
+    m=50,
+    n=40,
+    instance_seed=0,
+    nu=0.05,
+    lam=0.01,
+    solver_names=("uq", "ue", "ihta"),
+    max_iters=4000,
+    trials=12,
+    master_seed=0,
+)
+CATALOG_LOGISTIC = ExperimentConfig(
+    problem_kind="logistic", m=12, n=8, instance_seed=5, nu=0.3, lam=0.05
+)
+
+# sha256 over the bits of every trace of the runs below, recorded before the
+# logistic oracle kept its sigmoid between queries.
+MULTISTART_LOGISTIC_SHA256 = "3b161f4ca23a8468a3e8df51fd8ab6a25cc9b00685687aee32f46b686a982ea4"
+CATALOG_LOGISTIC_SHA256 = "0c95f5a1040fe7c8e8b264af700b3c135203882dfef4261cb1049920073237af"
+
+
+def test_multistart_logistic_traces_are_pinned():
+    """The 36 runs of the ``benchmark`` subcommand on 50x40 logistic, in its
+    order and with its seeds, keep every bit of F, the step norms, the blocks
+    and the final point."""
+    cfg = MULTISTART_LOGISTIC
+    problem = build_problem(cfg)
+    digest = hashlib.sha256()
+    for si, name in enumerate(cfg.solver_names):
+        for t in range(cfg.trials):
+            x0 = random_start(
+                problem.n, seeded_rng(cfg.master_seed, t), cfg.start_density, cfg.value_range
+            )
+            _, trace = run_named_solver(name, problem, x0, cfg, (cfg.master_seed, 0, si, t))
+            for a in (trace.F, trace.step_norms, trace.blocks.astype("<i8"), trace.final_x):
+                digest.update(a.tobytes())
+            digest.update(trace.metadata["stop"].encode())
+    assert digest.hexdigest() == MULTISTART_LOGISTIC_SHA256
+
+
+def test_logistic_catalog_is_pinned():
+    """The 12x8 logistic catalog keeps every bit of its points, values and
+    class flags, which the exact-model class test computes by Newton steps."""
+    problem = build_problem(CATALOG_LOGISTIC)
+    catalog = enumerate_catalog(problem, _enumerate_requests(problem, CATALOG_LOGISTIC))
+    digest = hashlib.sha256()
+    for a in (catalog.bitmasks, catalog.points, catalog.f, catalog.F):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    for label in catalog.class_labels:
+        digest.update(label.encode() + catalog.flags[label].tobytes())
+    assert digest.hexdigest() == CATALOG_LOGISTIC_SHA256

@@ -41,6 +41,10 @@ from l0rcd.solvers import (
 from conftest import random_logistic_problem, random_ls_problem, toy_problem
 
 
+def _bits(*arrays):
+    return b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays)
+
+
 def lipschitz_mode(partition):
     """The "M equal to L_i" solver mode, nudged up to keep M_i > L_i."""
     return separable_from_factor(partition, M_EQ_LIPSCHITZ_FACTOR)
@@ -385,6 +389,105 @@ class TestRunRcdIht:
         # one f evaluation for the start, one per moving step, and one from a
         # fresh cache at the stop, which finds no drift here
         assert calls == {"update_cache": moved, "value_from_cache": moved + 2}
+
+    @pytest.mark.parametrize("route", ["uq", "ihta"])
+    def test_logistic_exp_once_per_predictor_state(self, monkeypatch, route):
+        """A logistic run evaluates exp over the m predictors once at the start,
+        once per moving step (the f value of the new point, whose gradient
+        queries then read the oracle's memo) and at most once per drift check
+        at a stop; a null step evaluates none."""
+        from l0rcd import objectives
+
+        prob = random_logistic_problem(15, 10, seed=46)
+        exps = []
+        original_exp = objectives._exp_neg_abs
+
+        def counted_exp(t):
+            exps.append(len(t))
+            return original_exp(t)
+
+        checks = []
+        original_refreshed = solvers._refreshed
+
+        def counted_refreshed(problem, state):
+            checks.append(state.f_value)
+            return original_refreshed(problem, state)
+
+        monkeypatch.setattr(objectives, "_exp_neg_abs", counted_exp)
+        monkeypatch.setattr(solvers, "_refreshed", counted_refreshed)
+        x0 = np.random.default_rng(45).standard_normal(prob.n)
+        if route == "uq":
+            spec = separable_from_factor(prob.partition, 1.5)
+            _, trace = run_rcd_iht(prob, x0, SolverConfig(approx=spec, max_iters=600, seed=2))
+        else:
+            M_f = 1.5 * prob.partition.global_lipschitz
+            _, trace = run_ihta(prob, x0, M_f, max_iters=600)
+        moved = int(np.count_nonzero(trace.step_norms))
+        assert set(exps) == {prob.smooth.m}
+        assert len(exps) <= 1 + moved + len(checks)
+        assert 1 + moved + len(checks) < 2 * trace.iterations
+        if route == "uq":
+            assert 1 + moved + len(checks) < trace.iterations
+
+    def test_logistic_runs_stepped_in_turn_on_one_oracle(self):
+        """Two runs whose steps alternate on one logistic oracle move, bit for
+        bit, as the same runs taken one after the other."""
+        prob = random_logistic_problem(15, 10, seed=46)
+        model = resolve(separable_from_factor(prob.partition, 1.5), prob.smooth, prob.partition)
+        step = _coordinate_step(prob, model)
+        rng = np.random.default_rng(47)
+        starts = [rng.standard_normal(prob.n) for _ in range(2)]
+        blocks = [rng.integers(prob.n, size=300).tolist() for _ in range(2)]
+
+        def record(state, i):
+            norm = step(state, i)
+            return _bits(state.x, state.cache, [state.f_value, norm])
+
+        alone = [IterateState.from_point(prob, x0) for x0 in starts]
+        want = [[record(st, i) for i in seq] for st, seq in zip(alone, blocks)]
+        turn = [IterateState.from_point(prob, x0) for x0 in starts]
+        got = [[], []]
+        for pair in zip(*blocks):
+            for r, i in enumerate(pair):
+                got[r].append(record(turn[r], i))
+        assert got == want
+        assert any(a != b for a, b in zip(want[0], want[0][1:]))  # the runs move
+
+    def test_logistic_runs_in_threads_share_one_oracle(self):
+        """Runs on one logistic problem in more threads than cores, switched
+        often, end as the same runs made one by one: the oracle's memo can
+        be missed but never read across runs."""
+        import sys
+        import threading
+
+        prob = random_logistic_problem(15, 10, seed=46, lam=0.01, nu=0.02)
+        rng = np.random.default_rng(48)
+        starts = [rng.standard_normal(prob.n) for _ in range(6)]
+        specs = [separable_from_factor(prob.partition, 1.5), exact_uniform(prob.partition, 1e-4)]
+
+        def run(k):
+            spec = specs[k % 2]
+            _, trace = run_rcd_iht(prob, starts[k], SolverConfig(approx=spec, max_iters=2000, seed=k))
+            return _bits(trace.F, trace.step_norms, trace.final_x)
+
+        want = [run(k) for k in range(len(starts))]
+        got = [None] * len(starts)
+
+        def worker(k):
+            got[k] = run(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(starts))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == want
 
     @pytest.mark.parametrize("route", ["uq", "ue", "ihta", "uq_blocks"])
     def test_norm_bounds_keep_every_stop_decision(self, monkeypatch, route):
