@@ -113,10 +113,13 @@ class ApproxSpec:
     def validate_for_solver(self, partition: BlockPartition) -> None:
         """Check the parameters fit ``partition`` and the strict-curvature condition mu > 0."""
         self.check_partition(partition)
-        if np.any(self.mu(partition) <= 0):
-            raise ValueError(
-                f"{self.kind} curvature must strictly exceed the block Lipschitz constants"
-            )
+        _check_mu(self.kind, self.mu(partition))
+
+
+def _check_mu(kind: str, mu) -> None:
+    # the strict-curvature condition of a solver run: mu_i > 0 on every block
+    if any(m <= 0 for m in mu):
+        raise ValueError(f"{kind} curvature must strictly exceed the block Lipschitz constants")
 
 
 def separable_from_factor(partition: BlockPartition, factor: float) -> ApproxSpec:
@@ -292,7 +295,10 @@ class Model:
     bound the curvature of the exact model along each coordinate (see
     ``threshold_e``), and are None otherwise. ``threshold(x, j, x_j, cache)``
     is the map of coordinate j alone, on Python floats: ``x_j`` is x[j] as a
-    float and ``cache`` the oracle's cache at x.
+    float and ``cache`` the oracle's cache at x. ``mu`` (Python floats) and
+    ``curvature_bound`` are the spec's ``ApproxSpec.mu`` and
+    ``ApproxSpec.curvature_bound`` per block, with their bits, taken from
+    ``curvature`` for the quadratic kinds.
     """
 
     spec: ApproxSpec
@@ -303,11 +309,13 @@ class Model:
     lo: list[float] | None
     hi: list[float] | None
     threshold: Callable[[np.ndarray, int, float, np.ndarray], float]
+    mu: list[float]
+    curvature_bound: np.ndarray
 
-    @property
-    def mu(self) -> list[float]:
-        """The descent modulus per block, ``ApproxSpec.mu``."""
-        return self.spec.mu(self.partition).tolist()
+    def validate_for_solver(self) -> None:
+        """The strict-curvature check of ``ApproxSpec.validate_for_solver``, mu > 0,
+        from the model's own mu: ``resolve`` has checked the rest."""
+        _check_mu(self.spec.kind, self.mu)
 
     def map(self, x: np.ndarray, sl: slice, g: np.ndarray, cache: np.ndarray) -> np.ndarray:
         """The new values of the coordinates ``sl`` (a block, or ``slice(0, n)``).
@@ -377,17 +385,24 @@ def resolve(spec: ApproxSpec, oracle: SmoothOracle, partition: BlockPartition) -
     lam = partition.coord_lambda()
     lam_j = lam.tolist()
     curvature = lo = hi = None
+    lipschitz = np.asarray(partition.lipschitz, dtype=float)
     if spec.kind != "ue":
+        # ApproxSpec.mu and curvature_bound, from the one curvature
         curvature = spec.coord_curvature(partition)
+        starts = partition.block_starts
+        mu = (np.minimum.reduceat(curvature, starts) - lipschitz).tolist()
+        bound = np.maximum.reduceat(curvature, starts)
     else:
         beta = np.asarray(spec.params, dtype=float)
+        mu = list(spec.params)
+        bound = lipschitz + beta
         coord_curvature = getattr(oracle, "coord_curvature", None)
         if coord_curvature is not None:
             curvature = coord_curvature() + beta
         else:
             floor = getattr(oracle, "coord_curvature_floor", None)
             lo = (beta if floor is None else beta + floor()).tolist()
-            hi = spec.curvature_bound(partition).tolist()
+            hi = bound.tolist()
     if curvature is None:
         params = spec.params
 
@@ -404,4 +419,4 @@ def resolve(spec: ApproxSpec, oracle: SmoothOracle, partition: BlockPartition) -
             t = x_j - float(oracle.coord_grad_shifted(x, j, 0.0, cache)) / M
             return t if lam_j[j] == 0.0 or 0.5 * M * t * t > lam_j[j] else 0.0
 
-    return Model(spec, oracle, partition, lam, curvature, lo, hi, threshold)
+    return Model(spec, oracle, partition, lam, curvature, lo, hi, threshold, mu, bound)

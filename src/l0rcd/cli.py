@@ -33,6 +33,7 @@ from .approx import (
     M_EQ_LIPSCHITZ_FACTOR,
     TIE_RULE,
     exact_uniform,
+    resolve,
     separable_from_factor,
 )
 # l0_norm stays importable from this module.
@@ -333,20 +334,25 @@ def build_problem(cfg: ExperimentConfig, lam: float | None = None) -> L0Problem:
     return L0Problem(smooth=oracle, partition=partition)
 
 
-def solver_spec(name: str, cfg: ExperimentConfig, problem: L0Problem) -> ApproxSpec | None:
-    """ApproxSpec for a named coordinate solver; None marks the full-gradient one."""
+def _named_spec(name: str, cfg: ExperimentConfig, problem: L0Problem) -> ApproxSpec | None:
+    # solver_spec before its check that the spec fits a solver run
     partition = problem.partition
     if name == "uq":
-        spec = _construct(separable_from_factor, partition, cfg.uq_factor)
-    elif name == "ue":
-        spec = _construct(exact_uniform, partition, cfg.ue_beta)
-    elif name == "ihta":
+        return _construct(separable_from_factor, partition, cfg.uq_factor)
+    if name == "ue":
+        return _construct(exact_uniform, partition, cfg.ue_beta)
+    if name == "ihta":
         if not np.isfinite(partition.global_lipschitz * cfg.ihta_factor):
             raise ConfigError(f"[solvers] ihta_factor = {cfg.ihta_factor} makes M_f overflow")
         return None
-    else:
-        raise ConfigError(f"unknown solver name {name!r} (expected uq, ue, or ihta)")
-    _construct(spec.validate_for_solver, partition)
+    raise ConfigError(f"unknown solver name {name!r} (expected uq, ue, or ihta)")
+
+
+def solver_spec(name: str, cfg: ExperimentConfig, problem: L0Problem) -> ApproxSpec | None:
+    """ApproxSpec for a named coordinate solver; None marks the full-gradient one."""
+    spec = _named_spec(name, cfg, problem)
+    if spec is not None:
+        _construct(spec.validate_for_solver, problem.partition)
     return spec
 
 
@@ -359,14 +365,19 @@ def run_named_solver(
 ):
     """Run one configured solver from x0; returns (state, trace).
 
-    ``max_iters`` = 0 picks 2000 for ``ihta`` and 400 n for a coordinate route."""
-    spec = solver_spec(name, cfg, problem)
+    ``max_iters`` = 0 picks 2000 for ``ihta`` and 400 n for a coordinate route.
+    The spec is checked as ``solver_spec`` checks it, once, by resolving its
+    model for the run."""
+    spec = _named_spec(name, cfg, problem)
     if spec is None:
         M_f = problem.partition.global_lipschitz * cfg.ihta_factor
         return run_ihta(problem, x0, M_f, max_iters=cfg.max_iters if cfg.max_iters > 0 else 2000)
+    model = _construct(resolve, spec, problem.smooth, problem.partition)
+    _construct(model.validate_for_solver)
     seed = int(np.random.SeedSequence(seed_entropy).generate_state(1)[0])
     max_iters = cfg.max_iters if cfg.max_iters > 0 else 400 * problem.n
-    return run_rcd_iht(problem, x0, SolverConfig(approx=spec, max_iters=max_iters, seed=seed))
+    config = SolverConfig(approx=spec, max_iters=max_iters, seed=seed)
+    return run_rcd_iht(problem, x0, config, model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +414,9 @@ class OutputWriter:
             raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
         with fh:
             writer = csv.writer(fh)
-            for line in self.meta_lines():
-                writer.writerow(line)
+            writer.writerows(self.meta_lines())
             writer.writerow(header)
-            for row in rows:
-                writer.writerow(row)
+            writer.writerows(rows)
         return path
 
 

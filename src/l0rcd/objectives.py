@@ -60,6 +60,16 @@ class SmoothOracle(Protocol):
     (k, s) int array of sorted index rows, all of one size s, and returns
     the (k, n) array of the minimizers of f over the vectors supported on
     each row.
+
+    The bundled oracles make each per-iteration product one ``ndarray.dot``
+    call: a BLAS gemv for the matrix-vector products of ``make_cache``,
+    ``block_grad`` and the slice ``update_cache``, a BLAS ddot for the
+    vector products of ``value_from_cache`` and the shifted queries. The
+    queries of one coordinate j read column j from a list of views of the
+    matrix, built on first use, and its constant ||A_j||^2 from a list of
+    floats. For these shapes ``@`` makes the same BLAS call, so ``.dot``
+    gives its bits; it only skips the matmul ufunc's dispatch, which costs
+    more than the product itself on a short vector.
     """
 
     dim: int
@@ -147,8 +157,9 @@ def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     """M @ x for one vector x or for each row of a stack.
 
     Stacked matmul makes the same gemv call per row as the 1-D product, so
-    each row gets the bits of the one-point call; ``Z @ M.T`` and einsum
-    regroup the sums.
+    each row gets the bits of the one-point call, ``M.dot(x)`` in the
+    oracles' per-iteration kernels; ``Z @ M.T`` and einsum regroup the
+    sums.
     """
     return (M @ np.asarray(x, dtype=float)[..., None])[..., 0]
 
@@ -184,23 +195,32 @@ class LeastSquaresObjective:
     def full_grad(self, x: np.ndarray) -> np.ndarray:
         return _matvec(self.A.T, _matvec(self.A, x) - self.b)
 
+    @cached_property
+    def _cols(self) -> list[np.ndarray]:
+        # the columns of A as views, built on the first scalar query
+        return list(self.A.T)
+
+    @cached_property
+    def _col_sq_list(self) -> list[float]:
+        return self._col_sq.tolist()
+
     def make_cache(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ x - self.b
+        return self.A.dot(x) - self.b
 
     def value_from_cache(self, x: np.ndarray, cache: np.ndarray) -> float:
-        return _finite(0.5 * float(cache @ cache))
+        return _finite(0.5 * float(cache.dot(cache)))
 
     def block_grad(self, x: np.ndarray, sl: slice, cache: np.ndarray) -> np.ndarray:
-        return self.A[:, sl].T @ cache
+        return self.A[:, sl].T.dot(cache)
 
     def update_cache(
         self, cache: np.ndarray, sl: slice | int, delta: np.ndarray | float
     ) -> np.ndarray:
-        cache += self.A[:, sl] @ delta if isinstance(sl, slice) else self.A[:, sl] * delta
+        cache += self.A[:, sl].dot(delta) if isinstance(sl, slice) else self._cols[sl] * delta
         return cache
 
     def coord_grad_shifted(self, x: np.ndarray, j: int, h: float, cache: np.ndarray) -> float:
-        return float(self.A[:, j] @ cache) + self._col_sq[j] * h
+        return float(self._cols[j].dot(cache)) + self._col_sq_list[j] * h
 
     def coord_curvature_shifted(
         self, x: np.ndarray, j: int, h: float, cache: np.ndarray
@@ -210,11 +230,11 @@ class LeastSquaresObjective:
     def coord_grad_curvature_shifted(
         self, x: np.ndarray, j: int, h: float, cache: np.ndarray
     ) -> tuple[float, float]:
-        return self.coord_grad_shifted(x, j, h, cache), float(self._col_sq[j])
+        return self.coord_grad_shifted(x, j, h, cache), self._col_sq_list[j]
 
     def value_shifted(self, x: np.ndarray, j: int, h: float, cache: np.ndarray) -> float:
-        r = cache + self.A[:, j] * h
-        return 0.5 * float(r @ r)
+        r = cache + self._cols[j] * h
+        return 0.5 * float(r.dot(r))
 
     def coord_curvature(self) -> np.ndarray:
         """Curvature ||A_j||^2 of f along each coordinate: f is quadratic there."""
@@ -385,26 +405,36 @@ class LogisticL2Objective:
             memo = self._memo = (key, s, s - self.y, self._loss(t, e))
         return memo
 
+    @cached_property
+    def _cols(self) -> list[np.ndarray]:
+        # the columns of data as views, built on the first scalar query
+        return list(self.data.T)
+
+    @cached_property
+    def _sq_cols(self) -> list[np.ndarray]:
+        # the columns of _data_sq as views
+        return list(self._data_sq.T)
+
     def make_cache(self, x: np.ndarray) -> np.ndarray:
-        return self.data @ x
+        return self.data.dot(x)
 
     def value_from_cache(self, x: np.ndarray, cache: np.ndarray) -> float:
-        return _finite(self._at(cache)[3] + 0.5 * self.nu * float(x @ x))
+        return _finite(self._at(cache)[3] + 0.5 * self.nu * float(x.dot(x)))
 
     def block_grad(self, x: np.ndarray, sl: slice, cache: np.ndarray) -> np.ndarray:
-        return self.data[:, sl].T @ self._at(cache)[2] / self.m + self.nu * x[sl]
+        return self.data[:, sl].T.dot(self._at(cache)[2]) / self.m + self.nu * x[sl]
 
     def update_cache(
         self, cache: np.ndarray, sl: slice | int, delta: np.ndarray | float
     ) -> np.ndarray:
-        cache += self.data[:, sl] @ delta if isinstance(sl, slice) else self.data[:, sl] * delta
+        cache += self.data[:, sl].dot(delta) if isinstance(sl, slice) else self._cols[sl] * delta
         return cache
 
     def _shifted(self, j: int, h: float, cache: np.ndarray) -> np.ndarray:
         # Predictors at x + h e_j. At h == 0 the cache itself: adding
         # data[:, j] * 0.0 could only flip the sign of a zero predictor, which
         # the sigmoid and log(1 + e^t) map to the same value.
-        return cache if h == 0.0 else cache + self.data[:, j] * h
+        return cache if h == 0.0 else cache + self._cols[j] * h
 
     def _sigmoid_shifted(
         self, j: int, h: float, cache: np.ndarray
@@ -417,7 +447,7 @@ class LogisticL2Objective:
 
     def _coord_grad(self, x: np.ndarray, j: int, h: float, s_minus_y: np.ndarray) -> float:
         # f' along coordinate j at x + h e_j, from s - y at the shifted predictors
-        return float(self.data[:, j] @ s_minus_y) / self.m + self.nu * (x[j] + h)
+        return float(self._cols[j].dot(s_minus_y)) / self.m + self.nu * (x[j] + h)
 
     def coord_grad_shifted(self, x: np.ndarray, j: int, h: float, cache: np.ndarray) -> float:
         return self._coord_grad(x, j, h, self._sigmoid_shifted(j, h, cache)[1])
@@ -431,7 +461,7 @@ class LogisticL2Objective:
         self, x: np.ndarray, j: int, h: float, cache: np.ndarray
     ) -> tuple[float, float]:
         s, s_minus_y = self._sigmoid_shifted(j, h, cache)
-        curvature = float((s * (1.0 - s)) @ self._data_sq[:, j]) / self.m + self.nu
+        curvature = float((s * (1.0 - s)).dot(self._sq_cols[j])) / self.m + self.nu
         return self._coord_grad(x, j, h, s_minus_y), curvature
 
     def coord_curvature_floor(self) -> np.ndarray:
@@ -440,7 +470,7 @@ class LogisticL2Objective:
 
     def value_shifted(self, x: np.ndarray, j: int, h: float, cache: np.ndarray) -> float:
         loss = self._at(cache)[3] if h == 0.0 else self._loss(self._shifted(j, h, cache))
-        sq = float(x @ x) - x[j] ** 2 + (x[j] + h) ** 2
+        sq = float(x.dot(x)) - x[j] ** 2 + (x[j] + h) ** 2
         return loss + 0.5 * self.nu * sq
 
     @cached_property

@@ -130,7 +130,8 @@ def _norm(v: np.ndarray) -> float:
     dispatch, except where v . v overflows a finite v: the norm is then
     taken from v scaled by its largest magnitude, so a step longer than
     1.34e154 gets its norm and not inf. A one-entry v gets |v_0| there,
-    as the float step does. ``np.vdot`` makes the BLAS call of ``v.dot``
+    as the float step does. ``np.vdot`` makes the BLAS ddot call of
+    ``v.dot``, which is also the call of ``v @ v`` and so has its bits,
     without raising numpy's overflow warning for the case handled here.
     """
     s = math.sqrt(np.vdot(v, v))
@@ -366,18 +367,22 @@ def _drive(
 
 
 def run_rcd_iht(
-    problem: L0Problem, x0: np.ndarray, config: SolverConfig
+    problem: L0Problem, x0: np.ndarray, config: SolverConfig, *, model: Model | None = None
 ) -> tuple[IterateState, SolverTrace]:
     """Run the randomized coordinate thresholding method from x0.
 
     Blocks are drawn i.i.d. uniformly from the seeded counter-based
     generator. The stopping window (see ``_drive``) defaults to 3N
     iterations. Deterministic given (seed, x0, problem, config).
+    ``model`` is ``config.approx`` resolved on ``problem`` and checked by
+    ``Model.validate_for_solver``, where the caller has it already; by
+    default the run resolves and checks it itself.
     """
     partition = problem.partition
     spec = config.approx
-    spec.validate_for_solver(partition)
-    model = resolve(spec, problem.smooth, partition)
+    if model is None:
+        model = resolve(spec, problem.smooth, partition)
+        model.validate_for_solver()
     mu = model.mu
     N = partition.num_blocks
     rng = make_rng(config.seed)
@@ -395,7 +400,7 @@ def run_rcd_iht(
         return i, update(state, i), mu[i]
 
     return _drive(
-        problem, x0, step, config.max_iters, window, delta_lower_bound(problem, spec, x0), metadata
+        problem, x0, step, config.max_iters, window, delta_lower_bound(problem, model, x0), metadata
     )
 
 
@@ -435,22 +440,32 @@ def run_ihta(
     # same products in the same order give the same bits
     M = float(M_f)
     half_M = 0.5 * M
-    free = lam == 0.0
+    free = partition.zero_penalty_mask
+    any_free = partition.zero_penalty_bits != 0
+    # The zero pattern of state.x as the bytes of a bool mask (-0.0 counts
+    # as zero), kept from one step to the next: only a step moves x, and
+    # a refresh keeps it.
+    pattern = None
 
     def step(state: IterateState) -> tuple[int, float, float]:
+        nonlocal pattern
         # The cache holds the residual (or predictors) at state.x already.
         x = state.x
+        if pattern is None:
+            pattern = (x != 0.0).tobytes()
         t = x - smooth.block_grad(x, whole, state.cache) / M
         keep = half_M * t * t > lam
-        keep |= free
+        if any_free:
+            keep |= free
         new_x = np.where(keep, t, 0.0)
         step_norm = _norm(new_x - x)
         state.x = new_x
         # a fresh cache each step, so the tracked f cannot drift
         state.cache = smooth.make_cache(new_x)
         state.f_value = smooth.value_from_cache(new_x, state.cache)
-        # the zero patterns as bytes of bool masks; -0.0 counts as zero
-        if (new_x != 0.0).tobytes() != (x != 0.0).tobytes():
+        new_pattern = (new_x != 0.0).tobytes()
+        if new_pattern != pattern:
+            pattern = new_pattern
             state.recount(problem)
         return -1, step_norm, mu_f
 
@@ -460,21 +475,23 @@ def run_ihta(
     return _drive(problem, x0, step, max_iters, support_patience, float("nan"), metadata)
 
 
-def delta_lower_bound(problem: L0Problem, spec: ApproxSpec, x0: np.ndarray) -> float:
+def delta_lower_bound(problem: L0Problem, spec: ApproxSpec | Model, x0: np.ndarray) -> float:
     """Guaranteed objective decrease per support change, from the start point.
 
     delta = (1/N) * min{ min over blocks with lambda_i > 0 of mu_i lambda_i / M_i,
                          min over initially nonzero coordinates j of (mu_i/2) x0_j^2 }
 
     The second inner min is dropped when x0 has empty support. For the exact
-    model the curvature constant M_i is L_i + beta_i.
+    model the curvature constant M_i is L_i + beta_i. mu_i and M_i are the
+    ``Model``'s; a spec is resolved on ``problem`` first.
     """
     partition = problem.partition
+    model = resolve(spec, problem.smooth, partition) if isinstance(spec, ApproxSpec) else spec
     x0 = np.asarray(x0, dtype=float)
-    mu = spec.mu(partition)
+    mu = np.array(model.mu)
     lam = partition.lam_array
     # (mu_i / M_i) * lambda_i: mu_i <= M_i, so no product overflows
-    best = np.min((mu / spec.curvature_bound(partition) * lam)[lam > 0.0])
+    best = np.min((mu / model.curvature_bound * lam)[lam > 0.0])
     # smallest x0_j^2 over each block's nonzeros; inf (no term) where there are none.
     # A term that overflows is inf too, and best is finite, so it is never the min.
     with np.errstate(over="ignore"):

@@ -647,6 +647,45 @@ class TestApproxSpec:
             ApproxSpec("ue", [0.1]).validate_for_solver(multi)
         ApproxSpec("ue", [0.1, 0.1]).validate_for_solver(p)
 
+    @pytest.mark.parametrize("kind", ["uq", "uQ", "ue"])
+    @pytest.mark.parametrize("make", [LeastSquaresObjective, LogisticL2Objective])
+    def test_model_constants_have_the_spec_bits(self, kind, make):
+        """``resolve`` gives the model the spec's mu (as Python floats) and
+        curvature bound, bit for bit, on scalar blocks and on blocks 3,1,2,4."""
+        rng = np.random.default_rng(9)
+        A = rng.uniform(-1, 1, (7, 10))
+        oracle = (
+            LeastSquaresObjective(A, rng.uniform(-1, 1, 7)) if make is LeastSquaresObjective
+            else LogisticL2Objective(A, (rng.random(7) < 0.5).astype(float), 0.2)
+        )
+        for sizes in [(1,) * 10, (3, 1, 2, 4)]:
+            if kind == "ue" and len(sizes) != 10:
+                continue
+            L = tuple(oracle.block_lipschitz(sizes))
+            p = BlockPartition(block_sizes=sizes, lam=(0.1,) * len(sizes), lipschitz=L)
+            if kind == "uq":
+                spec = separable_from_factor(p, 1.7)
+            elif kind == "uQ":
+                spec = ApproxSpec("uQ", np.repeat(L, sizes) * rng.uniform(1.2, 3.0, 10))
+            else:
+                spec = ApproxSpec("ue", rng.uniform(1e-3, 1.0, 10))
+            model = resolve(spec, oracle, p)
+            assert all(type(m) is float for m in model.mu)
+            assert np.array(model.mu).tobytes() == spec.mu(p).tobytes()
+            assert model.curvature_bound.tobytes() == spec.curvature_bound(p).tobytes()
+
+    def test_model_check_is_the_spec_check(self):
+        """``Model.validate_for_solver`` raises the spec's strict-curvature error."""
+        p = BlockPartition.scalar([1.0, 1.0], [2.0, 3.0])
+        oracle = LeastSquaresObjective(np.eye(2), np.zeros(2))
+        weak = ApproxSpec("uq", [2.0, 4.0])
+        with pytest.raises(ValueError) as from_spec:
+            weak.validate_for_solver(p)
+        with pytest.raises(ValueError) as from_model:
+            resolve(weak, oracle, p).validate_for_solver()
+        assert str(from_model.value) == str(from_spec.value)
+        resolve(ApproxSpec("uq", [2.5, 4.0]), oracle, p).validate_for_solver()
+
     def test_lipschitz_mode_is_strict(self):
         p = BlockPartition.scalar([1.0], [2.0])
         spec = separable_from_factor(p, M_EQ_LIPSCHITZ_FACTOR)

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 import l0rcd
-from l0rcd.cli import ExperimentConfig, _random_starts, build_problem, main, run_named_solver
+from l0rcd.cli import (
+    ConfigError,
+    ExperimentConfig,
+    _random_starts,
+    build_problem,
+    main,
+    run_named_solver,
+    solver_spec,
+)
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -363,6 +371,37 @@ seed = 4
         assert (outs[0] / "benchmark.csv").read_bytes() == (
             outs[1] / "benchmark.csv"
         ).read_bytes()
+
+
+class TestRunNamedSolver:
+    def test_spec_checked_once_per_run(self, monkeypatch):
+        """A coordinate run checks its spec once, by resolving its model; the
+        solver does not check it again."""
+        from test_solvers import spec_calls
+
+        cfg = ExperimentConfig(problem_kind="least_squares", m=5, n=6, instance_seed=2, lam=0.3)
+        problem = build_problem(cfg)
+        x0 = _random_starts(cfg, problem, 1)[0]
+        calls = spec_calls(monkeypatch)
+        run_named_solver("uq", problem, x0, cfg, (0, 0, 0, 0))
+        assert calls == ["check_partition", "coord_curvature"]
+        calls.clear()
+        run_named_solver("ue", problem, x0, cfg, (0, 0, 1, 0))
+        assert calls == ["check_partition"]
+
+    def test_spec_error_is_a_config_error_with_the_spec_message(self):
+        """ue on a block of more than one coordinate fails as solver_spec fails."""
+        cfg = ExperimentConfig(
+            problem_kind="least_squares", m=5, n=6, instance_seed=2, lam=0.3,
+            block_sizes=(2, 2, 2),
+        )
+        problem = build_problem(cfg)
+        with pytest.raises(ConfigError) as from_spec:
+            solver_spec("ue", cfg, problem)
+        with pytest.raises(ConfigError) as from_run:
+            run_named_solver("ue", problem, np.zeros(6), cfg, (0, 0, 0, 0))
+        assert str(from_run.value) == str(from_spec.value)
+        assert "exact approximation requires scalar blocks" in str(from_run.value)
 
 
 class TestHugeStarts:

@@ -411,10 +411,13 @@ def _parent_eval_and_grad(oracle, x):
 
 
 @pytest.mark.parametrize("make", [random_ls, random_logistic])
-@pytest.mark.parametrize("m, n", [(8, 16), (5, 12), (50, 40), (200, 9), (3, 1)])
+@pytest.mark.parametrize(
+    "m, n", [(8, 16), (5, 12), (50, 40), (200, 9), (3, 1), (6, 12), (200, 500), (1000, 30)]
+)
 def test_stacked_rows_match_one_point_calls(make, m, n):
     """eval and full_grad of a stack give, row by row, the bits of the one-point
-    call, and those are the bits of the plain 1-D products."""
+    call, and those are the bits of the plain 1-D products and of the f value
+    that the per-iteration kernels give from a fresh cache."""
     oracle = make(m, n, m + n)
     rng = np.random.default_rng(n)
     Z = rng.standard_normal((300, n)) * (rng.random((300, n)) < 0.5)
@@ -429,12 +432,135 @@ def test_stacked_rows_match_one_point_calls(make, m, n):
         f_plain, g_plain = _parent_eval_and_grad(oracle, z)
         assert f_one == f_plain
         assert g_one.tobytes() == g_plain.tobytes()
+        assert oracle.value_from_cache(z, oracle.make_cache(z)) == f_one
 
 
 def test_stacked_eval_rejects_a_nonfinite_row():
     f = LeastSquaresObjective(np.eye(2), np.zeros(2))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
         f.eval(np.array([[1.0, 0.0], [1e200, 0.0]]))
+
+
+def _matmul_ls(f):
+    """LeastSquaresObjective's per-iteration kernels as they were written with
+    ``@`` and fresh column slices: the bit references of the ``.dot`` forms."""
+    A, b, col_sq = f.A, f.b, f._col_sq
+
+    def grad_shifted(x, j, h, cache):
+        return float(A[:, j] @ cache) + col_sq[j] * h
+
+    def value_shifted(x, j, h, cache):
+        r = cache + A[:, j] * h
+        return 0.5 * float(r @ r)
+
+    return {
+        "make_cache": lambda x: A @ x - b,
+        "value_from_cache": lambda x, cache: 0.5 * float(cache @ cache),
+        "block_grad": lambda x, sl, cache: A[:, sl].T @ cache,
+        "update_cache": lambda cache, sl, d: cache + (
+            A[:, sl] @ d if isinstance(sl, slice) else A[:, sl] * d
+        ),
+        "coord_grad_shifted": grad_shifted,
+        "coord_grad_curvature_shifted": lambda x, j, h, cache: (
+            grad_shifted(x, j, h, cache), float(col_sq[j])
+        ),
+        "value_shifted": value_shifted,
+    }
+
+
+def _matmul_logistic(f):
+    """The same references for LogisticL2Objective, from a fresh sigmoid."""
+    data, y, m, nu, data_sq = f.data, f.y, f.m, f.nu, f._data_sq
+
+    def loss(t):
+        return float((_log1pexp(t) - y * t).sum()) / m
+
+    def shifted(j, h, cache):
+        return cache if h == 0.0 else cache + data[:, j] * h
+
+    def grad_curvature(x, j, h, cache):
+        s = _sigmoid(shifted(j, h, cache))
+        grad = float(data[:, j] @ (s - y)) / m + nu * (x[j] + h)
+        return grad, float((s * (1.0 - s)) @ data_sq[:, j]) / m + nu
+
+    def value_shifted(x, j, h, cache):
+        sq = float(x @ x) - x[j] ** 2 + (x[j] + h) ** 2
+        return loss(shifted(j, h, cache)) + 0.5 * nu * sq
+
+    return {
+        "make_cache": lambda x: data @ x,
+        "value_from_cache": lambda x, cache: loss(cache) + 0.5 * nu * float(x @ x),
+        "block_grad": lambda x, sl, cache: (
+            data[:, sl].T @ (_sigmoid(cache) - y) / m + nu * x[sl]
+        ),
+        "update_cache": lambda cache, sl, d: cache + (
+            data[:, sl] @ d if isinstance(sl, slice) else data[:, sl] * d
+        ),
+        "coord_grad_shifted": lambda x, j, h, cache: grad_curvature(x, j, h, cache)[0],
+        "coord_grad_curvature_shifted": grad_curvature,
+        "value_shifted": value_shifted,
+    }
+
+
+KERNEL_SHAPES = [(6, 12), (50, 40), (200, 500), (1000, 30)]
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("m, n", KERNEL_SHAPES)
+@pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+def test_dot_kernels_have_the_bits_of_matmul(kind, m, n, scale):
+    """Every per-iteration kernel gives the bits of its ``@`` formula: cache,
+    f value, block gradients (whole point, blocks, one column), both cache
+    updates, and the shifted queries at h = 0 and h != 0."""
+    rng = np.random.default_rng(m * n)
+    matrix = scale * rng.uniform(-1, 1, (m, n))
+    if kind == "least_squares":
+        f = LeastSquaresObjective(matrix, scale * rng.uniform(-1, 1, m))
+        ref = _matmul_ls(f)
+    else:
+        f = LogisticL2Objective(matrix, (rng.random(m) < 0.5).astype(float), 0.3)
+        ref = _matmul_logistic(f)
+    blocks = [slice(0, n), slice(0, 1), slice(n // 3, n // 3 + 4), slice(n - 2, n)]
+    coords = sorted({0, n - 1, *rng.integers(n, size=4).tolist()})
+    for _ in range(5):
+        x = scale * rng.standard_normal(n) * (rng.random(n) < 0.6)
+        cache = f.make_cache(x)
+        assert _bits(cache) == _bits(ref["make_cache"](x))
+        assert _bits(f.value_from_cache(x, cache)) == _bits(ref["value_from_cache"](x, cache))
+        for sl in blocks:
+            assert _bits(f.block_grad(x, sl, cache)) == _bits(ref["block_grad"](x, sl, cache))
+            d = scale * rng.standard_normal(sl.stop - sl.start)
+            expect = ref["update_cache"](cache, sl, d)
+            assert _bits(f.update_cache(cache.copy(), sl, d)) == _bits(expect)
+        for j in coords:
+            for h in (0.0, scale * float(rng.standard_normal()), -float(x[j])):
+                for name in ("coord_grad_shifted", "coord_grad_curvature_shifted", "value_shifted"):
+                    got = getattr(f, name)(x, j, h, cache)
+                    assert _bits(got) == _bits(ref[name](x, j, h, cache)), (name, j, h)
+            d = scale * float(rng.standard_normal())
+            expect = ref["update_cache"](cache, j, d)
+            assert _bits(f.update_cache(cache.copy(), j, d)) == _bits(expect)
+
+
+@pytest.mark.parametrize("make", [random_ls, random_logistic])
+def test_column_lists_are_views_built_on_first_use(make):
+    """The per-coordinate column lists hold views of the matrix, not copies, and
+    the column constants as Python floats; none is built before a query."""
+    f = make(9, 7, 3)
+    matrix = f.A if make is random_ls else f.data
+    assert "_cols" not in vars(f)
+    f.coord_grad_shifted(np.zeros(7), 2, 0.0, f.make_cache(np.zeros(7)))
+    assert len(f._cols) == 7
+    for j, col in enumerate(f._cols):
+        assert np.shares_memory(col, matrix) and col.base is not None
+        assert _bits(col) == _bits(matrix[:, j])
+    if make is random_ls:
+        assert all(type(c) is float for c in f._col_sq_list)
+        assert f._col_sq_list == f._col_sq.tolist()
+    else:
+        for j, col in enumerate(f._sq_cols):
+            assert np.shares_memory(col, f._data_sq)
+            assert _bits(col) == _bits(f._data_sq[:, j])
 
 
 def _support_stacks(n):

@@ -70,6 +70,20 @@ def count_resolves(monkeypatch):
     return calls
 
 
+def spec_calls(monkeypatch):
+    """The names of the ``ApproxSpec`` methods called from now on that check a
+    spec or derive its constants, in order."""
+    calls = []
+    for name in ("check_partition", "validate_for_solver", "coord_curvature", "mu",
+                 "curvature_bound"):
+        def counted(self, *args, _name=name, _original=getattr(ApproxSpec, name)):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(ApproxSpec, name, counted)
+    return calls
+
+
 def checked_step(problem, spec):
     """The step a run takes, ``step(state, i)``, followed by the run's descent check."""
     model = resolved(problem, spec)
@@ -110,6 +124,34 @@ def reference_run_ihta(problem, x0, M_f, max_iters):
         "solver": "ihta", "approx": "uq-global", "rng": "none", "seed": 0, "M_f": float(M_f)
     }
     return solvers._drive(problem, x0, step, max_iters, 3, float("nan"), metadata)
+
+
+def ihta_runs_match_reference(prob):
+    """Run ``run_ihta`` and ``reference_run_ihta`` from zero starts (+0.0 and
+    -0.0) and random starts with -0.0 entries, assert that each pair of runs
+    has the same trace byte for byte, and that support and penalty end as
+    support_of and l0_norm of the point; return the total kappa."""
+    p = prob.partition
+    M_f = 1.3 * p.global_lipschitz
+    rng = np.random.default_rng(60)
+    starts = [np.zeros(8), np.full(8, -0.0)]
+    for _ in range(8):
+        x0 = rng.standard_normal(8) * (rng.random(8) < 0.6)
+        x0[x0 == 0.0] = -0.0
+        starts.append(x0)
+    kappa = 0
+    for x0 in starts:
+        st, trace = run_ihta(prob, x0, M_f, max_iters=300)
+        ref_st, ref = reference_run_ihta(prob, x0, M_f, max_iters=300)
+        for column in ("blocks", "F", "step_norms", "support_changed", "final_x"):
+            assert getattr(trace, column).tobytes() == getattr(ref, column).tobytes(), column
+        assert trace.supports == ref.supports
+        assert np.float64(trace.final_F).tobytes() == np.float64(ref.final_F).tobytes()
+        assert trace.metadata == ref.metadata
+        assert st.support == support_of(st.x, p) == ref_st.support
+        assert st.penalty.hex() == l0_norm(st.x, p).hex() == ref_st.penalty.hex()
+        kappa += trace.kappa
+    return kappa
 
 
 class TestStep:
@@ -323,6 +365,17 @@ class TestRunRcdIht:
         cfg = SolverConfig(approx=_spec_for(model, partition), max_iters=200, seed=2)
         run_rcd_iht(prob, np.linspace(-1.0, 1.0, 6), cfg)
         assert calls == [model]
+
+    @pytest.mark.parametrize("kind", ["uq", "ue"])
+    def test_spec_checked_and_curvature_built_once_per_run(self, monkeypatch, kind):
+        """A run checks its spec against the partition once and builds the
+        per-coordinate curvature at most once: mu, the strict-curvature check
+        and delta read the model's own constants."""
+        prob = random_ls_problem(10, 6, seed=48)
+        calls = spec_calls(monkeypatch)
+        spec = _spec_for(kind, prob.partition)
+        run_rcd_iht(prob, np.ones(6), SolverConfig(approx=spec, max_iters=50, seed=1))
+        assert calls == ["check_partition"] + (["coord_curvature"] if kind == "uq" else [])
 
     @pytest.mark.parametrize("route", ["uq", "uq_mixed_lambda", "ihta"])
     def test_penalty_recounted_only_on_support_changes(self, monkeypatch, route):
@@ -741,6 +794,16 @@ class TestRunIhta:
             g = prob.smooth.block_grad(x0, slice(0, 8), prob.smooth.make_cache(x0))
             assert st.x.tobytes() == threshold_q(x0, g, M_f, p.coord_lambda()).tobytes()
 
+    def test_zero_penalty_coordinate_keeps_a_step_whose_progress_underflows(self):
+        """A lambda = 0 coordinate takes its gradient step also where (M/2) t^2
+        underflows to 0 (t = 1e-170) and where t is -0.0, as threshold_q does."""
+        A = np.array([[1.0, 0.0, 0.5], [0.0, 0.0, 1.0]])
+        p = BlockPartition.scalar([0.3, 0.0, 0.3], [1.0, 1.0, 1.25])
+        prob = L0Problem(LeastSquaresObjective(A, np.array([1.0, -1.0])), p)
+        for v in (1e-170, -0.0):
+            st, _ = run_ihta(prob, np.array([1.0, v, 0.0]), 1.3 * p.global_lipschitz, max_iters=1)
+            assert np.float64(st.x[1]).tobytes() == np.float64(v).tobytes()
+
     @pytest.mark.parametrize("objective", ["least_squares", "logistic"])
     @pytest.mark.parametrize("sizes", [None, (3, 1, 2, 2)], ids=["scalar", "blocks_3_1_2_2"])
     def test_run_equals_the_generic_map_run(self, objective, sizes):
@@ -758,27 +821,20 @@ class TestRunIhta:
             lam[2] = 0.0
             lipschitz = tuple(prob.smooth.block_lipschitz(sizes))
             p = BlockPartition(block_sizes=sizes, lam=tuple(lam), lipschitz=lipschitz)
-        prob = L0Problem(prob.smooth, p)
-        M_f = 1.3 * p.global_lipschitz
-        rng = np.random.default_rng(60)
-        starts = [np.zeros(8), np.full(8, -0.0)]
-        for _ in range(8):
-            x0 = rng.standard_normal(8) * (rng.random(8) < 0.6)
-            x0[x0 == 0.0] = -0.0
-            starts.append(x0)
-        kappa = 0
-        for x0 in starts:
-            st, trace = run_ihta(prob, x0, M_f, max_iters=300)
-            ref_st, ref = reference_run_ihta(prob, x0, M_f, max_iters=300)
-            for column in ("blocks", "F", "step_norms", "support_changed", "final_x"):
-                assert getattr(trace, column).tobytes() == getattr(ref, column).tobytes(), column
-            assert trace.supports == ref.supports
-            assert np.float64(trace.final_F).tobytes() == np.float64(ref.final_F).tobytes()
-            assert trace.metadata == ref.metadata
-            assert st.support == support_of(st.x, p) == ref_st.support
-            assert st.penalty.hex() == l0_norm(st.x, p).hex() == ref_st.penalty.hex()
-            kappa += trace.kappa
-        assert kappa >= 5
+        assert ihta_runs_match_reference(L0Problem(prob.smooth, p)) >= 5
+
+    @pytest.mark.parametrize("objective", ["least_squares", "logistic"])
+    @pytest.mark.parametrize("sizes", [(1,) * 8, (3, 1, 2, 2)], ids=["scalar", "blocks_3_1_2_2"])
+    def test_run_without_zero_penalty_equals_the_generic_map_run(self, objective, sizes):
+        """On a partition where every block is penalized the step skips the
+        lambda = 0 mask, and whole runs still give the reference trace."""
+        make = random_ls_problem if objective == "least_squares" else random_logistic_problem
+        prob = make(9, 8, seed=61)
+        lam = tuple(np.random.default_rng(62).uniform(0.05, 0.5, len(sizes)).tolist())
+        lipschitz = tuple(prob.smooth.block_lipschitz(sizes))
+        p = BlockPartition(block_sizes=sizes, lam=lam, lipschitz=lipschitz)
+        assert p.zero_penalty_bits == 0
+        assert ihta_runs_match_reference(L0Problem(prob.smooth, p)) >= 5
 
     def test_descent_monotone(self):
         prob = random_logistic_problem(12, 6, seed=49)
