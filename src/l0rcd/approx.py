@@ -146,9 +146,13 @@ def threshold_q(x_i: np.ndarray, grad_i: np.ndarray, M_i, lambda_i) -> np.ndarra
     """
     M_i = np.asarray(M_i, dtype=float)
     t = np.asarray(x_i, dtype=float) - np.asarray(grad_i, dtype=float) / M_i
-    keep = 0.5 * M_i * t * t > lambda_i
-    keep |= np.equal(lambda_i, 0.0)  # also where Delta_j = 0
-    return np.where(keep, t, 0.0)
+    return _keep_or_zero(t, 0.5 * M_i, lambda_i, np.equal(lambda_i, 0.0))
+
+
+def _keep_or_zero(t: np.ndarray, half, lam, free) -> np.ndarray:
+    """t where (half t) t > lam or where ``free`` (None: nowhere), else an exact zero."""
+    keep = half * t * t > lam
+    return np.where(keep if free is None else keep | free, t, 0.0)
 
 
 def _solve_1d(
@@ -258,7 +262,7 @@ def threshold_e(
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    x_j = x[j]
+    x_j = float(x[j])
     if x_j == 0.0:
         at_zero = oracle.coord_grad_curvature_shifted(x, j, 0.0, cache)
         d = at_zero[0]
@@ -293,10 +297,11 @@ class Model:
     curvature per coordinate, or None for the exact kind on an objective
     that is not quadratic along each coordinate; ``lo`` and ``hi`` then
     bound the curvature of the exact model along each coordinate (see
-    ``threshold_e``), and are None otherwise. ``threshold(x, j, x_j, cache)``
-    is the map of coordinate j alone, on Python floats: ``x_j`` is x[j] as a
-    float and ``cache`` the oracle's cache at x. ``mu`` (Python floats) and
-    ``curvature_bound`` are the spec's ``ApproxSpec.mu`` and
+    ``threshold_e``), and are None otherwise. ``map`` reads ``half_curvature``
+    (0.5 * curvature) and ``free`` (the lambda = 0 mask, None where it is
+    empty). ``threshold(x, j, x_j, cache)`` is the map of coordinate j alone,
+    on Python floats, with ``x_j`` = x[j] and the cache at x. ``mu`` (Python
+    floats) and ``curvature_bound`` are the spec's ``ApproxSpec.mu`` and
     ``ApproxSpec.curvature_bound`` per block, with their bits, taken from
     ``curvature`` for the quadratic kinds.
     """
@@ -306,6 +311,8 @@ class Model:
     partition: BlockPartition
     lam: np.ndarray
     curvature: np.ndarray | None
+    half_curvature: np.ndarray | None
+    free: np.ndarray | None
     lo: list[float] | None
     hi: list[float] | None
     threshold: Callable[[np.ndarray, int, float, np.ndarray], float]
@@ -326,7 +333,9 @@ class Model:
         read); ``threshold_e``, coordinate by coordinate, where it has none.
         """
         if self.curvature is not None:
-            return threshold_q(x[..., sl], g, self.curvature[sl], self.lam[sl])
+            free = None if self.free is None else self.free[sl]
+            t = x[..., sl] - g / self.curvature[sl]
+            return _keep_or_zero(t, self.half_curvature[sl], self.lam[sl], free)
         return np.array([self.threshold(x, j, x[j], cache) for j in range(sl.start, sl.stop)])
 
     def fixed(self, tol: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -352,7 +361,8 @@ class Model:
                 axis=-1,
             )
         if M is not None:
-            return lambda Z, G: ~np.any(_moves(Z, threshold_q(Z, G, M, lam), tol), axis=-1)
+            whole = slice(0, self.partition.n)
+            return lambda Z, G: ~np.any(_moves(Z, self.map(Z, whole, G, None), tol), axis=-1)
         oracle, threshold = self.oracle, self.threshold
 
         def rows_fixed(Z, G):
@@ -384,7 +394,7 @@ def resolve(spec: ApproxSpec, oracle: SmoothOracle, partition: BlockPartition) -
     spec.check_partition(partition)
     lam = partition.coord_lambda()
     lam_j = lam.tolist()
-    curvature = lo = hi = None
+    curvature = half_curvature = lo = hi = None
     lipschitz = np.asarray(partition.lipschitz, dtype=float)
     if spec.kind != "ue":
         # ApproxSpec.mu and curvature_bound, from the one curvature
@@ -410,6 +420,7 @@ def resolve(spec: ApproxSpec, oracle: SmoothOracle, partition: BlockPartition) -
             return threshold_e(oracle, x, j, params[j], lam_j[j], cache, lo[j], hi[j])
 
     else:
+        half_curvature = 0.5 * curvature
         curvature_j = curvature.tolist()
 
         def threshold(x: np.ndarray, j: int, x_j: float, cache: np.ndarray) -> float:
@@ -419,4 +430,7 @@ def resolve(spec: ApproxSpec, oracle: SmoothOracle, partition: BlockPartition) -
             t = x_j - float(oracle.coord_grad_shifted(x, j, 0.0, cache)) / M
             return t if lam_j[j] == 0.0 or 0.5 * M * t * t > lam_j[j] else 0.0
 
-    return Model(spec, oracle, partition, lam, curvature, lo, hi, threshold, mu, bound)
+    free = partition.zero_penalty_mask if partition.zero_penalty_bits else None
+    return Model(
+        spec, oracle, partition, lam, curvature, half_curvature, free, lo, hi, threshold, mu, bound
+    )

@@ -584,9 +584,7 @@ def cmd_benchmark(cfg: ExperimentConfig, writer: OutputWriter) -> int:
         best = None
         for t, x0 in enumerate(starts):
             state, trace = run_named_solver(name, problem, x0, cfg, (cfg.master_seed, 0, si, t))
-            nnz = int(np.count_nonzero(state.x))
-            iters = trace.iterations
-            cand = (trace.final_F, nnz, iters)
+            cand = (trace.final_F, int(np.count_nonzero(state.x)), trace.iterations)
             if best is None or cand[0] < best[0]:
                 best = cand
         F_best, nnz, iters = best

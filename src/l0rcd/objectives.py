@@ -447,7 +447,7 @@ class LogisticL2Objective:
 
     def _coord_grad(self, x: np.ndarray, j: int, h: float, s_minus_y: np.ndarray) -> float:
         # f' along coordinate j at x + h e_j, from s - y at the shifted predictors
-        return float(self._cols[j].dot(s_minus_y)) / self.m + self.nu * (x[j] + h)
+        return float(self._cols[j].dot(s_minus_y)) / self.m + self.nu * (float(x[j]) + h)
 
     def coord_grad_shifted(self, x: np.ndarray, j: int, h: float, cache: np.ndarray) -> float:
         return self._coord_grad(x, j, h, self._sigmoid_shifted(j, h, cache)[1])
@@ -470,7 +470,8 @@ class LogisticL2Objective:
 
     def value_shifted(self, x: np.ndarray, j: int, h: float, cache: np.ndarray) -> float:
         loss = self._at(cache)[3] if h == 0.0 else self._loss(self._shifted(j, h, cache))
-        sq = float(x.dot(x)) - x[j] ** 2 + (x[j] + h) ** 2
+        x_j = float(x[j])  # a Python float: x_j * x_j gives inf where it overflows, no warning
+        sq = float(x.dot(x)) - x_j * x_j + (x_j + h) * (x_j + h)
         return loss + 0.5 * self.nu * sq
 
     @cached_property

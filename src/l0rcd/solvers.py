@@ -413,14 +413,12 @@ def run_ihta(
 ) -> tuple[IterateState, SolverTrace]:
     """Full-gradient hard-thresholding baseline with global constant M_f.
 
-    Every iteration applies the thresholding map of the separable quadratic
-    model with M_i = M_f to every block at once, ``threshold_q`` with the
-    scalar M_f: the gradient step x - grad f(x) / M_f, with coordinate j
-    zeroed unless (M_f/2) |x_j - grad_j/M_f|^2 exceeds its block's penalty
-    (ties to zero, as in the coordinate method) or that penalty is 0.
+    The one-block case of the coordinate method: each iteration maps the
+    whole point by the ``uq`` model with M_i = M_f, resolved once per run:
+    the gradient step x - grad f(x) / M_f, with x_j zeroed unless its
+    penalty is 0 or (M_f/2) |x_j - grad_j/M_f|^2 exceeds it (ties to zero).
     Requires a finite M_f > L_f. Deterministic; trace block index is -1.
-    The stability window is 3 full iterations (each one touches every
-    block).
+    The stability window is 3 full iterations (each touches every block).
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -434,17 +432,10 @@ def run_ihta(
         )
     mu_f = M_f - partition.global_lipschitz
     smooth = problem.smooth
-    lam = partition.coord_lambda()
+    tmap = resolve(ApproxSpec("uq", [M_f] * partition.num_blocks), smooth, partition).map
     whole = slice(0, partition.n)
-    # threshold_q(x, g, M_f, lam) with its per-run constants built once; the
-    # same products in the same order give the same bits
-    M = float(M_f)
-    half_M = 0.5 * M
-    free = partition.zero_penalty_mask
-    any_free = partition.zero_penalty_bits != 0
-    # The zero pattern of state.x as the bytes of a bool mask (-0.0 counts
-    # as zero), kept from one step to the next: only a step moves x, and
-    # a refresh keeps it.
+    # The zero pattern of state.x as bool-mask bytes (-0.0 counts as zero),
+    # kept between steps: only a step moves x, and a refresh keeps it.
     pattern = None
 
     def step(state: IterateState) -> tuple[int, float, float]:
@@ -453,11 +444,7 @@ def run_ihta(
         x = state.x
         if pattern is None:
             pattern = (x != 0.0).tobytes()
-        t = x - smooth.block_grad(x, whole, state.cache) / M
-        keep = half_M * t * t > lam
-        if any_free:
-            keep |= free
-        new_x = np.where(keep, t, 0.0)
+        new_x = tmap(x, whole, smooth.block_grad(x, whole, state.cache), state.cache)
         step_norm = _norm(new_x - x)
         state.x = new_x
         # a fresh cache each step, so the tracked f cannot drift

@@ -413,6 +413,23 @@ class TestThresholdE:
                 expect, abs=1e-12
             )
 
+    def test_huge_beta_on_logistic_warns_nothing(self):
+        """beta = 1e300 at x_j = 2.0: beta x_j^2 overflows to inf on Python
+        floats, with no RuntimeWarning (the suite makes one an error), and
+        the shifted queries answer in Python floats."""
+        oracle = random_logistic(9, 4, seed=21)
+        x = np.array([2.0, 0.5, -1.0, 0.0])
+        cache = oracle.make_cache(x)
+        assert threshold_e(oracle, x, 0, 1e300, 0.1, cache) == 2.0
+        for h in (0.0, 0.5, -2.0):
+            answers = [
+                oracle.coord_grad_shifted(x, 0, h, cache),
+                oracle.coord_curvature_shifted(x, 0, h, cache),
+                *oracle.coord_grad_curvature_shifted(x, 0, h, cache),
+                oracle.value_shifted(x, 0, h, cache),
+            ]
+            assert all(type(v) is float for v in answers), answers
+
 
 def threshold_e_reference(oracle, x, j, beta, lam, cache):
     """The exact map without curvature bounds: Newton, both values, ties to zero."""
@@ -734,6 +751,21 @@ class TestThresholdMap:
                 tmap(x, sl, oracle.block_grad(x, sl, cache), cache),
                 np.array([threshold_e(oracle, x, i, 0.01, p.lam[i], cache)]),
             )
+        # A stack of rows on a partition with lambda = 0 coordinates, with
+        # -0.0 entries and an exact tie Delta = lambda at [0, 0]: t = 0.5,
+        # curvature 2 (also for ue: ||e_0||^2 + beta) and lambda = 0.25.
+        eye = LeastSquaresObjective(np.eye(4), np.ones(4))
+        p0 = BlockPartition.scalar([0.25, 0.0, 0.3, 0.0], eye.column_lipschitz())
+        X = np.array([[0.5, -0.0, 1.5, -0.0], [-0.0, 0.25, -1.0, 2.0]])
+        G = np.array([[0.0, 0.0, -1.0, -0.0], [1.0, -0.0, 0.5, 0.0]])
+        for spec, M in (
+            (ApproxSpec("uq", [2.0] * 4), np.full(4, 2.0)),
+            (ApproxSpec("uQ", [2.0, 3.0, 4.0, 5.0]), [2.0, 3.0, 4.0, 5.0]),
+            (exact_uniform(p0, 1.0), eye.coord_curvature() + 1.0),
+        ):
+            out = resolve(spec, eye, p0).map(X, slice(0, 4), G, None)
+            assert out.tobytes() == threshold_q(X, G, M, p0.coord_lambda()).tobytes(), spec.kind
+            assert out[0, 0] == 0.0 and np.signbit(out[0, 1]), spec.kind
 
     def test_dispatch_on_logistic_exact_is_newton(self):
         oracle = random_logistic(9, 4, seed=21)
@@ -760,6 +792,16 @@ class TestThresholdMap:
         np.testing.assert_array_equal(
             got, threshold_q(x[2:4], grad, [2.5, 3.0], 0.2)
         )
+        # a stack of rows, block by block, on a partition with a lambda = 0 block
+        p0 = BlockPartition(block_sizes=(2, 2), lam=(0.25, 0.0), lipschitz=(1.0, 1.0))
+        X = np.array([[0.5, -0.0, 0.25, -0.0], [-0.0, 1.0, -0.5, 2.0]])
+        G = np.array([[-0.75, 0.0, 1.0, 0.0], [0.5, -0.0, -0.0, 3.0]])
+        for spec, M in ((ApproxSpec("uq", [2.0, 3.0]), [2.0, 2.0, 3.0, 3.0]), (spec, spec.params)):
+            model = resolve(spec, oracle, p0)
+            for i, sl in enumerate((slice(0, 2), slice(2, 4))):
+                assert model.map(X, sl, G[:, sl], None).tobytes() == (
+                    threshold_q(X[:, sl], G[:, sl], M[sl], p0.lam[i]).tobytes()
+                ), spec.kind
 
     @pytest.mark.parametrize("objective", ["least_squares", "logistic"])
     @pytest.mark.parametrize("sizes", [(1,) * 12, (3, 3, 2, 4)], ids=["scalar", "blocks_3_3_2_4"])

@@ -99,10 +99,10 @@ def checked_step(problem, spec):
 
 
 def reference_run_ihta(problem, x0, M_f, max_iters):
-    """``run_ihta`` with the full-gradient step taken through the generic map:
-    ``Model.map`` of the ``uq`` model at M_f over ``slice(0, n)``, and the
-    zero-pattern test through ``np.any``. The reference for the step that
-    calls ``threshold_q`` with the scalar M_f."""
+    """``run_ihta`` written plainly: each step calls ``Model.map`` of the
+    ``uq`` model at M_f over ``slice(0, n)`` and tests the zero pattern
+    with ``np.any``. The reference for ``run_ihta``'s kept zero-pattern
+    bytes and its one resolve per run."""
     partition, smooth = problem.partition, problem.smooth
     tmap = resolve(ApproxSpec("uq", np.full(partition.num_blocks, M_f)), smooth, partition).map
     whole = slice(0, partition.n)
@@ -724,11 +724,11 @@ class TestRunRcdIht:
 
 
 class TestRunIhta:
-    def test_resolves_no_model(self, monkeypatch):
+    def test_resolves_one_uq_model_per_run(self, monkeypatch):
         calls = count_resolves(monkeypatch)
         prob = random_logistic_problem(10, 6, seed=48)
         run_ihta(prob, np.linspace(-1.0, 1.0, 6), 1.5 * prob.partition.global_lipschitz, 200)
-        assert calls == []
+        assert calls == ["uq"]
 
     def test_toy_first_iterate(self, toy):
         # gradient vanishes at (2, 0.5); only the small coordinate is zeroed
