@@ -52,7 +52,6 @@ from .solvers import (
     make_rng,
     run_ihta,
     run_rcd_iht,
-    trace_rows,
 )
 
 EXIT_OK = 0
@@ -63,6 +62,11 @@ _DEFAULT_PLANT_DENSITY = 0.2
 _DEFAULT_START_DENSITY = 0.5
 _DEFAULT_VALUE_RANGE = 1.0
 _SUCCESS_RTOL = 1e-6
+# Rows formatted and written per write call: the memory of a table of 2^n
+# rows is bounded by the chunk.
+_CSV_CHUNK = 1 << 12
+_BOOL_FIELDS = np.array(["0", "1"], dtype=object)
+_QUOTED_CHARS = frozenset(',"\r\n')
 
 
 class ConfigError(Exception):
@@ -406,18 +410,51 @@ class OutputWriter:
             lines.append(["#timestamp", datetime.now(timezone.utc).isoformat()])
         return lines
 
-    def write_csv(self, name: str, header: list[str], rows) -> Path:
+    def write_csv(self, name: str, header: list[str], columns: list) -> Path:
+        """Write the table of ``columns`` (equal-length numpy arrays or lists of
+        str) under ``header``, with the bytes ``csv.writer`` gives its rows.
+
+        The rows go out ``_CSV_CHUNK`` at a time, each chunk formatted column
+        by column (``_csv_fields``) and written in one call. An ``OSError`` at
+        open or at any write is a ConfigError."""
         path = self.out_dir / name
         try:
-            fh = open(path, "w", newline="")
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerows(self.meta_lines())
+                writer.writerow(header)
+                for lo in range(0, len(columns[0]), _CSV_CHUNK):
+                    fields = [_csv_fields(column[lo : lo + _CSV_CHUNK]) for column in columns]
+                    # csv quotes a row whose one field is empty
+                    rows = (
+                        map(",".join, zip(*fields)) if len(fields) > 1
+                        else (text or '""' for text in fields[0])
+                    )
+                    fh.write("\r\n".join(rows) + "\r\n")
         except OSError as exc:
             raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
-        with fh:
-            writer = csv.writer(fh)
-            writer.writerows(self.meta_lines())
-            writer.writerow(header)
-            writer.writerows(rows)
         return path
+
+
+def _csv_fields(column) -> list[str]:
+    """The ``csv.writer`` fields of a column: a float64 as its ``repr``, formatted
+    once per distinct bit pattern, an int as ``str``, a bool as 0 or 1, and a
+    str quoted by csv's QUOTE_MINIMAL rule."""
+    if isinstance(column, list):
+        return [
+            text if _QUOTED_CHARS.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
+            for text in column
+        ]
+    kind = column.dtype.kind
+    if kind == "f":
+        bits, index = np.unique(column.view(np.int64), return_inverse=True)
+        texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        return texts[index].tolist()
+    if kind == "b":
+        return _BOOL_FIELDS[column.view(np.uint8)].tolist()
+    if kind in "iu":
+        return list(map(str, column.tolist()))
+    raise TypeError(f"no CSV format for dtype {column.dtype}")
 
 
 def print_table(header: list[str], rows: list[list[str]]) -> None:
@@ -425,10 +462,6 @@ def print_table(header: list[str], rows: list[list[str]]) -> None:
     widths = [max(len(str(r[c])) for r in cols) for c in range(len(header))]
     for r in cols:
         print("  ".join(str(v).ljust(w) for v, w in zip(r, widths)))
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +481,17 @@ def cmd_solve(cfg: ExperimentConfig, writer: OutputWriter) -> int:
     F = trace.final_F
     sparsity = int(np.count_nonzero(state.x))
 
-    # csv writes a float as str(), which is _fmt's repr
-    writer.write_csv("solution.csv", ["index", "value"], enumerate(state.x.tolist()))
+    writer.write_csv("solution.csv", ["index", "value"], [np.arange(problem.n), state.x])
     writer.write_csv(
-        "trace.csv", ["k", "i_k", "F", "step_norm", "support_changed"], trace_rows(trace)
+        "trace.csv",
+        ["k", "i_k", "F", "step_norm", "support_changed"],
+        [
+            np.arange(trace.iterations),
+            trace.blocks,
+            trace.F,
+            trace.step_norms,
+            trace.support_changed,
+        ],
     )
     print_table(
         ["solver", "F", "nonzeros", "iterations", "stop"],
@@ -482,23 +522,14 @@ def cmd_enumerate(cfg: ExperimentConfig, writer: OutputWriter, example2: bool) -
     violations = verify_inclusions(catalog)
     counts = catalog.counts()
 
-    flag_cols = list(catalog.class_labels)
-    # csv writes a float as str(), which is _fmt's repr; flags go out as 0/1
-    columns = [catalog.bitmasks, catalog.F] + [catalog.flags[c].view(np.uint8) for c in flag_cols]
-    step = 1 << 16  # rows turned into Python values at a time, to bound the memory
+    labels = list(catalog.class_labels)
     writer.write_csv(
         "catalog.csv",
-        ["support_bitmask", "F"] + flag_cols,
-        (
-            row
-            for lo in range(0, len(catalog.F), step)
-            for row in zip(*(column[lo : lo + step].tolist() for column in columns))
-        ),
+        ["support_bitmask", "F"] + labels,
+        [catalog.bitmasks, catalog.F] + [catalog.flags[label] for label in labels],
     )
     writer.write_csv(
-        "counts.csv",
-        ["class", "count"],
-        ([label, counts[label]] for label in catalog.class_labels),
+        "counts.csv", ["class", "count"], [labels, [str(counts[label]) for label in labels]]
     )
 
     order = list(reversed(catalog.class_labels))  # largest class first for display
@@ -546,29 +577,30 @@ def cmd_tournament(cfg: ExperimentConfig, writer: OutputWriter) -> int:
     nnz = np.count_nonzero(catalog.points, axis=1)
     starts = _random_starts(cfg, base_problem, cfg.trials)
 
-    rows = []
+    F_stars = []
+    successes = np.zeros((len(cfg.sweep), len(cfg.solver_names)), dtype=np.int64)
     for li, (lam, problem) in enumerate(zip(cfg.sweep, problems)):
         F_star = float(np.min(catalog.f + lam * nnz))
-        successes = []
+        F_stars.append(F_star)
         for si, name in enumerate(cfg.solver_names):
-            count = 0
             for t, x0 in enumerate(starts):
                 _, trace = run_named_solver(
                     name, problem, x0, cfg, (cfg.master_seed, li, si, t)
                 )
                 if abs(trace.final_F - F_star) <= _SUCCESS_RTOL * (1.0 + abs(F_star)):
-                    count += 1
-            successes.append(count)
-        rows.append([lam, F_star] + successes)
+                    successes[li, si] += 1
 
     writer.write_csv(
         "tournament.csv",
         ["lambda", "F_star"] + [f"success_{s}" for s in cfg.solver_names],
-        ([_fmt(r[0]), _fmt(r[1])] + r[2:] for r in rows),
+        [np.array(cfg.sweep), np.array(F_stars)] + list(successes.T),
     )
     print_table(
         ["lambda", "F_star"] + list(cfg.solver_names),
-        [[f"{r[0]:g}", f"{r[1]:.6g}"] + [str(c) for c in r[2:]] for r in rows],
+        [
+            [f"{lam:g}", f"{F_star:.6g}"] + [str(c) for c in counts]
+            for lam, F_star, counts in zip(cfg.sweep, F_stars, successes.tolist())
+        ],
     )
     print(f"trials per cell: {cfg.trials}")
     return EXIT_OK
@@ -594,7 +626,7 @@ def cmd_benchmark(cfg: ExperimentConfig, writer: OutputWriter) -> int:
     writer.write_csv(
         "benchmark.csv",
         ["solver", "F_best", "nonzeros", "iterations", "full_iterations"],
-        ([r[0], _fmt(r[1]), r[2], r[3], _fmt(r[4])] for r in rows),
+        [list(cfg.solver_names)] + [np.array(column) for column in list(zip(*rows))[1:]],
     )
     print_table(
         ["solver", "F_best", "nonzeros", "iterations", "full_iterations"],
@@ -643,8 +675,10 @@ def cmd_gradcheck(cfg: ExperimentConfig, writer: OutputWriter) -> int:
         "gradcheck.csv",
         ["check", "worst_error", "threshold", "passed"],
         [
-            ["finite_difference", _fmt(worst_fd), _fmt(1e-5), int(fd_pass)],
-            ["cache_coherence", _fmt(cache_err), _fmt(1e-8), int(cache_pass)],
+            ["finite_difference", "cache_coherence"],
+            np.array([worst_fd, cache_err]),
+            np.array([1e-5, 1e-8]),
+            np.array([fd_pass, cache_pass]),
         ],
     )
     print_table(

@@ -509,15 +509,3 @@ def estimate_linear_rate(trace: SolverTrace, F_star: float) -> tuple[float, floa
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), float(r_squared)
-
-
-def trace_rows(trace: SolverTrace):
-    """Iterate CSV rows (k, i_k, F, step_norm, support_changed) of Python
-    ints and floats for export, read from ``.tolist()`` columns."""
-    return zip(
-        range(trace.iterations),
-        trace.blocks.tolist(),
-        trace.F.tolist(),
-        trace.step_norms.tolist(),
-        trace.support_changed.view(np.uint8).tolist(),
-    )

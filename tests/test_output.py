@@ -10,12 +10,16 @@ import errno
 import hashlib
 import io
 import os
+import struct
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from l0rcd import cli
-from l0rcd.cli import main
+from l0rcd.cli import OutputWriter, main
 
 SOLVE_LS = """[problem]
 kind = least_squares
@@ -165,3 +169,125 @@ def run_command(tmp_path, command, config):
 )
 def test_csv_bytes_are_pinned(tmp_path, capsys, command, config, expected):
     assert run_command(tmp_path, command, config) == (cli.EXIT_OK, expected)
+
+
+# ---------------------------------------------------------------------------
+# the writer against csv.writer
+
+CHUNK = 8  # stands in for cli._CSV_CHUNK, so that tables span chunks
+
+REPR_EDGES = [
+    0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"),
+    5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 0.1, 1.0,
+]
+
+
+def float_bits(value: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", value))[0]
+
+
+# any bit pattern, so every nan payload too
+FLOAT_BITS = st.one_of(
+    st.sampled_from(REPR_EDGES).map(float_bits),
+    st.floats().map(float_bits),
+    st.integers(-(2**63), 2**63 - 1),
+)
+INT64 = st.one_of(st.sampled_from([-(2**63), 2**63 - 1, -1, 0]), st.integers(-(2**63), 2**63 - 1))
+TEXT = st.text(st.sampled_from(list(',"\r\n ab1;\'\t')), max_size=6)
+
+
+@st.composite
+def float_column(draw, n):
+    """float64 column of n values from a pool of up to n, so values repeat in runs
+    and scattered."""
+    pool = draw(st.lists(FLOAT_BITS, min_size=1, max_size=max(n, 1)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    return np.array([pool[i] for i in sorted(picks)[: n // 2] + picks[n // 2 :]]).view(np.float64)
+
+
+def int_column(n):
+    return st.lists(INT64, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64))
+
+
+def bool_column(n):
+    return st.lists(st.booleans(), min_size=n, max_size=n).map(lambda v: np.array(v, dtype=bool))
+
+
+def str_column(n):
+    return st.lists(TEXT, min_size=n, max_size=n)
+
+
+COLUMNS = {"float": float_column, "int": int_column, "bool": bool_column, "str": str_column}
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.sampled_from([0, 1, CHUNK - 1, CHUNK + 1]))
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMNS)), min_size=1, max_size=4))
+    return [draw(COLUMNS[kind](n)) for kind in kinds]
+
+
+def csv_writer_text(writer, header, columns):
+    """What csv.writer writes for the table, from its rows of Python values."""
+    fh = io.StringIO()
+    out = csv.writer(fh)
+    out.writerows(writer.meta_lines())
+    out.writerow(header)
+    values = [
+        c if isinstance(c, list) else c.astype(int).tolist() if c.dtype == bool else c.tolist()
+        for c in columns
+    ]
+    out.writerows(zip(*values))
+    return fh.getvalue()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tables())
+@example(
+    [  # every repr edge, with the signed zeros repeated: 18 rows, three chunks
+        np.array(REPR_EDGES + REPR_EDGES[:2]),
+        np.array([-(2**63), 2**63 - 1, -1, 0, 1, 0, 0, 7, 7] * 2, dtype=np.int64),
+        np.arange(18) % 3 == 0,
+        ["", ",", '"', 'a"b', "\r", "\n", "a b", "", "x,y"] * 2,
+    ]
+)
+def test_writer_matches_csv_writer(columns):
+    header = [f"c{j}" for j in range(len(columns))]
+    with tempfile.TemporaryDirectory() as out, mock.patch.object(cli, "_CSV_CHUNK", CHUNK):
+        writer = OutputWriter(out, "hash", True)
+        path = writer.write_csv("t.csv", header, columns)
+        with open(path, newline="") as fh:
+            assert fh.read() == csv_writer_text(writer, header, columns)
+
+
+# ---------------------------------------------------------------------------
+# write errors
+
+
+class FullDisk:
+    """A text file whose writes after the first ``room`` raise ENOSPC."""
+
+    def __init__(self, fh, room):
+        self.fh, self.room = fh, room
+
+    def write(self, text):
+        if self.room == 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        self.room -= 1
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_full_disk_while_rows_are_written_is_a_one_line_error(tmp_path, monkeypatch, capsys):
+    # room for the three meta lines and the header, not for the rows
+    monkeypatch.setattr(cli, "open", lambda *a, **k: FullDisk(open(*a, **k), 4), raising=False)
+    code = main(["enumerate", "--example2", "--out", str(tmp_path), "--no-timestamp"])
+    assert code == cli.EXIT_USAGE
+    path = tmp_path / "catalog.csv"
+    assert capsys.readouterr().err == f"error: cannot write {path}: {os.strerror(errno.ENOSPC)}\n"

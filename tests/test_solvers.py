@@ -24,7 +24,7 @@ from l0rcd import (
     threshold_q,
 )
 from l0rcd.approx import M_EQ_LIPSCHITZ_FACTOR
-from l0rcd import solvers
+from l0rcd import cli, solvers
 from l0rcd.solvers import (
     _block_step,
     _check_descent,
@@ -35,7 +35,6 @@ from l0rcd.solvers import (
     block_draws,
     draw_block,
     make_rng,
-    trace_rows,
 )
 
 from conftest import random_logistic_problem, random_ls_problem, toy_problem
@@ -1034,13 +1033,24 @@ class TestHelpers:
                 assert lo <= _norm(x) <= hi
         assert all(v != v for v in _norm_bounds(np.inf, 1.0, 1, 3)[:1])
 
-    def test_trace_rows_schema(self, toy):
+    def test_trace_rows_schema(self, toy, monkeypatch, capsys):
+        """The trace.csv fields from the columns ``cmd_solve`` hands the writer."""
         cfg = SolverConfig(
             approx=lipschitz_mode(toy.partition), max_iters=10, seed=0
         )
-        _, trace = run_rcd_iht(toy, np.array([2.0, 0.5]), cfg)
-        rows = list(trace_rows(trace))
+        result = run_rcd_iht(toy, np.array([2.0, 0.5]), cfg)
+        trace = result[1]
+        tables = {}
+
+        class Recorder:
+            def write_csv(self, name, header, columns):
+                tables[name] = columns
+
+        monkeypatch.setattr(cli, "build_problem", lambda _cfg: toy)
+        monkeypatch.setattr(cli, "run_named_solver", lambda *_: result)
+        cli.cmd_solve(cli.ExperimentConfig(), Recorder())
+        rows = list(zip(*(cli._csv_fields(c) for c in tables["trace.csv"])))
         assert len(rows) == trace.iterations
         k, i_k, F, step, changed = rows[0]
-        assert k == 0 and i_k in (0, 1) and changed in (0, 1)
-        assert F == pytest.approx(1.0)
+        assert k == "0" and i_k in ("0", "1") and changed in ("0", "1")
+        assert float(F) == pytest.approx(1.0)
