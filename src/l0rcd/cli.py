@@ -417,6 +417,8 @@ class OutputWriter:
         The rows go out ``_CSV_CHUNK`` at a time, each chunk formatted column
         by column (``_csv_fields``) and written in one call. An ``OSError`` at
         open or at any write is a ConfigError."""
+        if len({len(column) for column in columns}) != 1:
+            raise ValueError(f"{name}: the columns differ in length")
         path = self.out_dir / name
         try:
             with open(path, "w", newline="") as fh:
