@@ -447,14 +447,13 @@ def _csv_fields(column) -> list[str]:
             text if _QUOTED_CHARS.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
             for text in column
         ]
-    kind = column.dtype.kind
-    if kind == "f":
+    if column.dtype == np.float64:
         bits, index = np.unique(column.view(np.int64), return_inverse=True)
         texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
         return texts[index].tolist()
-    if kind == "b":
+    if column.dtype == bool:
         return _BOOL_FIELDS[column.view(np.uint8)].tolist()
-    if kind in "iu":
+    if column.dtype.kind in "iu":
         return list(map(str, column.tolist()))
     raise TypeError(f"no CSV format for dtype {column.dtype}")
 
