@@ -578,30 +578,30 @@ def cmd_tournament(cfg: ExperimentConfig, writer: OutputWriter) -> int:
     nnz = np.count_nonzero(catalog.points, axis=1)
     starts = _random_starts(cfg, base_problem, cfg.trials)
 
-    F_stars = []
-    successes = np.zeros((len(cfg.sweep), len(cfg.solver_names)), dtype=np.int64)
+    rows = []
     for li, (lam, problem) in enumerate(zip(cfg.sweep, problems)):
         F_star = float(np.min(catalog.f + lam * nnz))
-        F_stars.append(F_star)
+        successes = []
         for si, name in enumerate(cfg.solver_names):
+            count = 0
             for t, x0 in enumerate(starts):
                 _, trace = run_named_solver(
                     name, problem, x0, cfg, (cfg.master_seed, li, si, t)
                 )
                 if abs(trace.final_F - F_star) <= _SUCCESS_RTOL * (1.0 + abs(F_star)):
-                    successes[li, si] += 1
+                    count += 1
+            successes.append(count)
+        rows.append([lam, F_star] + successes)
 
+    lams, F_stars, *counts = zip(*rows)
     writer.write_csv(
         "tournament.csv",
         ["lambda", "F_star"] + [f"success_{s}" for s in cfg.solver_names],
-        [np.array(cfg.sweep), np.array(F_stars)] + list(successes.T),
+        [np.array(lams, dtype=float), np.array(F_stars)] + [np.array(c) for c in counts],
     )
     print_table(
         ["lambda", "F_star"] + list(cfg.solver_names),
-        [
-            [f"{lam:g}", f"{F_star:.6g}"] + [str(c) for c in counts]
-            for lam, F_star, counts in zip(cfg.sweep, F_stars, successes.tolist())
-        ],
+        [[f"{r[0]:g}", f"{r[1]:.6g}"] + [str(c) for c in r[2:]] for r in rows],
     )
     print(f"trials per cell: {cfg.trials}")
     return EXIT_OK
@@ -624,10 +624,11 @@ def cmd_benchmark(cfg: ExperimentConfig, writer: OutputWriter) -> int:
         full_iters = iters / problem.partition.num_blocks if name != "ihta" else float(iters)
         rows.append([name, F_best, nnz, iters, full_iters])
 
+    names, *numbers = zip(*rows)
     writer.write_csv(
         "benchmark.csv",
         ["solver", "F_best", "nonzeros", "iterations", "full_iterations"],
-        [list(cfg.solver_names)] + [np.array(column) for column in list(zip(*rows))[1:]],
+        [list(names)] + [np.array(column) for column in numbers],
     )
     print_table(
         ["solver", "F_best", "nonzeros", "iterations", "full_iterations"],
