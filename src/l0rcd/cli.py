@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import hashlib
 import sys
@@ -338,26 +339,29 @@ def build_problem(cfg: ExperimentConfig, lam: float | None = None) -> L0Problem:
     return L0Problem(smooth=oracle, partition=partition)
 
 
-def _named_spec(name: str, cfg: ExperimentConfig, problem: L0Problem) -> ApproxSpec | None:
-    # solver_spec before its check that the spec fits a solver run
+def _named_route(name: str, cfg: ExperimentConfig, problem: L0Problem) -> tuple:
+    """(spec, its ``Model`` resolved and checked for a solver run) for a named
+    coordinate route; (None, M_f) for the full-gradient one."""
     partition = problem.partition
     if name == "uq":
-        return _construct(separable_from_factor, partition, cfg.uq_factor)
-    if name == "ue":
-        return _construct(exact_uniform, partition, cfg.ue_beta)
-    if name == "ihta":
-        if not np.isfinite(partition.global_lipschitz * cfg.ihta_factor):
+        spec = _construct(separable_from_factor, partition, cfg.uq_factor)
+    elif name == "ue":
+        spec = _construct(exact_uniform, partition, cfg.ue_beta)
+    elif name == "ihta":
+        M_f = partition.global_lipschitz * cfg.ihta_factor
+        if not np.isfinite(M_f):
             raise ConfigError(f"[solvers] ihta_factor = {cfg.ihta_factor} makes M_f overflow")
-        return None
-    raise ConfigError(f"unknown solver name {name!r} (expected uq, ue, or ihta)")
+        return None, M_f
+    else:
+        raise ConfigError(f"unknown solver name {name!r} (expected uq, ue, or ihta)")
+    model = _construct(resolve, spec, problem.smooth, partition)
+    _construct(model.validate_for_solver)
+    return spec, model
 
 
 def solver_spec(name: str, cfg: ExperimentConfig, problem: L0Problem) -> ApproxSpec | None:
     """ApproxSpec for a named coordinate solver; None marks the full-gradient one."""
-    spec = _named_spec(name, cfg, problem)
-    if spec is not None:
-        _construct(spec.validate_for_solver, problem.partition)
-    return spec
+    return _named_route(name, cfg, problem)[0]
 
 
 def run_named_solver(
@@ -372,16 +376,13 @@ def run_named_solver(
     ``max_iters`` = 0 picks 2000 for ``ihta`` and 400 n for a coordinate route.
     The spec is checked as ``solver_spec`` checks it, once, by resolving its
     model for the run."""
-    spec = _named_spec(name, cfg, problem)
+    spec, route = _named_route(name, cfg, problem)
     if spec is None:
-        M_f = problem.partition.global_lipschitz * cfg.ihta_factor
-        return run_ihta(problem, x0, M_f, max_iters=cfg.max_iters if cfg.max_iters > 0 else 2000)
-    model = _construct(resolve, spec, problem.smooth, problem.partition)
-    _construct(model.validate_for_solver)
+        return run_ihta(problem, x0, route, max_iters=cfg.max_iters if cfg.max_iters > 0 else 2000)
     seed = int(np.random.SeedSequence(seed_entropy).generate_state(1)[0])
     max_iters = cfg.max_iters if cfg.max_iters > 0 else 400 * problem.n
     config = SolverConfig(approx=spec, max_iters=max_iters, seed=seed)
-    return run_rcd_iht(problem, x0, config, model=model)
+    return run_rcd_iht(problem, x0, config, model=route)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +395,7 @@ class OutputWriter:
     def __init__(self, out_dir: str, config_hash: str, no_timestamp: bool) -> None:
         self.out_dir = Path(out_dir)
         self.config_hash = config_hash
-        self.no_timestamp = no_timestamp
+        self.timestamp = None if no_timestamp else datetime.now(timezone.utc).isoformat()
         try:
             self.out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -406,8 +407,8 @@ class OutputWriter:
             ["#rng", RNG_ALGORITHM],
             ["#tie_rule", TIE_RULE],
         ]
-        if not self.no_timestamp:
-            lines.append(["#timestamp", datetime.now(timezone.utc).isoformat()])
+        if self.timestamp is not None:
+            lines.append(["#timestamp", self.timestamp])
         return lines
 
     def write_csv(self, name: str, header: list[str], columns: list) -> Path:
@@ -415,13 +416,15 @@ class OutputWriter:
         str) under ``header``, with the bytes ``csv.writer`` gives its rows.
 
         The rows go out ``_CSV_CHUNK`` at a time, each chunk formatted column
-        by column (``_csv_fields``) and written in one call. An ``OSError`` at
-        open or at any write is a ConfigError."""
+        by column (``_csv_fields``) and written in one call to ``<name>.tmp``,
+        which then replaces the target. An ``OSError`` removes the temporary
+        file, leaving any old target whole, and is a ConfigError."""
         if len({len(column) for column in columns}) != 1:
             raise ValueError(f"{name}: the columns differ in length")
         path = self.out_dir / name
+        tmp = self.out_dir / f"{name}.tmp"
         try:
-            with open(path, "w", newline="") as fh:
+            with open(tmp, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerows(self.meta_lines())
                 writer.writerow(header)
@@ -433,7 +436,10 @@ class OutputWriter:
                         else (text or '""' for text in fields[0])
                     )
                     fh.write("\r\n".join(rows) + "\r\n")
+            tmp.replace(path)
         except OSError as exc:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
             raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
         return path
 

@@ -213,17 +213,17 @@ def objective_F(problem: L0Problem, x: np.ndarray) -> float:
 class IterateState:
     """Mutable per-run solver state: point, oracle cache, f value, support, penalty.
 
-    Exclusively owned by one solver run. ``support`` is ``support_of(x)``,
-    ``penalty`` is ``l0_norm(x)`` and ``nonzeros`` counts the nonzero
-    coordinates of the blocks with lam_i > 0. The three depend on ``x``
-    only through which entries are zero. The stepping code keeps ``cache``
-    and ``f_value`` consistent with ``x``; a coordinate step that changes
-    the zero pattern of one block calls ``flip``, which XORs the changed
-    bits into the support and reads the penalty from the partition's
-    ``count_penalty`` table, with no O(n) work. On a partition without the
-    table, ``flip`` recomputes the penalty with ``l0_norm``. ``recount``
-    reads all three from the whole point, and ``refresh`` rebuilds
-    everything from scratch; the full-gradient step recounts.
+    Exclusively owned by one solver run. ``support`` is ``support_of(x)``
+    and ``penalty`` is ``l0_norm(x)``: both depend on ``x`` only through
+    which entries are zero, and only this class maps that pattern to them.
+    The stepping code keeps ``cache`` and ``f_value`` consistent with
+    ``x``; a coordinate step that changes the zero pattern of one block
+    passes just the toggled bits to ``flip``, which drops the zero-penalty
+    ones, XORs the rest into the support and reads the penalty from the
+    partition's ``count_penalty`` table, with no O(n) work. On a partition
+    without the table, ``flip`` recomputes the penalty with ``l0_norm``.
+    ``recount`` reads both from the whole point, and ``refresh`` rebuilds
+    everything; the full-gradient step recounts.
     """
 
     x: np.ndarray
@@ -231,7 +231,6 @@ class IterateState:
     f_value: float = field(init=False)
     support: int = field(init=False)
     penalty: float = field(init=False)
-    nonzeros: int = field(init=False)
 
     @classmethod
     def from_point(cls, problem: L0Problem, x: np.ndarray) -> "IterateState":
@@ -243,24 +242,26 @@ class IterateState:
         return self.f_value + self.penalty
 
     def recount(self, problem: L0Problem) -> None:
-        """Recompute support, penalty and nonzero count from the zero pattern of the point."""
-        partition = problem.partition
-        self.support = _bitmask_of(self.x != 0.0) | partition.zero_penalty_bits
-        self.penalty = l0_norm(self.x, partition)
-        # the support holds every zero-penalty coordinate and the penalized nonzeros
-        self.nonzeros = self.support.bit_count() - partition.zero_penalty_bits.bit_count()
+        """Recompute support and penalty from the zero pattern of the point."""
+        self.support = support_of(self.x, problem.partition)
+        self.penalty = l0_norm(self.x, problem.partition)
 
-    def flip(self, problem: L0Problem, bits: int, gained: int) -> None:
-        """Account for a step that toggled the zero pattern at ``bits`` (a
-        bitmask of penalized coordinates) and so gained ``gained`` nonzeros
-        (negative for a net loss)."""
+    def flip(self, problem: L0Problem, bits: int) -> None:
+        """Account for a step, already written to ``x``, that toggled the zero
+        status of the coordinates in the bitmask ``bits``; zero-penalty
+        coordinates never leave the support, so their bits are dropped."""
+        partition = problem.partition
+        free = partition.zero_penalty_bits
+        bits &= ~free
+        if not bits:
+            return
         self.support ^= bits
-        self.nonzeros += gained
-        table = problem.partition.count_penalty
+        table = partition.count_penalty
         if table is None:
-            self.penalty = l0_norm(self.x, problem.partition)
+            self.penalty = l0_norm(self.x, partition)
         else:
-            self.penalty = table[self.nonzeros]
+            # the support holds every zero-penalty coordinate and the penalized nonzeros
+            self.penalty = table[self.support.bit_count() - free.bit_count()]
 
     def refresh(self, problem: L0Problem) -> None:
         """Recompute cache, f value, support and penalty from the current point."""

@@ -147,15 +147,13 @@ def _block_step(problem: L0Problem, model: Model) -> Callable[[IterateState, int
     """The step that replaces block i by ``model``'s map; it returns the step norm.
 
     A null step touches nothing. Otherwise point, cache and f value move
-    together. A step that changes the zero pattern of a block with
-    lam_i > 0 passes the changed bits, shifted to the block's offset, to
-    ``IterateState.flip``; on a block with lam_i = 0 the support and the
-    penalty cannot change. The step does O(m n_i) work, plus an ``l0_norm``
-    on a pattern change where the partition has no ``count_penalty`` table.
+    together. A step that changes the zero pattern of the block passes the
+    changed bits, shifted to the block's offset, to ``IterateState.flip``.
+    The step does O(m n_i) work, plus an ``l0_norm`` on a support change
+    where the partition has no ``count_penalty`` table.
     """
     smooth = problem.smooth
     partition = problem.partition
-    lam = partition.lam
     tmap = model.map
 
     def step(state: IterateState, i: int) -> float:
@@ -165,15 +163,12 @@ def _block_step(problem: L0Problem, model: Model) -> Callable[[IterateState, int
         delta = new_block - block
         if not delta.any():
             return 0.0
-        was, now = block != 0.0, new_block != 0.0
+        changed = (block != 0.0) != (new_block != 0.0)
         block[:] = new_block
         smooth.update_cache(state.cache, sl, delta)
         state.f_value = smooth.value_from_cache(state.x, state.cache)
-        if lam[i] > 0.0:
-            changed = was != now
-            if changed.any():
-                gained = int(np.count_nonzero(now)) - int(np.count_nonzero(was))
-                state.flip(problem, _bitmask_of(changed) << sl.start, gained)
+        if changed.any():
+            state.flip(problem, _bitmask_of(changed) << sl.start)
         return _norm(delta)
 
     return step
@@ -187,10 +182,9 @@ def _scalar_step(problem: L0Problem, model: Model) -> Callable[[IterateState, in
     are float operations, with the same roundings as the block arithmetic,
     so both steps move a state bit for bit alike. The gradient, the cache
     update (a column axpy) and the f value still go through the oracle and
-    numpy; a zero-pattern change flips one support bit.
+    numpy; a zero-pattern change passes its one bit to ``flip``.
     """
     smooth = problem.smooth
-    lam = problem.partition.lam
     threshold = model.threshold
 
     def step(state: IterateState, j: int) -> float:
@@ -203,8 +197,8 @@ def _scalar_step(problem: L0Problem, model: Model) -> Callable[[IterateState, in
         x[j] = new
         smooth.update_cache(state.cache, j, d)
         state.f_value = smooth.value_from_cache(x, state.cache)
-        if (old != 0.0) != (new != 0.0) and lam[j] > 0.0:
-            state.flip(problem, 1 << j, 1 if new != 0.0 else -1)
+        if (old != 0.0) != (new != 0.0):
+            state.flip(problem, 1 << j)
         # bit for bit _norm of the one-entry delta, also on underflow and overflow
         s = math.sqrt(d * d)
         return abs(d) if s == math.inf else s
@@ -462,7 +456,7 @@ def run_ihta(
     return _drive(problem, x0, step, max_iters, support_patience, float("nan"), metadata)
 
 
-def delta_lower_bound(problem: L0Problem, spec: ApproxSpec | Model, x0: np.ndarray) -> float:
+def delta_lower_bound(problem: L0Problem, model: Model, x0: np.ndarray) -> float:
     """Guaranteed objective decrease per support change, from the start point.
 
     delta = (1/N) * min{ min over blocks with lambda_i > 0 of mu_i lambda_i / M_i,
@@ -470,10 +464,9 @@ def delta_lower_bound(problem: L0Problem, spec: ApproxSpec | Model, x0: np.ndarr
 
     The second inner min is dropped when x0 has empty support. For the exact
     model the curvature constant M_i is L_i + beta_i. mu_i and M_i are the
-    ``Model``'s; a spec is resolved on ``problem`` first.
+    ``Model``'s, resolved on ``problem``.
     """
     partition = problem.partition
-    model = resolve(spec, problem.smooth, partition) if isinstance(spec, ApproxSpec) else spec
     x0 = np.asarray(x0, dtype=float)
     mu = np.array(model.mu)
     lam = partition.lam_array

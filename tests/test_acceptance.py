@@ -366,7 +366,7 @@ def test_criterion_06_support_change_budget():
         spec = separable_from_factor(problem.partition, UQ_FACTOR)
         x0 = random_start(problem.n, seeded_rng(seed, 777))
         F0 = objective_F(problem, x0)
-        delta = delta_lower_bound(problem, spec, x0)
+        delta = delta_lower_bound(problem, resolve(spec, problem.smooth, problem.partition), x0)
         kappas, bounds = [], []
         for s in range(20):
             cfg = SolverConfig(approx=spec, max_iters=6000, seed=s)

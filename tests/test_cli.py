@@ -2,12 +2,14 @@ import csv
 import os
 import subprocess
 import sys
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import l0rcd
+from l0rcd import cli
 from l0rcd.cli import (
     ConfigError,
     ExperimentConfig,
@@ -101,6 +103,22 @@ class TestSolve:
         assert meta["#rng"] == "philox4x64"
         assert meta["#tie_rule"] == "zero"
         assert "#timestamp" in meta
+
+    def test_one_timestamp_per_run(self, tmp_path, monkeypatch):
+        """Each CSV of one run carries the run's one #timestamp line, taken
+        once, even where the clock moves between the files."""
+        ticks = iter(range(60))
+
+        class Clock:
+            @staticmethod
+            def now(tz):
+                return datetime(2026, 1, 1, 0, 0, next(ticks), tzinfo=tz)
+
+        monkeypatch.setattr(cli, "datetime", Clock)
+        out = tmp_path / "out"
+        assert main(["solve", "--config", toy_config(tmp_path), "--out", str(out)]) == 0
+        stamps = [read_csv(out / name)[0]["#timestamp"] for name in ("solution.csv", "trace.csv")]
+        assert stamps == ["2026-01-01T00:00:00+00:00"] * 2
 
     def test_no_timestamp_flag(self, tmp_path):
         cfg = toy_config(tmp_path)

@@ -219,12 +219,40 @@ class TestIterateState:
         st = IterateState.from_point(prob, np.array([1.0, 0.0, 2.0, 0.0, 0.0, -1.0]))
         rng = np.random.default_rng(3)
         for j in rng.permutation(np.tile(np.flatnonzero(p.coord_lambda() > 0.0), 4)).tolist():
-            gained = 1 if st.x[j] == 0.0 else -1
-            st.x[j] = 0.0 if gained < 0 else 0.5
-            st.flip(prob, 1 << j, gained)
-            support, penalty, nonzeros = st.support, st.penalty, st.nonzeros
+            st.x[j] = 0.5 if st.x[j] == 0.0 else 0.0
+            st.flip(prob, 1 << j)
+            support, penalty = st.support, st.penalty
             st.recount(prob)
-            assert (support, penalty.hex(), nonzeros) == (st.support, st.penalty.hex(), st.nonzeros)
+            assert (support, penalty.hex()) == (st.support, st.penalty.hex())
+
+    @pytest.mark.parametrize(
+        "sizes, lam",
+        [
+            ((1, 2, 1, 1, 1), (0.3, 0.0, 0.3, 0.0, 0.3)),
+            ((1, 2, 1, 1, 2), (0.3, 0.0, 0.2, 0.0, 0.3)),
+        ],
+        ids=["table", "l0_norm"],
+    )
+    def test_flip_drops_zero_penalty_bits(self, sizes, lam):
+        """Toggling coordinates of a lambda = 0 pair and a lambda = 0 scalar
+        moves neither support nor penalty; with a penalized bit beside them,
+        flip gives what recount gives."""
+        p = BlockPartition(block_sizes=sizes, lam=lam, lipschitz=(1.0,) * len(sizes))
+        assert (p.count_penalty is None) == (sizes[-1] == 2)
+        prob = L0Problem(LeastSquaresObjective(np.ones((2, p.n)), np.ones(2)), p)
+        st = IterateState.from_point(prob, np.array([1.0, 0.0, 2.0, 0.0, 0.0, -1.0, 0.0][: p.n]))
+        free = [1, 2, 4]
+        assert p.zero_penalty_bits == sum(1 << j for j in free)
+        for toggled in (free, free + [3], free + [0], free):
+            before = st.support, st.penalty.hex()
+            for j in toggled:
+                st.x[j] = 0.5 if st.x[j] == 0.0 else 0.0
+            st.flip(prob, sum(1 << j for j in toggled))
+            flipped = st.support, st.penalty.hex()
+            if toggled == free:
+                assert flipped == before
+            st.recount(prob)
+            assert flipped == (st.support, st.penalty.hex())
 
     def test_copy_is_taken(self, toy):
         x = np.array([1.0, 1.0])
@@ -265,7 +293,9 @@ def test_state_support_and_penalty_from_the_zero_pattern(case):
     state = IterateState.from_point(prob, x)
     assert state.support == expected
     assert state.penalty.hex() == l0_norm(x, p).hex()
-    assert state.nonzeros == int(np.count_nonzero(x[p.coord_lambda() > 0.0]))
+    # the count at which flip reads the penalty table
+    penalized = int(np.count_nonzero(x[p.coord_lambda() > 0.0]))
+    assert state.support.bit_count() - p.zero_penalty_bits.bit_count() == penalized
 
 
 def test_every_exported_name_resolves():

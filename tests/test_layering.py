@@ -1,15 +1,22 @@
-"""Math that depends on the objective or on the model's kind lives in ``approx``.
+"""Each decision of the package lives in one module.
 
-No other module of the package compares a ``.kind`` with ``==`` or ``!=``,
-or asks an oracle for its optional ``coord_curvature`` or
+Math that depends on the objective or on the model's kind lives in
+``approx``. No other module of the package compares a ``.kind`` with ``==``
+or ``!=``, or asks an oracle for its optional ``coord_curvature`` or
 ``coord_curvature_floor`` through ``getattr`` or ``hasattr``: they take a
 resolved ``Model`` from ``approx.resolve`` instead.
+
+How a change of the zero pattern moves the support I(x) and the penalty
+lives in ``core``: no other module assigns a ``.support`` or ``.penalty``
+attribute. The stepping code passes the toggled bits to
+``IterateState.flip`` instead.
 """
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "l0rcd"
 OPTIONAL_CURVATURE = {"coord_curvature", "coord_curvature_floor"}
+SUPPORT_BOOKS = {"support", "penalty"}
 
 
 def offences(source: str, filename: str) -> list[str]:
@@ -60,4 +67,79 @@ def test_the_check_finds_each_construct():
         "m.py:2: getattr coord_curvature_floor",
         "m.py:3: compares .kind",
         "m.py:4: hasattr coord_curvature",
+    ]
+
+
+def _targets(node):
+    """The expressions ``node`` assigns to, tuple and starred targets unpacked."""
+    if isinstance(node, ast.Assign):
+        stack = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        stack = [node.target]
+    else:
+        return []
+    found = []
+    while stack:
+        e = stack.pop()
+        if isinstance(e, (ast.Tuple, ast.List)):
+            stack.extend(e.elts)
+        elif isinstance(e, ast.Starred):
+            stack.append(e.value)
+        else:
+            found.append(e)
+    return found
+
+
+def book_writes(source: str, filename: str) -> list[str]:
+    """``file:line: assigns .name`` for each write of ``.support`` or ``.penalty``."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        for e in _targets(node):
+            if isinstance(e, ast.Attribute) and e.attr in SUPPORT_BOOKS:
+                found.append((node.lineno, e.attr))
+        if (
+            isinstance(node, ast.Call)
+            and (
+                isinstance(node.func, ast.Name) and node.func.id == "setattr"
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__"
+            )
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value in SUPPORT_BOOKS
+        ):
+            found.append((node.lineno, node.args[1].value))
+    return [f"{filename}:{line}: assigns .{name}" for line, name in sorted(found)]
+
+
+def test_only_core_keeps_the_support_books():
+    found = [
+        offence
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "core.py"
+        for offence in book_writes(path.read_text(), path.name)
+    ]
+    assert found == []
+
+
+def test_the_book_check_finds_each_construct():
+    source = "\n".join(
+        [
+            "state.support = 0",
+            "state.penalty += lam",
+            "x, (state.support, *rest) = pair",
+            "state.penalty: float = 0.0",
+            "setattr(state, 'support', 0)",
+            'object.__setattr__(state, "penalty", 0.0)',
+            "before = state.support",
+            "entry = CatalogEntry(support=s, penalty=p)",
+            "state.flip(problem, bits)",
+        ]
+    )
+    assert book_writes(source, "m.py") == [
+        "m.py:1: assigns .support",
+        "m.py:2: assigns .penalty",
+        "m.py:3: assigns .support",
+        "m.py:4: assigns .penalty",
+        "m.py:5: assigns .support",
+        "m.py:6: assigns .penalty",
     ]

@@ -285,9 +285,18 @@ class FullDisk:
 
 
 def test_full_disk_while_rows_are_written_is_a_one_line_error(tmp_path, monkeypatch, capsys):
+    """The failed write leaves neither a partial table, which would read as a
+    complete empty one, nor its temporary file; an old table keeps its bytes."""
     # room for the three meta lines and the header, not for the rows
     monkeypatch.setattr(cli, "open", lambda *a, **k: FullDisk(open(*a, **k), 4), raising=False)
-    code = main(["enumerate", "--example2", "--out", str(tmp_path), "--no-timestamp"])
-    assert code == cli.EXIT_USAGE
     path = tmp_path / "catalog.csv"
-    assert capsys.readouterr().err == f"error: cannot write {path}: {os.strerror(errno.ENOSPC)}\n"
+    for old in (None, b"#config_hash,old\r\nsupport_bitmask,F\r\n0,1.5\r\n"):
+        if old is not None:
+            path.write_bytes(old)
+        code = main(["enumerate", "--example2", "--out", str(tmp_path), "--no-timestamp"])
+        assert code == cli.EXIT_USAGE
+        error = f"error: cannot write {path}: {os.strerror(errno.ENOSPC)}\n"
+        assert capsys.readouterr().err == error
+        assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["catalog.csv"])
+        if old is not None:
+            assert path.read_bytes() == old

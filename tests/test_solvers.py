@@ -187,9 +187,10 @@ class TestStep:
         ids=["scalar", "blocks_2_3", "blocks_n80", "scalar_n500", "scalar_mixed_lambda"],
     )
     def test_state_stays_consistent(self, sizes, lam):
-        """Support, penalty and nonzero count equal support_of and l0_norm of
-        the point, bit for bit, after every step: on the count table (uniform
-        lambda, scalar_n500 reaching counts up to 500) and off it."""
+        """Support and penalty equal support_of and l0_norm of the point, bit
+        for bit, and the support counts the penalized nonzeros, after every
+        step: on the count table (uniform lambda, scalar_n500 reaching counts
+        up to 500) and off it."""
         prob = random_ls_problem(8, sum(sizes) if sizes else 5, seed=40)
         if sizes is not None:
             # by default the first block carries no penalty: its coordinates are always in I(x)
@@ -206,6 +207,7 @@ class TestStep:
         rng = np.random.default_rng(41)
         st = toy_state(prob, rng.standard_normal(p.n))
         penalized = p.coord_lambda() > 0.0
+        free = p.zero_penalty_bits.bit_count()
         changes = 0
         for _ in range(max(300, 2 * p.num_blocks)):
             i = int(rng.integers(p.num_blocks))
@@ -214,7 +216,8 @@ class TestStep:
             changes += st.support != before
             assert st.support == support_of(st.x, p)
             assert st.penalty.hex() == l0_norm(st.x, p).hex()
-            assert st.nonzeros == int(np.count_nonzero(st.x[penalized]))
+            # the count at which flip reads the penalty table
+            assert st.support.bit_count() - free == int(np.count_nonzero(st.x[penalized]))
             assert st.f_value == pytest.approx(prob.smooth.eval(st.x), rel=1e-9)
         assert changes >= 3
 
@@ -340,7 +343,6 @@ def test_scalar_step_matches_block_step(objective, model, seed, lam_0, x_0_zero,
         assert scalar_state.f_value == block_state.f_value
         assert scalar_state.support == block_state.support
         assert scalar_state.penalty.hex() == block_state.penalty.hex()
-        assert scalar_state.nonzeros == block_state.nonzeros
     if lam_0 == _HUGE_LAMBDA:
         # zeroed: a null step from a zero, a support change from a nonzero
         assert block_state.x[0] == 0.0
@@ -700,7 +702,7 @@ class TestRunRcdIht:
         _, trace = run_rcd_iht(prob, np.ones(6), cfg)
         assert trace.kappa == len(trace.support_change_iterations)
         assert trace.delta_bound == pytest.approx(
-            delta_lower_bound(prob, cfg.approx, np.ones(6))
+            delta_lower_bound(prob, resolved(prob, cfg.approx), np.ones(6))
         )
 
     def test_max_iters_cap(self, toy):
@@ -853,37 +855,41 @@ class TestDeltaLowerBound:
         # lambda=1, mu=1, M=2, x0=0: second min is over an empty set
         prob = self.problem_with([1.0], [1.0])
         spec = ApproxSpec("uq", [2.0])
-        assert delta_lower_bound(prob, spec, np.zeros(1)) == pytest.approx(0.5)
+        assert delta_lower_bound(prob, resolved(prob, spec), np.zeros(1)) == pytest.approx(0.5)
 
     def test_two_blocks_with_start_term(self):
         prob = self.problem_with([1.0, 1.0], [1.0, 1.0])
         spec = ApproxSpec("uq", [2.0, 2.0])
-        assert delta_lower_bound(prob, spec, np.array([3.0, 0.0])) == pytest.approx(0.25)
+        delta = delta_lower_bound(prob, resolved(prob, spec), np.array([3.0, 0.0]))
+        assert delta == pytest.approx(0.25)
 
     def test_linear_growth_in_lambda(self):
         spec = ApproxSpec("uq", [2.0])
-        d1 = delta_lower_bound(self.problem_with([1.0], [1.0]), spec, np.zeros(1))
-        d10 = delta_lower_bound(self.problem_with([10.0], [1.0]), spec, np.zeros(1))
+        p1, p10 = self.problem_with([1.0], [1.0]), self.problem_with([10.0], [1.0])
+        d1 = delta_lower_bound(p1, resolved(p1, spec), np.zeros(1))
+        d10 = delta_lower_bound(p10, resolved(p10, spec), np.zeros(1))
         assert d10 == pytest.approx(10.0 * d1)
 
     def test_exact_kind_uses_shifted_curvature(self):
         # mu = beta = 0.5 and M = L + beta = 1.5: delta = (0.5 * 1 / 1.5) / 1
         prob = self.problem_with([1.0], [1.0])
         spec = ApproxSpec("ue", [0.5])
-        assert delta_lower_bound(prob, spec, np.zeros(1)) == pytest.approx(1.0 / 3.0)
+        delta = delta_lower_bound(prob, resolved(prob, spec), np.zeros(1))
+        assert delta == pytest.approx(1.0 / 3.0)
 
     def test_huge_factor_and_penalty_give_a_finite_bound(self):
         # mu_i / M_i is about 1 when M_i = 1e300 L_i, so delta = lambda / N, not
         # the inf of an overflowing product mu_i * lambda_i
         prob = self.problem_with([1e10, 1e10], [1.0, 1.0])
         spec = separable_from_factor(prob.partition, 1e300)
-        assert delta_lower_bound(prob, spec, np.zeros(2)) == pytest.approx(0.5e10)
+        assert delta_lower_bound(prob, resolved(prob, spec), np.zeros(2)) == pytest.approx(0.5e10)
 
     def test_start_term_that_overflows_is_no_term(self):
         # (mu/2) x0_0^2 overflows for x0_0 = 1e200; the penalty term, (1/2) / 2, is the min
         prob = self.problem_with([1.0, 1.0], [1.0, 1.0])
         spec = ApproxSpec("uq", [2.0, 2.0])
-        assert delta_lower_bound(prob, spec, np.array([1e200, 0.0])) == pytest.approx(0.25)
+        delta = delta_lower_bound(prob, resolved(prob, spec), np.array([1e200, 0.0]))
+        assert delta == pytest.approx(0.25)
 
     def test_zero_penalty_blocks_skipped(self):
         prob = L0Problem(
@@ -892,7 +898,7 @@ class TestDeltaLowerBound:
         )
         spec = ApproxSpec("uq", [2.0, 2.0])
         # only the penalized block contributes: (1/2) * (1*1/2)
-        assert delta_lower_bound(prob, spec, np.zeros(2)) == pytest.approx(0.25)
+        assert delta_lower_bound(prob, resolved(prob, spec), np.zeros(2)) == pytest.approx(0.25)
 
     @pytest.mark.parametrize("kind", ["separable", "diagonal"])
     def test_matches_the_per_block_loop_bit_for_bit(self, kind):
@@ -919,7 +925,7 @@ class TestDeltaLowerBound:
             nz = blk[blk != 0.0]
             if nz.size:
                 best = min(best, 0.5 * mu[i] * float(np.min(nz**2)))
-        assert delta_lower_bound(prob, spec, x0) == float(best / p.num_blocks)
+        assert delta_lower_bound(prob, resolved(prob, spec), x0) == float(best / p.num_blocks)
 
 
 def synthetic_trace(F_values, final_F, changed=None):
