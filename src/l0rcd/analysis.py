@@ -47,7 +47,7 @@ ENUMERATION_LIMIT = 24
 
 BASIC_LABEL = "basic"
 
-# Supports classified together by enumerate_catalog.
+# Most supports of one size that enumerate_catalog solves and classifies together.
 _CHUNK = 1024
 
 
@@ -194,6 +194,23 @@ def is_strong_local_min(
     return bool(_classify(problem, _check_dim(z, problem.n)[None], tests, tol)[model.kind][0])
 
 
+def _size_batches(sizes: np.ndarray, window: int):
+    """The rows of ``sizes`` grouped by value, as ``(size, rows)``: sizes
+    increasing, and each size's rows in increasing order, ``_CHUNK`` at a time,
+    with a shorter last batch. ``sizes`` is scanned ``window`` rows at a time,
+    so no index array outgrows ``window + _CHUNK`` entries."""
+    for size in range(int(sizes.min()), int(sizes.max()) + 1):
+        held = np.empty(0, dtype=np.intp)
+        for lo in range(0, len(sizes), window):
+            found = lo + np.flatnonzero(sizes[lo : lo + window] == size)
+            held = np.concatenate((held, found))
+            while len(held) >= _CHUNK:
+                yield size, held[:_CHUNK]
+                held = held[_CHUNK:]
+        if len(held):
+            yield size, held
+
+
 def enumerate_catalog(
     problem: L0Problem,
     requests: Mapping[str, ApproxSpec],
@@ -208,11 +225,14 @@ def enumerate_catalog(
     penalized coordinates) restricted solves. One row per support, in
     increasing bitmask order; the "basic" class is always computed, and
     every requested class lies inside it by definition. The columns are
-    filled in chunks of ``_CHUNK`` supports: one restricted-solve call per
-    support size in the chunk, with the empty support left at zero, then f,
-    F and every class flag for the whole chunk at once. Raises ValueError
-    for n above ``ENUMERATION_LIMIT``, for the reserved label "basic" and
-    for a model whose parameters do not fit the partition.
+    filled size by size: the supports of one size, in increasing bitmask
+    order and at most ``_CHUNK`` at a time, make one batch, with one
+    restricted-solve call (the empty support stays zero), one stacked f,
+    one penalty and every class flag, scattered into the batch's rows. Each
+    stacked call gives a row the bits of its one-row call, so the batching
+    changes no value. Raises ValueError for n above ``ENUMERATION_LIMIT``,
+    for the reserved label "basic" and for a model whose parameters do not
+    fit the partition.
     """
     n = problem.n
     if n > ENUMERATION_LIMIT:
@@ -238,21 +258,21 @@ def enumerate_catalog(
     points = np.zeros((count, n))
     f = np.empty(count)
     F = np.empty(count)
-    flags: dict[str, np.ndarray] = {}
+    flags = {label: np.zeros(count, dtype=bool) for label in (BASIC_LABEL, *requests)}
     shifts = np.arange(n)
-    for lo in range(0, count, _CHUNK):
-        chunk = slice(lo, lo + _CHUNK)
-        bits = (bitmasks[chunk, None] >> shifts) & 1 == 1  # row r: the support bitmasks[lo + r]
-        sizes = bits.sum(axis=1)
-        Z = points[chunk]
-        for size in sorted(set(sizes.tolist()) - {0}):
-            rows = np.flatnonzero(sizes == size)
+    for size, rows in _size_batches(np.bitwise_count(bitmasks), _CHUNK * n):
+        if size:
+            bits = (bitmasks[rows, None] >> shifts) & 1 == 1  # row r: support bitmasks[rows[r]]
             # np.nonzero walks row by row, so each row's indices come sorted
-            Z[rows] = solve(np.nonzero(bits[rows])[1].reshape(len(rows), size))
-        f[chunk] = problem.smooth.eval(Z)
-        F[chunk] = f[chunk] + _weighted_count(Z != 0.0, partition)
+            Z = solve(np.nonzero(bits)[1].reshape(len(rows), size))
+        else:
+            Z = np.zeros((len(rows), n))  # the empty support
+        points[rows] = Z
+        fz = problem.smooth.eval(Z)
+        f[rows] = fz
+        F[rows] = fz + _weighted_count(Z != 0.0, partition)
         for label, member in _classify(problem, Z, tests, CLASSIFY_TOL).items():
-            flags.setdefault(label, np.zeros(count, dtype=bool))[chunk] = member
+            flags[label][rows] = member
     points.flags.writeable = False
 
     labels = [*requests, BASIC_LABEL]

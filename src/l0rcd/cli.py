@@ -417,8 +417,9 @@ class OutputWriter:
 
         The rows go out ``_CSV_CHUNK`` at a time, each chunk formatted column
         by column (``_csv_fields``) and written in one call to ``<name>.tmp``,
-        which then replaces the target. An ``OSError`` removes the temporary
-        file, leaving any old target whole, and is a ConfigError."""
+        which then replaces the target. The temporary file is removed on every
+        exit, so a failed write leaves any old target whole; an ``OSError`` is
+        a ConfigError, and anything else propagates."""
         if len({len(column) for column in columns}) != 1:
             raise ValueError(f"{name}: the columns differ in length")
         path = self.out_dir / name
@@ -438,9 +439,10 @@ class OutputWriter:
                     fh.write("\r\n".join(rows) + "\r\n")
             tmp.replace(path)
         except OSError as exc:
-            with contextlib.suppress(OSError):
-                tmp.unlink()
             raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+        finally:
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)  # already gone after the replace
         return path
 
 

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,8 +292,8 @@ class TestEnumerateCatalog:
 
 class TestOneClassification:
     def test_one_cache_and_gradient_per_support(self, monkeypatch):
-        """Each chunk of supports gets one stacked eval and one stacked gradient,
-        and no per-support cache."""
+        """Each batch of same-size supports gets one stacked eval and one stacked
+        gradient, sizes in increasing order, and no per-support cache."""
         calls = {"make_cache": [], "block_grad": [], "full_grad": [], "eval": []}
         for name in calls:
             original = getattr(LeastSquaresObjective, name)
@@ -304,12 +306,14 @@ class TestOneClassification:
         prob, requests = _configured_case(m=8, n=11, instance_seed=3, lam=0.3)
         catalog = enumerate_catalog(prob, requests)
         assert len(catalog.entries) == 2 * _CHUNK
-        chunks = [(_CHUNK, 11), (_CHUNK, 11)]
-        assert calls == {"make_cache": [], "block_grad": [], "full_grad": chunks, "eval": chunks}
+        # every size class of 11 coordinates fits one batch: C(11, s) <= 462 < _CHUNK
+        batches = [(math.comb(11, s), 11) for s in range(12)]
+        assert calls == {"make_cache": [], "block_grad": [], "full_grad": batches, "eval": batches}
 
     def test_one_restricted_solve_per_support_size(self, monkeypatch):
-        """Each chunk makes one oracle call per nonempty support size, with
-        sorted index rows, and the one-support wrapper is not called."""
+        """One oracle call per nonempty support size, with sorted index rows in
+        increasing bitmask order; every nonempty support is solved exactly once,
+        and the one-support wrapper is not called."""
         prob, requests = _configured_case(m=8, n=11, instance_seed=3, lam=0.3)
         stacks = []
         original = prob.smooth.restricted_minimize
@@ -323,11 +327,12 @@ class TestOneClassification:
             "l0rcd.analysis.restricted_minimize", lambda *a: pytest.fail("called per support")
         )
         catalog = enumerate_catalog(prob, requests)
-        # masks 0-1023 hold sizes 1-10 besides the empty one; 1024-2047 sizes 1-11
-        assert [c.shape[1] for c in stacks] == list(range(1, 11)) + list(range(1, 12))
-        assert sum(len(c) for c in stacks) == 2 * _CHUNK - 1
+        assert [c.shape for c in stacks] == [(math.comb(11, s), s) for s in range(1, 12)]
         for cols in stacks:
             assert (np.diff(cols, axis=1) > 0).all()
+        solved = [[sum(1 << j for j in row) for row in cols.tolist()] for cols in stacks]
+        assert all(masks == sorted(masks) for masks in solved)
+        assert sorted(sum(solved, [])) == list(range(1, 2 * _CHUNK))
         assert catalog.entries[0].point.tobytes() == np.zeros(11).tobytes()
 
     def test_logistic_restricted_tolerance_computed_once(self, monkeypatch):
@@ -483,18 +488,18 @@ def _configured_case(**kw):
     return prob, _enumerate_requests(prob, cfg)
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        lambda: _configured_case(m=6, n=7, instance_seed=0, lam=0.02),
-        _zero_penalty_blocks_case,
-        lambda: _configured_case(
-            problem_kind="logistic", m=12, n=8, instance_seed=5, nu=0.3, lam=0.005
-        ),
-        lambda: _configured_case(m=8, n=11, instance_seed=3, lam=0.3),
-    ],
-    ids=["ls-scalar", "ls-blocks-zero-penalty", "logistic-12x8", "ls-two-chunks"],
-)
+REFERENCE_CASES = [
+    lambda: _configured_case(m=6, n=7, instance_seed=0, lam=0.02),
+    _zero_penalty_blocks_case,
+    lambda: _configured_case(
+        problem_kind="logistic", m=12, n=8, instance_seed=5, nu=0.3, lam=0.005
+    ),
+    lambda: _configured_case(m=8, n=11, instance_seed=3, lam=0.3),
+]
+REFERENCE_IDS = ["ls-scalar", "ls-blocks-zero-penalty", "logistic-12x8", "ls-two-chunks"]
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES, ids=REFERENCE_IDS)
 def test_catalog_matches_support_by_support_reference(case):
     """Every entry, in order, has the reference's bitmask, point bytes, f, F and flags."""
     prob, requests = case()
@@ -508,6 +513,48 @@ def test_catalog_matches_support_by_support_reference(case):
     assert list(catalog.entries[0].flags) == ["basic"] + list(requests)
     for e in catalog.entries[:3]:
         assert not e.point.flags.writeable
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES, ids=REFERENCE_IDS)
+def test_size_groups_split_across_batches(case, monkeypatch):
+    """With batches of at most 5 supports, the size groups of more than 5
+    supports span several batches: the entries still equal the reference's,
+    and the supports with s of the p penalized coordinates take
+    ceil(C(p, s) / 5) solves, the empty support none."""
+    monkeypatch.setattr(analysis, "_CHUNK", 5)
+    prob, requests = case()
+    stacks = []
+    original = prob.smooth.restricted_minimize
+
+    def counted(cols):
+        stacks.append(len(cols))
+        return original(cols)
+
+    monkeypatch.setattr(prob.smooth, "restricted_minimize", counted)
+    catalog = enumerate_catalog(prob, requests)
+    p = int(np.count_nonzero(prob.partition.coord_lambda() > 0.0))
+    free = prob.partition.zero_penalty_bits != 0
+    assert len(stacks) == sum(-(-math.comb(p, s) // 5) for s in range(p + 1) if s or free)
+    assert max(stacks) <= 5
+    got = [
+        (e.bitmask, e.point.tobytes(), e.f_value, e.F_value, e.flags) for e in catalog.entries
+    ]
+    assert got == reference_catalog(prob, requests)
+
+
+def test_enumeration_memory_beyond_the_catalog_columns():
+    """Besides the catalog's own columns, enumerating 8x16 least squares
+    allocates at most 4 MB at its peak: the batches keep O(_CHUNK n) entries
+    and the one 2^n array of support sizes, never a (2^n, n) temporary."""
+    prob, requests = _configured_case(m=8, n=16, instance_seed=3, lam=0.3)
+    tracemalloc.start()
+    try:
+        catalog = enumerate_catalog(prob, requests)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = [catalog.bitmasks, catalog.points, catalog.f, catalog.F, *catalog.flags.values()]
+    assert peak - sum(c.nbytes for c in columns) <= 4 * 2**20
 
 
 def _row(e):

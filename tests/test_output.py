@@ -300,3 +300,34 @@ def test_full_disk_while_rows_are_written_is_a_one_line_error(tmp_path, monkeypa
         assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["catalog.csv"])
         if old is not None:
             assert path.read_bytes() == old
+
+
+class Interrupted(FullDisk):
+    """A text file whose writes after the first ``room`` raise KeyboardInterrupt."""
+
+    def write(self, text):
+        if self.room == 0:
+            raise KeyboardInterrupt
+        return super().write(text)
+
+
+@pytest.mark.parametrize("failure", ["float32", "interrupt"])
+def test_failed_write_other_than_oserror_leaves_no_temporary(tmp_path, monkeypatch, failure):
+    """A column with no CSV format raises TypeError, and an interrupt during the
+    rows propagates; either way no ``.tmp`` is left and an old table keeps its bytes."""
+    columns = [np.arange(3), np.linspace(0.0, 1.0, 3)]
+    if failure == "float32":
+        columns[1] = columns[1].astype(np.float32)
+        expected = TypeError
+    else:
+        monkeypatch.setattr(
+            cli, "open", lambda *a, **k: Interrupted(open(*a, **k), 4), raising=False
+        )
+        expected = KeyboardInterrupt
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old\r\n")
+    writer = OutputWriter(tmp_path, "hash", True)
+    with pytest.raises(expected):
+        writer.write_csv("t.csv", ["k", "v"], columns)
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    assert path.read_bytes() == b"old\r\n"

@@ -221,6 +221,31 @@ class TestStep:
             assert st.f_value == pytest.approx(prob.smooth.eval(st.x), rel=1e-9)
         assert changes >= 3
 
+    @pytest.mark.parametrize("make_step", [_scalar_step, _block_step])
+    def test_zero_penalty_coordinate_leaves_zero(self, make_step):
+        """A lambda = 0 coordinate that starts at zero is in I(x) before and after
+        it moves: its bit is no support change. Support and penalty match a
+        recount after every step, on the count table (uniform lambda elsewhere)."""
+        lam = np.array([0.3, 0.0, 0.3, 0.3, 0.0, 0.3])
+        prob = random_ls_problem(8, len(lam), seed=42)
+        partition = BlockPartition.scalar(
+            lam, prob.smooth.column_lipschitz(), prob.partition.global_lipschitz
+        )
+        prob = L0Problem(prob.smooth, partition)
+        assert partition.count_penalty is not None
+        step = make_step(prob, resolved(prob, separable_from_factor(partition, 1.5)))
+        x0 = np.random.default_rng(43).standard_normal(len(lam))
+        x0[lam == 0.0] = 0.0
+        st = toy_state(prob, x0)
+        free = np.flatnonzero(lam == 0.0)
+        rng = np.random.default_rng(44)
+        for j in [*free, *rng.integers(len(lam), size=60)]:
+            step(st, int(j))
+            kept = (st.support, st.penalty.hex())
+            st.recount(prob)
+            assert kept == (st.support, st.penalty.hex())
+        assert (st.x[free] != 0.0).all()
+
     def test_null_step_leaves_state_bit_identical(self, toy):
         """At the strong point (2, 0) the map returns each block unchanged."""
         step = checked_step(toy, lipschitz_mode(toy.partition))
