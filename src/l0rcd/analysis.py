@@ -194,23 +194,6 @@ def is_strong_local_min(
     return bool(_classify(problem, _check_dim(z, problem.n)[None], tests, tol)[model.kind][0])
 
 
-def _size_batches(sizes: np.ndarray, window: int):
-    """The rows of ``sizes`` grouped by value, as ``(size, rows)``: sizes
-    increasing, and each size's rows in increasing order, ``_CHUNK`` at a time,
-    with a shorter last batch. ``sizes`` is scanned ``window`` rows at a time,
-    so no index array outgrows ``window + _CHUNK`` entries."""
-    for size in range(int(sizes.min()), int(sizes.max()) + 1):
-        held = np.empty(0, dtype=np.intp)
-        for lo in range(0, len(sizes), window):
-            found = lo + np.flatnonzero(sizes[lo : lo + window] == size)
-            held = np.concatenate((held, found))
-            while len(held) >= _CHUNK:
-                yield size, held[:_CHUNK]
-                held = held[_CHUNK:]
-        if len(held):
-            yield size, held
-
-
 def enumerate_catalog(
     problem: L0Problem,
     requests: Mapping[str, ApproxSpec],
@@ -260,19 +243,23 @@ def enumerate_catalog(
     F = np.empty(count)
     flags = {label: np.zeros(count, dtype=bool) for label in (BASIC_LABEL, *requests)}
     shifts = np.arange(n)
-    for size, rows in _size_batches(np.bitwise_count(bitmasks), _CHUNK * n):
-        if size:
-            bits = (bitmasks[rows, None] >> shifts) & 1 == 1  # row r: support bitmasks[rows[r]]
-            # np.nonzero walks row by row, so each row's indices come sorted
-            Z = solve(np.nonzero(bits)[1].reshape(len(rows), size))
-        else:
-            Z = np.zeros((len(rows), n))  # the empty support
-        points[rows] = Z
-        fz = problem.smooth.eval(Z)
-        f[rows] = fz
-        F[rows] = fz + _weighted_count(Z != 0.0, partition)
-        for label, member in _classify(problem, Z, tests, CLASSIFY_TOL).items():
-            flags[label][rows] = member
+    sizes = np.bitwise_count(bitmasks)
+    for size in range(int(sizes.min()), n + 1):
+        same_size = np.flatnonzero(sizes == size)
+        for lo in range(0, len(same_size), _CHUNK):
+            rows = same_size[lo : lo + _CHUNK]
+            if size:
+                bits = (bitmasks[rows, None] >> shifts) & 1 == 1  # row r: support bitmasks[rows[r]]
+                # np.nonzero walks row by row, so each row's indices come sorted
+                Z = solve(np.nonzero(bits)[1].reshape(len(rows), size))
+            else:
+                Z = np.zeros((len(rows), n))  # the empty support
+            points[rows] = Z
+            fz = problem.smooth.eval(Z)
+            f[rows] = fz
+            F[rows] = fz + _weighted_count(Z != 0.0, partition)
+            for label, member in _classify(problem, Z, tests, CLASSIFY_TOL).items():
+                flags[label][rows] = member
     points.flags.writeable = False
 
     labels = [*requests, BASIC_LABEL]

@@ -108,11 +108,10 @@ class BlockPartition:
         with lam_i > 0 is one coordinate, and all of them share one lam.
         None on any other partition.
 
-        Entry k is the left-to-right sum of k copies of lam, the sum of the
-        block terms once their exact 0.0 terms drop out, so it has the bits
-        of that sum (lam * k rounds differently from k = 6 at lam = 0.3).
-        ``l0_norm`` and ``_weighted_count``, for a point or a stack, read it
-        wherever it exists, and so does ``IterateState.flip``.
+        Entry k is the left-to-right sum of k copies of lam, the sum
+        ``l0_norm`` forms once its exact 0.0 terms drop out, so it has
+        ``l0_norm``'s bits (lam * k rounds differently from k = 6 at
+        lam = 0.3).
         """
         penalized = [(s, l) for s, l in zip(self.block_sizes, self.lam) if l > 0.0]
         if any(s != 1 or l != penalized[0][1] for s, l in penalized):
@@ -157,28 +156,16 @@ def l0_norm(x: np.ndarray, partition: BlockPartition) -> float:
 
     Zero means bit-exact 0.0. Not a norm (fails homogeneity), but
     scale-invariant: l0_norm(c*x) = l0_norm(x) for c != 0. Block terms are
-    added left to right (cumsum, not a pairwise or compensated sum), or read
-    from the partition's ``count_penalty`` table, which holds that sum.
+    added left to right (cumsum, not a pairwise or compensated sum).
     """
     return float(_weighted_count(_check_dim(x, partition.n) != 0.0, partition))
 
 
-def _weighted_count(nonzero: np.ndarray, partition: BlockPartition) -> np.ndarray | float:
+def _weighted_count(nonzero: np.ndarray, partition: BlockPartition) -> np.ndarray:
     """``l0_norm``'s sum, lam_i times the True entries of block i, along the
-    last axis of a mask: one value for one point, one per row for a stack.
-
-    Where the partition has the ``count_penalty`` table, a point or each row
-    of a stack reads its entry k, k the True entries in penalized blocks;
-    elsewhere the block terms are summed left to right. Both give the same
-    bits."""
-    table = partition.count_penalty
-    if table is None:
-        counts = np.add.reduceat(nonzero.astype(np.int64), partition.block_starts, axis=-1)
-        return np.cumsum(partition.lam_array * counts, axis=-1)[..., -1]
-    penalized = nonzero & ~partition.zero_penalty_mask
-    if penalized.ndim == 1:
-        return table[np.count_nonzero(penalized)]
-    return np.array(table)[np.count_nonzero(penalized, axis=-1)]
+    last axis of a mask: one value for one point, one per row for a stack."""
+    counts = np.add.reduceat(nonzero.astype(np.int64), partition.block_starts, axis=-1)
+    return np.cumsum(partition.lam_array * counts, axis=-1)[..., -1]
 
 
 def support_of(x: np.ndarray, partition: BlockPartition) -> int:

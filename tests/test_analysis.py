@@ -544,8 +544,9 @@ def test_size_groups_split_across_batches(case, monkeypatch):
 
 def test_enumeration_memory_beyond_the_catalog_columns():
     """Besides the catalog's own columns, enumerating 8x16 least squares
-    allocates at most 4 MB at its peak: the batches keep O(_CHUNK n) entries
-    and the one 2^n array of support sizes, never a (2^n, n) temporary."""
+    allocates at most 4 MB at its peak: the batches keep O(_CHUNK n) entries,
+    besides the row indices of one size and the one 2^n array of support
+    sizes, never a (2^n, n) temporary."""
     prob, requests = _configured_case(m=8, n=16, instance_seed=3, lam=0.3)
     tracemalloc.start()
     try:
