@@ -237,6 +237,7 @@ def threshold_e(
     cache: np.ndarray,
     lo: float | None = None,
     hi: float = math.inf,
+    near: Callable[[np.ndarray, int, float, float, np.ndarray], float] | None = None,
 ) -> float:
     """Exact-model thresholding of scalar coordinate j.
 
@@ -252,13 +253,30 @@ def threshold_e(
     smoothness give d^2/(2 hi) <= Delta <= d^2/(2 lo). So the step is null,
     with no Newton solve, when d^2/(2 lo) <= (1 - 1e-9) lambda_j, and keeps
     x_j + h*, with no value of f, when d^2/(2 hi) > (1 + 1e-9) lambda_j;
-    only between the two is Delta computed. The margin 1e-9 lambda_j
-    exceeds the rounding of the computed Delta (a few ulps of the two
-    values it subtracts) and of d^2 and the bounds unless lambda_j is tiny
-    against f, so a bound and the computed Delta decide alike. Where they
-    could disagree, Delta lies within rounding of lambda_j, and the bound
-    gives the exact model's answer. At x_j = 0, d = g'(0) comes with
-    g''(0) from one query that the Newton solve reuses.
+    between the two, Delta is computed unless ``near`` (below) proves the
+    step null. The margin 1e-9 lambda_j exceeds the rounding of the
+    computed Delta (a few ulps of the two values it subtracts) and of d^2
+    and the bounds unless lambda_j is tiny against f, so a bound and the
+    computed Delta decide alike. Where they could disagree, Delta lies
+    within rounding of lambda_j, and the bound gives the exact model's
+    answer. At x_j = 0, d = g'(0) comes with g''(0) from one query that
+    the Newton solve reuses.
+
+    ``near`` is the oracle's optional ``coord_curvature_floor_near``
+    (``resolve`` looks it up once), a floor c on f'' along coordinate j
+    over an interval. Where neither global test decides, it gives one
+    more null test. Since |g'(h) - g'(-x_j)| >= lo |h + x_j|, the root h*
+    lies within R = |d|/lo of -x_j, so g'' >= c + beta on the segment from
+    -x_j to h* for c the floor over [-x_j - R, -x_j + R]; on that segment
+    g(-x_j) - g(h*) <= d^2/(2 (c + beta)) (Nesterov 2004, Thm 2.1.10), and
+    the step is null, with no Newton solve, when that is <= (1 - 1e-9)
+    lambda_j. Rounding moves R and each argument z = |t_k| + R |a_kj| of
+    the floor's sigma'(z) by a few ulps, which moves sigma'(z) by a
+    relative z ulps; sigma' rounds to zero past z = 746, so c, and the
+    bound with it, is off by a relative 1e-12 at most, far inside the
+    margin. And a computed h* has g(h*) >= min g, so the computed Delta
+    lies below the true one within the rounding of the two values: a
+    proved null step is null in that comparison too.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -270,10 +288,20 @@ def threshold_e(
         at_zero = None
         d = oracle.coord_grad_shifted(x, j, -x_j, cache) - beta * x_j
     half_dd = 0.5 * d * d
-    if half_dd / (beta if lo is None else lo) <= lambda_j * (1.0 - _CERT_MARGIN):
+    if lo is None:
+        lo = beta
+    null_below = lambda_j * (1.0 - _CERT_MARGIN)
+    if half_dd / lo <= null_below:
+        return 0.0
+    kept = half_dd / hi > lambda_j * (1.0 + _CERT_MARGIN)
+    if (
+        not kept
+        and near is not None
+        and half_dd / (near(x, j, -x_j, abs(d) / lo, cache) + beta) <= null_below
+    ):
         return 0.0
     h_star = _solve_1d(oracle, x, j, beta, cache, at_zero)
-    if half_dd / hi > lambda_j * (1.0 + _CERT_MARGIN):
+    if kept:
         return float(x_j + h_star)
     keep_value = oracle.value_shifted(x, j, h_star, cache) + 0.5 * beta * h_star * h_star
     zero_value = oracle.value_shifted(x, j, -x_j, cache) + 0.5 * beta * x_j * x_j
@@ -389,7 +417,9 @@ def resolve(spec: ApproxSpec, oracle: SmoothOracle, partition: BlockPartition) -
     along coordinate j lies between lo_j = beta_j + c_j, with c_j from the
     oracle's optional ``coord_curvature_floor()`` (beta_j alone without it:
     f is convex), and hi_j = L_j + beta_j, ``spec.curvature_bound``, which
-    holds as the partition's Lipschitz constants do.
+    holds as the partition's Lipschitz constants do. The oracle's optional
+    ``coord_curvature_floor_near``, looked up here once, gives
+    ``threshold_e`` its local null test.
     """
     spec.check_partition(partition)
     lam = partition.coord_lambda()
@@ -415,9 +445,10 @@ def resolve(spec: ApproxSpec, oracle: SmoothOracle, partition: BlockPartition) -
             hi = bound.tolist()
     if curvature is None:
         params = spec.params
+        near = getattr(oracle, "coord_curvature_floor_near", None)
 
         def threshold(x: np.ndarray, j: int, x_j: float, cache: np.ndarray) -> float:
-            return threshold_e(oracle, x, j, params[j], lam_j[j], cache, lo[j], hi[j])
+            return threshold_e(oracle, x, j, params[j], lam_j[j], cache, lo[j], hi[j], near)
 
     else:
         half_curvature = 0.5 * curvature

@@ -55,7 +55,11 @@ class SmoothOracle(Protocol):
     ``coord_curvature_floor()`` gives, per coordinate, a lower bound c_j on
     f'' along coordinate j everywhere (the ridge weight on logistic), which
     lets the exact model decide a step from curvature bounds without its
-    Newton solve (without it the bound is 0, as for any convex f); and
+    Newton solve (without it the bound is 0, as for any convex f);
+    ``coord_curvature_floor_near(x, j, h, radius, cache)`` gives a lower
+    bound on f'' at x + u e_j for every u within ``radius`` of h, from one
+    pass over the cache, with which the exact model proves more steps null
+    without its Newton solve; and
     ``restricted_minimize(cols)`` makes enumeration possible: it takes a
     (k, s) int array of sorted index rows, all of one size s, and returns
     the (k, n) array of the minimizers of f over the vectors supported on
@@ -467,6 +471,33 @@ class LogisticL2Objective:
     def coord_curvature_floor(self) -> np.ndarray:
         """Lower bound nu on f'' along each coordinate: the loss is convex."""
         return np.full(self.dim, self.nu)
+
+    @cached_property
+    def _abs_cols(self) -> tuple[list[np.ndarray], list[float]]:
+        # the columns of |data| as views, and the largest entry of each
+        abs_data = np.abs(self.data)
+        return list(abs_data.T), abs_data.max(axis=0).tolist()
+
+    def coord_curvature_floor_near(
+        self, x: np.ndarray, j: int, h: float, radius: float, cache: np.ndarray
+    ) -> float:
+        """Lower bound on f'' along coordinate j at x + u e_j for every |u - h| <= radius.
+
+        With t the predictors at x + h e_j, f'' there is (1/m) sum_k
+        a_kj^2 sigma'(t_k + (u - h) a_kj) + nu, and sigma' falls with |.|,
+        so sigma'(|t_k| + radius |a_kj|) bounds each term from below: one
+        pass over the m predictors with one exp, sigma'(z) = e/(1 + e)^2
+        with e = exp(-z). Where radius times the column's largest |a_kj|
+        is not finite (radius inf or nan) the answer is nu, the floor
+        everywhere, with no pass.
+        """
+        abs_cols, abs_max = self._abs_cols
+        if not radius * abs_max[j] < math.inf:  # Python floats: inf or nan, no warning
+            return self.nu
+        e = abs_cols[j] * -radius
+        e -= np.abs(self._shifted(j, h, cache))
+        np.exp(e, out=e)
+        return float((e / ((1.0 + e) ** 2)).dot(self._sq_cols[j])) / self.m + self.nu
 
     def value_shifted(self, x: np.ndarray, j: int, h: float, cache: np.ndarray) -> float:
         loss = self._at(cache)[3] if h == 0.0 else self._loss(self._shifted(j, h, cache))

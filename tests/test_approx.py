@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -445,6 +446,13 @@ def progress_bounds(oracle, x, j, beta, lo, hi, cache):
     return 0.5 * d * d / lo, 0.5 * d * d / hi
 
 
+def local_bound(oracle, x, j, beta, lo, cache):
+    """d^2/(2 (c + beta)), c the curvature floor within |d|/lo of -x_j: the local bound on Delta."""
+    d = oracle.coord_grad_shifted(x, j, -x[j], cache) - beta * x[j]
+    c = oracle.coord_curvature_floor_near(x, j, -x[j], abs(d) / lo, cache)
+    return 0.5 * d * d / (c + beta)
+
+
 SHIFTED_QUERIES = ("coord_grad_shifted", "coord_curvature_shifted", "coord_grad_curvature_shifted")
 
 
@@ -453,7 +461,9 @@ class QueryLog:
 
     def __init__(self, oracle):
         self.oracle = oracle
-        self.calls = dict.fromkeys(SHIFTED_QUERIES + ("value_shifted",), 0)
+        self.calls = dict.fromkeys(
+            SHIFTED_QUERIES + ("value_shifted", "coord_curvature_floor_near"), 0
+        )
 
     def __getattr__(self, name):
         method = getattr(self.oracle, name)
@@ -488,7 +498,7 @@ class TestCertifiedThresholdE:
 
     def test_certified_map_keeps_the_bits(self):
         rng = np.random.default_rng(31)
-        fired = {"null": 0, "keep": 0, "neither": 0}
+        fired = {"null": 0, "near": 0, "keep": 0, "neither": 0}
         x_j_zero = 0
         draws = 2100
         for draw in range(draws):
@@ -501,11 +511,13 @@ class TestCertifiedThresholdE:
                 p = BlockPartition.scalar(np.full(n, 0.1), oracle.column_lipschitz())
                 model = resolve(exact_uniform(p, beta), oracle, p)
                 lo, hi = model.lo, model.hi
+                near = oracle.coord_curvature_floor_near
             else:
                 # g'' is the constant ||A_j||^2 + beta: both bounds are tight, so
                 # Delta is exactly d^2/(2 lo) and only the margin separates the two
                 oracle = LeastSquaresObjective(data, rng.uniform(-1, 1, m))
                 lo = hi = oracle.coord_curvature() + beta
+                near = None
             x = rng.standard_normal(n) * (rng.random(n) < 0.5) * 10.0 ** rng.uniform(-1, 1)
             j = int(rng.integers(n))
             x_j_zero += x[j] == 0.0
@@ -514,14 +526,20 @@ class TestCertifiedThresholdE:
             lams = [0.0]
             lams += [b * f for b in (b_lo, b_hi) for f in (1.0 - 1e-12, 1.0 + 1e-12)]
             lams += [b_hi * 10.0 ** rng.uniform(-3, 0), b_lo * 10.0 ** rng.uniform(0, 3)]
+            b_near = b_lo
+            if near is not None:
+                b_near = local_bound(oracle, x, j, beta, lo[j], cache)
+                lams += [b_near * (1.0 - 1e-12), b_near * (1.0 + 1e-12)]
             for lam in lams:
-                out = threshold_e(oracle, x, j, beta, lam, cache, lo[j], hi[j])
+                out = threshold_e(oracle, x, j, beta, lam, cache, lo[j], hi[j], near)
                 ref = threshold_e_reference(oracle, x, j, beta, lam, cache)
                 assert np.float64(out).tobytes() == np.float64(ref).tobytes(), (draw, lam)
                 if b_lo <= lam * (1.0 - 1e-9):
                     fired["null"] += 1
                 elif b_hi > lam * (1.0 + 1e-9):
                     fired["keep"] += 1
+                elif b_near <= lam * (1.0 - 1e-9):
+                    fired["near"] += 1
                 else:
                     fired["neither"] += 1
         assert min(fired.values()) >= 100, fired
@@ -542,6 +560,8 @@ class TestCertifiedThresholdE:
             assert log.calls["value_shifted"] == 0
 
     def test_keep_certified_step_makes_no_value_query(self):
+        """Two value queries only where no bound decides: lambda between the
+        local bound and d^2/(2 hi), above which the local floor proves null."""
         oracle = random_logistic(12, 5, seed=34)
         p = BlockPartition.scalar(np.full(5, 0.1), oracle.column_lipschitz())
         model = resolve(exact_uniform(p, 0.01), oracle, p)
@@ -550,13 +570,67 @@ class TestCertifiedThresholdE:
         cache = oracle.make_cache(x)
         for j in range(5):
             b_lo, b_hi = progress_bounds(oracle, x, j, 0.01, lo[j], hi[j], cache)
-            for lam, values in ((0.5 * b_hi, 0), ((b_lo * b_hi) ** 0.5, 2)):
+            b_near = local_bound(oracle, x, j, 0.01, lo[j], cache)
+            assert b_hi * (1.0 + 1e-6) < b_near < b_lo * (1.0 - 1e-6)
+            for lam, values in ((0.5 * b_hi, 0), ((b_near * b_hi) ** 0.5, 2)):
                 log = QueryLog(oracle)
-                out = threshold_e(log, x, j, 0.01, lam, cache, lo[j], hi[j])
+                out = threshold_e(
+                    log, x, j, 0.01, lam, cache, lo[j], hi[j], log.coord_curvature_floor_near
+                )
                 assert log.calls["value_shifted"] == values
                 ref = threshold_e_reference(oracle, x, j, 0.01, lam, cache)
                 assert np.float64(out).tobytes() == np.float64(ref).tobytes()
                 assert out != 0.0 or values == 2  # a keep-certified step keeps
+
+    @pytest.mark.parametrize("j", [0, 3], ids=["x_j=0", "x_j=-1.2"])
+    def test_near_certified_null_step_makes_no_newton_point(self, j):
+        """Where the local floor proves the step null and the global floor does
+        not, the step makes the one query for d, one floor query, no Newton
+        point and no value query."""
+        oracle = random_logistic(12, 5, seed=33)
+        p = BlockPartition.scalar(np.full(5, 0.1), oracle.column_lipschitz())
+        model = resolve(exact_uniform(p, 0.01), oracle, p)
+        lo, hi = model.lo, model.hi
+        x = np.array([0.0, 0.7, 0.0, -1.2, 0.3])
+        cache = oracle.make_cache(x)
+        b_lo, _ = progress_bounds(oracle, x, j, 0.01, lo[j], hi[j], cache)
+        b_near = local_bound(oracle, x, j, 0.01, lo[j], cache)
+        assert b_near < b_lo * (1.0 - 1e-6)
+        lam = (b_near * b_lo) ** 0.5
+        log = QueryLog(oracle)
+        asked = []
+
+        def near(x, j, h, radius, cache):
+            asked.append((h, radius))
+            return log.coord_curvature_floor_near(x, j, h, radius, cache)
+
+        out = threshold_e(log, x, j, 0.01, lam, cache, lo[j], hi[j], near)
+        assert np.float64(out).tobytes() == np.float64(0.0).tobytes()
+        assert threshold_e_reference(oracle, x, j, 0.01, lam, cache) == 0.0
+        assert log.shifted() == 1
+        assert log.calls["coord_curvature_floor_near"] == 1
+        assert log.calls["value_shifted"] == 0
+        # the floor is asked about the interval of radius |d|/lo around -x_j,
+        # which holds the inner minimizer h*
+        d = oracle.coord_grad_shifted(x, j, -x[j], cache) - 0.01 * x[j]
+        assert asked == [(-x[j], abs(d) / lo[j])]
+        assert abs(_solve_1d(oracle, x, j, 0.01, cache) + x[j]) <= abs(d) / lo[j]
+
+    def test_resolve_passes_the_floor_near_to_the_map(self):
+        """The resolved model's float threshold takes the oracle's local floor."""
+        oracle = random_logistic(12, 5, seed=33)
+        x = np.array([0.0, 0.7, 0.0, -1.2, 0.3])
+        cache = oracle.make_cache(x)
+        lo = 0.01 + oracle.nu  # Model.lo: beta plus the curvature floor nu
+        b_lo = progress_bounds(oracle, x, 0, 0.01, lo, math.inf, cache)[0]
+        lam = (local_bound(oracle, x, 0, 0.01, lo, cache) * b_lo) ** 0.5
+        p = BlockPartition.scalar(np.full(5, lam), oracle.column_lipschitz())
+        log = QueryLog(oracle)
+        model = resolve(exact_uniform(p, 0.01), log, p)
+        assert model.lo[0] == lo
+        assert model.threshold(x, 0, 0.0, cache) == 0.0
+        assert log.calls["coord_curvature_floor_near"] == 1
+        assert log.shifted() == 1 and log.calls["value_shifted"] == 0
 
     def test_bounds_from_the_oracle_and_the_partition(self):
         oracle = random_logistic(12, 3, seed=35, nu=0.05)

@@ -2,9 +2,10 @@
 
 Math that depends on the objective or on the model's kind lives in
 ``approx``. No other module of the package compares a ``.kind`` with ``==``
-or ``!=``, or asks an oracle for its optional ``coord_curvature`` or
-``coord_curvature_floor`` through ``getattr`` or ``hasattr``: they take a
-resolved ``Model`` from ``approx.resolve`` instead.
+or ``!=``, or asks an oracle for its optional ``coord_curvature``,
+``coord_curvature_floor`` or ``coord_curvature_floor_near`` through
+``getattr`` or ``hasattr``: they take a resolved ``Model`` from
+``approx.resolve`` instead.
 
 How a change of the zero pattern moves the support I(x) and the penalty
 lives in ``core``: no other module assigns a ``.support`` or ``.penalty``
@@ -15,7 +16,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "l0rcd"
-OPTIONAL_CURVATURE = {"coord_curvature", "coord_curvature_floor"}
+OPTIONAL_CURVATURE = {"coord_curvature", "coord_curvature_floor", "coord_curvature_floor_near"}
 SUPPORT_BOOKS = {"support", "penalty"}
 
 

@@ -1,3 +1,5 @@
+import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -260,6 +262,55 @@ def test_sigmoid_matches_two_branch_formula(t):
     nan = np.isnan(want)
     np.testing.assert_array_equal(np.isnan(got), nan)
     assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def curvature_along(oracle, j, t):
+    """f'' along coordinate j at the predictors t, from sigma'(z) = e/(1 + e)^2
+    summed by math.fsum: the oracle's s (1 - s) rounds to 0 past |t| = 37."""
+    e = np.exp(-np.abs(t))
+    terms = oracle.data[:, j] ** 2 * (e / (1.0 + e) ** 2)
+    return math.fsum(terms.tolist()) / oracle.m + oracle.nu
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    seed=strategies.integers(0, 2**32 - 1),
+    m=strategies.integers(1, 12),
+    zeros=strategies.sampled_from([0.0, 0.4, 1.0]),
+    scale=strategies.sampled_from([1.0, 60.0]),
+    nu=strategies.sampled_from([1e-17, 1e-9, 0.3]),
+    radius=strategies.one_of(
+        strategies.sampled_from([0.0, 5e-324, 1e-12, 1e6, 1e300, math.inf]),
+        strategies.floats(0.0, 10.0),
+    ),
+)
+@example(seed=0, m=4, zeros=1.0, scale=1.0, nu=1e-17, radius=math.inf)
+@example(seed=0, m=4, zeros=0.0, scale=60.0, nu=1e-17, radius=0.0)
+def test_curvature_floor_near_is_below_f2_on_the_interval(seed, m, zeros, scale, nu, radius):
+    """``coord_curvature_floor_near`` is a float at or below f'' at points of
+    [h - radius, h + radius] (within the rounding of the two sums), f'' itself
+    at radius 0, nu where radius is inf, and raises no RuntimeWarning: data
+    with zero entries and columns, saturated predictors, nu down to 1e-17."""
+    rng = np.random.default_rng(seed)
+    n = 3
+    data = rng.uniform(-1, 1, (m, n)) * scale * (rng.random((m, n)) >= zeros)
+    oracle = LogisticL2Objective(data, (rng.random(m) < 0.5).astype(float), nu)
+    x = rng.standard_normal(n)
+    cache = oracle.make_cache(x)
+    j = int(rng.integers(n))
+    h = float(rng.standard_normal())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        floor = oracle.coord_curvature_floor_near(x, j, h, radius, cache)
+    assert type(floor) is float
+    assert nu <= floor
+    if radius == math.inf:
+        assert floor == nu
+    t = cache + data[:, j] * h
+    for u in min(radius, 1e6) * np.linspace(-1.0, 1.0, 9):
+        assert floor <= curvature_along(oracle, j, t + data[:, j] * u) * (1.0 + 1e-12)
+    if radius == 0.0:
+        assert floor >= curvature_along(oracle, j, t) * (1.0 - 1e-12)
 
 
 @pytest.mark.parametrize("make", [lambda s: random_ls(8, 5, s), lambda s: random_logistic(8, 5, s)])
