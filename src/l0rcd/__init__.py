@@ -22,7 +22,6 @@ from .objectives import (
 )
 from .approx import (
     ApproxSpec,
-    exact_uniform,
     resolve,
     separable_from_factor,
     threshold_e,
@@ -67,7 +66,6 @@ __all__ = [
     "load_matrix_csv",
     "load_vector_csv",
     "ApproxSpec",
-    "exact_uniform",
     "resolve",
     "separable_from_factor",
     "threshold_e",

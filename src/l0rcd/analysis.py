@@ -18,12 +18,12 @@ fixed points, and ``_classify`` adds the basic flag. So every class lies in
 basic. Between strong classes the models prove two inclusions: a quadratic
 class at curvature M lies in the one at M' where M <= M' coordinatewise, and
 ue[beta] lies in uq[M] where M_j >= L_j + beta_j, since the exact model then
-lies below the quadratic one. No other pair is proved to nest. On least
-squares ue[beta] is the diagonal quadratic class at ||A_j||^2 + beta_j, so
-uq[M = L_j] lies inside it, not around it: on generated 8x20 least squares
-(seed 3, lambda 0.3) one support is in ue[beta = 1e-4] but not in
-uq[M = L_j]. ``verify_inclusions`` still checks the chain of the catalog's
-label order, not the proved pairs.
+lies below the quadratic one (``Model.proves_inside``). No other pair is
+proved to nest. On least squares ue[beta] is the diagonal quadratic class at
+||A_j||^2 + beta_j, so uq[M = L_j] lies inside it, not around it: on
+generated 8x20 least squares (seed 3, lambda 0.3) one support is in
+ue[beta = 1e-4] but not in uq[M = L_j]. ``verify_inclusions`` checks the
+proved pairs only.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .approx import TIE_RULE, ApproxSpec, resolve
+from .approx import TIE_RULE, ApproxSpec, Model, resolve
 from .core import BlockPartition, L0Problem, _check_dim, _weighted_count
 from .objectives import LeastSquaresObjective, _rowdot
 
@@ -70,7 +70,8 @@ class CatalogEntry:
 class MinimaCatalog:
     """The enumerated supports as columns, one row per support in increasing bitmask order:
     row k is support ``bitmasks[k]`` (int64), its restricted minimizer ``points[k]`` (one
-    read-only array), ``f[k]``, ``F[k]`` and ``flags[label][k]`` ("basic" the first column)."""
+    read-only array), ``f[k]``, ``F[k]`` and ``flags[label][k]`` ("basic" the first column).
+    ``models`` maps each requested label to its resolved ``Model``."""
 
     bitmasks: np.ndarray
     points: np.ndarray
@@ -78,6 +79,7 @@ class MinimaCatalog:
     F: np.ndarray
     flags: dict[str, np.ndarray]
     class_labels: list[str]
+    models: dict[str, Model]
     conventions: dict[str, str] = field(default_factory=dict)
 
     def _entry(self, k: int) -> CatalogEntry:
@@ -200,9 +202,10 @@ def enumerate_catalog(
 ) -> MinimaCatalog:
     """Solve the restricted problem for every support and classify the results.
 
-    ``requests`` maps each class label to its model, sharpest class first;
-    a class is the set of fixed points of the model's thresholding map, and
-    classification accepts M_i = L_i, which a solver run would refuse.
+    ``requests`` maps each class label to its model; their order is the
+    order of the columns. A class is the set of fixed points of the model's
+    thresholding map, and classification accepts M_i = L_i, which a solver
+    run would refuse.
     Supports range over all subsets of positive-penalty coordinates, each
     joined with the (always-included) zero-penalty coordinates: 2^(number of
     penalized coordinates) restricted solves. One row per support, in
@@ -226,10 +229,8 @@ def enumerate_catalog(
         raise ValueError(f"label {BASIC_LABEL!r} is reserved")
     partition = problem.partition
     solve = _restricted_solver(problem)
-    tests = {
-        label: resolve(m, problem.smooth, partition).fixed(CLASSIFY_TOL)
-        for label, m in requests.items()
-    }
+    models = {label: resolve(m, problem.smooth, partition) for label, m in requests.items()}
+    tests = {label: model.fixed(CLASSIFY_TOL) for label, model in models.items()}
     # bit i of s goes to the i-th penalized coordinate, which keeps the order of s
     penalized = np.flatnonzero(~partition.zero_penalty_mask)
     s = np.arange(1 << len(penalized), dtype=np.int64)
@@ -269,27 +270,29 @@ def enumerate_catalog(
         "classify_tol": repr(CLASSIFY_TOL),
         "objective": type(problem.smooth).__name__,
     }
-    return MinimaCatalog(bitmasks, points, f, F, flags, labels, conventions)
+    return MinimaCatalog(bitmasks, points, f, F, flags, labels, models, conventions)
 
 
 def verify_inclusions(catalog: MinimaCatalog) -> list[str]:
-    """Check the nesting of classes and global-minimum membership.
+    """Check the class inclusions the models prove and global-minimum membership.
 
-    Each class is checked against the next in the catalog's label order,
-    which enumerate_catalog builds as the requested classes followed by
-    "basic": the requests are taken to run from sharpest to loosest, which
-    the models do not prove for every pair (see the module docstring).
-    Returns a list of violation descriptions; an empty list means every
-    inclusion holds and the global minimizer is flagged in every class.
+    The inclusions are every ordered pair of requested classes that
+    ``Model.proves_inside`` proves, in label order, then every requested
+    class inside "basic" (see the module docstring). Returns a list of
+    violation descriptions; an empty list means every such inclusion holds
+    and the global minimizer is flagged in every class.
     """
-    order = catalog.class_labels
+    models = catalog.models
+    pairs = [
+        (a, b) for a in models for b in models if a != b and models[a].proves_inside(models[b])
+    ] + [(a, BASIC_LABEL) for a in models]
     violations = [
         f"support {bitmask:#x} is in class {a!r} but not in {b!r}"
-        for a, b in zip(order, order[1:])
+        for a, b in pairs
         for bitmask in catalog.bitmasks[catalog.flags[a] & ~catalog.flags[b]].tolist()
     ]
     gm = catalog.global_min
-    for label in order:
+    for label in catalog.class_labels:
         if not gm.flags.get(label, False):
             violations.append(
                 f"global minimizer (support {gm.bitmask:#x}, F={gm.F_value:.6g}) "
@@ -330,8 +333,8 @@ def build_example_instance() -> L0Problem:
 def example_class_requests(problem: L0Problem) -> dict[str, ApproxSpec]:
     """The three classification columns used for the bundled instance.
 
-    Sharpest first: exact model with beta = 1e-4, quadratic model at the
-    per-block constants L_i, quadratic model at the global constant L_f.
+    Exact model with beta = 1e-4, quadratic model at the per-block constants
+    L_i, quadratic model at the global constant L_f.
     """
     partition = problem.partition
     N = partition.num_blocks

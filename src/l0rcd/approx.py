@@ -52,7 +52,9 @@ class ApproxSpec:
     and ``enumerate_catalog`` classify points by its fixed points. ``kind``
     is the label every output uses: "uq" (separable quadratic, ``params``
     holds M_i per block), "uQ" (diagonal quadratic, H_j per coordinate) or
-    "ue" (exact, beta_i per scalar block).
+    "ue" (exact, beta_i per scalar block). The package reads a spec's
+    constants from its resolved ``Model``; the methods below derive them
+    through ``_constants`` too.
     """
 
     kind: str
@@ -66,54 +68,49 @@ class ApproxSpec:
             raise ValueError(f"{_PARAMS_OF[self.kind]} entries must be finite and positive")
         object.__setattr__(self, "params", params)
 
-    def coord_curvature(self, partition: BlockPartition) -> np.ndarray:
-        """Per-coordinate curvature of a quadratic model: M_i repeated over block i, or H_j.
-
-        The two quadratic kinds differ only here. The exact kind has no
-        fixed curvature and raises ValueError.
-        """
-        if self.kind == "uq":
-            return np.repeat(np.asarray(self.params, dtype=float), partition.block_sizes)
-        if self.kind == "uQ":
-            return np.asarray(self.params, dtype=float)
-        raise ValueError("the exact model has no fixed curvature")
-
     def mu(self, partition: BlockPartition) -> np.ndarray:
         """Per-block descent modulus: min curvature over block i minus L_i, or beta_i."""
-        if self.kind == "ue":
-            return np.asarray(self.params, dtype=float)
-        block_min = np.minimum.reduceat(self.coord_curvature(partition), partition.block_starts)
-        return block_min - np.asarray(partition.lipschitz, dtype=float)
+        return np.array(_constants(self, partition)[1])
 
     def curvature_bound(self, partition: BlockPartition) -> np.ndarray:
-        """Per-block curvature constant M_i used in magnitude and progress bounds.
-
-        For the quadratic kinds this is the largest curvature over the block.
-        For the exact kind it is L_i + beta_i, the smallest constant whose
-        quadratic model dominates the exact one.
-        """
-        if self.kind == "ue":
-            return np.asarray(partition.lipschitz, dtype=float) + self.params
-        return np.maximum.reduceat(self.coord_curvature(partition), partition.block_starts)
-
-    def check_partition(self, partition: BlockPartition) -> None:
-        """Check that the parameters fit ``partition``.
-
-        One parameter per block (per coordinate for the diagonal kind), and
-        scalar blocks for the exact kind. Classification needs only this;
-        a solver run also needs ``validate_for_solver``'s strict curvature.
-        """
-        size = len(self.params)
-        expect = partition.n if self.kind == "uQ" else partition.num_blocks
-        if size != expect:
-            raise ValueError(f"{self.kind} parameters have length {size}, expected {expect}")
-        if self.kind == "ue" and any(s != 1 for s in partition.block_sizes):
-            raise ValueError("exact approximation requires scalar blocks")
+        """Per-block curvature constant M_i used in magnitude and progress bounds."""
+        return _constants(self, partition)[2]
 
     def validate_for_solver(self, partition: BlockPartition) -> None:
         """Check the parameters fit ``partition`` and the strict-curvature condition mu > 0."""
-        self.check_partition(partition)
-        _check_mu(self.kind, self.mu(partition))
+        _check_mu(self.kind, _constants(self, partition)[1])
+
+
+def _constants(
+    spec: ApproxSpec, partition: BlockPartition
+) -> tuple[np.ndarray | None, list[float], np.ndarray]:
+    """(curvature, mu, bound) of ``spec`` on ``partition``; ValueError where it does not fit.
+
+    The parameters must have one entry per block (per coordinate for the
+    diagonal kind), and the exact kind needs scalar blocks. ``curvature`` is
+    the quadratic model's per coordinate: M_i repeated over block i, or H_j;
+    the exact kind has none of its own (None). ``mu`` is the per-block
+    descent modulus as Python floats: the least curvature over block i minus
+    L_i, or beta_i. ``bound`` is the per-block M_i of the magnitude and
+    progress bounds: the largest curvature over block i, or L_i + beta_i,
+    the smallest constant whose quadratic model dominates the exact one.
+    """
+    size = len(spec.params)
+    expect = partition.n if spec.kind == "uQ" else partition.num_blocks
+    if size != expect:
+        raise ValueError(f"{spec.kind} parameters have length {size}, expected {expect}")
+    lipschitz = np.asarray(partition.lipschitz, dtype=float)
+    if spec.kind == "ue":
+        if any(s != 1 for s in partition.block_sizes):
+            raise ValueError("exact approximation requires scalar blocks")
+        return None, list(spec.params), lipschitz + np.asarray(spec.params, dtype=float)
+    if spec.kind == "uq":
+        curvature = np.repeat(np.asarray(spec.params, dtype=float), partition.block_sizes)
+    else:
+        curvature = np.asarray(spec.params, dtype=float)
+    starts = partition.block_starts
+    mu = (np.minimum.reduceat(curvature, starts) - lipschitz).tolist()
+    return curvature, mu, np.maximum.reduceat(curvature, starts)
 
 
 def _check_mu(kind: str, mu) -> None:
@@ -126,11 +123,6 @@ def separable_from_factor(partition: BlockPartition, factor: float) -> ApproxSpe
     """Separable quadratic spec with M_i = factor * L_i (factor > 1)."""
     # Python floats: a product that overflows is an inf the spec rejects, with no numpy warning
     return ApproxSpec("uq", [L * float(factor) for L in partition.lipschitz])
-
-
-def exact_uniform(partition: BlockPartition, beta: float) -> ApproxSpec:
-    """Exact-model spec with the same beta for every (scalar) block."""
-    return ApproxSpec("ue", np.full(partition.num_blocks, float(beta)))
 
 
 def threshold_q(x_i: np.ndarray, grad_i: np.ndarray, M_i, lambda_i) -> np.ndarray:
@@ -329,9 +321,8 @@ class Model:
     (0.5 * curvature) and ``free`` (the lambda = 0 mask, None where it is
     empty). ``threshold(x, j, x_j, cache)`` is the map of coordinate j alone,
     on Python floats, with ``x_j`` = x[j] and the cache at x. ``mu`` (Python
-    floats) and ``curvature_bound`` are the spec's ``ApproxSpec.mu`` and
-    ``ApproxSpec.curvature_bound`` per block, with their bits, taken from
-    ``curvature`` for the quadratic kinds.
+    floats) and ``curvature_bound`` are the descent modulus and the M bound
+    per block, from ``_constants``.
     """
 
     spec: ApproxSpec
@@ -348,9 +339,23 @@ class Model:
     curvature_bound: np.ndarray
 
     def validate_for_solver(self) -> None:
-        """The strict-curvature check of ``ApproxSpec.validate_for_solver``, mu > 0,
-        from the model's own mu: ``resolve`` has checked the rest."""
+        """The strict-curvature condition of a solver run, mu > 0, from the
+        model's own mu: ``resolve`` has checked the rest."""
         _check_mu(self.spec.kind, self.mu)
+
+    def proves_inside(self, other: Model) -> bool:
+        """Whether the models prove this model's class lies inside ``other``'s.
+
+        Both on one partition. A quadratic class at curvature M lies in the
+        one at M' where M <= M' on every coordinate. The exact class lies in
+        a quadratic one at M where M_j >= L_j + beta_j (``curvature_bound``,
+        on scalar blocks), since the exact model then lies below the
+        quadratic one. Nothing is proved to lie inside an exact class.
+        """
+        if other.spec.kind == "ue":
+            return False
+        inner = self.curvature_bound if self.spec.kind == "ue" else self.curvature
+        return bool(np.all(inner <= other.curvature))
 
     def map(self, x: np.ndarray, sl: slice, g: np.ndarray, cache: np.ndarray) -> np.ndarray:
         """The new values of the coordinates ``sl`` (a block, or ``slice(0, n)``).
@@ -416,26 +421,17 @@ def resolve(spec: ApproxSpec, oracle: SmoothOracle, partition: BlockPartition) -
     and ``threshold_q`` is its map. Otherwise the exact model's curvature
     along coordinate j lies between lo_j = beta_j + c_j, with c_j from the
     oracle's optional ``coord_curvature_floor()`` (beta_j alone without it:
-    f is convex), and hi_j = L_j + beta_j, ``spec.curvature_bound``, which
+    f is convex), and hi_j = L_j + beta_j, the model's ``curvature_bound``, which
     holds as the partition's Lipschitz constants do. The oracle's optional
     ``coord_curvature_floor_near``, looked up here once, gives
     ``threshold_e`` its local null test.
     """
-    spec.check_partition(partition)
+    curvature, mu, bound = _constants(spec, partition)
     lam = partition.coord_lambda()
     lam_j = lam.tolist()
-    curvature = half_curvature = lo = hi = None
-    lipschitz = np.asarray(partition.lipschitz, dtype=float)
-    if spec.kind != "ue":
-        # ApproxSpec.mu and curvature_bound, from the one curvature
-        curvature = spec.coord_curvature(partition)
-        starts = partition.block_starts
-        mu = (np.minimum.reduceat(curvature, starts) - lipschitz).tolist()
-        bound = np.maximum.reduceat(curvature, starts)
-    else:
+    half_curvature = lo = hi = None
+    if spec.kind == "ue":
         beta = np.asarray(spec.params, dtype=float)
-        mu = list(spec.params)
-        bound = lipschitz + beta
         coord_curvature = getattr(oracle, "coord_curvature", None)
         if coord_curvature is not None:
             curvature = coord_curvature() + beta

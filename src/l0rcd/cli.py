@@ -6,7 +6,8 @@ come from CSV files or seeded generators described in an INI config file
 config hash and the RNG algorithm identifier; rerunning a subcommand with
 the same config and --no-timestamp produces byte-identical outputs.
 
-Exit codes: 0 success, 1 check failure, 2 usage or config error.
+Exit codes: 0 success, 1 check failure, 2 usage or config error, or a
+problem too large for the machine's memory.
 """
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ from .approx import (
     ApproxSpec,
     M_EQ_LIPSCHITZ_FACTOR,
     TIE_RULE,
-    exact_uniform,
     resolve,
     separable_from_factor,
 )
@@ -346,7 +346,7 @@ def _named_route(name: str, cfg: ExperimentConfig, problem: L0Problem) -> tuple:
     if name == "uq":
         spec = _construct(separable_from_factor, partition, cfg.uq_factor)
     elif name == "ue":
-        spec = _construct(exact_uniform, partition, cfg.ue_beta)
+        spec = _construct(ApproxSpec, "ue", np.full(partition.num_blocks, cfg.ue_beta))
     elif name == "ihta":
         M_f = partition.global_lipschitz * cfg.ihta_factor
         if not np.isfinite(M_f):
@@ -771,6 +771,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(cfg, OutputWriter(args.out, cfg.config_hash, args.no_timestamp), args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a size the machine cannot hold
+        detail = " ".join(str(exc).split())
+        print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
         return EXIT_USAGE
 
 

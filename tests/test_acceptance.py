@@ -19,7 +19,6 @@ from l0rcd import (
     delta_lower_bound,
     enumerate_catalog,
     estimate_linear_rate,
-    exact_uniform,
     example_class_requests,
     objective_F,
     run_ihta,
@@ -138,7 +137,7 @@ def descent_runs(problem, index):
     runs = []
     for tag, spec, seed in (
         ("uq", separable_from_factor(part, UQ_FACTOR), 3 * index + 1),
-        ("ue", exact_uniform(part, UE_BETA), 3 * index + 2),
+        ("ue", ApproxSpec("ue", np.full(part.num_blocks, UE_BETA)), 3 * index + 2),
     ):
         cfg = SolverConfig(
             approx=spec,
@@ -331,7 +330,7 @@ def test_criterion_05_solver_limits_match_flagged_catalog_entries():
         M_f = IHTA_FACTOR * part.global_lipschitz
         requests = {
             "uq": separable_from_factor(part, UQ_FACTOR),
-            "ue": exact_uniform(part, UE_BETA),
+            "ue": ApproxSpec("ue", np.full(part.num_blocks, UE_BETA)),
             "ihta": ApproxSpec("uq", np.full(part.num_blocks, M_f)),
         }
         catalog = enumerate_catalog(problem, requests)

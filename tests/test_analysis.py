@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 from l0rcd import (
     ApproxSpec,
@@ -234,18 +235,19 @@ class TestEnumerateCatalog:
         assert catalog.counts()["uq"] > 0
 
     def test_request_curvature_built_once_per_call(self, monkeypatch):
+        """One ``approx._constants`` call per requested class and catalog."""
         calls = []
-        original = ApproxSpec.coord_curvature
+        original = approx._constants
 
-        def counted(self, partition):
-            calls.append(self.kind)
-            return original(self, partition)
+        def counted(spec, partition):
+            calls.append(spec.kind)
+            return original(spec, partition)
 
-        monkeypatch.setattr(ApproxSpec, "coord_curvature", counted)
+        monkeypatch.setattr(approx, "_constants", counted)
         prob = build_example_instance()
         catalog = enumerate_catalog(prob, example_class_requests(prob))
         assert len(catalog.entries) == 128
-        assert sorted(calls) == ["uq"] * 2
+        assert calls == ["ue", "uq", "uq"]
 
     def test_basic_label_reserved(self, toy, monkeypatch):
         monkeypatch.setattr(toy.smooth, "restricted_minimize", lambda cols: pytest.fail("solved"))
@@ -257,7 +259,7 @@ class TestEnumerateCatalog:
         cfg = ExperimentConfig(m=5, n=8, instance_seed=4, lam=0.2, block_sizes=(3, 3, 2))
         prob = build_problem(cfg)
         sep = separable_from_factor(prob.partition, 1.5)
-        diag = ApproxSpec("uQ", sep.coord_curvature(prob.partition))
+        diag = ApproxSpec("uQ", approx.resolve(sep, prob.smooth, prob.partition).curvature)
         catalog = enumerate_catalog(prob, {"sep": sep, "diag": diag})
         assert catalog.counts()["sep"] == catalog.counts()["diag"] > 0
         assert all(e.flags["sep"] == e.flags["diag"] for e in catalog.entries)
@@ -586,21 +588,34 @@ def test_column_queries_match_a_loop_over_the_entries(case):
     absent = [b for b in range(1 << (prob.n + 1)) if b not in present]
     assert absent and all(catalog.entry_for_support(b) is None for b in absent)
 
-    reversed_labels = labels[::-1]
+    # a violation of a proved pair: the global minimizer, a member of every
+    # class, taken out of uq[M=Lf]
+    assert verify_inclusions(catalog) == []
+    models = catalog.models
+    assert list(models) == labels[:-1]
+    pairs = [
+        (a, b) for a in models for b in models if a != b and models[a].proves_inside(models[b])
+    ]
+    assert any(b == "uq[M=Lf]" for _, b in pairs)
+    pairs += [(a, "basic") for a in models]
+    flags = {**catalog.flags, "uq[M=Lf]": catalog.flags["uq[M=Lf]"].copy()}
+    flags["uq[M=Lf]"][np.searchsorted(catalog.bitmasks, best.bitmask)] = False
+    broken = dataclasses.replace(catalog, flags=flags)
+    broken_best = broken.entry_for_support(best.bitmask)
     expect = [
         f"support {e.bitmask:#x} is in class {a!r} but not in {b!r}"
-        for a, b in zip(reversed_labels, reversed_labels[1:])
-        for e in entries
+        for a, b in pairs
+        for e in broken.entries
         if e.flags[a] and not e.flags[b]
     ]
     expect += [
         f"global minimizer (support {best.bitmask:#x}, F={best.F_value:.6g}) "
         f"is not flagged in class {c!r}"
-        for c in reversed_labels
-        if not best.flags[c]
+        for c in labels
+        if not broken_best.flags[c]
     ]
     assert expect
-    assert verify_inclusions(dataclasses.replace(catalog, class_labels=reversed_labels)) == expect
+    assert verify_inclusions(broken) == expect
 
 
 # Each class of four catalogs as (member count, sha256 of its sorted member
@@ -679,6 +694,48 @@ def test_model_resolved_once_per_class(monkeypatch):
     assert calls == ["uq"]
 
 
+def test_exact_class_is_not_inside_the_quadratic_class_at_Li():
+    """Generated 8x20 least squares (seed 3, lambda 0.3): support 0x45469 is in
+    ue[beta=1e-4] and in uq[M=Lf] but not in uq[M=Li]. On least squares
+    ue[beta] is the diagonal quadratic class at L_j + beta_j > L_j, so the
+    models prove no inclusion of ue[beta] in uq[M=Li]."""
+    prob, requests = _configured_case(m=8, n=20, instance_seed=3, lam=0.3)
+    z = restricted_minimize(prob, [j for j in range(20) if 0x45469 >> j & 1])
+    flags = {label: is_strong_local_min(prob, z, spec) for label, spec in requests.items()}
+    assert flags == {"ue[beta=0.0001]": True, "uq[M=Li]": False, "uq[M=Lf]": True}
+    models = {
+        label: approx.resolve(spec, prob.smooth, prob.partition)
+        for label, spec in requests.items()
+    }
+    assert not models["ue[beta=0.0001]"].proves_inside(models["uq[M=Li]"])
+    assert models["ue[beta=0.0001]"].proves_inside(models["uq[M=Lf]"])
+    assert models["uq[M=Li]"].proves_inside(models["uq[M=Lf]"])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    logistic=strategies.booleans(),
+    m=strategies.integers(1, 10),
+    n=strategies.integers(1, 8),
+    seed=strategies.integers(0, 2**16),
+    lam=strategies.floats(1e-3, 1.0),
+    beta=strategies.floats(1e-6, 10.0),
+    factors=strategies.lists(strategies.floats(1.0, 10.0), min_size=8, max_size=8),
+)
+def test_the_proved_inclusions_hold(logistic, m, n, seed, lam, beta, factors):
+    """On generated catalogs every pair of classes the models prove nests, with
+    the default requests plus uq at a random M >= L and uq at L + beta."""
+    kind = "logistic" if logistic else "least_squares"
+    prob, requests = _configured_case(
+        problem_kind=kind, m=m, n=n, instance_seed=seed, lam=lam, ue_beta=beta
+    )
+    L = np.asarray(prob.partition.lipschitz)
+    requests["uq[M>=Li]"] = ApproxSpec("uq", L * factors[:n])
+    requests["uq[M=Li+beta]"] = ApproxSpec("uq", L + beta)
+    catalog = enumerate_catalog(prob, requests)
+    assert verify_inclusions(catalog) == []
+
+
 class TestVerifyInclusions:
     def test_toy_chain(self, toy):
         catalog = enumerate_catalog(toy, {"uq[M=Li]": ApproxSpec("uq", [1.0, 1.0])})
@@ -698,11 +755,17 @@ class TestVerifyInclusions:
         assert verify_inclusions(catalog) == []
 
     def test_violation_reported(self, toy):
-        catalog = enumerate_catalog(toy, {"uq[M=Li]": ApproxSpec("uq", [1.0, 1.0])})
-        # deliberately reversed order must flag basic-only entries
-        reversed_order = dataclasses.replace(catalog, class_labels=["basic", "uq[M=Li]"])
-        report = verify_inclusions(reversed_order)
-        assert len(report) == 3
+        tight, loose = ApproxSpec("uq", [1.0, 1.0]), ApproxSpec("uq", [2.0, 2.0])
+        catalog = enumerate_catalog(toy, {"uq[M=Li]": tight, "uq[M=2Li]": loose})
+        assert verify_inclusions(catalog) == []
+        # the one member of both classes, the global minimizer, taken out of the looser one
+        assert catalog.bitmasks[catalog.flags["uq[M=2Li]"]].tolist() == [0x1]
+        flags = {**catalog.flags, "uq[M=2Li]": np.zeros(4, dtype=bool)}
+        report = verify_inclusions(dataclasses.replace(catalog, flags=flags))
+        assert report == [
+            "support 0x1 is in class 'uq[M=Li]' but not in 'uq[M=2Li]'",
+            "global minimizer (support 0x1, F=0.625) is not flagged in class 'uq[M=2Li]'",
+        ]
 
 
 class TestExampleInstance:

@@ -8,7 +8,6 @@ from l0rcd import (
     ApproxSpec,
     LeastSquaresObjective,
     LogisticL2Objective,
-    exact_uniform,
     resolve,
     separable_from_factor,
     threshold_e,
@@ -509,7 +508,7 @@ class TestCertifiedThresholdE:
                 nu = float(10.0 ** rng.uniform(-3, 0))
                 oracle = LogisticL2Objective(data, (rng.random(m) < 0.5).astype(float), nu)
                 p = BlockPartition.scalar(np.full(n, 0.1), oracle.column_lipschitz())
-                model = resolve(exact_uniform(p, beta), oracle, p)
+                model = resolve(ApproxSpec("ue", np.full(p.num_blocks, beta)), oracle, p)
                 lo, hi = model.lo, model.hi
                 near = oracle.coord_curvature_floor_near
             else:
@@ -548,7 +547,7 @@ class TestCertifiedThresholdE:
     def test_null_certified_step_makes_one_query(self):
         oracle = random_logistic(12, 5, seed=33)
         p = BlockPartition.scalar(np.full(5, 0.1), oracle.column_lipschitz())
-        model = resolve(exact_uniform(p, 0.01), oracle, p)
+        model = resolve(ApproxSpec("ue", np.full(p.num_blocks, 0.01)), oracle, p)
         lo, hi = model.lo, model.hi
         x = np.array([0.0, 0.7, 0.0, -1.2, 0.3])
         cache = oracle.make_cache(x)
@@ -564,7 +563,7 @@ class TestCertifiedThresholdE:
         local bound and d^2/(2 hi), above which the local floor proves null."""
         oracle = random_logistic(12, 5, seed=34)
         p = BlockPartition.scalar(np.full(5, 0.1), oracle.column_lipschitz())
-        model = resolve(exact_uniform(p, 0.01), oracle, p)
+        model = resolve(ApproxSpec("ue", np.full(p.num_blocks, 0.01)), oracle, p)
         lo, hi = model.lo, model.hi
         x = np.array([0.0, 0.7, 0.0, -1.2, 0.3])
         cache = oracle.make_cache(x)
@@ -589,7 +588,7 @@ class TestCertifiedThresholdE:
         point and no value query."""
         oracle = random_logistic(12, 5, seed=33)
         p = BlockPartition.scalar(np.full(5, 0.1), oracle.column_lipschitz())
-        model = resolve(exact_uniform(p, 0.01), oracle, p)
+        model = resolve(ApproxSpec("ue", np.full(p.num_blocks, 0.01)), oracle, p)
         lo, hi = model.lo, model.hi
         x = np.array([0.0, 0.7, 0.0, -1.2, 0.3])
         cache = oracle.make_cache(x)
@@ -626,7 +625,7 @@ class TestCertifiedThresholdE:
         lam = (local_bound(oracle, x, 0, 0.01, lo, cache) * b_lo) ** 0.5
         p = BlockPartition.scalar(np.full(5, lam), oracle.column_lipschitz())
         log = QueryLog(oracle)
-        model = resolve(exact_uniform(p, 0.01), log, p)
+        model = resolve(ApproxSpec("ue", np.full(p.num_blocks, 0.01)), log, p)
         assert model.lo[0] == lo
         assert model.threshold(x, 0, 0.0, cache) == 0.0
         assert log.calls["coord_curvature_floor_near"] == 1
@@ -788,10 +787,6 @@ class TestApproxSpec:
         p = BlockPartition.scalar([1.0, 1.0], [2.0, 4.0])
         np.testing.assert_allclose(separable_from_factor(p, 1.5).params, [3.0, 6.0])
 
-    def test_exact_uniform_helper(self):
-        p = BlockPartition.scalar([1.0, 1.0], [2.0, 4.0])
-        np.testing.assert_allclose(exact_uniform(p, 0.3).params, [0.3, 0.3])
-
     def test_labels(self):
         assert ApproxSpec("uq", [1.0]).kind == "uq"
         assert ApproxSpec("uQ", [1.0]).kind == "uQ"
@@ -818,7 +813,7 @@ class TestThresholdMap:
             np.testing.assert_array_equal(
                 tmap(x, sl, grad, cache), threshold_q(x[sl], grad, uq.params[i], p.lam[i])
             )
-        tmap = resolve(exact_uniform(p, 0.01), oracle, p).map
+        tmap = resolve(ApproxSpec("ue", np.full(p.num_blocks, 0.01)), oracle, p).map
         for i in range(4):
             sl = p.block_slice(i)
             np.testing.assert_array_equal(
@@ -835,7 +830,7 @@ class TestThresholdMap:
         for spec, M in (
             (ApproxSpec("uq", [2.0] * 4), np.full(4, 2.0)),
             (ApproxSpec("uQ", [2.0, 3.0, 4.0, 5.0]), [2.0, 3.0, 4.0, 5.0]),
-            (exact_uniform(p0, 1.0), eye.coord_curvature() + 1.0),
+            (ApproxSpec("ue", np.full(p0.num_blocks, 1.0)), eye.coord_curvature() + 1.0),
         ):
             out = resolve(spec, eye, p0).map(X, slice(0, 4), G, None)
             assert out.tobytes() == threshold_q(X, G, M, p0.coord_lambda()).tobytes(), spec.kind
@@ -846,7 +841,7 @@ class TestThresholdMap:
         p = BlockPartition.scalar(np.full(4, 0.05), oracle.column_lipschitz())
         x = np.random.default_rng(22).standard_normal(4)
         cache = oracle.make_cache(x)
-        tmap = resolve(exact_uniform(p, 0.01), oracle, p).map
+        tmap = resolve(ApproxSpec("ue", np.full(p.num_blocks, 0.01)), oracle, p).map
         for i in range(4):
             sl = p.block_slice(i)
             assert tmap(x, sl, oracle.block_grad(x, sl, cache), cache).tobytes() == (
@@ -900,7 +895,7 @@ class TestThresholdMap:
             ApproxSpec("uQ", np.repeat(L, sizes) * rng.uniform(1.2, 3.0, n)),
         ]
         if len(sizes) == n:
-            specs.append(exact_uniform(p, 1e-3))
+            specs.append(ApproxSpec("ue", np.full(p.num_blocks, 1e-3)))
         whole = slice(0, n)
         for spec in specs:
             tmap = resolve(spec, oracle, p).map
@@ -919,7 +914,7 @@ class TestThresholdMap:
         x = np.random.default_rng(27).standard_normal(4)
         cache = oracle.make_cache(x)
         before = (x.tobytes(), cache.tobytes())
-        for spec in (separable_from_factor(p, 1.5), exact_uniform(p, 0.01)):
+        for spec in (separable_from_factor(p, 1.5), ApproxSpec("ue", np.full(p.num_blocks, 0.01))):
             resolve(spec, oracle, p).map(x, slice(0, 4), oracle.full_grad(x), cache)
         assert (x.tobytes(), cache.tobytes()) == before
 
@@ -946,3 +941,39 @@ class TestModelCurvature:
         oracle = random_logistic(6, 2, seed=23)
         p = BlockPartition.scalar([0.1, 0.1], oracle.column_lipschitz())
         assert resolve(ApproxSpec("ue", [0.1, 0.1]), oracle, p).curvature is None
+
+
+class TestProvesInside:
+    """The inclusions of classes the models prove, on one partition."""
+
+    def test_quadratic_classes_nest_by_curvature(self):
+        p = BlockPartition(block_sizes=(2, 1), lam=(0.1, 0.1), lipschitz=(1.0, 1.0))
+        oracle = LeastSquaresObjective(np.eye(3), np.ones(3))
+        uq = resolve(ApproxSpec("uq", [2.0, 3.0]), oracle, p)  # curvature 2, 2, 3
+        same = resolve(ApproxSpec("uQ", [2.0, 2.0, 3.0]), oracle, p)
+        above = resolve(ApproxSpec("uQ", [2.0, 4.0, 3.0]), oracle, p)
+        mixed = resolve(ApproxSpec("uQ", [1.5, 4.0, 3.0]), oracle, p)
+        assert uq.proves_inside(same) and same.proves_inside(uq)
+        assert uq.proves_inside(above) and not above.proves_inside(uq)
+        assert not uq.proves_inside(mixed) and not mixed.proves_inside(uq)
+
+    @pytest.mark.parametrize("objective", ["ls", "logistic"])
+    def test_exact_class_lies_below_a_quadratic_one_at_L_plus_beta(self, objective):
+        """ue[beta] lies in uq[M] where M_j >= L_j + beta_j, on either objective;
+        no class is proved to lie in an exact one."""
+        if objective == "ls":
+            oracle = LeastSquaresObjective(np.array([[1.0, 2.0], [3.0, 0.5]]), np.ones(2))
+        else:
+            oracle = random_logistic(6, 2, seed=23)
+        p = BlockPartition.scalar([0.1, 0.1], oracle.column_lipschitz())
+        L = np.asarray(p.lipschitz)
+        ue = resolve(ApproxSpec("ue", [0.25, 0.5]), oracle, p)
+        at_bound = resolve(ApproxSpec("uq", L + [0.25, 0.5]), oracle, p)
+        at_L = resolve(ApproxSpec("uq", L), oracle, p)
+        np.testing.assert_array_equal(ue.curvature_bound, L + [0.25, 0.5])
+        assert ue.proves_inside(at_bound)
+        assert ue.proves_inside(resolve(ApproxSpec("uQ", 2.0 * (L + 0.5)), oracle, p))
+        assert not ue.proves_inside(at_L)
+        assert not ue.proves_inside(resolve(ApproxSpec("uq", L + [0.25, 0.25]), oracle, p))
+        for inner in (at_L, at_bound, ue, resolve(ApproxSpec("ue", [1.0, 1.0]), oracle, p)):
+            assert not inner.proves_inside(ue)

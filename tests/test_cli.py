@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -231,6 +232,33 @@ class TestEnumerate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
 
+    def test_unproved_pair_is_not_a_violation(self, tmp_path, capsys):
+        """Generated 5x10 least squares, seed 36: support 0x68 is in
+        ue[beta=1e-4] but not in uq[M=Li], a pair the models do not prove. The
+        run exits 0, with the CSVs it wrote when it checked the label chain."""
+        cfg = write_config(
+            tmp_path, "[problem]\nkind = least_squares\nm = 5\nn = 10\nseed = 36\nlambda = 0.3\n"
+        )
+        out = tmp_path / "o"
+        assert main(["enumerate", "--config", cfg, "--out", str(out), "--no-timestamp"]) == 0
+        assert capsys.readouterr().err == ""
+        _, _, rows = read_csv(out / "counts.csv")
+        assert {r[0]: int(r[1]) for r in rows} == {
+            "ue[beta=0.0001]": 123, "uq[M=Li]": 122, "uq[M=Lf]": 346, "basic": 1024
+        }
+        _, header, rows = read_csv(out / "catalog.csv")
+        row = dict(zip(header, rows[0x68]))
+        assert row["support_bitmask"] == "104"
+        assert (row["ue[beta=0.0001]"], row["uq[M=Li]"]) == ("1", "0")
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("catalog.csv", "counts.csv")
+        }
+        assert digests == {
+            "catalog.csv": "11730076da83157b219dedac48a7d2cb75854ed34e014b87d70a9153db4bfb45",
+            "counts.csv": "b71ddb0d4b113dc29de72ac0c5d294673d7bfde1bb4d85695c3ad2fc419e7966",
+        }
+
     def test_no_entry_object_per_support(self, tmp_path, monkeypatch):
         """The command reads the catalog's columns; 2^11 supports build no 2^11 entries."""
         built = []
@@ -402,10 +430,10 @@ class TestRunNamedSolver:
         x0 = _random_starts(cfg, problem, 1)[0]
         calls = spec_calls(monkeypatch)
         run_named_solver("uq", problem, x0, cfg, (0, 0, 0, 0))
-        assert calls == ["check_partition", "coord_curvature"]
+        assert calls == ["uq"]
         calls.clear()
         run_named_solver("ue", problem, x0, cfg, (0, 0, 1, 0))
-        assert calls == ["check_partition"]
+        assert calls == ["ue"]
 
     def test_spec_error_is_a_config_error_with_the_spec_message(self):
         """ue on a block of more than one coordinate fails as solver_spec fails."""
@@ -753,6 +781,33 @@ class TestConfigParsing:
             assert "sum of lam_i * n_i, overflows" in proc.stderr
         else:
             assert (proc.returncode, proc.stderr) == (0, "")
+
+    @pytest.mark.parametrize(
+        "message,line",
+        [
+            (
+                "Unable to allocate 18.6 GiB for an array with shape (50000, 50000) "
+                "and data type float64",
+                "error: out of memory: Unable to allocate 18.6 GiB for an array with shape "
+                "(50000, 50000) and data type float64\n",
+            ),
+            ("", "error: out of memory\n"),
+            ("two\nlines", "error: out of memory: two lines\n"),
+        ],
+        ids=["numpy", "empty", "multiline"],
+    )
+    def test_out_of_memory_is_a_one_line_error(self, tmp_path, capsys, monkeypatch, message, line):
+        """A size the machine cannot hold (``spectral_lipschitz`` at 50x50,000
+        asks numpy for 18.6 GiB) is one error line, exit 2. The allocation
+        fails here by a stub, so nothing is allocated."""
+
+        def refuse(self):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(l0rcd.LeastSquaresObjective, "spectral_lipschitz", refuse)
+        cfg = write_config(tmp_path, "[problem]\nkind = ls\nm = 5\nn = 6\nlambda = 0.3\n")
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == line
 
     def test_negative_seed_flag_is_a_one_line_error(self, tmp_path, capsys):
         cfg = toy_config(tmp_path, start="random")

@@ -5,7 +5,9 @@ Math that depends on the objective or on the model's kind lives in
 or ``!=``, or asks an oracle for its optional ``coord_curvature``,
 ``coord_curvature_floor`` or ``coord_curvature_floor_near`` through
 ``getattr`` or ``hasattr``: they take a resolved ``Model`` from
-``approx.resolve`` instead.
+``approx.resolve`` instead. Nor does one call ``.mu``, ``.curvature_bound``
+or ``.validate_for_solver`` with an argument: those are the ``ApproxSpec``
+forms, and the ``Model`` forms are attributes or take none.
 
 How a change of the zero pattern moves the support I(x) and the penalty
 lives in ``core``: no other module assigns a ``.support`` or ``.penalty``
@@ -18,6 +20,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "l0rcd"
 OPTIONAL_CURVATURE = {"coord_curvature", "coord_curvature_floor", "coord_curvature_floor_near"}
 SUPPORT_BOOKS = {"support", "penalty"}
+SPEC_CONSTANTS = {"mu", "curvature_bound", "validate_for_solver"}
 
 
 def offences(source: str, filename: str) -> list[str]:
@@ -68,6 +71,50 @@ def test_the_check_finds_each_construct():
         "m.py:2: getattr coord_curvature_floor",
         "m.py:3: compares .kind",
         "m.py:4: hasattr coord_curvature",
+    ]
+
+
+def spec_constant_calls(source: str, filename: str) -> list[str]:
+    """``file:line: calls .name(...)`` for each call of an ``ApproxSpec`` constant
+    method, one that passes an argument."""
+    found = [
+        (node.lineno, node.func.attr)
+        for node in ast.walk(ast.parse(source, filename))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in SPEC_CONSTANTS
+        and (node.args or node.keywords)
+    ]
+    return [f"{filename}:{line}: calls .{name}(...)" for line, name in sorted(found)]
+
+
+def test_only_approx_derives_spec_constants():
+    found = [
+        offence
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "approx.py"
+        for offence in spec_constant_calls(path.read_text(), path.name)
+    ]
+    assert found == []
+
+
+def test_the_spec_constant_check_finds_each_construct():
+    source = "\n".join(
+        [
+            "mu = spec.mu(partition)",
+            "bound = config.approx.curvature_bound(partition=p)",
+            "spec.validate_for_solver(problem.partition)",
+            "mu = model.mu",
+            "bound = model.curvature_bound * lam",
+            "model.validate_for_solver()",
+            "check = model.validate_for_solver",
+            "mu(partition)",
+        ]
+    )
+    assert spec_constant_calls(source, "m.py") == [
+        "m.py:1: calls .mu(...)",
+        "m.py:2: calls .curvature_bound(...)",
+        "m.py:3: calls .validate_for_solver(...)",
     ]
 
 

@@ -13,7 +13,6 @@ from l0rcd import (
     SolverTrace,
     delta_lower_bound,
     estimate_linear_rate,
-    exact_uniform,
     l0_norm,
     objective_F,
     resolve,
@@ -24,7 +23,7 @@ from l0rcd import (
     threshold_q,
 )
 from l0rcd.approx import M_EQ_LIPSCHITZ_FACTOR
-from l0rcd import cli, solvers
+from l0rcd import approx, cli, solvers
 from l0rcd.solvers import (
     _block_step,
     _check_descent,
@@ -70,16 +69,16 @@ def count_resolves(monkeypatch):
 
 
 def spec_calls(monkeypatch):
-    """The names of the ``ApproxSpec`` methods called from now on that check a
-    spec or derive its constants, in order."""
+    """The kinds of the specs that ``approx._constants`` checks against a
+    partition and derives the constants of from now on, in order."""
     calls = []
-    for name in ("check_partition", "validate_for_solver", "coord_curvature", "mu",
-                 "curvature_bound"):
-        def counted(self, *args, _name=name, _original=getattr(ApproxSpec, name)):
-            calls.append(_name)
-            return _original(self, *args)
+    original = approx._constants
 
-        monkeypatch.setattr(ApproxSpec, name, counted)
+    def counted(spec, partition):
+        calls.append(spec.kind)
+        return original(spec, partition)
+
+    monkeypatch.setattr(approx, "_constants", counted)
     return calls
 
 
@@ -324,7 +323,7 @@ def _spec_for(model: str, partition: BlockPartition) -> ApproxSpec:
     if model == "uQ":
         L = np.repeat(partition.lipschitz, partition.block_sizes)
         return ApproxSpec("uQ", 1.5 * L)
-    return exact_uniform(partition, 1e-3)
+    return ApproxSpec("ue", np.full(partition.num_blocks, 1e-3))
 
 
 @pytest.mark.parametrize("model", ["uq", "uQ", "ue"])
@@ -394,14 +393,14 @@ class TestRunRcdIht:
 
     @pytest.mark.parametrize("kind", ["uq", "ue"])
     def test_spec_checked_and_curvature_built_once_per_run(self, monkeypatch, kind):
-        """A run checks its spec against the partition once and builds the
-        per-coordinate curvature at most once: mu, the strict-curvature check
-        and delta read the model's own constants."""
+        """A run checks its spec against the partition and derives its
+        curvature, mu and M bound once, in one ``approx._constants`` call:
+        the strict-curvature check and delta read the model's own constants."""
         prob = random_ls_problem(10, 6, seed=48)
         calls = spec_calls(monkeypatch)
         spec = _spec_for(kind, prob.partition)
         run_rcd_iht(prob, np.ones(6), SolverConfig(approx=spec, max_iters=50, seed=1))
-        assert calls == ["check_partition"] + (["coord_curvature"] if kind == "uq" else [])
+        assert calls == [kind]
 
     @pytest.mark.parametrize("route", ["uq", "uq_mixed_lambda", "ihta"])
     def test_penalty_recounted_only_on_support_changes(self, monkeypatch, route):
@@ -450,7 +449,7 @@ class TestRunRcdIht:
             spec = separable_from_factor(prob.partition, 1.5)
         else:
             prob = random_logistic_problem(15, 10, seed=46)
-            spec = exact_uniform(prob.partition, 1e-4)
+            spec = ApproxSpec("ue", np.full(prob.partition.num_blocks, 1e-4))
         calls = {"update_cache": 0, "value_from_cache": 0}
         oracle_class = type(prob.smooth)
         for name in calls:
@@ -542,7 +541,10 @@ class TestRunRcdIht:
         prob = random_logistic_problem(15, 10, seed=46, lam=0.01, nu=0.02)
         rng = np.random.default_rng(48)
         starts = [rng.standard_normal(prob.n) for _ in range(6)]
-        specs = [separable_from_factor(prob.partition, 1.5), exact_uniform(prob.partition, 1e-4)]
+        specs = [
+            separable_from_factor(prob.partition, 1.5),
+            ApproxSpec("ue", np.full(prob.partition.num_blocks, 1e-4)),
+        ]
 
         def run(k):
             spec = specs[k % 2]
@@ -592,7 +594,7 @@ class TestRunRcdIht:
                     traces.append(run_ihta(prob, x0, M_f, max_iters=2000)[1])
                 else:
                     spec = (
-                        exact_uniform(prob.partition, 1e-4) if route == "ue"
+                        ApproxSpec("ue", np.full(prob.partition.num_blocks, 1e-4)) if route == "ue"
                         else separable_from_factor(prob.partition, 2.0)
                     )
                     cfg = SolverConfig(approx=spec, max_iters=2400, seed=trial)
@@ -706,7 +708,7 @@ class TestRunRcdIht:
         model with H_j = ||A_j||^2 + beta: the two runs are the same, bit for bit."""
         prob = random_ls_problem(8, 5, seed=46)
         beta = 0.3
-        ue = exact_uniform(prob.partition, beta)
+        ue = ApproxSpec("ue", np.full(prob.partition.num_blocks, beta))
         uQ = ApproxSpec("uQ", prob.smooth.coord_curvature() + beta)
         x0 = np.linspace(-0.5, 0.5, 5)
         st_e, tr_e = run_rcd_iht(prob, x0, SolverConfig(approx=ue, max_iters=600, seed=3))
