@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .approx import TIE_RULE, ApproxSpec, Model, resolve
-from .core import BlockPartition, L0Problem, _check_dim, _weighted_count
+from .core import L0Problem, _check_dim, _weighted_count
 from .objectives import LeastSquaresObjective, _rowdot
 
 # Boundary tolerance for class membership tests; restricted solves agree
@@ -321,13 +321,7 @@ def build_example_instance() -> L0Problem:
     for r in range(4):
         A[r, r] += EXAMPLE_P
     b = EXAMPLE_Q * np.ones(4)
-    oracle = LeastSquaresObjective(A, b)
-    partition = BlockPartition.scalar(
-        lam=np.full(EXAMPLE_N, EXAMPLE_LAMBDA),
-        lipschitz=oracle.column_lipschitz(),
-        global_lipschitz=oracle.spectral_lipschitz(),
-    )
-    return L0Problem(smooth=oracle, partition=partition)
+    return L0Problem.from_oracle(LeastSquaresObjective(A, b), EXAMPLE_LAMBDA)
 
 
 def example_class_requests(problem: L0Problem) -> dict[str, ApproxSpec]:

@@ -395,7 +395,12 @@ class Model:
             )
         if M is not None:
             whole = slice(0, self.partition.n)
-            return lambda Z, G: ~np.any(_moves(Z, self.map(Z, whole, G, None), tol), axis=-1)
+
+            def closed_form_fixed(Z, G):
+                with np.errstate(over="ignore"):  # a huge M overflows (M/2) t t to inf, rightly
+                    return ~np.any(_moves(Z, self.map(Z, whole, G, None), tol), axis=-1)
+
+            return closed_form_fixed
         oracle, threshold = self.oracle, self.threshold
 
         def rows_fixed(Z, G):

@@ -38,7 +38,7 @@ from .approx import (
     separable_from_factor,
 )
 # l0_norm stays importable from this module.
-from .core import BlockPartition, L0Problem, l0_norm  # noqa: F401
+from .core import L0Problem, l0_norm  # noqa: F401
 from .objectives import (
     LeastSquaresObjective,
     LogisticL2Objective,
@@ -50,7 +50,7 @@ from .objectives import (
 from .solvers import (
     RNG_ALGORITHM,
     SolverConfig,
-    make_rng,
+    draw_block,
     run_ihta,
     run_rcd_iht,
 )
@@ -88,9 +88,7 @@ def _planted_draw(m: int, n: int, seed: int, planted_density: float):
     order: the matrix iid U[-1,1], then the planted support, then its values."""
     rng = seeded_rng(seed)
     matrix = rng.uniform(-1.0, 1.0, size=(m, n))
-    mask = rng.random(n) < planted_density
-    vals = rng.uniform(-1.0, 1.0, size=n)
-    return rng, matrix, np.where(mask, vals, 0.0)
+    return rng, matrix, random_start(n, rng, planted_density, 1.0)
 
 
 def generate_least_squares(
@@ -287,7 +285,7 @@ def _construct(make, *args, **kwargs):
 
 
 def build_problem(cfg: ExperimentConfig, lam: float | None = None) -> L0Problem:
-    """Instantiate the configured problem, optionally overriding the penalty."""
+    """The configured problem at penalty ``lam`` (default cfg.lam), by ``L0Problem.from_oracle``."""
     lam_val = cfg.lam if lam is None else lam
     kind = cfg.problem_kind
     if kind in ("least_squares", "ls"):
@@ -303,7 +301,6 @@ def build_problem(cfg: ExperimentConfig, lam: float | None = None) -> L0Problem:
             oracle, _ = generate_least_squares(
                 cfg.m, cfg.n, cfg.instance_seed, cfg.planted_density
             )
-        global_L = _construct(oracle.spectral_lipschitz)
     elif kind == "logistic":
         if cfg.matrix_csv:
             if not cfg.labels_csv:
@@ -317,26 +314,10 @@ def build_problem(cfg: ExperimentConfig, lam: float | None = None) -> L0Problem:
             oracle, _ = _construct(
                 generate_logistic, cfg.m, cfg.n, cfg.instance_seed, cfg.nu, cfg.planted_density
             )
-        global_L = 0.0  # defaults to the sum of block constants
     else:
         raise ConfigError(f"unknown problem kind {kind!r}")
 
-    n = oracle.dim
-    if cfg.block_sizes:
-        if sum(cfg.block_sizes) != n:
-            raise ConfigError(f"block_sizes sum to {sum(cfg.block_sizes)}, need {n}")
-        sizes = cfg.block_sizes
-    else:
-        sizes = (1,) * n
-    lipschitz = oracle.block_lipschitz(sizes)
-    partition = _construct(
-        BlockPartition,
-        block_sizes=sizes,
-        lam=(float(lam_val),) * len(sizes),
-        lipschitz=tuple(float(v) for v in lipschitz),
-        global_lipschitz=float(global_L),
-    )
-    return L0Problem(smooth=oracle, partition=partition)
+    return _construct(L0Problem.from_oracle, oracle, lam_val, cfg.block_sizes)
 
 
 def _named_route(name: str, cfg: ExperimentConfig, problem: L0Problem) -> tuple:
@@ -351,6 +332,11 @@ def _named_route(name: str, cfg: ExperimentConfig, problem: L0Problem) -> tuple:
         M_f = partition.global_lipschitz * cfg.ihta_factor
         if not np.isfinite(M_f):
             raise ConfigError(f"[solvers] ihta_factor = {cfg.ihta_factor} makes M_f overflow")
+        if not M_f > partition.global_lipschitz:  # the product can round to L_f
+            raise ConfigError(
+                f"[solvers] ihta_factor = {cfg.ihta_factor} leaves M_f = {M_f} "
+                f"not above L_f = {partition.global_lipschitz}"
+            )
         return None, M_f
     else:
         raise ConfigError(f"unknown solver name {name!r} (expected uq, ue, or ihta)")
@@ -670,7 +656,7 @@ def cmd_gradcheck(cfg: ExperimentConfig, writer: OutputWriter) -> int:
     x = rng.uniform(-1.0, 1.0, size=n)
     cache = oracle.make_cache(x)
     for _ in range(1000):
-        i = int(partition.num_blocks * rng.random())
+        i = draw_block(rng, partition.num_blocks)
         sl = partition.block_slice(i)
         new = rng.uniform(-1.0, 1.0, size=sl.stop - sl.start)
         oracle.update_cache(cache, sl, new - x[sl])

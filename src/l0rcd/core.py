@@ -198,6 +198,27 @@ class L0Problem:
                 f"oracle dimension {self.smooth.dim} != partition dimension {self.partition.n}"
             )
 
+    @classmethod
+    def from_oracle(cls, smooth: "SmoothOracle", lam: float, block_sizes=None) -> "L0Problem":
+        """``smooth`` with penalty ``lam`` on every block of ``block_sizes``
+        (scalar blocks where it is None or empty) and the oracle's constants:
+        ``block_lipschitz(block_sizes)`` per block and, where the oracle has
+        it, ``spectral_lipschitz()`` as the global one (else the partition's
+        default, the sum of the block constants).
+
+        ValueError when the sizes do not sum to ``smooth.dim``, before any
+        constant is asked for; else whatever the oracle, the partition or
+        the problem raise."""
+        n = smooth.dim
+        sizes = tuple(block_sizes or (1,) * n)
+        if (total := sum(sizes)) != n:
+            raise ValueError(f"block_sizes sum to {total}, need {n}")
+        spectral = getattr(smooth, "spectral_lipschitz", None)
+        global_lipschitz = 0.0 if spectral is None else float(spectral())
+        lipschitz = tuple(float(v) for v in smooth.block_lipschitz(sizes))
+        partition = BlockPartition(sizes, (float(lam),) * len(sizes), lipschitz, global_lipschitz)
+        return cls(smooth, partition)
+
     @property
     def n(self) -> int:
         return self.partition.n

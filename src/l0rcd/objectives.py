@@ -49,6 +49,10 @@ class SmoothOracle(Protocol):
     with the bits of the two single queries, from one pass over the shifted
     cache: the exact model's Newton step needs both at every point.
 
+    ``L0Problem.from_oracle`` reads the partition's constants from two methods:
+    ``block_lipschitz(block_sizes)`` gives the block constants L_i, and the
+    optional ``spectral_lipschitz()`` L_f (without it, L_f is the sum of the L_i).
+
     Optional methods outside the protocol: ``coord_curvature()`` says that f
     is quadratic along every coordinate and gives that curvature, so the
     exact model steps in closed form instead of by safeguarded Newton;
@@ -136,7 +140,8 @@ def _block_spectral_sq(matrix: np.ndarray, col_sq: np.ndarray, block_sizes) -> n
         if s == 1:
             out.append(float(col_sq[start]))
         else:
-            out.append(float(np.linalg.norm(matrix[:, start : start + s], 2) ** 2))
+            norm = float(np.linalg.norm(matrix[:, start : start + s], 2))
+            out.append(norm * norm)  # a float product: inf on overflow, with no warning
         start += s
     return np.array(out)
 
@@ -370,8 +375,10 @@ class LogisticL2Objective:
         self.nu = float(nu)
         self.m = m
         self._col_sq = np.einsum("ij,ij->j", data, data)
-        # squared entries, column j contiguous, for the curvature queries
-        self._data_sq = np.asfortranarray(self.data**2)
+        # squared entries, column j contiguous, for the curvature queries; an
+        # entry that overflows makes its column's L_i inf, which a partition rejects
+        with np.errstate(over="ignore"):
+            self._data_sq = np.asfortranarray(self.data**2)
         # (predictor bytes, s, s - y, mean loss), see _at
         self._memo: tuple[bytes, np.ndarray, np.ndarray, float] | None = None
 

@@ -13,6 +13,7 @@ fixed-support phase.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from collections import deque
 from collections.abc import Callable, Iterator
@@ -393,9 +394,11 @@ def run_rcd_iht(
         i = next(draws)
         return i, update(state, i), mu[i]
 
-    return _drive(
-        problem, x0, step, config.max_iters, window, delta_lower_bound(problem, model, x0), metadata
-    )
+    bound = delta_lower_bound(problem, model, x0)
+    # as in run_ihta; the float step has no numpy product to overflow, and
+    # errstate would slow each numpy call in it
+    with np.errstate(over="ignore") if N < partition.n else contextlib.nullcontext():
+        return _drive(problem, x0, step, config.max_iters, window, bound, metadata)
 
 
 def run_ihta(
@@ -453,7 +456,9 @@ def run_ihta(
     metadata = {
         "solver": "ihta", "approx": "uq-global", "rng": "none", "seed": 0, "M_f": float(M_f)
     }
-    return _drive(problem, x0, step, max_iters, support_patience, float("nan"), metadata)
+    # a huge M overflows _keep_or_zero's (M/2) t t to inf, the right decision
+    with np.errstate(over="ignore"):
+        return _drive(problem, x0, step, max_iters, support_patience, float("nan"), metadata)
 
 
 def delta_lower_bound(problem: L0Problem, model: Model, x0: np.ndarray) -> float:

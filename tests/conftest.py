@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from l0rcd import BlockPartition, L0Problem, LeastSquaresObjective, LogisticL2Objective
+from l0rcd import L0Problem, LeastSquaresObjective, LogisticL2Objective
 
 
 def toy_problem(lam: float = 0.5) -> L0Problem:
@@ -14,11 +14,7 @@ def toy_problem(lam: float = 0.5) -> L0Problem:
     0, (2,0), (0,0.5), (2,0.5) with F = 2.125, 0.625 + lam.., etc. At
     lam = 0.5 the unique quadratic-model strong point for M near 1 is (2,0).
     """
-    oracle = LeastSquaresObjective(np.eye(2), np.array([2.0, 0.5]))
-    partition = BlockPartition.scalar(
-        [lam, lam], oracle.column_lipschitz(), oracle.spectral_lipschitz()
-    )
-    return L0Problem(oracle, partition)
+    return L0Problem.from_oracle(LeastSquaresObjective(np.eye(2), np.array([2.0, 0.5])), lam)
 
 
 def random_ls_problem(
@@ -30,11 +26,7 @@ def random_ls_problem(
         raise ValueError("tall instance needs m >= n")
     A = rng.uniform(-1.0, 1.0, size=(m, n))
     b = rng.uniform(-1.0, 1.0, size=m)
-    oracle = LeastSquaresObjective(A, b)
-    partition = BlockPartition.scalar(
-        np.full(n, lam), oracle.column_lipschitz(), oracle.spectral_lipschitz()
-    )
-    return L0Problem(oracle, partition)
+    return L0Problem.from_oracle(LeastSquaresObjective(A, b), lam)
 
 
 def random_logistic_problem(
@@ -43,9 +35,7 @@ def random_logistic_problem(
     rng = np.random.default_rng(seed)
     data = rng.uniform(-1.0, 1.0, size=(m, n))
     y = (rng.random(m) < 0.5).astype(float)
-    oracle = LogisticL2Objective(data, y, nu)
-    partition = BlockPartition.scalar(np.full(n, lam), oracle.column_lipschitz())
-    return L0Problem(oracle, partition)
+    return L0Problem.from_oracle(LogisticL2Objective(data, y, nu), lam)
 
 
 @pytest.fixture

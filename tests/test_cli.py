@@ -809,6 +809,98 @@ class TestConfigParsing:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == line
 
+    @pytest.mark.parametrize("command", ["solve", "benchmark", "tournament"])
+    def test_ihta_factor_that_rounds_away_is_a_one_line_error(self, tmp_path, capsys, command):
+        """Entries near 1e-160 make L_f subnormal, where L_f * 1.0000001 rounds
+        back to L_f: one error line naming ihta_factor, exit 2, before run_ihta
+        would raise for M_f <= L_f."""
+        rng = np.random.default_rng(0)
+        A, b = tmp_path / "A.csv", tmp_path / "b.csv"
+        np.savetxt(A, rng.uniform(-1e-160, 1e-160, size=(4, 3)), delimiter=",")
+        np.savetxt(b, rng.uniform(-1e-160, 1e-160, size=4), delimiter=",")
+        cfg = write_config(
+            tmp_path,
+            f"[problem]\nkind = ls\nmatrix_csv = {A}\nrhs_csv = {b}\nlambda = 1e-320\n"
+            "[solvers]\nlist = ihta\nihta_factor = 1.0000001\n[solve]\nsolver = ihta\n"
+            "[sweep]\nlambdas = 1e-320\n",
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [solvers] ihta_factor = 1.0000001 leaves M_f = ")
+        assert err.count("\n") == 1
+
+    HUGE_CURVATURE = {
+        "ihta": "[problem]\nkind = ls\nm = 4\nn = 6\nseed = 1\nlambda = 0.3\n"
+        "[solvers]\nlist = ihta\nihta_factor = 1e306\n[starts]\nvalue_range = 100\n"
+        "[solve]\nsolver = ihta\nstart = random\n",
+        "uq_blocks": "[problem]\nkind = ls\nm = 4\nn = 6\nseed = 1\nlambda = 0.3\n"
+        "block_sizes = 2,2,2\n"
+        "[solvers]\nlist = uq\nuq_factor = 1e306\n[starts]\nvalue_range = 100\n"
+        "[solve]\nsolver = uq\nstart = random\n",
+    }
+
+    @pytest.mark.parametrize(
+        "case,command,digests",
+        [
+            ("ihta", "solve", {"stdout": "d896eefc2399747b", "solution.csv": "ae17b46e553a5f25",
+                               "trace.csv": "54012de16821627d"}),
+            ("ihta", "benchmark", {"stdout": "862f86b2d41cd466",
+                                   "benchmark.csv": "9ead4eee36f09264"}),
+            ("uq_blocks", "solve", {"stdout": "0dbffa1f61dff89a",
+                                    "solution.csv": "056c7a19af5059b3",
+                                    "trace.csv": "fcc1a10701bca435"}),
+            ("uq_blocks", "benchmark", {"stdout": "2b3657b5f43fd8de",
+                                        "benchmark.csv": "cdb0a5a5a8ab7163"}),
+        ],
+        ids=["ihta_solve", "ihta_benchmark", "uq_blocks_solve", "uq_blocks_benchmark"],
+    )
+    def test_huge_curvature_warns_nothing(self, tmp_path, capsys, case, command, digests):
+        """A curvature of 1e306 times L overflows the progress value (M/2) t t
+        of the array step to inf, which keeps t, the right decision. The run
+        raises no RuntimeWarning (the suite makes one an error) and its
+        stdout and CSVs keep the bytes they had when numpy printed one."""
+        cfg = write_config(tmp_path, self.HUGE_CURVATURE[case])
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "--no-timestamp"]) == 0
+        printed = capsys.readouterr()
+        assert printed.err == ""
+        got = {"stdout": hashlib.sha256(printed.out.encode()).hexdigest()[:16]}
+        for path in sorted(out.iterdir()):
+            got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+        assert got == digests
+
+    def test_huge_beta_enumerates_without_warning(self, tmp_path, capsys):
+        """ue_beta = 1e306 on least squares gives the exact class test the
+        curvature ||A_j||^2 + beta, whose progress value overflows to inf:
+        the right decision, with no RuntimeWarning."""
+        cfg = write_config(
+            tmp_path,
+            "[problem]\nkind = ls\nm = 7\nn = 8\nseed = 39\nlambda = 1.0\n"
+            "[solvers]\nue_beta = 1e306\n",
+        )
+        assert main(["enumerate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        printed = capsys.readouterr()
+        assert printed.err == ""
+        assert "Number of local minima  256    7         2         256" in printed.out
+
+    @pytest.mark.parametrize("blocks", ["", "block_sizes = 2,3\n"], ids=["scalar", "blocks"])
+    def test_logistic_constants_that_overflow_are_a_one_line_error(self, tmp_path, capsys, blocks):
+        """Logistic data near 1e155 make every L_i overflow, on scalar blocks
+        and on blocks of 2 and 3: one error line, exit 2, with no
+        RuntimeWarning from the squares."""
+        A, y = tmp_path / "A.csv", tmp_path / "y.csv"
+        np.savetxt(A, np.arange(1.0, 21.0).reshape(4, 5) * 1e155, delimiter=",")
+        np.savetxt(y, [0.0, 1.0, 1.0, 0.0], delimiter=",")
+        cfg = write_config(
+            tmp_path,
+            f"[problem]\nkind = logistic\nmatrix_csv = {A}\nlabels_csv = {y}\nlambda = 0.1\n"
+            + blocks,
+        )
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid problem configuration: Lipschitz constants must be finite and positive\n"
+        )
+
     def test_negative_seed_flag_is_a_one_line_error(self, tmp_path, capsys):
         cfg = toy_config(tmp_path, start="random")
         assert main(["solve", "--config", cfg, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2

@@ -8,6 +8,7 @@ from l0rcd import (
     IterateState,
     L0Problem,
     LeastSquaresObjective,
+    LogisticL2Objective,
     l0_norm,
     objective_F,
     support_of,
@@ -192,6 +193,64 @@ class TestBlockPartition:
     def test_count_penalty_only_where_the_count_decides(self, sizes, lam):
         p = BlockPartition(block_sizes=sizes, lam=lam, lipschitz=(1.0,) * len(sizes))
         assert p.count_penalty is None
+
+
+def _oracle(kind):
+    rng = np.random.default_rng(5)
+    data = rng.uniform(-1.0, 1.0, size=(9, 12))
+    if kind == "least_squares":
+        return LeastSquaresObjective(data, rng.uniform(-1.0, 1.0, size=9))
+    return LogisticL2Objective(data, (rng.random(9) < 0.5).astype(float), 0.3)
+
+
+class TestFromOracle:
+    @pytest.mark.parametrize("lam", [0.05, 0.3])
+    @pytest.mark.parametrize("sizes", [None, (3, 3, 2, 4)], ids=["scalar", "blocks"])
+    @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+    def test_equals_the_hand_built_partition(self, kind, sizes, lam):
+        """The partition has the bits of one built by hand from the oracle's
+        constants: L_f = ``spectral_lipschitz()`` on least squares, and the
+        default sum of the L_i on logistic, which has no such method."""
+        oracle = _oracle(kind)
+        blocks = sizes or (1,) * 12
+        L = tuple(float(v) for v in oracle.block_lipschitz(blocks))
+        if kind == "least_squares":
+            L_f = oracle.spectral_lipschitz()
+            assert L_f < sum(L)
+        else:
+            assert not hasattr(oracle, "spectral_lipschitz")
+            L_f = 0.0
+        problem = L0Problem.from_oracle(oracle, lam, sizes)
+        hand = BlockPartition(blocks, (lam,) * len(blocks), L, L_f)
+        assert problem.smooth is oracle
+        assert problem.partition == hand
+        assert problem.partition.global_lipschitz.hex() == hand.global_lipschitz.hex()
+        assert [v.hex() for v in problem.partition.lipschitz] == [v.hex() for v in L]
+        if sizes is None:
+            assert np.array_equal(oracle.column_lipschitz(), hand.lipschitz)
+        if kind == "logistic":
+            assert problem.partition.global_lipschitz == float(sum(L))
+
+    @pytest.mark.parametrize(
+        "sizes,total", [((1,) * 5, 5), ((2, 3), 5), ((1, 1), 2)], ids=["ones", "two_three", "short"]
+    )
+    def test_a_wrong_block_sum_is_refused_before_any_constant(self, monkeypatch, sizes, total):
+        oracle = LeastSquaresObjective(np.eye(4), np.ones(4))
+
+        def refuse(*args):
+            raise AssertionError("a constant was asked for")
+
+        monkeypatch.setattr(oracle, "block_lipschitz", refuse)
+        monkeypatch.setattr(oracle, "spectral_lipschitz", refuse)
+        with pytest.raises(ValueError, match=rf"^block_sizes sum to {total}, need 4$"):
+            L0Problem.from_oracle(oracle, 0.5, sizes)
+
+    def test_the_partition_and_the_oracle_raise_their_own_errors(self):
+        with pytest.raises(ValueError, match="penalty weights must be finite and nonnegative"):
+            L0Problem.from_oracle(_oracle("logistic"), -1.0)
+        huge = LeastSquaresObjective(np.full((2, 2), 1e155), np.ones(2))
+        with pytest.raises(ValueError, match="Lipschitz constants must be finite and positive"):
+            L0Problem.from_oracle(huge, 0.5)
 
 
 class TestIterateState:

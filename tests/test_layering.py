@@ -13,6 +13,12 @@ How a change of the zero pattern moves the support I(x) and the penalty
 lives in ``core``: no other module assigns a ``.support`` or ``.penalty``
 attribute. The stepping code passes the toggled bits to
 ``IterateState.flip`` instead.
+
+How an oracle's constants become a partition lives in ``core`` too: no
+other module calls ``.block_lipschitz``, ``.spectral_lipschitz`` or
+``.column_lipschitz`` or even names them (a bound method passed on is a
+call deferred), or constructs a ``BlockPartition`` (directly or by
+``BlockPartition.scalar``). They call ``L0Problem.from_oracle`` instead.
 """
 import ast
 from pathlib import Path
@@ -21,6 +27,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "l0rcd"
 OPTIONAL_CURVATURE = {"coord_curvature", "coord_curvature_floor", "coord_curvature_floor_near"}
 SUPPORT_BOOKS = {"support", "penalty"}
 SPEC_CONSTANTS = {"mu", "curvature_bound", "validate_for_solver"}
+ORACLE_CONSTANTS = {"block_lipschitz", "spectral_lipschitz", "column_lipschitz"}
 
 
 def offences(source: str, filename: str) -> list[str]:
@@ -190,4 +197,58 @@ def test_the_book_check_finds_each_construct():
         "m.py:4: assigns .penalty",
         "m.py:5: assigns .support",
         "m.py:6: assigns .penalty",
+    ]
+
+
+def partition_builds(source: str, filename: str) -> list[str]:
+    """``file:line: what`` for each use of an oracle's constant method and
+    each construction of a ``BlockPartition``."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Attribute) and node.attr in ORACLE_CONSTANTS:
+            found.append((node.lineno, f"uses .{node.attr}"))
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "BlockPartition":
+            found.append((node.lineno, "constructs BlockPartition"))
+        elif (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id == "BlockPartition"
+        ):
+            found.append((node.lineno, f"constructs BlockPartition.{func.attr}"))
+    return [f"{filename}:{line}: {what}" for line, what in sorted(found)]
+
+
+def test_only_core_builds_partitions_from_oracles():
+    found = [
+        offence
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "core.py"
+        for offence in partition_builds(path.read_text(), path.name)
+    ]
+    assert found == []
+
+
+def test_the_partition_check_finds_each_construct():
+    source = "\n".join(
+        [
+            "L = oracle.block_lipschitz(sizes)",
+            "L_f = _construct(problem.smooth.spectral_lipschitz)()",
+            "p = BlockPartition(sizes, lam, L)",
+            "q = BlockPartition.scalar(lam, oracle.column_lipschitz())",
+            "problem = L0Problem.from_oracle(oracle, lam, sizes)",
+            "bound = partition.global_lipschitz * problem.partition.lipschitz[0]",
+            "method = oracle.block_lipschitz",
+            "def build(p: BlockPartition) -> BlockPartition: ...",
+        ]
+    )
+    assert partition_builds(source, "m.py") == [
+        "m.py:1: uses .block_lipschitz",
+        "m.py:2: uses .spectral_lipschitz",
+        "m.py:3: constructs BlockPartition",
+        "m.py:4: constructs BlockPartition.scalar",
+        "m.py:4: uses .column_lipschitz",
+        "m.py:7: uses .block_lipschitz",
     ]
