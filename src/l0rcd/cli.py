@@ -329,13 +329,14 @@ def _named_route(name: str, cfg: ExperimentConfig, problem: L0Problem) -> tuple:
     elif name == "ue":
         spec = _construct(ApproxSpec, "ue", np.full(partition.num_blocks, cfg.ue_beta))
     elif name == "ihta":
-        M_f = partition.global_lipschitz * cfg.ihta_factor
+        L_f = _construct(getattr, partition, "global_lipschitz")  # computed and checked here
+        M_f = L_f * cfg.ihta_factor
         if not np.isfinite(M_f):
             raise ConfigError(f"[solvers] ihta_factor = {cfg.ihta_factor} makes M_f overflow")
-        if not M_f > partition.global_lipschitz:  # the product can round to L_f
+        if not M_f > L_f:  # the product can round to L_f
             raise ConfigError(
                 f"[solvers] ihta_factor = {cfg.ihta_factor} leaves M_f = {M_f} "
-                f"not above L_f = {partition.global_lipschitz}"
+                f"not above L_f = {L_f}"
             )
         return None, M_f
     else:
@@ -502,7 +503,8 @@ def _enumerate_requests(problem: L0Problem, cfg: ExperimentConfig) -> dict[str, 
     if all(s == 1 for s in partition.block_sizes):
         reqs["ue[beta=%g]" % cfg.ue_beta] = ApproxSpec("ue", np.full(N, cfg.ue_beta))
     reqs["uq[M=Li]"] = ApproxSpec("uq", partition.lipschitz)
-    reqs["uq[M=Lf]"] = ApproxSpec("uq", np.full(N, partition.global_lipschitz))
+    L_f = _construct(getattr, partition, "global_lipschitz")  # computed and checked here
+    reqs["uq[M=Lf]"] = ApproxSpec("uq", np.full(N, L_f))
     return reqs
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -31,15 +31,19 @@ class BlockPartition:
 
     Each block i carries a nonnegative penalty weight ``lam[i]`` and a
     positive Lipschitz constant ``lipschitz[i]`` for the block gradient of
-    the smooth term. ``global_lipschitz`` bounds the full gradient; it
-    defaults to the (always valid) sum of the per-block constants. Arrays
-    derived from the layout are built on first use and shared read-only.
+    the smooth term. ``global_lipschitz`` bounds the full gradient; it comes
+    from ``global_bound``, a float or a zero-argument function that returns
+    one, and defaults (``global_bound`` 0.0) to the always valid sum of the
+    per-block constants. Arrays derived from the layout, and
+    ``global_lipschitz``, are built on first use and shared read-only.
+    Equality compares the fields, ``global_bound`` aside, and
+    ``global_lipschitz``.
     """
 
     block_sizes: tuple[int, ...]
     lam: tuple[float, ...]
     lipschitz: tuple[float, ...]
-    global_lipschitz: float = 0.0
+    global_bound: float | Callable[[], float] = field(default=0.0, compare=False)
     offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -57,17 +61,31 @@ class BlockPartition:
             raise ValueError("the penalty of the full support, sum of lam_i * n_i, overflows")
         if any(not 0.0 < L < math.inf for L in self.lipschitz):
             raise ValueError("Lipschitz constants must be finite and positive")
-        sum_L = float(sum(self.lipschitz))
-        if self.global_lipschitz == 0.0:
-            object.__setattr__(self, "global_lipschitz", sum_L)
-        if not 0.0 < self.global_lipschitz < math.inf:
-            raise ValueError("global Lipschitz constant must be finite and positive")
-        if self.global_lipschitz > sum_L * (1 + _LF_SUM_SLACK):
-            raise ValueError(
-                f"global Lipschitz constant {self.global_lipschitz} exceeds the "
-                f"sum of block constants {sum_L}"
-            )
         object.__setattr__(self, "offsets", (0, *accumulate(map(int, self.block_sizes))))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.block_sizes, self.lam, self.lipschitz, self.global_lipschitz) == (
+            other.block_sizes, other.lam, other.lipschitz, other.global_lipschitz
+        )
+
+    @cached_property
+    def global_lipschitz(self) -> float:
+        """L_f from ``global_bound``, called here at most once; ValueError
+        unless it is finite, positive and at most the sum of the L_i."""
+        bound = self.global_bound
+        L_f = float(bound() if callable(bound) else bound)
+        sum_L = float(sum(self.lipschitz))
+        if L_f == 0.0:
+            L_f = sum_L
+        if not 0.0 < L_f < math.inf:
+            raise ValueError("global Lipschitz constant must be finite and positive")
+        if L_f > sum_L * (1 + _LF_SUM_SLACK):
+            raise ValueError(
+                f"global Lipschitz constant {L_f} exceeds the sum of block constants {sum_L}"
+            )
+        return L_f
 
     @property
     def n(self) -> int:
@@ -123,7 +141,7 @@ class BlockPartition:
         return self._coord_lam
 
     @staticmethod
-    def scalar(lam, lipschitz, global_lipschitz: float = 0.0) -> "BlockPartition":
+    def scalar(lam, lipschitz, global_bound: float = 0.0) -> "BlockPartition":
         """Convenience constructor for all-scalar blocks (n_i = 1)."""
         lam = tuple(float(v) for v in np.atleast_1d(lam))
         lip = tuple(float(v) for v in np.atleast_1d(lipschitz))
@@ -131,7 +149,7 @@ class BlockPartition:
             block_sizes=(1,) * len(lam),
             lam=lam,
             lipschitz=lip,
-            global_lipschitz=global_lipschitz,
+            global_bound=global_bound,
         )
 
 
@@ -186,7 +204,9 @@ class L0Problem:
     Immutable and safely shareable across concurrent solver runs. An oracle
     may keep a memo of its last answers (the logistic one does), but only of
     a pure function of the cache bits, replaced whole: runs that share it
-    can miss it, never read each other's state, and get the same bits.
+    can miss it, never read each other's state, and get the same bits. The
+    partition's ``global_lipschitz`` is computed on its first read; two
+    first reads at once may both compute it, and get the same bits.
     """
 
     smooth: "SmoothOracle"
@@ -203,8 +223,10 @@ class L0Problem:
         """``smooth`` with penalty ``lam`` on every block of ``block_sizes``
         (scalar blocks where it is None or empty) and the oracle's constants:
         ``block_lipschitz(block_sizes)`` per block and, where the oracle has
-        it, ``spectral_lipschitz()`` as the global one (else the partition's
-        default, the sum of the block constants).
+        it, ``spectral_lipschitz`` as the source of the global one (else the
+        partition's default, the sum of the block constants). The partition
+        calls it on the first read of ``global_lipschitz``, so a problem that
+        never reads L_f never computes it.
 
         ValueError when the sizes do not sum to ``smooth.dim``, before any
         constant is asked for; else whatever the oracle, the partition or
@@ -213,10 +235,9 @@ class L0Problem:
         sizes = tuple(block_sizes or (1,) * n)
         if (total := sum(sizes)) != n:
             raise ValueError(f"block_sizes sum to {total}, need {n}")
-        spectral = getattr(smooth, "spectral_lipschitz", None)
-        global_lipschitz = 0.0 if spectral is None else float(spectral())
         lipschitz = tuple(float(v) for v in smooth.block_lipschitz(sizes))
-        partition = BlockPartition(sizes, (float(lam),) * len(sizes), lipschitz, global_lipschitz)
+        global_bound = getattr(smooth, "spectral_lipschitz", 0.0)
+        partition = BlockPartition(sizes, (float(lam),) * len(sizes), lipschitz, global_bound)
         return cls(smooth, partition)
 
     @property

@@ -52,6 +52,9 @@ class SmoothOracle(Protocol):
     ``L0Problem.from_oracle`` reads the partition's constants from two methods:
     ``block_lipschitz(block_sizes)`` gives the block constants L_i, and the
     optional ``spectral_lipschitz()`` L_f (without it, L_f is the sum of the L_i).
+    The partition calls ``spectral_lipschitz()`` on the first read of its
+    ``global_lipschitz``, so at most once per problem, and never on a problem
+    whose runs use only the block constants.
 
     Optional methods outside the protocol: ``coord_curvature()`` says that f
     is quadratic along every coordinate and gives that curvature, so the

@@ -216,7 +216,7 @@ class TestEnumerateCatalog:
             block_sizes=p.block_sizes,
             lam=(0.2, 0.0, 0.3, 0.0),
             lipschitz=p.lipschitz,
-            global_lipschitz=p.global_lipschitz,
+            global_bound=p.global_lipschitz,
         )
         prob = L0Problem(built.smooth, partition)
         uq = separable_from_factor(partition, 1.5)
@@ -468,7 +468,7 @@ def _zero_penalty_blocks_case():
         block_sizes=p.block_sizes,
         lam=(0.2, 0.0, 0.3, 0.0),
         lipschitz=p.lipschitz,
-        global_lipschitz=p.global_lipschitz,
+        global_bound=p.global_lipschitz,
     )
     L = np.repeat(partition.lipschitz, partition.block_sizes)
     requests = {

@@ -175,6 +175,23 @@ class TestSolve:
         _, _, rows = read_csv(out / "solution.csv")
         np.testing.assert_allclose([float(r[1]) for r in rows], [2.0, 0.0], atol=1e-9)
 
+    def test_uq_at_fifty_thousand_blocks(self, tmp_path, monkeypatch):
+        """``uq`` on 50x50,000 least squares needs only the column constants:
+        with ``spectral_lipschitz`` (an 8 N^2-byte A^T A, 18.6 GiB here)
+        refused by a stub, the solve runs and writes every coordinate."""
+
+        def refuse(self):
+            raise AssertionError("L_f was computed")
+
+        monkeypatch.setattr(l0rcd.LeastSquaresObjective, "spectral_lipschitz", refuse)
+        cfg = write_config(
+            tmp_path,
+            "[problem]\nkind = ls\nm = 50\nn = 50000\nlambda = 0.05\n"
+            "[solvers]\nmax_iters = 2000\n[solve]\nsolver = uq\nstart = zeros\n",
+        )
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(read_csv(tmp_path / "o" / "solution.csv")[2]) == 50_000
+
 
 class TestEnumerate:
     def test_toy_counts(self, tmp_path, capsys):
@@ -782,32 +799,115 @@ class TestConfigParsing:
         else:
             assert (proc.returncode, proc.stderr) == (0, "")
 
-    @pytest.mark.parametrize(
-        "message,line",
-        [
-            (
-                "Unable to allocate 18.6 GiB for an array with shape (50000, 50000) "
-                "and data type float64",
-                "error: out of memory: Unable to allocate 18.6 GiB for an array with shape "
-                "(50000, 50000) and data type float64\n",
-            ),
-            ("", "error: out of memory\n"),
-            ("two\nlines", "error: out of memory: two lines\n"),
-        ],
-        ids=["numpy", "empty", "multiline"],
+    NUMPY_OOM = (
+        "Unable to allocate 18.6 GiB for an array with shape (50000, 50000) and data type float64"
     )
-    def test_out_of_memory_is_a_one_line_error(self, tmp_path, capsys, monkeypatch, message, line):
+
+    @pytest.mark.parametrize(
+        "command,message,line",
+        [
+            ("solve", NUMPY_OOM, f"error: out of memory: {NUMPY_OOM}\n"),
+            ("solve", "", "error: out of memory\n"),
+            ("solve", "two\nlines", "error: out of memory: two lines\n"),
+            ("enumerate", NUMPY_OOM, f"error: out of memory: {NUMPY_OOM}\n"),
+        ],
+        ids=["numpy", "empty", "multiline", "enumerate"],
+    )
+    def test_out_of_memory_is_a_one_line_error(
+        self, tmp_path, capsys, monkeypatch, command, message, line
+    ):
         """A size the machine cannot hold (``spectral_lipschitz`` at 50x50,000
         asks numpy for 18.6 GiB) is one error line, exit 2. The allocation
-        fails here by a stub, so nothing is allocated."""
+        fails here by a stub, so nothing is allocated. ``ihta`` and
+        ``enumerate`` read L_f, so they reach the stub."""
 
         def refuse(self):
             raise MemoryError(message)
 
         monkeypatch.setattr(l0rcd.LeastSquaresObjective, "spectral_lipschitz", refuse)
-        cfg = write_config(tmp_path, "[problem]\nkind = ls\nm = 5\nn = 6\nlambda = 0.3\n")
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        cfg = write_config(
+            tmp_path, "[problem]\nkind = ls\nm = 5\nn = 6\nlambda = 0.3\n[solve]\nsolver = ihta\n"
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == line
+
+    @pytest.mark.parametrize(
+        "command,solvers,calls",
+        [
+            ("solve", "uq", 0),
+            ("solve", "ue", 0),
+            ("benchmark", "uq,ue", 0),
+            ("solve", "ihta", 1),
+            ("benchmark", "uq,ue,ihta", 1),
+            ("enumerate", "uq", 1),
+            ("tournament", "uq,ue,ihta", 3),
+        ],
+    )
+    def test_global_constant_is_computed_only_where_read(
+        self, tmp_path, capsys, monkeypatch, command, solvers, calls
+    ):
+        """``spectral_lipschitz`` runs once per problem that reads L_f and on
+        no other: the tournament builds one problem per lambda of its two
+        and one for its catalog, and reads L_f on each for ``ihta``."""
+        counted = []
+        original = l0rcd.LeastSquaresObjective.spectral_lipschitz
+
+        def counting(self):
+            counted.append(self)
+            return original(self)
+
+        monkeypatch.setattr(l0rcd.LeastSquaresObjective, "spectral_lipschitz", counting)
+        cfg = write_config(
+            tmp_path,
+            "[problem]\nkind = ls\nm = 4\nn = 6\nlambda = 0.3\n"
+            f"[solvers]\nlist = {solvers}\n[solve]\nsolver = {solvers.split(',')[0]}\n"
+            "[starts]\ntrials = 2\n[sweep]\nlambdas = 0.3, 0.5\n",
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(counted) == len({id(oracle) for oracle in counted}) == calls
+
+    @pytest.fixture
+    def overflowing_spectrum(self, tmp_path):
+        """A 2x3 least-squares CSV whose ||A_j||^2 are finite and whose
+        lambda_max(A^T A) overflows; [solve] solver and [solvers] list are
+        the ``solver`` argument of the returned maker."""
+        A, b = tmp_path / "A.csv", tmp_path / "b.csv"
+        A.write_text("9e153,9e153,9e153\n8e153,-9e153,9e153\n")
+        b.write_text("1\n2\n")
+
+        def config(solver):
+            return write_config(
+                tmp_path,
+                f"[problem]\nkind = ls\nmatrix_csv = {A}\nrhs_csv = {b}\nlambda = 0.3\n"
+                f"[solvers]\nlist = {solver}\n[solve]\nsolver = {solver}\n"
+                "[sweep]\nlambdas = 0.3\n",
+            )
+
+        return config
+
+    @pytest.mark.parametrize("command", ["solve", "benchmark", "enumerate", "tournament"])
+    def test_overflowing_global_constant_is_a_one_line_error(
+        self, tmp_path, overflowing_spectrum, command
+    ):
+        """Every command that reads L_f (``ihta`` and the ``uq[M=Lf]`` column)
+        computes it on that read and reports a bad one as one error line,
+        exit 2, with no numpy warning. Run in a child process (``run_child``)."""
+        proc = run_child(command, overflowing_spectrum("ihta"), tmp_path / "o")
+        assert (proc.returncode, proc.stderr) == (
+            2,
+            "error: invalid problem configuration: "
+            "global Lipschitz constant must be finite and positive\n",
+        )
+
+    @pytest.mark.parametrize("solver", ["uq", "ue"])
+    def test_coordinate_routes_never_compute_the_global_constant(
+        self, tmp_path, overflowing_spectrum, solver
+    ):
+        """``uq`` and ``ue`` need only the block constants, so the instance
+        whose L_f overflows solves."""
+        proc = run_child("solve", overflowing_spectrum(solver), tmp_path / "o")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert len(read_csv(tmp_path / "o" / "solution.csv")[2]) == 3
 
     @pytest.mark.parametrize("command", ["solve", "benchmark", "tournament"])
     def test_ihta_factor_that_rounds_away_is_a_one_line_error(self, tmp_path, capsys, command):

@@ -122,13 +122,15 @@ class TestBlockPartition:
         assert p.global_lipschitz == pytest.approx(5.0)
 
     def test_global_lipschitz_above_sum_rejected(self):
-        with pytest.raises(ValueError):
-            BlockPartition(
-                block_sizes=(1, 1),
-                lam=(1.0, 1.0),
-                lipschitz=(1.0, 1.0),
-                global_lipschitz=2.5,
-            )
+        """L_f is checked where it is computed, on the first read."""
+        p = BlockPartition(
+            block_sizes=(1, 1),
+            lam=(1.0, 1.0),
+            lipschitz=(1.0, 1.0),
+            global_bound=2.5,
+        )
+        with pytest.raises(ValueError, match="exceeds the sum of block constants"):
+            p.global_lipschitz
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -141,8 +143,9 @@ class TestBlockPartition:
                 scalar_partition([bad, 1.0], [1.0, 1.0])
             with pytest.raises(ValueError):
                 scalar_partition([1.0, 1.0], [1.0, bad])
-            with pytest.raises(ValueError):
-                BlockPartition.scalar([1.0, 1.0], [1.0, 1.0], global_lipschitz=bad)
+            p = BlockPartition.scalar([1.0, 1.0], [1.0, 1.0], global_bound=bad)
+            with pytest.raises(ValueError, match="global Lipschitz constant must be finite"):
+                p.global_lipschitz
 
     def test_all_zero_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -230,6 +233,28 @@ class TestFromOracle:
             assert np.array_equal(oracle.column_lipschitz(), hand.lipschitz)
         if kind == "logistic":
             assert problem.partition.global_lipschitz == float(sum(L))
+
+    @pytest.mark.parametrize("lam", [0.05, 0.3])
+    @pytest.mark.parametrize("sizes", [None, (3, 3, 2, 4)], ids=["scalar", "blocks"])
+    @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+    def test_global_lipschitz_is_computed_on_first_read_only(self, monkeypatch, kind, sizes, lam):
+        """``from_oracle`` asks for no L_f; the first read of
+        ``global_lipschitz`` calls ``spectral_lipschitz`` once, later reads
+        not at all, and the value has the bits of the eager call. Logistic
+        has no such method and gets the sum of the L_i."""
+        oracle = _oracle(kind)
+        calls = []
+        if kind == "least_squares":
+            eager, reads = float(oracle.spectral_lipschitz()), [1]
+            original = oracle.spectral_lipschitz
+            monkeypatch.setattr(oracle, "spectral_lipschitz", lambda: calls.append(1) or original())
+        else:
+            eager, reads = float(sum(oracle.block_lipschitz(sizes or (1,) * 12).tolist())), []
+        problem = L0Problem.from_oracle(oracle, lam, sizes)
+        assert calls == []
+        for _ in range(2):
+            assert problem.partition.global_lipschitz.hex() == eager.hex()
+            assert calls == reads
 
     @pytest.mark.parametrize(
         "sizes,total", [((1,) * 5, 5), ((2, 3), 5), ((1, 1), 2)], ids=["ones", "two_three", "short"]

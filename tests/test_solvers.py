@@ -197,7 +197,7 @@ class TestStep:
                 block_sizes=sizes,
                 lam=lam or (0.0,) + (0.3,) * (len(sizes) - 1),
                 lipschitz=tuple(prob.smooth.block_lipschitz(sizes)),
-                global_lipschitz=prob.partition.global_lipschitz,
+                global_bound=prob.partition.global_lipschitz,
             )
             prob = L0Problem(prob.smooth, partition)
         p = prob.partition
@@ -581,7 +581,7 @@ class TestRunRcdIht:
             partition = BlockPartition(
                 block_sizes=sizes, lam=(0.15,) * 4,
                 lipschitz=tuple(prob.smooth.block_lipschitz(sizes)),
-                global_lipschitz=p.global_lipschitz,
+                global_bound=p.global_lipschitz,
             )
             prob = L0Problem(prob.smooth, partition)
 
@@ -935,7 +935,7 @@ class TestDeltaLowerBound:
             block_sizes=sizes,
             lam=(0.3, 0.0, 0.7, 0.2, 1.1, 0.4, 0.9),
             lipschitz=tuple(prob.smooth.block_lipschitz(sizes)),
-            global_lipschitz=prob.partition.global_lipschitz,
+            global_bound=prob.partition.global_lipschitz,
         )
         prob = L0Problem(prob.smooth, p)
         rng = np.random.default_rng(53)
